@@ -205,44 +205,18 @@ def _cmd_socle(args) -> int:
     return EXIT_OK
 
 
-def _check_args(args):
-    return {
-        "seed": args.seed,
-        "trials": args.trials,
-        "fast": not args.exact_ranks,
-        "order": args.order,
-    }
-
-
-def _cmd_wlp(args) -> int:
+def _cmd_check(args) -> int:
+    """wlp / slp / power: the parser sets ``full`` and ``shortcut`` to the
+    subcommand's deciders."""
     I = _load_ideal(args)
-    rep = check_wlp(I, args.mode, **_check_args(args))
-    payload = rep.to_dict()
-    payload.update({"command": "wlp", "ideal": _ideal_echo(I)})
-    _emit(payload, args)
-    return EXIT_OK if rep.verdict else EXIT_FAIL
-
-
-def _cmd_slp(args) -> int:
-    I = _load_ideal(args)
-    if args.method == "shortcut":
-        rep = check_slp_shortcut(I, fast=not args.exact_ranks)
+    powers = (args.i,) if args.command == "power" else ()
+    if getattr(args, "method", "full") == "shortcut":
+        rep = args.shortcut(I, *powers)
     else:
-        rep = check_slp(I, args.mode, **_check_args(args))
+        rep = args.full(I, *powers, args.mode, seed=args.seed,
+                        trials=args.trials, order=args.order)
     payload = rep.to_dict()
-    payload.update({"command": "slp", "ideal": _ideal_echo(I)})
-    _emit(payload, args)
-    return EXIT_OK if rep.verdict else EXIT_FAIL
-
-
-def _cmd_power(args) -> int:
-    I = _load_ideal(args)
-    if args.method == "shortcut":
-        rep = check_power_shortcut(I, args.i, fast=not args.exact_ranks)
-    else:
-        rep = check_power(I, args.i, args.mode, **_check_args(args))
-    payload = rep.to_dict()
-    payload.update({"command": "power", "ideal": _ideal_echo(I)})
+    payload.update({"command": args.command, "ideal": _ideal_echo(I)})
     _emit(payload, args)
     return EXIT_OK if rep.verdict else EXIT_FAIL
 
@@ -353,32 +327,20 @@ def _campaign_exit(report) -> int:
     return EXIT_OK if report.confirmed else EXIT_FAIL
 
 
-def _cmd_verify_thm1(args) -> int:
-    _apply_config(args, "wlp")
+def _cmd_verify_bound(args) -> int:
+    """verify-thm1 (WLP bound) and verify-thm2 (SLP or power bound)."""
+    thm1 = args.command == "verify-thm1"
+    _apply_config(args, "wlp" if thm1 else "slp" if args.i is None else "power")
     _fill_defaults(args, n=3, d=3, threads=1,
                    budget_ideals=harness.DEFAULT_BUDGET_IDEALS,
                    budget_entries=harness.DEFAULT_BUDGET_ENTRIES)
-    report = harness.verify_thm1(
-        args.n, args.d, symmetry=args.symmetry, threads=args.threads,
+    campaign, powers = (harness.verify_thm1, ()) if thm1 else (harness.verify_thm2, (args.i,))
+    report = campaign(
+        args.n, args.d, *powers, symmetry=args.symmetry, threads=args.threads,
         budget_ideals=args.budget_ideals, budget_entries=args.budget_entries,
     )
     payload = report.to_dict(include_timing=not args.no_timestamp)
-    payload["command"] = "verify-thm1"
-    _emit(payload, args)
-    return _campaign_exit(report)
-
-
-def _cmd_verify_thm2(args) -> int:
-    _apply_config(args, "power" if args.i is not None else "slp")
-    _fill_defaults(args, n=3, d=3, threads=1,
-                   budget_ideals=harness.DEFAULT_BUDGET_IDEALS,
-                   budget_entries=harness.DEFAULT_BUDGET_ENTRIES)
-    report = harness.verify_thm2(
-        args.n, args.d, args.i, symmetry=args.symmetry, threads=args.threads,
-        budget_ideals=args.budget_ideals, budget_entries=args.budget_entries,
-    )
-    payload = report.to_dict(include_timing=not args.no_timestamp)
-    payload["command"] = "verify-thm2"
+    payload["command"] = args.command
     _emit(payload, args)
     return _campaign_exit(report)
 
@@ -395,11 +357,9 @@ def _cmd_verify_thm37(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     _apply_config(args, None)
-    _fill_defaults(args, n=3, d=3, seed=harness.DEFAULT_SEED, threads=1)
+    _fill_defaults(args, n=3, d=3, seed=harness.DEFAULT_SEED)
     sample = None if args.sample in (None, "all") else int(args.sample)
-    report = harness.crosscheck_lemmas(
-        args.n, args.d, sample, args.seed, threads=args.threads
-    )
+    report = harness.crosscheck_lemmas(args.n, args.d, sample, args.seed)
     payload = report.to_dict(include_timing=not args.no_timestamp)
     payload["command"] = "crosscheck"
     payload["kind"] = "crosscheck"
@@ -438,8 +398,6 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--order", choices=("degrevlex", "lex", "grlex"),
                    default="degrevlex")
-    p.add_argument("--exact-ranks", action="store_true",
-                   help="disable the modular maximal-rank certificate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ideal_flags(p)
     _add_check_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_wlp)
+    p.set_defaults(func=_cmd_check, full=check_wlp)
 
     p = sub.add_parser("slp", help="strong Lefschetz property check")
     _add_ideal_flags(p)
     _add_check_flags(p)
     p.add_argument("--method", choices=("full", "shortcut"), default="full")
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_slp)
+    p.set_defaults(func=_cmd_check, full=check_slp, shortcut=check_slp_shortcut)
 
     p = sub.add_parser("power", help="maximal rank of a fixed power map")
     _add_ideal_flags(p)
@@ -482,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_check_flags(p)
     p.add_argument("--method", choices=("shortcut", "full"), default="shortcut")
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_power)
+    p.set_defaults(func=_cmd_check, full=check_power, shortcut=check_power_shortcut)
 
     p = sub.add_parser("dual", help="ideal dual to a degree-d support")
     p.add_argument("--n", type=int)
@@ -519,10 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_osequence)
 
-    for name, func, with_i in (
-        ("verify-thm1", _cmd_verify_thm1, False),
-        ("verify-thm2", _cmd_verify_thm2, True),
-    ):
+    for name, with_i in (("verify-thm1", False), ("verify-thm2", True)):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} bound campaign")
         p.add_argument("--n", type=int)
         p.add_argument("--d", type=int)
@@ -535,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-entries", dest="budget_entries", type=int)
         p.add_argument("--config", help="campaign config file (key = value lines)")
         _add_output_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_verify_bound)
 
     p = sub.add_parser("verify-thm37", help="minimal kernel support bound campaign")
     p.add_argument("--n", type=int, required=True)
@@ -551,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--sample", help="sample size, or 'all'")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_crosscheck)

@@ -93,10 +93,11 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def integer_rows(M: ExactMatrix) -> list[list[int]]:
-    """Rows scaled by the LCM of their denominators (row space preserved)."""
+def integer_rows(rows) -> list[list[int]]:
+    """Rows of ints and Fractions, each scaled by the LCM of its
+    denominators (row space preserved)."""
     out = []
-    for r in M._data:
+    for r in rows:
         denom = 1
         for e in r:
             if isinstance(e, Fraction) and e.denominator != 1:
@@ -112,14 +113,14 @@ def rank(M: ExactMatrix) -> int:
     """Exact rank over the rationals."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    return _kernels.rank_int_rows(integer_rows(M), M.cols)
+    return _kernels.rank_int_rows(integer_rows(M._data), M.cols)
 
 
 def rank_mod(M: ExactMatrix, p: int = _kernels.WORD_PRIME) -> int:
     """Rank of M reduced modulo the prime p (lower bound for rank(M))."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    return _kernels.rank_mod_rows(integer_rows(M), M.cols, p)
+    return _kernels.rank_mod_rows(integer_rows(M._data), M.cols, p)
 
 
 def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:

@@ -13,10 +13,11 @@ seeds, and order-preserving merges of any parallel work.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -72,11 +73,7 @@ def theorem2_bound(d: int) -> int:
 
 @dataclass
 class SearchSpec:
-    """Enumeration window over equigenerated artinian (n, d) ideals.
-
-    ``prop`` names the property a campaign tests over the window ("WLP",
-    "SLP", or "power-i"); enumeration itself does not depend on it.
-    """
+    """Enumeration window over equigenerated artinian (n, d) ideals."""
 
     n: int
     d: int
@@ -86,11 +83,12 @@ class SearchSpec:
     threads: int = 1
     budget_ideals: int = DEFAULT_BUDGET_IDEALS
     budget_entries: int = DEFAULT_BUDGET_ENTRIES
-    prop: str | None = None
 
     def __post_init__(self):
         if self.n < 3 or self.d < 2:
             raise ValueError("need n >= 3 and d >= 2")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
         top = basis_size(self.n, self.d) - self.n
         if not 0 <= self.hf_min <= self.hf_max <= top:
             raise ValueError(f"HF range must lie within [0, {top}]")
@@ -173,15 +171,15 @@ def _report_cost(rep) -> int:
 
 def _run_check(I, key: str, args: dict):
     if key == "wlp":
-        return check_wlp(I, "exact", early_stop=args.get("early_stop", True))
+        return check_wlp(I, "exact", early_stop=True)
     if key == "slp":
-        return check_slp(I, "exact", early_stop=args.get("early_stop", True))
+        return check_slp(I, "exact", early_stop=True)
     if key == "slp_shortcut":
         return check_slp_shortcut(I)
     if key == "power_shortcut":
         return check_power_shortcut(I, args["i"])
     if key == "power":
-        return check_power(I, args["i"], "exact", early_stop=args.get("early_stop", True))
+        return check_power(I, args["i"], "exact", early_stop=True)
     raise ValueError(f"unknown check {key!r}")
 
 
@@ -206,7 +204,8 @@ def _scan_expected_pass(spec: SearchSpec, key: str, args: dict):
     """Run a check over the window, collecting failures (expected: none).
 
     Returns (examined, cost, failures, partial); merges are order-preserving
-    regardless of worker completion order.
+    regardless of worker completion order.  Chunking follows
+    ``spec.threads``; the pool never starts more workers than there are CPUs.
     """
     masks = list(iter_support_masks(spec))
     examined = 0
@@ -218,10 +217,11 @@ def _scan_expected_pass(spec: SearchSpec, key: str, args: dict):
         partial = True
     jobs = [
         (spec.n, spec.d, chunk, key, args)
-        for chunk in _chunked(masks, max(spec.threads * 4, 1))
+        for chunk in _chunked(masks, spec.threads * 4)
     ]
-    if spec.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=spec.threads) as ex:
+    workers = min(spec.threads, os.cpu_count() or 1)
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_campaign_worker, jobs))
     else:
         results = [_campaign_worker(job) for job in jobs]
@@ -233,6 +233,19 @@ def _scan_expected_pass(spec: SearchSpec, key: str, args: dict):
             partial = True
             break
     return examined, cost, failures, partial
+
+
+def _scan_below_bound(report: VerificationReport, spec: SearchSpec, key: str, args: dict):
+    """Run the check over the window below the bound, where every ideal must
+    pass; records examined, partial and failures on the report and returns
+    (matrix entry cost, partial)."""
+    examined, cost, failures, partial = _scan_expected_pass(spec, key, args)
+    report.examined = examined
+    report.partial = partial
+    for mask, rep in failures:
+        I = ideal_from_mask(spec.n, spec.d, mask)
+        report.failures.append(_witness_record(spec.n, spec.d, I, rep))
+    return cost, partial
 
 
 def _witness_record(n: int, d: int, I: MonomialIdeal, rep) -> dict:
@@ -279,20 +292,13 @@ def verify_thm1(
     params = {"n": n, "d": d, "symmetry": symmetry, "threads": threads}
     report = VerificationReport("thm1", params, False, expected_bound=bound)
     below = SearchSpec(
-        n, d, 0, min(bound - 1, top), symmetry, threads,
-        budget_ideals, budget_entries, prop="WLP",
+        n, d, 0, min(bound - 1, top), symmetry, threads, budget_ideals, budget_entries
     )
-    examined, cost, failures, partial = _scan_expected_pass(below, "wlp", {})
-    report.examined = examined
-    report.partial = partial
-    for mask, rep in failures:
-        I = ideal_from_mask(n, d, mask)
-        report.failures.append(_witness_record(n, d, I, rep))
+    cost, partial = _scan_below_bound(report, below, "wlp", {})
     witness_possible = bound <= top
     witness = None
     if witness_possible and not partial:
-        at = SearchSpec(n, d, bound, bound, symmetry, 1,
-                        budget_ideals, budget_entries, prop="WLP")
+        at = replace(below, hf_min=bound, hf_max=bound, threads=1)
         try:
             I, rep, scanned = _search_first_failure(at, "wlp", {})
         except BudgetExceededError:
@@ -351,17 +357,10 @@ def verify_thm2(
     if i is not None:
         params["i"] = i
     report = VerificationReport(campaign, params, False, expected_bound=bound)
-    prop = "SLP" if i is None else f"power-{i}"
     below = SearchSpec(
-        n, d, 0, min(bound - 1, top), symmetry, threads,
-        budget_ideals, budget_entries, prop=prop,
+        n, d, 0, min(bound - 1, top), symmetry, threads, budget_ideals, budget_entries
     )
-    examined, cost, failures, partial = _scan_expected_pass(below, key, args)
-    report.examined = examined
-    report.partial = partial
-    for mask, rep in failures:
-        I = ideal_from_mask(n, d, mask)
-        report.failures.append(_witness_record(n, d, I, rep))
+    cost, partial = _scan_below_bound(report, below, key, args)
     witness = None
     constructed = (i is not None and i >= 2) or (i is None and d >= 3)
     if constructed:
@@ -381,8 +380,7 @@ def verify_thm2(
         # the bound need not be attained; record the observed minimum.
         try:
             for hf in range(bound, top + 1):
-                at = SearchSpec(n, d, hf, hf, symmetry, 1,
-                                budget_ideals, budget_entries, prop=prop)
+                at = replace(below, hf_min=hf, hf_max=hf, threads=1)
                 I, rep, scanned = _search_first_failure(at, key, args)
                 report.examined += scanned
                 if I is not None:
@@ -442,20 +440,26 @@ def crosscheck_lemmas(
     d: int,
     sample: int | None = None,
     seed: int = DEFAULT_SEED,
-    *,
-    threads: int = 1,
 ) -> VerificationReport:
     """Shortcut deciders against the full deciders on enumerated ideals.
 
     Wherever the shortcut gates hold the verdicts must agree exactly; gate
     violations fall back to the full check and are counted, not failed.
-    Any disagreement is a hard failure.
+    Any disagreement is a hard failure.  Walking every mask (no sample, or
+    one at least as large as the mask space) is refused with
+    ``BudgetExceededError`` when there are more masks than the default ideal
+    budget.
     """
     t0 = time.perf_counter()
     _, mixed, _ = _campaign_space(n, d)
     total = 1 << len(mixed)
     if sample is None or sample >= total:
-        masks = list(range(total))
+        if total > DEFAULT_BUDGET_IDEALS:
+            raise BudgetExceededError(
+                f"{total} masks exceed the ideal budget {DEFAULT_BUDGET_IDEALS}; "
+                "pass a sample size"
+            )
+        masks = range(total)
         sample_used = None
     else:
         rng = random.Random(seed)

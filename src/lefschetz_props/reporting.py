@@ -48,7 +48,7 @@ class LefschetzReport:
 
     property: str                    # "WLP" | "SLP" | "power"
     verdict: bool
-    method: str                      # "full" | "shortcut" | "shortcut-fallback"
+    method: str                      # "full" | "shortcut" (a fallback runs "full")
     mode: str                        # "exact" | "randomized"
     pairs: tuple[PairRecord, ...]
     witness: tuple[int, int] | None = None

@@ -127,6 +127,11 @@ def test_minsupport_budget_exit(capsys):
     assert code == 3
 
 
+def test_crosscheck_all_masks_budget_exit(capsys):
+    code, _ = invoke(capsys, "crosscheck", "--n", "4", "--d", "4", "--sample", "all")
+    assert code == 3
+
+
 def test_hf_and_socle(capsys):
     code, payload = invoke_json(capsys, "hf", "--gens", BK)
     assert code == 0
@@ -204,6 +209,9 @@ def test_usage_errors(capsys):
     assert run(["wlp"]) == 2                      # no ideal given
     assert run(["nonsense"]) == 2                 # unknown subcommand
     assert run(["wlp", "--gens", "x1^2,x2^2", "--n", "3"]) == 2  # non-artinian
+    assert run(["slp", "--gens", "x1^2+x2*x3,x2^2-x1*x3,x3^2",
+                "--mode", "randomized", "--trials", "0"]) == 2
+    assert run(["verify-thm1", "--n", "3", "--d", "3", "--threads", "0"]) == 2
 
 
 def test_csv_pairs_round_trip(capsys):

@@ -76,6 +76,8 @@ def test_spec_validation():
         SearchSpec(3, 1, 0, 1)
     with pytest.raises(ValueError):
         SearchSpec(3, 3, 0, 8)  # max HF is 7
+    with pytest.raises(ValueError):
+        SearchSpec(3, 3, 0, 7, threads=0)
 
 
 def test_enumeration_budget():
@@ -175,6 +177,14 @@ def test_crosscheck_sampling_deterministic():
     assert a.details == b.details
 
 
+def test_crosscheck_all_masks_refused_over_budget():
+    # (4, 4) has 2^31 masks: refused before any is enumerated
+    with pytest.raises(BudgetExceededError):
+        crosscheck_lemmas(4, 4)
+    with pytest.raises(BudgetExceededError):
+        crosscheck_lemmas(4, 4, sample=1 << 31)
+
+
 def test_named_examples_suite():
     r = named_examples()
     assert r.confirmed
@@ -239,6 +249,37 @@ def test_threads_match_serial():
     assert serial.confirmed == parallel.confirmed
     assert serial.examined == parallel.examined
     assert serial.min_failing_hf == parallel.min_failing_hf
+
+
+def test_pool_workers_capped_at_cpu_count(monkeypatch):
+    from lefschetz_props import harness
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = verify_thm1(3, 3, threads=1)
+    capped = verify_thm1(3, 3, threads=64)
+    assert started == [2]
+    assert capped.confirmed == serial.confirmed
+    assert capped.examined == serial.examined
+    assert capped.min_failing_hf == serial.min_failing_hf
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    verify_thm1(3, 3, threads=64)
+    assert started == [2]  # unknown CPU count: no pool
 
 
 def test_wiebe_small_sample():

@@ -89,9 +89,33 @@ def test_check_wlp_examples():
     assert not rep.verdict and rep.witness == (1, 2)
     ci = monomial_complete_intersection(3, 4)
     assert check_wlp(ci).verdict
-    # fast path and exact path agree
-    assert check_wlp(BK, fast=False).verdict is False
-    assert check_wlp(ci, fast=False).verdict is True
+
+
+def test_decider_ranks_match_plain_exact_rank(monkeypatch):
+    # every matrix the decider builds is ranked mod p first (maximal rank is
+    # certified there) and exactly otherwise; each recorded rank must equal
+    # the plain fraction-free rank of the same multiplication map
+    from lefschetz_props import lefschetz
+
+    built = []
+    pair_exact = lefschetz._pair_exact
+
+    def spy(I, ell, i, j, order):
+        rec = pair_exact(I, ell, i, j, order)
+        built.append((I, rec))
+        return rec
+
+    monkeypatch.setattr(lefschetz, "_pair_exact", spy)
+    rng = random.Random(3)
+    ideals = [BK, monomial_complete_intersection(3, 3)]
+    ideals += [ideal_from_mask(3, 4, mask) for mask in rng.sample(range(1 << 12), 30)]
+    for I in ideals:
+        check_slp(I)
+    assert {I for I, _ in built} == set(ideals)
+    assert any(rec.maximal for _, rec in built)
+    assert any(not rec.maximal for _, rec in built)
+    for I, rec in built:
+        assert rec.rank == rank(mult_map_matrix(I, None, rec.i, rec.j)), (I, rec)
 
 
 def test_check_wlp_rejects_non_artinian():
@@ -204,6 +228,17 @@ def test_form_ideal_randomized_checks():
     rep = check_slp(F, "randomized", seed=11, trials=3)
     assert rep.mode == "randomized"
     assert rep.seeds == (11, 12, 13)
+
+
+def test_randomized_mode_needs_a_trial():
+    F = random_form_ideal(3, 2, random.Random(9))
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            check_slp(F, "randomized", trials=trials)
+        with pytest.raises(ValueError):
+            check_wlp(BK, "randomized", trials=trials)
+    # exact mode draws no forms, so the trial count is not read
+    assert check_wlp(BK, "exact", trials=0).witness == (1, 2)
 
 
 def test_shortcuts_reject_form_ideals():
