@@ -46,6 +46,9 @@ COMMANDS = [
     ["slp", "--gens", BK, "--mode", "randomized", "--seed", "9"],
     ["slp", "--gens", FORMS, "--mode", "randomized", "--seed", "9"],
     ["wlp", "--gens", FORMS, "--seed", "9", "--format", "csv"],
+    # the searched witness over several HF levels, and the pool path
+    ["verify-thm2", "--n", "3", "--d", "4", "--i", "1"],
+    ["verify-thm1", "--n", "3", "--d", "4", "--threads", "2"],
 ]
 
 

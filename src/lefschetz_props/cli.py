@@ -27,8 +27,8 @@ Dual elements use the same term grammar with y in place of x.  Inline
 generators are comma-separated: --gens "x1^3,x2^3,x3^3,x1*x2*x3".
 
 Campaign config files are declarative "key = value" lines with keys among
-n, d, i, property, range, symmetry, budget, budget_entries, seed, threads,
-sample; explicit command-line flags win over the config.
+n, d, i, property, symmetry, budget, budget_entries, seed, threads, sample;
+explicit command-line flags win over the config.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _ideal_echo(I) -> dict:
 
 
 _CONFIG_KEYS = {
-    "n", "d", "i", "property", "range", "symmetry", "budget",
+    "n", "d", "i", "property", "symmetry", "budget",
     "budget_entries", "seed", "threads", "sample",
 }
 
@@ -159,10 +159,6 @@ def _apply_config(args, expected_property: str | None) -> None:
             f"config property {prop!r} does not match this subcommand "
             f"({expected_property})"
         )
-    if "range" in conf:
-        print("note: config key 'range' is accepted but the verification "
-              "window is derived from the bound", file=sys.stderr)
-        conf.pop("range")
     for key, value in conf.items():
         if key in _INT_KEYS:
             value = int(value)
@@ -211,6 +207,9 @@ def _cmd_check(args) -> int:
     I = _load_ideal(args)
     powers = (args.i,) if args.command == "power" else ()
     if getattr(args, "method", "full") == "shortcut":
+        if not isinstance(I, MonomialIdeal):
+            raise UsageError("the shortcut applies to monomial ideals; "
+                             "pass --method full for an ideal of forms")
         rep = args.shortcut(I, *powers)
     else:
         rep = args.full(I, *powers, args.mode, seed=args.seed,

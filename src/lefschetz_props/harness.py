@@ -4,11 +4,12 @@ verification campaigns for the sharp Hilbert-function bounds.
 Enumeration is keyed on dual supports: an equigenerated artinian ideal in
 degree d is the complement of a subset T of the non-pure-power degree-d
 monomials (the pure powers are forced by artinianness), and HF(R, d) = |T|.
-Supports are walked as ascending bitmasks, optionally reduced to canonical
-representatives under variable permutations; both Lefschetz properties are
-permutation-invariant, so campaign conclusions are unchanged by the
-reduction.  Campaigns are deterministic: fixed enumeration order, recorded
-seeds, and order-preserving merges of any parallel work.
+Supports are walked as bitmasks by popcount (= HF(R, d)), then ascending,
+optionally reduced to canonical representatives under variable permutations;
+both Lefschetz properties are permutation-invariant, so campaign conclusions
+are unchanged by the reduction.  Campaigns are deterministic: fixed
+enumeration order, recorded seeds, and order-preserving merges of any
+parallel work.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 
 from .combinatorics import basis_size, monomial_basis
 from .duality import (
@@ -41,7 +44,7 @@ from .ideals import (
     socle_degree,
 )
 from .lefschetz import (
-    check_power,
+    check_power,  # unused here; campaign_bench wraps harness.check_power
     check_power_shortcut,
     check_slp,
     check_slp_shortcut,
@@ -52,6 +55,8 @@ from .reporting import VerificationReport
 DEFAULT_SEED = 1
 DEFAULT_BUDGET_IDEALS = 10**6
 DEFAULT_BUDGET_ENTRIES = 10**8
+# Masks per scan job: the granularity at which budgets stop a scan.
+SCAN_CHUNK = 256
 
 
 def theorem1_bound(n: int, d: int) -> int:
@@ -89,6 +94,8 @@ class SearchSpec:
             raise ValueError("need n >= 3 and d >= 2")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.budget_ideals < 0 or self.budget_entries < 0:
+            raise ValueError("budgets must be non-negative")
         top = basis_size(self.n, self.d) - self.n
         if not 0 <= self.hf_min <= self.hf_max <= top:
             raise ValueError(f"HF range must lie within [0, {top}]")
@@ -131,15 +138,21 @@ def _is_canonical(mask: int, maps) -> bool:
 
 
 def iter_support_masks(spec: SearchSpec):
-    """Ascending bitmasks over the mixed monomials with popcount in range."""
+    """Bitmasks over the mixed monomials with popcount in the HF window, by
+    popcount, then ascending; Gosper's hack (HAKMEM item 175) visits only
+    masks of the wanted popcount."""
     _, mixed, maps = _campaign_space(spec.n, spec.d)
-    for mask in range(1 << len(mixed)):
-        pc = mask.bit_count()
-        if pc < spec.hf_min or pc > spec.hf_max:
-            continue
-        if spec.symmetry and not _is_canonical(mask, maps):
-            continue
-        yield mask
+    end = 1 << len(mixed)
+    for k in range(spec.hf_min, spec.hf_max + 1):
+        mask = (1 << k) - 1
+        while mask < end:
+            if not spec.symmetry or _is_canonical(mask, maps):
+                yield mask
+            if not mask:
+                break
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
 def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
@@ -172,79 +185,89 @@ def _report_cost(rep) -> int:
 def _run_check(I, key: str, args: dict):
     if key == "wlp":
         return check_wlp(I, "exact", early_stop=True)
-    if key == "slp":
-        return check_slp(I, "exact", early_stop=True)
     if key == "slp_shortcut":
         return check_slp_shortcut(I)
     if key == "power_shortcut":
         return check_power_shortcut(I, args["i"])
-    if key == "power":
-        return check_power(I, args["i"], "exact", early_stop=True)
     raise ValueError(f"unknown check {key!r}")
 
 
 def _campaign_worker(job):
-    n, d, masks, key, args = job
+    n, d, masks, key, args, first = job
     failures = []
     cost = 0
-    for mask in masks:
+    for k, mask in enumerate(masks, 1):
         rep = _run_check(ideal_from_mask(n, d, mask), key, args)
         cost += _report_cost(rep)
         if not rep.verdict:
             failures.append((mask, rep))
+            if first:
+                return k, cost, failures
     return len(masks), cost, failures
 
 
-def _chunked(items: list, chunks: int) -> list[list]:
-    size = max(1, (len(items) + chunks - 1) // chunks)
-    return [items[k:k + size] for k in range(0, len(items), size)]
+def _job_results(jobs, workers: int):
+    """Results of ``_campaign_worker`` in job order, pulled lazily: the
+    builtin map when serial, else a process pool holding at most two jobs
+    per worker in flight.  Closing the generator cancels the jobs that have
+    not started."""
+    if workers == 1:
+        yield from map(_campaign_worker, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        try:
+            for job in jobs:
+                window.append(pool.submit(_campaign_worker, job))
+                if len(window) == 2 * workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            for future in window:
+                future.cancel()
 
 
-def _scan_expected_pass(spec: SearchSpec, key: str, args: dict):
-    """Run a check over the window, collecting failures (expected: none).
+def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = False):
+    """Run a check over the window in enumeration order, collecting failures.
 
-    Returns (examined, cost, failures, partial); merges are order-preserving
-    regardless of worker completion order.  Chunking follows
-    ``spec.threads``; the pool never starts more workers than there are CPUs.
+    Returns (examined, cost, failures, partial).  Masks are streamed in
+    chunks of ``SCAN_CHUNK`` and results merged in job order, so no report
+    depends on ``spec.threads``; the pool never starts more workers than
+    there are CPUs.  The scan stops, partial, once either budget is exceeded,
+    and with ``first`` at the first failing ideal.
     """
-    masks = list(iter_support_masks(spec))
+    masks = iter_support_masks(spec)
+    budgeted = islice(masks, spec.budget_ideals)
+    chunks = iter(lambda: list(islice(budgeted, SCAN_CHUNK)), [])
+    jobs = ((spec.n, spec.d, chunk, key, args, first) for chunk in chunks)
+    workers = min(spec.threads, os.cpu_count() or 1)
     examined = 0
     cost = 0
     failures = []
-    partial = False
-    if len(masks) > spec.budget_ideals:
-        masks = masks[: spec.budget_ideals]
-        partial = True
-    jobs = [
-        (spec.n, spec.d, chunk, key, args)
-        for chunk in _chunked(masks, spec.threads * 4)
-    ]
-    workers = min(spec.threads, os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_campaign_worker, jobs))
-    else:
-        results = [_campaign_worker(job) for job in jobs]
-    for count, c, fails in results:
-        examined += count
-        cost += c
-        failures.extend(fails)
-        if cost > spec.budget_entries:
-            partial = True
-            break
-    return examined, cost, failures, partial
+    with closing(_job_results(jobs, workers)) as results:
+        for count, c, fails in results:
+            examined += count
+            cost += c
+            failures.extend(fails)
+            if first and fails:
+                return examined, cost, failures, False
+            if cost > spec.budget_entries:
+                return examined, cost, failures, True
+    return examined, cost, failures, next(masks, None) is not None
 
 
-def _scan_below_bound(report: VerificationReport, spec: SearchSpec, key: str, args: dict):
-    """Run the check over the window below the bound, where every ideal must
-    pass; records examined, partial and failures on the report and returns
-    (matrix entry cost, partial)."""
-    examined, cost, failures, partial = _scan_expected_pass(spec, key, args)
-    report.examined = examined
+def _scan_window(report, spec: SearchSpec, key: str, args: dict, first: bool = False):
+    """Scan the window into the report: adds the ideals examined, sets
+    partial and records each failure, which is a counterexample below the
+    bound or, with ``first``, the witness (the window's first failure, so a
+    minimal-HF one).  Returns (matrix entry cost, partial)."""
+    examined, cost, failures, partial = _scan_expected_pass(spec, key, args, first)
+    report.examined += examined
     report.partial = partial
     for mask, rep in failures:
-        I = ideal_from_mask(spec.n, spec.d, mask)
-        report.failures.append(_witness_record(spec.n, spec.d, I, rep))
+        record = _witness_record(spec.n, spec.d, ideal_from_mask(spec.n, spec.d, mask), rep)
+        (report.witnesses if first else report.failures).append(record)
     return cost, partial
 
 
@@ -256,20 +279,6 @@ def _witness_record(n: int, d: int, I: MonomialIdeal, rep) -> dict:
         "hf_d": I.hf(d),
         "report": rep.to_dict(),
     }
-
-
-def _search_first_failure(spec: SearchSpec, key: str, args: dict):
-    """First ideal (in enumeration order) failing the check, or None."""
-    examined = 0
-    for mask in iter_support_masks(spec):
-        examined += 1
-        if examined > spec.budget_ideals:
-            raise BudgetExceededError("witness search exceeded the ideal budget")
-        I = ideal_from_mask(spec.n, spec.d, mask)
-        rep = _run_check(I, key, args)
-        if not rep.verdict:
-            return I, rep, examined
-    return None, None, examined
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +303,19 @@ def verify_thm1(
     below = SearchSpec(
         n, d, 0, min(bound - 1, top), symmetry, threads, budget_ideals, budget_entries
     )
-    cost, partial = _scan_below_bound(report, below, "wlp", {})
+    cost, partial = _scan_window(report, below, "wlp", {})
     witness_possible = bound <= top
-    witness = None
     if witness_possible and not partial:
         at = replace(below, hf_min=bound, hf_max=bound, threads=1)
-        try:
-            I, rep, scanned = _search_first_failure(at, "wlp", {})
-        except BudgetExceededError:
-            report.partial = partial = True
-            I, rep, scanned = None, None, 0
-        report.examined += scanned
-        if I is not None:
-            witness = _witness_record(n, d, I, rep)
-            report.witnesses.append(witness)
+        _, partial = _scan_window(report, at, "wlp", {}, first=True)
     if report.failures:
         report.min_failing_hf = min(w["hf_d"] for w in report.failures)
-    elif witness is not None:
+    elif report.witnesses:
         report.min_failing_hf = bound
     report.confirmed = (
         not report.failures
         and not partial
-        and (witness is not None or not witness_possible)
+        and (len(report.witnesses) > 0 or not witness_possible)
     )
     report.details = {
         "bound_attainable": witness_possible,
@@ -360,7 +360,7 @@ def verify_thm2(
     below = SearchSpec(
         n, d, 0, min(bound - 1, top), symmetry, threads, budget_ideals, budget_entries
     )
-    cost, partial = _scan_below_bound(report, below, key, args)
+    cost, partial = _scan_window(report, below, key, args)
     witness = None
     constructed = (i is not None and i >= 2) or (i is None and d >= 3)
     if constructed:
@@ -377,19 +377,13 @@ def verify_thm2(
         witness = witness if ok else None
     elif bound <= top and not partial:
         # searched witness: d = 2 SLP case and the i = 1 power case, where
-        # the bound need not be attained; record the observed minimum.
-        try:
-            for hf in range(bound, top + 1):
-                at = replace(below, hf_min=hf, hf_max=hf, threads=1)
-                I, rep, scanned = _search_first_failure(at, key, args)
-                report.examined += scanned
-                if I is not None:
-                    witness = _witness_record(n, d, I, rep)
-                    report.witnesses.append(witness)
-                    report.min_failing_hf = hf
-                    break
-        except BudgetExceededError:
-            report.partial = partial = True
+        # the bound need not be attained; record the observed minimum, which
+        # is the HF of the first failure over [bound, top].
+        at = replace(below, hf_min=bound, hf_max=top, threads=1)
+        _, partial = _scan_window(report, at, key, args, first=True)
+        if report.witnesses:
+            witness = report.witnesses[0]
+            report.min_failing_hf = witness["hf_d"]
     sharp_required = constructed or (i is None and d == 2 and bound <= top)
     report.confirmed = (
         not report.failures

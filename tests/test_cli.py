@@ -194,6 +194,11 @@ def test_config_file(capsys, tmp_path):
     bad.write_text("property = slp\n")
     code, _ = invoke(capsys, "verify-thm1", "--config", str(bad))
     assert code == 2
+    # 'range' is not a config key: the window follows from the bound
+    ranged = tmp_path / "range.cfg"
+    ranged.write_text("n = 3\nd = 3\nrange = 0-5\n")
+    code, _ = invoke(capsys, "verify-thm1", "--config", str(ranged))
+    assert code == 2
 
 
 def test_parse_error_diagnostics(capsys, tmp_path):
@@ -212,6 +217,13 @@ def test_usage_errors(capsys):
     assert run(["slp", "--gens", "x1^2+x2*x3,x2^2-x1*x3,x3^2",
                 "--mode", "randomized", "--trials", "0"]) == 2
     assert run(["verify-thm1", "--n", "3", "--d", "3", "--threads", "0"]) == 2
+    assert run(["verify-thm1", "--n", "3", "--d", "3", "--budget-ideals", "-1"]) == 2
+    assert run(["verify-thm2", "--n", "3", "--d", "3", "--budget-entries", "-1"]) == 2
+    # the shortcut deciders take monomial ideals only
+    forms = "x1^2+x2*x3,x2^2-x1*x3,x3^2"
+    assert run(["power", "--gens", forms, "--i", "1"]) == 2
+    assert run(["slp", "--gens", forms, "--method", "shortcut"]) == 2
+    assert "--method full" in capsys.readouterr().err
 
 
 def test_csv_pairs_round_trip(capsys):

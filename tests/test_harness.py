@@ -69,6 +69,23 @@ def test_symmetry_orbit_counts():
     assert len(seen) == 128
 
 
+@pytest.mark.parametrize(
+    "n, d, lo, hi", [(3, 3, 0, 7), (3, 4, 2, 9), (4, 2, 1, 6), (3, 5, 17, 18)]
+)
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
+    from lefschetz_props.harness import _campaign_space, _is_canonical
+
+    _, mixed, maps = _campaign_space(n, d)
+    expected = sorted(
+        (mask for mask in range(1 << len(mixed))
+         if lo <= mask.bit_count() <= hi
+         and (not symmetry or _is_canonical(mask, maps))),
+        key=lambda mask: (mask.bit_count(), mask),
+    )
+    assert list(iter_support_masks(SearchSpec(n, d, lo, hi, symmetry))) == expected
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(2, 3, 0, 1)
@@ -78,6 +95,10 @@ def test_spec_validation():
         SearchSpec(3, 3, 0, 8)  # max HF is 7
     with pytest.raises(ValueError):
         SearchSpec(3, 3, 0, 7, threads=0)
+    with pytest.raises(ValueError):
+        SearchSpec(3, 3, 0, 7, budget_ideals=-1)
+    with pytest.raises(ValueError):
+        SearchSpec(3, 3, 0, 7, budget_entries=-1)
 
 
 def test_enumeration_budget():
@@ -91,6 +112,46 @@ def test_campaign_budget_yields_flagged_partial_report():
     assert r.partial and not r.confirmed
     r = verify_thm1(3, 3, budget_entries=10)
     assert r.partial and not r.confirmed
+
+
+def test_entry_budget_bounds_the_ideals_built(monkeypatch):
+    from lefschetz_props import harness
+
+    built = []
+
+    def counting(n, d, mask):
+        built.append(mask)
+        return ideal_from_mask(n, d, mask)
+
+    monkeypatch.setattr(harness, "ideal_from_mask", counting)
+    r = verify_thm1(3, 4, budget_entries=10)
+    assert r.partial and 0 < len(built) <= r.examined
+
+
+def test_ideal_budget_bounds_the_enumeration(monkeypatch):
+    from lefschetz_props import harness
+
+    calls = []
+    original = harness._is_canonical
+
+    def counting(mask, maps):
+        calls.append(mask)
+        return original(mask, maps)
+
+    monkeypatch.setattr(harness, "_is_canonical", counting)
+    r = verify_thm1(3, 5, budget_ideals=5)
+    assert r.partial and r.examined == 5
+    assert len(calls) < 500  # not the 2^18 masks of the mixed space
+
+
+def test_partial_report_independent_of_threads():
+    reports = [
+        verify_thm1(3, 4, threads=t, budget_entries=10).to_dict(include_timing=False)
+        for t in (1, 2)
+    ]
+    for rep in reports:
+        del rep["params"]["threads"]
+    assert reports[0]["partial"] and reports[0] == reports[1]
 
 
 def test_verify_thm1_small():
@@ -252,6 +313,8 @@ def test_threads_match_serial():
 
 
 def test_pool_workers_capped_at_cpu_count(monkeypatch):
+    from concurrent.futures import Future
+
     from lefschetz_props import harness
 
     started = []
@@ -266,8 +329,10 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            future = Future()
+            future.set_result(fn(job))
+            return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
