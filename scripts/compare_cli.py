@@ -3,7 +3,7 @@
 
     python3 scripts/compare_cli.py OTHER_CHECKOUT
 
-Runs every README example and the tabular and seeded check invocations
+Runs every README example and the tabular, seeded and form-ideal invocations
 below with ``--no-timestamp``, once against each checkout's ``src/``, and
 compares standard output byte for byte and the exit code.  Prints one line
 per invocation and exits 1 if any of them differ.
@@ -20,6 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BK = "x1^3,x2^3,x3^3,x1*x2*x3"
 FORMS = "x1^2+x2*x3,x2^2-x1*x3,x3^2"
+RATIONAL_FORMS = "1/2*x1^2+x2*x3,x2^2-3*x1*x3,x3^2"
+NON_ARTINIAN_FORMS = "x1^2+x2*x3,x2^2-x1*x3"
 
 COMMANDS = [
     # README examples
@@ -49,6 +51,13 @@ COMMANDS = [
     # the searched witness over several HF levels, and the pool path
     ["verify-thm2", "--n", "3", "--d", "4", "--i", "1"],
     ["verify-thm1", "--n", "3", "--d", "4", "--threads", "2"],
+    # the form-ideal path: row-reduced spans under two term orders, and a
+    # non-artinian ideal whose socle search exceeds the cap (exit 3)
+    ["hf", "--gens", FORMS],
+    ["hf", "--gens", RATIONAL_FORMS, "--order", "lex"],
+    ["socle", "--gens", FORMS],
+    ["hf", "--gens", NON_ARTINIAN_FORMS, "--upto", "6"],
+    ["socle", "--gens", NON_ARTINIAN_FORMS],
 ]
 
 

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals: rank, kernel basis, and RREF.
 
-Matrices are immutable once built.  Integer matrices take the fraction-free
-(Bareiss) path -- the compiled kernel when present, with automatic big-integer
-fallback -- and rational matrices are scaled row-wise to integers first, which
-preserves the row space.  ``rank_mod`` exposes the modular fast path: the
+Matrices are immutable once built.  Rational matrices are scaled row-wise
+to integers first, which preserves the row space, and all elimination is
+fraction-free on those integer rows.  ``rank`` takes the Bareiss path -- the
+compiled kernel when present, with automatic big-integer fallback.
+``row_reduce`` runs fraction-free Gauss-Jordan and normalizes the RREF to
+rationals once, at the end.  ``rank_mod`` exposes the modular fast path: the
 result is always a lower bound for the exact rank, so it can certify maximal
 rank on its own but anything smaller must be confirmed exactly.
 
@@ -14,7 +16,7 @@ top-down.  This keeps every reduction deterministic and reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import _kernels
 
@@ -126,10 +128,14 @@ def rank_mod(M: ExactMatrix, p: int = _kernels.WORD_PRIME) -> int:
 def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns.
 
-    The shape is preserved (zero rows sink to the bottom), which makes the
-    reduction idempotent.
+    Fraction-free Gauss-Jordan: the rows are scaled to integers, each
+    elimination replaces a row by ``a*row - b*pivot_row`` with the smallest
+    integer multipliers and divides out its content, and every pivot row is
+    divided by its pivot once at the end.  Entries are ints where that
+    division is exact and Fractions otherwise.  The shape is preserved (zero
+    rows sink to the bottom), which makes the reduction idempotent.
     """
-    data = [[Fraction(e) for e in r] for r in M._data]
+    data = integer_rows(M._data)
     nrows, ncols = M.rows, M.cols
     pivots: list[int] = []
     r = 0
@@ -145,23 +151,22 @@ def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
             continue
         if pr != r:
             data[r], data[pr] = data[pr], data[r]
-        inv = 1 / data[r][c]
-        data[r] = [e * inv for e in data[r]]
         prow = data[r]
+        p = prow[c]
         for rr in range(nrows):
-            if rr != r and data[rr][c]:
-                f = data[rr][c]
-                row = data[rr]
-                for cc in range(c, ncols):
-                    row[cc] -= f * prow[cc]
+            f = data[rr][c]
+            if rr != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(data[rr], prow)]
+                g = gcd(*row)
+                data[rr] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    echelon = [_simplify_row(row) for row in data]
-    return ExactMatrix(nrows, ncols, echelon), tuple(pivots)
-
-
-def _simplify_row(row: list[Fraction]) -> list:
-    return [int(e) if e.denominator == 1 else e for e in row]
+    for i, c in enumerate(pivots):
+        p = data[i][c]
+        data[i] = [x // p if x % p == 0 else Fraction(x, p) for x in data[i]]
+    return ExactMatrix(nrows, ncols, data), tuple(pivots)
 
 
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:

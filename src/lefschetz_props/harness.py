@@ -597,6 +597,14 @@ def wiebe_initial_ideal_check(
     """Degreewise initial ideals on random form ideals: the Hilbert function
     is preserved, and whenever the monomial quotient by the initial ideal has
     the SLP, the randomized check confirms it for the original quotient."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not degrees or min(degrees) < 1:
+        raise ValueError("need at least one degree, each at least 1")
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
+    if trials < 1:
+        raise ValueError("randomized mode needs at least one trial")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     params = {"n": n, "degrees": list(degrees), "samples": samples,

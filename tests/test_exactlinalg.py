@@ -123,6 +123,110 @@ def test_row_reduce_idempotent_and_rank_preserving():
         assert R2 == R and pivots2 == pivots
 
 
+
+def fraction_row_reduce(rows):
+    """Slow twin of row_reduce: Gauss-Jordan on Fractions, each pivot row
+    scaled to 1 before it clears its column, ints where the denominator is 1."""
+    data = [[Fraction(e) for e in r] for r in rows]
+    nrows = len(data)
+    ncols = len(data[0]) if data else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = -1
+        for rr in range(r, nrows):
+            if data[rr][c]:
+                pr = rr
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            data[r], data[pr] = data[pr], data[r]
+        inv = 1 / data[r][c]
+        data[r] = [e * inv for e in data[r]]
+        prow = data[r]
+        for rr in range(nrows):
+            if rr != r and data[rr][c]:
+                f = data[rr][c]
+                row = data[rr]
+                for cc in range(c, ncols):
+                    row[cc] -= f * prow[cc]
+        pivots.append(c)
+        r += 1
+    echelon = [[int(e) if e.denominator == 1 else e for e in row] for row in data]
+    return echelon, tuple(pivots)
+
+
+def _random_entry(rng, kind, bits):
+    num = rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.7 else 0
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return num
+    return Fraction(num, rng.randint(1, 1 << min(bits, 12)))
+
+
+def _random_matrix(rng, kind, nrows, ncols, bits):
+    rows = [[_random_entry(rng, kind, bits) for _ in range(ncols)] for _ in range(nrows)]
+    shape = rng.choice(("plain", "zero-rows", "zero-cols", "deficient"))
+    if shape == "zero-rows":
+        for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+            rows[i] = [0] * ncols
+    elif shape == "zero-cols":
+        for j in rng.sample(range(ncols), rng.randint(1, ncols)):
+            for row in rows:
+                row[j] = 0
+    elif shape == "deficient" and nrows > 1:
+        # the later rows are combinations of the first few
+        base = rng.randint(1, nrows - 1)
+        for i in range(base, nrows):
+            a = _random_entry(rng, kind, 4)
+            b = _random_entry(rng, kind, 4)
+            rows[i] = [a * x + b * y for x, y in zip(rows[rng.randrange(base)],
+                                                      rows[rng.randrange(base)])]
+    return rows
+
+
+def _assert_same_rref(rows):
+    M = ExactMatrix.from_rows(rows)
+    R, pivots = row_reduce(M)
+    want, want_pivots = fraction_row_reduce(rows)
+    got = R.to_lists()
+    assert (R.rows, R.cols) == (M.rows, M.cols)
+    assert pivots == want_pivots
+    assert got == want
+    assert [[type(e) for e in r] for r in got] == [[type(e) for e in r] for r in want]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_row_reduce_matches_fraction_twin(kind):
+    rng = random.Random(f"row-reduce-{kind}")
+    for _ in range(150):
+        nrows = rng.randint(1, 9)
+        ncols = rng.randint(1, 9)
+        bits = rng.choice((2, 5, 30, 70, 130))  # 70 and 130 exceed 2^64
+        _assert_same_rref(_random_matrix(rng, kind, nrows, ncols, bits))
+
+
+@pytest.mark.parametrize("nrows, ncols", [(14, 3), (3, 14), (12, 12), (1, 7), (7, 1)])
+def test_row_reduce_matches_fraction_twin_tall_and_wide(nrows, ncols):
+    rng = random.Random(nrows * 100 + ncols)
+    for kind in ("int", "fraction", "mixed"):
+        for _ in range(10):
+            _assert_same_rref(_random_matrix(rng, kind, nrows, ncols, rng.choice((3, 80))))
+
+
+def test_row_reduce_matches_fraction_twin_degenerate():
+    for nrows, ncols in ((1, 1), (3, 4), (5, 2)):
+        _assert_same_rref([[0] * ncols for _ in range(nrows)])
+    _assert_same_rref([[Fraction(0)] * 3, [0, Fraction(2, 4), 0]])
+    _assert_same_rref([[-(1 << 200), 3], [7, -(1 << 65)]])
+    _assert_same_rref([[Fraction(1, 3), Fraction(-2, 3)], [Fraction(2, 9), Fraction(-4, 9)]])
+    R, pivots = row_reduce(ExactMatrix.zeros(0, 4))
+    assert (R.rows, R.cols, pivots) == (0, 4, ())
+    R, pivots = row_reduce(ExactMatrix.zeros(3, 0))
+    assert (R.rows, R.cols, pivots) == (3, 0, ())
+
 def test_from_rows_validation():
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [3]])

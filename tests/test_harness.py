@@ -351,3 +351,22 @@ def test_wiebe_small_sample():
     r = wiebe_initial_ideal_check(3, (2, 3), samples=8, seed=21)
     assert r.confirmed
     assert r.examined == 8
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": -2},
+    {"degrees": ()},
+    {"degrees": (2, 0)},
+    {"trials": 0},
+    {"n": 0},
+], ids=["negative-samples", "no-degrees", "zero-degree", "no-trials", "no-variables"])
+def test_wiebe_rejects_bad_arguments_before_drawing(monkeypatch, kwargs):
+    from lefschetz_props import harness
+
+    def no_draw(*args, **kw):
+        raise AssertionError("a form was drawn")
+
+    monkeypatch.setattr(harness, "random_form_ideal", no_draw)
+    args = {"n": 3, "degrees": (2, 3), "samples": 4, "seed": 1, "trials": 3}
+    with pytest.raises(ValueError):
+        wiebe_initial_ideal_check(**{**args, **kwargs})

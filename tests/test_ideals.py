@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 
 from lefschetz_props.combinatorics import basis_size, monomial_basis
-from lefschetz_props.errors import NotArtinianError
+from lefschetz_props.cli import run
+from lefschetz_props.errors import CapExceededError, NotArtinianError
+from lefschetz_props.harness import random_form_ideal
 from lefschetz_props.ideals import (
     FormIdeal,
     MonomialIdeal,
+    _build_form_piece,
     graded_piece,
     hilbert_function,
     initial_ideal_degreewise,
@@ -19,6 +22,8 @@ from lefschetz_props.ideals import (
     monomial_ideal_from_leads,
     socle_degree,
 )
+from lefschetz_props.parsing import parse_inline_ideal
+from test_exactlinalg import fraction_row_reduce
 
 BK_GENS = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
 
@@ -224,3 +229,59 @@ def test_generator_normalization_and_equality():
     assert a == b and hash(a) == hash(b)
     assert a.is_equigenerated()
     assert a.min_degree == a.max_degree == 3
+
+
+def oracle_form_piece(I, k, order):
+    """The degree-k span of a form ideal, row reduced by the Fraction twin;
+    columns sorted descending by the term order without the ideals module."""
+    if order == "degrevlex":
+        cols = sorted(monomial_basis(I.n, k), key=lambda m: m[::-1])
+    else:  # lex, and grlex, which agrees with lex within one degree
+        cols = sorted(monomial_basis(I.n, k), reverse=True)
+    rows = []
+    for deg, items in I.generators:
+        for m in (monomial_basis(I.n, k - deg) if deg <= k else ()):
+            prods = {tuple(a + b for a, b in zip(mon, m)): c for mon, c in items}
+            rows.append([prods.get(col, 0) for col in cols])
+    rref, pivots = fraction_row_reduce(rows) if rows else ([], ())
+    leads = tuple(cols[c] for c in pivots)
+    standard = tuple(m for m in monomial_basis(I.n, k) if m not in leads)
+    return tuple(cols), tuple(map(tuple, rref[:len(pivots)])), pivots, leads, standard
+
+
+def test_form_piece_matches_fraction_oracle():
+    rng = random.Random(44)
+    ideals = [random_form_ideal(3, d, rng) for d in (2, 3, 2, 3)]
+    ideals.append(random_form_ideal(4, 2, rng))
+    ideals.append(parse_inline_ideal("1/2*x1^2+x2*x3,x2^2-3*x1*x3,x3^2"))
+    assert any(isinstance(c, Fraction) and c.denominator > 1
+               for _, items in ideals[-1].generators for _, c in items)
+    for I in ideals:
+        top = min(socle_degree(I) + 1, 5)
+        for order in ("degrevlex", "lex", "grlex"):
+            for k in range(top + 1):
+                piece = _build_form_piece(I, k, order)
+                got = (piece.columns, piece.rref_rows, piece.pivots,
+                       piece.leads, piece.standard)
+                want = oracle_form_piece(I, k, order)
+                assert got == want
+                assert [[type(e) for e in r] for r in got[1]] == \
+                    [[type(e) for e in r] for r in want[1]]
+
+
+NON_ARTINIAN_FORMS = "x1^2+x2*x3,x2^2-x1*x3"
+
+
+def test_non_artinian_form_ideal_exceeds_the_cap(capsys):
+    I = parse_inline_ideal(NON_ARTINIAN_FORMS)
+    assert isinstance(I, FormIdeal) and I.n == 3
+    for cap in (None, 2):
+        with pytest.raises(CapExceededError):
+            is_artinian(I, cap=cap)
+        with pytest.raises(CapExceededError):
+            socle_degree(I, cap=cap)
+    # two conics meeting in four points: the Hilbert function settles at 4
+    assert hilbert_function(I, 6) == (1, 3, 4, 4, 4, 4, 4)
+    assert run(["socle", "--gens", NON_ARTINIAN_FORMS]) == 3
+    assert run(["socle", "--gens", NON_ARTINIAN_FORMS, "--cap", "2"]) == 3
+    capsys.readouterr()
