@@ -51,12 +51,19 @@ COMMANDS = [
     # the searched witness over several HF levels, and the pool path
     ["verify-thm2", "--n", "3", "--d", "4", "--i", "1"],
     ["verify-thm1", "--n", "3", "--d", "4", "--threads", "2"],
+    # support-ideal campaigns: four variables, no symmetry reduction, a
+    # seeded crosscheck sample, and the SLP bound
+    ["verify-thm1", "--n", "4", "--d", "3"],
+    ["verify-thm1", "--n", "3", "--d", "4", "--no-symmetry"],
+    ["crosscheck", "--n", "3", "--d", "4", "--sample", "256", "--seed", "3"],
+    ["verify-thm2", "--n", "3", "--d", "4"],
     # the form-ideal path: row-reduced spans under two term orders, and a
-    # non-artinian ideal whose socle search exceeds the cap (exit 3)
+    # non-artinian ideal, which is recognized as such (exit 2)
     ["hf", "--gens", FORMS],
     ["hf", "--gens", RATIONAL_FORMS, "--order", "lex"],
     ["socle", "--gens", FORMS],
     ["hf", "--gens", NON_ARTINIAN_FORMS, "--upto", "6"],
+    ["hf", "--gens", NON_ARTINIAN_FORMS],
     ["socle", "--gens", NON_ARTINIAN_FORMS],
 ]
 

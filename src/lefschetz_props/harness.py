@@ -7,9 +7,15 @@ monomials (the pure powers are forced by artinianness), and HF(R, d) = |T|.
 Supports are walked as bitmasks by popcount (= HF(R, d)), then ascending,
 optionally reduced to canonical representatives under variable permutations;
 both Lefschetz properties are permutation-invariant, so campaign conclusions
-are unchanged by the reduction.  Campaigns are deterministic: fixed
-enumeration order, recorded seeds, and order-preserving merges of any
-parallel work.
+are unchanged by the reduction.  A mask is canonical when no permutation
+image is smaller; images are ORs of per-permutation byte lookup tables.
+
+Each visited mask becomes a ``SupportIdeal``: its standard monomials are one
+bitmask over the box [0, d)^n (the pure powers x_t^d keep every standard
+monomial inside it), and box order within a degree is monomial_basis order,
+so its Hilbert function and matrices equal those of the same MonomialIdeal.
+Campaigns are deterministic: fixed enumeration order, recorded seeds, and
+order-preserving merges of any parallel work.
 """
 
 from __future__ import annotations
@@ -37,11 +43,13 @@ from .errors import BudgetExceededError, CapExceededError
 from .ideals import (
     FormIdeal,
     MonomialIdeal,
+    SupportIdeal,
     hilbert_function,
     initial_ideal_degreewise,
     is_artinian,
     monomial_ideal_from_leads,
     socle_degree,
+    support_positions,
 )
 from .lefschetz import (
     check_power,  # unused here; campaign_bench wraps harness.check_power
@@ -105,9 +113,7 @@ class SearchSpec:
 def _campaign_space(n: int, d: int):
     """(pure indices, mixed indices, permutation maps on mixed positions)."""
     basis = monomial_basis(n, d)
-    pure, mixed = [], []
-    for idx, m in enumerate(basis):
-        (pure if sum(1 for e in m if e) == 1 else mixed).append(idx)
+    pure, mixed = support_positions(n, d)
     index = {m: i for i, m in enumerate(basis)}
     mixed_pos = {g: p for p, g in enumerate(mixed)}
     maps = []
@@ -118,20 +124,39 @@ def _campaign_space(n: int, d: int):
             permuted = tuple(m[sigma[t]] for t in range(n))
             pm.append(mixed_pos[index[permuted]])
         maps.append(tuple(pm))
-    return tuple(pure), tuple(mixed), tuple(maps)
+    return pure, mixed, tuple(maps)
 
 
-def _is_canonical(mask: int, maps) -> bool:
-    bits = []
-    m = mask
-    while m:
-        low = m & -m
-        bits.append(low.bit_length() - 1)
-        m ^= low
+@lru_cache(maxsize=None)
+def _symmetry_tables(n: int, d: int):
+    """Byte lookup images of every non-identity permutation map: entry
+    [k][v] is the image of the byte value v placed at bits 8k..8k+7."""
+    _, mixed, maps = _campaign_space(n, d)
+    m = len(mixed)
+    tables = []
     for pm in maps:
+        if all(p == b for b, p in enumerate(pm)):
+            continue
+        per_byte = []
+        for base in range(0, m, 8):
+            table = [0] * 256
+            for v in range(1, 256):
+                b = base + (v & -v).bit_length() - 1
+                table[v] = table[v & (v - 1)] | (1 << pm[b] if b < m else 0)
+            per_byte.append(tuple(table))
+        tables.append(tuple(per_byte))
+    return tuple(tables)
+
+
+def _is_canonical(mask: int, tables) -> bool:
+    """Whether no permutation image (``_symmetry_tables``) of the mask is
+    smaller than the mask itself."""
+    for per_byte in tables:
         image = 0
-        for b in bits:
-            image |= 1 << pm[b]
+        rest = mask
+        for table in per_byte:
+            image |= table[rest & 255]
+            rest >>= 8
         if image < mask:
             return False
     return True
@@ -141,12 +166,13 @@ def iter_support_masks(spec: SearchSpec):
     """Bitmasks over the mixed monomials with popcount in the HF window, by
     popcount, then ascending; Gosper's hack (HAKMEM item 175) visits only
     masks of the wanted popcount."""
-    _, mixed, maps = _campaign_space(spec.n, spec.d)
+    _, mixed, _ = _campaign_space(spec.n, spec.d)
+    tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else ()
     end = 1 << len(mixed)
     for k in range(spec.hf_min, spec.hf_max + 1):
         mask = (1 << k) - 1
         while mask < end:
-            if not spec.symmetry or _is_canonical(mask, maps):
+            if not spec.symmetry or _is_canonical(mask, tables):
                 yield mask
             if not mask:
                 break
@@ -155,13 +181,9 @@ def iter_support_masks(spec: SearchSpec):
             mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
-def ideal_from_mask(n: int, d: int, mask: int) -> MonomialIdeal:
+def ideal_from_mask(n: int, d: int, mask: int) -> SupportIdeal:
     """Equigenerated artinian ideal whose dual support is the given mask."""
-    basis = monomial_basis(n, d)
-    pure, mixed, _ = _campaign_space(n, d)
-    gens = [basis[g] for g in pure]
-    gens += [basis[g] for p, g in enumerate(mixed) if not (mask >> p) & 1]
-    return MonomialIdeal(n, gens)
+    return SupportIdeal(n, d, mask)
 
 
 def enumerate_equigenerated(spec: SearchSpec):

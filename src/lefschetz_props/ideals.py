@@ -3,6 +3,11 @@ and degreewise initial ideals.
 
 Graded pieces of a monomial ideal are computed by degree-by-degree
 divisibility propagation over the cached monomial bases, stored as bitmasks.
+The equigenerated artinian ideals of the campaigns (``SupportIdeal``) skip
+that: every standard monomial lies in the box [0, d)^n, whose positions
+sum_t a_t d^t order each degree exactly as monomial_basis does, so the whole
+quotient is one bitmask over the box, cut out of per-(n, d) tables built on
+first use, and HF(R, k) is an AND with the degree-k positions and a popcount.
 Form ideals never go through a Groebner engine: for an ideal with minimal
 generator degree d, the degree-k piece is the explicit span of all
 monomial-times-generator products, row reduced once per (degree, term order)
@@ -20,6 +25,7 @@ from .combinatorics import (
     Monomial,
     basis_index,
     basis_size,
+    macaulay_growth,
     monomial_basis,
 )
 from .errors import CapExceededError, NotArtinianError
@@ -147,11 +153,15 @@ class MonomialIdeal:
             self._hf[k] = cached
         return cached
 
-    def standard_monomials(self, k: int) -> tuple[Monomial, ...]:
+    def standard_indices(self, k: int) -> tuple[int, ...]:
+        """Ascending positions in monomial_basis(n, k) of the standard
+        monomials of degree k."""
         mask = self.degree_mask(k)
-        return tuple(
-            m for i, m in enumerate(monomial_basis(self.n, k)) if not (mask >> i) & 1
-        )
+        return tuple(i for i in range(basis_size(self.n, k)) if not (mask >> i) & 1)
+
+    def standard_monomials(self, k: int) -> tuple[Monomial, ...]:
+        basis = monomial_basis(self.n, k)
+        return tuple(basis[i] for i in self.standard_indices(k))
 
     def pure_power_degrees(self) -> dict[int, int]:
         """Variable index -> degree of its pure-power generator, if any."""
@@ -195,6 +205,127 @@ def minimalize(monomials) -> MonomialIdeal:
         raise ValueError("need at least one monomial")
     n = len(mons[0])
     return MonomialIdeal(n, mons)
+
+
+# ---------------------------------------------------------------------------
+# support ideals
+
+
+@dataclass(frozen=True)
+class _BoxTables:
+    """Per-(n, d) tables over the box [0, d)^n, where the exponent vector a
+    sits at bit position sum_t a_t * d^t."""
+
+    full: int                          # every box position
+    degree: tuple[int, ...]            # k -> box positions of degree k
+    orthant: tuple[int, ...]           # mixed position -> box multiples of it
+    index: tuple[int, ...]             # box position -> monomial_basis index
+    generators: tuple[tuple[Monomial, int], ...]  # degree-d basis, mixed position or -1
+
+
+@lru_cache(maxsize=None)
+def support_positions(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(pure-power indices, mixed indices) into monomial_basis(n, d); bit p
+    of a support mask stands for the monomial at the p-th mixed index."""
+    pure, mixed = [], []
+    for g, m in enumerate(monomial_basis(n, d)):
+        (pure if sum(1 for e in m if e) == 1 else mixed).append(g)
+    return tuple(pure), tuple(mixed)
+
+
+@lru_cache(maxsize=None)
+def _box_tables(n: int, d: int) -> _BoxTables:
+    box = [tuple(pos // d**t % d for t in range(n)) for pos in range(d**n)]
+    degree = [0] * (n * (d - 1) + 1)
+    index = []
+    for pos, a in enumerate(box):
+        degree[sum(a)] |= 1 << pos
+        index.append(basis_index(n, sum(a))[a])
+    basis = monomial_basis(n, d)
+    mixed_pos = {g: p for p, g in enumerate(support_positions(n, d)[1])}
+    generators = tuple((m, mixed_pos.get(g, -1)) for g, m in enumerate(basis))
+    orthant = tuple(
+        sum(1 << pos for pos, a in enumerate(box) if divides(basis[g], a))
+        for g in mixed_pos
+    )
+    return _BoxTables(
+        (1 << len(box)) - 1, tuple(degree), orthant, tuple(index), generators
+    )
+
+
+class SupportIdeal(MonomialIdeal):
+    """Equigenerated artinian ideal in degree d given by its dual support.
+
+    Bit p of ``mask`` stands for the p-th non-pure-power monomial of
+    monomial_basis(n, d) (``support_positions``).  The ideal is generated by
+    the n pure powers x_t^d and the non-pure-power monomials whose bit is
+    clear, so HF(R, d) is the popcount of the mask.  Those generators have
+    one degree, so they are already minimal.
+
+    The quotient is ``std``, the standard monomials as one bitmask over the
+    box [0, d)^n: the pure powers put every standard monomial inside the
+    box, and a box position is standard iff no generator divides it, so
+    ``std`` is the full box minus the box multiples (one cached orthant mask
+    per mixed generator) of the generators.  Two equal-degree monomials in
+    the box compare like their last differing exponents (base-d digits), so
+    box order within one degree is the colex order of monomial_basis, and
+    standard_indices and every matrix built from them match MonomialIdeal's
+    entry for entry.  HF(R, k) is one AND and a popcount.
+    """
+
+    __slots__ = ("d", "std", "_box")
+
+    def __init__(self, n: int, d: int, mask: int):
+        box = _box_tables(n, d)
+        gens = []
+        killed = 0
+        for m, p in box.generators:
+            if p < 0 or not (mask >> p) & 1:
+                gens.append(m)
+                if p >= 0:
+                    killed |= box.orthant[p]
+        self.n = n
+        self.d = d
+        self.generators = tuple(gens)
+        self.std = box.full & ~killed
+        self._box = box
+
+    @property
+    def min_degree(self) -> int:
+        return self.d
+
+    @property
+    def max_degree(self) -> int:
+        return self.d
+
+    def pure_power_degrees(self) -> dict[int, int]:
+        return dict.fromkeys(range(self.n), self.d)
+
+    def _std_in_degree(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("degree must be nonnegative")
+        degree = self._box.degree
+        return self.std & degree[k] if k < len(degree) else 0
+
+    def hf(self, k: int) -> int:
+        return self._std_in_degree(k).bit_count()
+
+    def standard_indices(self, k: int) -> tuple[int, ...]:
+        bits = self._std_in_degree(k)
+        index = self._box.index
+        out = []
+        while bits:
+            top = bits.bit_length() - 1
+            out.append(index[top])
+            bits ^= 1 << top
+        out.reverse()
+        return tuple(out)
+
+    def degree_mask(self, k: int) -> int:
+        mask = (1 << basis_size(self.n, k)) - 1
+        for i in self.standard_indices(k):
+            mask ^= 1 << i
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +465,26 @@ def is_artinian(I, cap: int | None = None) -> bool:
     """Finite dimensionality of S/I.
 
     Monomial case: every variable must carry a pure-power generator (exact,
-    no search).  Form case: the Hilbert function must vanish at or below the
-    socle cap; if it has not vanished by then the test is indeterminate and
-    CapExceededError is raised.
+    no search).  Form case: artinian if the Hilbert function vanishes at or
+    below the socle cap; not artinian once it grows maximally, HF(k) =
+    macaulay_growth(HF(k-1), k-1) > 0, from a degree k-1 at or past the
+    largest generator degree, since by Gotzmann persistence it then grows
+    maximally, and stays positive, in every later degree.  If neither
+    happens by the cap the test is indeterminate and CapExceededError is
+    raised.
     """
     if isinstance(I, MonomialIdeal):
         return len(I.pure_power_degrees()) == I.n
     cap = default_socle_cap(I) if cap is None else cap
+    top = max(deg for deg, _ in I.generators)
+    prev = None
     for k in range(cap + 2):
-        if I.hf(k) == 0:
+        h = I.hf(k)
+        if h == 0:
             return True
+        if k - 1 >= top and h == macaulay_growth(prev, k - 1):
+            return False
+        prev = h
     raise CapExceededError(
         f"Hilbert function still positive at degree {cap + 1}; raise the cap"
     )

@@ -99,17 +99,12 @@ def _build_monomial_rows(I: MonomialIdeal, ell: LinearForm, i: int, j: int):
     """Rows of the quotient multiplication map; returns (rows, nrows, ncols,
     integral flag)."""
     n = I.n
-    mask_j = I.degree_mask(j)
-    mask_ji = I.degree_mask(j + i)
-    src = [gi for gi in range(basis_size(n, j)) if not (mask_j >> gi) & 1]
-    nt = basis_size(n, j + i)
-    rowmap = [-1] * nt
-    r = 0
-    for gi in range(nt):
-        if not (mask_ji >> gi) & 1:
-            rowmap[gi] = r
-            r += 1
-    nrows, ncols = r, len(src)
+    src = I.standard_indices(j)
+    tgt = I.standard_indices(j + i)
+    rowmap = [-1] * basis_size(n, j + i)
+    for r, gi in enumerate(tgt):
+        rowmap[gi] = r
+    nrows, ncols = len(tgt), len(src)
     rows = [[0] * ncols for _ in range(nrows)]
     if ell.is_ones():
         cols = _ones_columns(n, j, i)

@@ -14,6 +14,7 @@ from lefschetz_props.ideals import (
     FormIdeal,
     MonomialIdeal,
     _build_form_piece,
+    default_socle_cap,
     graded_piece,
     hilbert_function,
     initial_ideal_degreewise,
@@ -275,13 +276,43 @@ NON_ARTINIAN_FORMS = "x1^2+x2*x3,x2^2-x1*x3"
 def test_non_artinian_form_ideal_exceeds_the_cap(capsys):
     I = parse_inline_ideal(NON_ARTINIAN_FORMS)
     assert isinstance(I, FormIdeal) and I.n == 3
-    for cap in (None, 2):
-        with pytest.raises(CapExceededError):
-            is_artinian(I, cap=cap)
-        with pytest.raises(CapExceededError):
-            socle_degree(I, cap=cap)
-    # two conics meeting in four points: the Hilbert function settles at 4
+    # two conics meeting in four points: the Hilbert function settles at 4,
+    # which is maximal growth from degree 4 on (Gotzmann), so the default
+    # cap decides it; cap 2 stops before degree 5 and leaves it undecided
     assert hilbert_function(I, 6) == (1, 3, 4, 4, 4, 4, 4)
-    assert run(["socle", "--gens", NON_ARTINIAN_FORMS]) == 3
+    assert is_artinian(I) is False
+    with pytest.raises(NotArtinianError):
+        socle_degree(I)
+    with pytest.raises(CapExceededError):
+        is_artinian(I, cap=2)
+    with pytest.raises(CapExceededError):
+        socle_degree(I, cap=2)
+    assert run(["socle", "--gens", NON_ARTINIAN_FORMS]) == 2
+    assert run(["hf", "--gens", NON_ARTINIAN_FORMS]) == 2
     assert run(["socle", "--gens", NON_ARTINIAN_FORMS, "--cap", "2"]) == 3
     capsys.readouterr()
+
+
+def test_gotzmann_exit_agrees_with_the_cap_scan():
+    # is_artinian answers False only where the Hilbert function is still
+    # positive past the cap, i.e. where the plain scan finds no zero
+    rng = random.Random(11)
+    basis = monomial_basis(3, 2)
+    verdicts = []
+    for _ in range(24):
+        gens = [
+            {m: Fraction(rng.randint(-2, 2)) for m in rng.sample(basis, 3)}
+            for _ in range(rng.choice((2, 3)))
+        ]
+        gens = [{m: c for m, c in g.items() if c} or {basis[0]: 1} for g in gens]
+        I = FormIdeal(3, gens)
+        cap = default_socle_cap(I)
+        vanishes = any(I.hf(k) == 0 for k in range(cap + 2))
+        assert is_artinian(I) is vanishes
+        verdicts.append(vanishes)
+    assert True in verdicts and False in verdicts
+    # below the generator degree growth is maximal too (HF(2) = 6 for
+    # cubics), which must not count
+    cubics = parse_inline_ideal("x1^3+x2^2*x3,x2^3-x1*x3^2,x3^3")
+    assert hilbert_function(cubics, 2) == (1, 3, 6)
+    assert is_artinian(cubics) is True
