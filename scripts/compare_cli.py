@@ -65,6 +65,10 @@ COMMANDS = [
     ["hf", "--gens", NON_ARTINIAN_FORMS, "--upto", "6"],
     ["hf", "--gens", NON_ARTINIAN_FORMS],
     ["socle", "--gens", NON_ARTINIAN_FORMS],
+    # minimal-kernel-support searches, whose dependence tests run the rank
+    # policy on contraction columns
+    ["verify-thm37", "--n", "3", "--d", "5", "--i", "1"],
+    ["verify-thm37", "--n", "4", "--d", "4", "--i", "2"],
 ]
 
 

@@ -2,12 +2,10 @@
 artinian monomial and form ideals, with exhaustive desk-scale verification
 campaigns for the sharp Hilbert-function lower bounds.
 
-The hot kernel (exact integer rank) is a compiled extension with a
-pure-Python fallback selected at import time; ``kernel_backend`` reports
-which one is active.
+Every rank is computed in pure Python by one policy (``_kernels.rank_rows``):
+a GF(2) or word-prime certificate of maximal rank, else exact Bareiss.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .classify import forces_slp, forces_wlp, is_o_sequence, t_index
 from .combinatorics import (
     BinomialExpansion,
@@ -72,3 +70,7 @@ from .lefschetz import (
 from .reporting import SCHEMA_ID, LefschetzReport, PairRecord, VerificationReport
 
 __version__ = "0.1.0"
+
+# There is one rank lane.  campaign_bench/worker.py records this name in each
+# result; drop it with the next change to the benchmark.
+kernel_backend = "pure"

@@ -1,40 +1,35 @@
-"""Rank-kernel selection: compiled extension when available, pure otherwise.
+"""The one rank policy behind every maximal-rank check.
 
-Set LEFPROP_PURE=1 in the environment to force the pure-Python kernels even
-when the extension was built (used by the benchmark and the test matrix).
+A rank modulo a prime is a lower bound for the exact rank (a minor that is
+nonzero mod p is nonzero).  So a rank mod 2 or mod the word prime that
+reaches min(dims) is the exact rank, and only the matrices that neither
+certifies run exact Bareiss elimination.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _ranks_py
 
-try:
-    from . import _core as _compiled  # type: ignore[attr-defined]
-except ImportError:
-    _compiled = None
-
-_FORCE_PURE = bool(os.environ.get("LEFPROP_PURE"))
-_impl = _ranks_py if (_FORCE_PURE or _compiled is None) else _compiled
-
-BACKEND: str = "pure" if _impl is _ranks_py else "compiled"
-COMPILED_AVAILABLE: bool = _compiled is not None
-
-# Largest prime below 2^31; products of residues fit in 64 bits.
+# Largest prime below 2^31.
 WORD_PRIME: int = 2147483647
 
 
 def rank_int_rows(rows, ncols: int) -> int:
-    """Exact rank of integer rows; transparently retries the big-int path."""
-    r = _impl.rank_i64(rows, ncols)
-    if r < 0:
-        r = _ranks_py.rank_i64(rows, ncols)
-    return r
+    """Exact rank of integer rows (Bareiss)."""
+    return _ranks_py.rank_i64(rows, ncols)
 
 
 def rank_mod_rows(rows, ncols: int, p: int = WORD_PRIME) -> int:
     """Rank modulo p; always a lower bound for the exact rank."""
-    if _impl is not _ranks_py and p < 2**31:
-        return _impl.rank_mod(rows, ncols, p)
     return _ranks_py.rank_mod(rows, ncols, p)
+
+
+def rank_rows(rows, ncols: int) -> int:
+    """Exact rank of integer rows: min(dims) when GF(2) or the word prime
+    certifies it, otherwise the exact Bareiss rank."""
+    m = min(len(rows), ncols)
+    if m == 0:
+        return 0
+    if _ranks_py.rank_gf2(rows) == m or rank_mod_rows(rows, ncols) == m:
+        return m
+    return rank_int_rows(rows, ncols)

@@ -1,7 +1,8 @@
-"""Pure-Python rank kernels, call-compatible with the compiled extension.
+"""Rank kernels on integer rows: exact Bareiss, modulo a prime, and over
+GF(2).
 
-The Bareiss path here runs on Python integers, so it never overflows and
-never returns -1.  Input rows are not mutated.
+All three run on Python integers, so they never overflow.  Input rows are
+not mutated.
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ def rank_i64(rows, ncols: int) -> int:
 
 
 def rank_mod(rows, ncols: int, p: int) -> int:
-    """Rank of the matrix reduced modulo the prime p."""
+    """Rank of the matrix reduced modulo the prime p.
+
+    Elimination without inverses: each row below the pivot becomes
+    ``pivot*row - f*pivot_row``.  The pivot is a unit mod p, so every step is
+    invertible and the rank is the one any elimination mod p finds.
+    """
     nrows = len(rows)
     if nrows == 0 or ncols == 0:
         return 0
@@ -60,12 +66,35 @@ def rank_mod(rows, ncols: int, p: int) -> int:
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
         pivot_row = a[r]
-        inv = pow(pivot_row[c], p - 2, p)
+        pivot = pivot_row[c]
         for rr in range(r + 1, nrows):
             row = a[rr]
-            f = row[c] * inv % p
+            f = row[c]
             if f:
-                for cc in range(c, ncols):
-                    row[cc] = (row[cc] - f * pivot_row[cc]) % p
+                for cc in range(c + 1, ncols):
+                    row[cc] = (pivot * row[cc] - f * pivot_row[cc]) % p
+                row[c] = 0
         r += 1
     return r
+
+
+def rank_gf2(rows) -> int:
+    """Rank of the integer matrix reduced modulo 2.
+
+    Each row is packed into one int (bit c is the parity of column c) and
+    reduced by XOR against a basis keyed by leading bit.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        v = 0
+        for c, e in enumerate(row):
+            if e & 1:
+                v |= 1 << c
+        while v:
+            lead = v.bit_length()
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = v
+                break
+            v ^= b
+    return len(basis)

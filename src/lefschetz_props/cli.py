@@ -40,7 +40,6 @@ import json
 import sys
 
 from . import harness
-from ._kernels import BACKEND
 from .classify import forces_slp, forces_wlp, is_o_sequence
 from .duality import (
     DualElement,
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lefprop",
         description="Exact deciders and verification campaigns for Lefschetz "
-                    f"properties (rank kernel: {BACKEND})",
+                    "properties",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -211,6 +211,28 @@ def extremal_dual(n: int, d: int, i: int) -> tuple[DualElement, MonomialIdeal]:
     return f, ideal
 
 
+def _contraction_columns(
+    I: MonomialIdeal, i: int, k: int, coefficients=None
+) -> tuple[list[list], int]:
+    """Columns of contraction by the i-th power of a linear form from the
+    degree-k inverse-system piece to the degree-(k-i) piece, one per degree-k
+    dual monomial, indexed by the degree-(k-i) dual monomials; returns the
+    columns and that row count."""
+    cols = inverse_system_piece(I, k).dual_monomials
+    rows = inverse_system_piece(I, k - i).dual_monomials
+    row_index = {m: r for r, m in enumerate(rows)}
+    columns = []
+    for mon in cols:
+        col = [0] * len(rows)
+        g = ell_power_contract(DualElement(I.n, k, {mon: Fraction(1)}), i, coefficients)
+        for tgt, coeff in g.support.items():
+            r = row_index.get(tgt)
+            if r is not None:
+                col[r] = int(coeff) if coeff.denominator == 1 else coeff
+        columns.append(col)
+    return columns, len(rows)
+
+
 def contraction_matrix(
     I: MonomialIdeal, i: int, k: int, coefficients=None
 ) -> ExactMatrix:
@@ -222,17 +244,9 @@ def contraction_matrix(
     """
     if i < 0 or k < i:
         raise ValueError("need 0 <= i <= k")
-    cols = inverse_system_piece(I, k).dual_monomials
-    rows = inverse_system_piece(I, k - i).dual_monomials
-    row_index = {m: r for r, m in enumerate(rows)}
-    data = [[0] * len(cols) for _ in rows]
-    for ci, mon in enumerate(cols):
-        g = ell_power_contract(DualElement(I.n, k, {mon: Fraction(1)}), i, coefficients)
-        for tgt, coeff in g.support.items():
-            r = row_index.get(tgt)
-            if r is not None:
-                data[r][ci] = int(coeff) if coeff.denominator == 1 else coeff
-    return ExactMatrix(len(rows), len(cols), data)
+    columns, nrows = _contraction_columns(I, i, k, coefficients)
+    data = [[col[r] for col in columns] for r in range(nrows)]
+    return ExactMatrix(nrows, len(columns), data)
 
 
 def min_kernel_support(
@@ -247,36 +261,24 @@ def min_kernel_support(
 
     Enumerates support subsets by increasing size; the first size whose
     chosen columns are linearly dependent is minimal.  Every dependence test
-    is one exact rank call, counted against ``budget``.
+    is one call of the rank policy, counted against ``budget``.
     """
     if not 1 <= i <= d:
         raise ValueError("need 1 <= i <= d")
-    cols = inverse_system_piece(I, d).dual_monomials
-    if bound < 1 or bound > len(cols):
-        raise ValueError(f"bound must lie in 1..{len(cols)}")
-    rows = inverse_system_piece(I, d - i).dual_monomials
-    row_index = {m: r for r, m in enumerate(rows)}
-    nrows = len(rows)
-    # Column-major storage: each column doubles as a row of the transpose,
-    # and rank is transpose-invariant.
-    columns = []
-    for mon in cols:
-        col = [0] * nrows
-        g = ell_power_contract(DualElement(I.n, d, {mon: Fraction(1)}), i)
-        for tgt, coeff in g.support.items():
-            r = row_index.get(tgt)
-            if r is not None:
-                col[r] = int(coeff) if coeff.denominator == 1 else coeff
-        columns.append(col)
+    # Each column doubles as a row of the transpose, and rank is
+    # transpose-invariant.
+    columns, nrows = _contraction_columns(I, i, d)
+    if bound < 1 or bound > len(columns):
+        raise ValueError(f"bound must lie in 1..{len(columns)}")
     calls = 0
     for size in range(1, bound + 1):
-        for subset in combinations(range(len(cols)), size):
+        for subset in combinations(range(len(columns)), size):
             calls += 1
             if calls > budget:
                 raise BudgetExceededError(
                     f"minimal-support search exceeded {budget} rank calls"
                 )
             sub = [columns[c] for c in subset]
-            if _kernels.rank_int_rows(sub, nrows) < size:
+            if _kernels.rank_rows(sub, nrows) < size:
                 return size
     return None

@@ -2,12 +2,13 @@
 
 Matrices are immutable once built.  Rational matrices are scaled row-wise
 to integers first, which preserves the row space, and all elimination is
-fraction-free on those integer rows.  ``rank`` takes the Bareiss path -- the
-compiled kernel when present, with automatic big-integer fallback.
-``row_reduce`` runs fraction-free Gauss-Jordan and normalizes the RREF to
-rationals once, at the end.  ``rank_mod`` exposes the modular fast path: the
-result is always a lower bound for the exact rank, so it can certify maximal
-rank on its own but anything smaller must be confirmed exactly.
+fraction-free on those integer rows.  ``rank`` is plain exact Bareiss
+elimination on Python integers, with no modular certificate, so tests can
+use it as an oracle for the deciders' rank policy.  ``row_reduce`` runs
+fraction-free Gauss-Jordan and normalizes the RREF to rationals once, at the
+end.  ``rank_mod`` exposes the modular rank: the result is always a lower
+bound for the exact rank, so it can certify maximal rank on its own but
+anything smaller must be confirmed exactly.
 
 Pivot policy everywhere: first nonzero entry in column order, rows scanned
 top-down.  This keeps every reduction deterministic and reproducible.

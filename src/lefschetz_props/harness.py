@@ -461,20 +461,22 @@ def crosscheck_lemmas(
 
     Wherever the shortcut gates hold the verdicts must agree exactly; gate
     violations fall back to the full check and are counted, not failed.
-    Any disagreement is a hard failure.  Walking every mask (no sample, or
-    one at least as large as the mask space) is refused with
-    ``BudgetExceededError`` when there are more masks than the default ideal
-    budget.
+    Any disagreement is a hard failure.  A run of more ideals than the
+    default ideal budget (every mask, with no sample or one at least as large
+    as the mask space, or an explicit sample) is refused with
+    ``BudgetExceededError`` before any mask is drawn.
     """
     t0 = time.perf_counter()
     _, mixed, _ = _campaign_space(n, d)
     total = 1 << len(mixed)
-    if sample is None or sample >= total:
-        if total > DEFAULT_BUDGET_IDEALS:
-            raise BudgetExceededError(
-                f"{total} masks exceed the ideal budget {DEFAULT_BUDGET_IDEALS}; "
-                "pass a sample size"
-            )
+    walk_all = sample is None or sample >= total
+    count = total if walk_all else sample
+    if count > DEFAULT_BUDGET_IDEALS:
+        hint = "pass a sample size" if walk_all else "pass a smaller sample"
+        raise BudgetExceededError(
+            f"{count} masks exceed the ideal budget {DEFAULT_BUDGET_IDEALS}; {hint}"
+        )
+    if walk_all:
         masks = range(total)
         sample_used = None
     else:

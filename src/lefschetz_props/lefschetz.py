@@ -4,9 +4,10 @@ Monomial quotients are decided with the all-ones linear form, which suffices
 for monomial algebras; form quotients use seeded random trial forms, with the
 per-map convention that maximal rank achieved in any trial stands (specializing
 a form can only drop rank) and a failure is only reported when every trial
-fails.  Every reported rank is exact: the modular fast path is used solely to
-certify maximal rank (a modular rank is a lower bound), and anything smaller
-is recomputed with fraction-free exact elimination.
+fails.  Every reported rank is exact: each matrix goes through the one rank
+policy of ``_kernels.rank_rows``, where a rank mod 2 or mod the word prime
+only certifies maximal rank (a modular rank is a lower bound), and anything
+smaller is recomputed with fraction-free exact elimination.
 
 Maps whose source and target both sit below the minimal generator degree are
 multiplication maps of the full polynomial ring; those are injective, hence
@@ -165,17 +166,11 @@ def mult_map_matrix(
     return ExactMatrix(nrows, ncols, rows)
 
 
-def _rank_for_pair(rows, nrows, ncols, integral):
-    """Exact rank; a modular rank equal to min(dims) certifies maximality,
-    otherwise the exact kernel decides."""
-    m = min(nrows, ncols)
-    if m == 0:
-        return 0
+def _rank_for_pair(rows, ncols, integral):
+    """Exact rank of the built rows, through the one rank policy."""
     if not integral:
         rows = integer_rows(rows)
-    if _kernels.rank_mod_rows(rows, ncols) == m:
-        return m
-    return _kernels.rank_int_rows(rows, ncols)
+    return _kernels.rank_rows(rows, ncols)
 
 
 def has_maximal_rank(
@@ -200,7 +195,7 @@ def _pair_via_forms(I, forms, i, j, order) -> PairRecord:
     best = -1
     for ell in forms:
         rows, nrows, ncols, integral = _build_rows(I, ell, i, j, order)
-        r = _rank_for_pair(rows, nrows, ncols, integral)
+        r = _rank_for_pair(rows, ncols, integral)
         best = max(best, r)
         if r == min(nrows, ncols):
             break
@@ -209,7 +204,7 @@ def _pair_via_forms(I, forms, i, j, order) -> PairRecord:
 
 def _pair_exact(I, ell, i, j, order) -> PairRecord:
     rows, nrows, ncols, integral = _build_rows(I, ell, i, j, order)
-    r = _rank_for_pair(rows, nrows, ncols, integral)
+    r = _rank_for_pair(rows, ncols, integral)
     return PairRecord(i, j, ncols, nrows, r, r == min(nrows, ncols))
 
 
@@ -352,7 +347,7 @@ def _shortcut_check(I: MonomialIdeal, power: int | None) -> LefschetzReport:
     # _pair_exact calls as the built share of the pairs _scan_pairs lists.
     ell = ones_form(I.n)
     rows, nrows, ncols, integral = _build_rows(I, ell, i, j, "degrevlex")
-    r = _rank_for_pair(rows, nrows, ncols, integral)
+    r = _rank_for_pair(rows, ncols, integral)
     surjective = r == nrows
     return LefschetzReport(
         property="SLP" if power is None else "power",

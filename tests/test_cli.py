@@ -132,6 +132,14 @@ def test_crosscheck_all_masks_budget_exit(capsys):
     assert code == 3
 
 
+def test_crosscheck_sample_budget_exit(capsys, monkeypatch):
+    from lefschetz_props import harness
+
+    monkeypatch.setattr(harness, "DEFAULT_BUDGET_IDEALS", 10)
+    code, _ = invoke(capsys, "crosscheck", "--n", "3", "--d", "3", "--sample", "11")
+    assert code == 3
+
+
 def test_hf_and_socle(capsys):
     code, payload = invoke_json(capsys, "hf", "--gens", BK)
     assert code == 0

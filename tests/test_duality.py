@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from lefschetz_props._kernels import BACKEND
 from lefschetz_props.combinatorics import basis_size, monomial_basis
 from lefschetz_props.duality import (
     DualElement,
@@ -158,15 +157,13 @@ def test_min_support_grid_matches_bound(d):
             assert min_kernel_support(zero, d, i, bound=expected - 1) is None
 
 
-@pytest.mark.skipif(
-    BACKEND != "compiled",
-    reason="the d=6 subset sweep needs the compiled kernel to stay in budget",
-)
-def test_min_support_grid_degree_six():
+@pytest.mark.parametrize("i", [3, 4, 5, 6])
+def test_min_support_grid_degree_six(i):
+    # i = 1, 2 sweep far more subsets (about 20 s) and stay out of the suite
     zero = MonomialIdeal(3, [])
-    for i in range(1, 7):
-        expected = 6 - i + 2 if i < 6 else 2
-        assert min_kernel_support(zero, 6, i, bound=expected) == expected
+    expected = 6 - i + 2 if i < 6 else 2
+    assert min_kernel_support(zero, 6, i, bound=expected) == expected
+    assert min_kernel_support(zero, 6, i, bound=expected - 1) is None
 
 
 def test_rank_duality_on_brenner_kaid():

@@ -266,6 +266,26 @@ def test_crosscheck_all_masks_refused_over_budget():
         crosscheck_lemmas(4, 4, sample=1 << 31)
 
 
+def test_crosscheck_sample_refused_over_budget(monkeypatch):
+    # an explicit sample larger than the ideal budget is refused before any
+    # mask is drawn; a sample within it still runs whole
+    from lefschetz_props import harness
+
+    monkeypatch.setattr(harness, "DEFAULT_BUDGET_IDEALS", 10)
+    draws = []
+    sample = random.Random.sample
+
+    def counted_sample(rng, *args):
+        draws.append(args)
+        return sample(rng, *args)
+
+    monkeypatch.setattr(random.Random, "sample", counted_sample)
+    with pytest.raises(BudgetExceededError):
+        crosscheck_lemmas(3, 3, sample=11)
+    assert draws == []
+    assert crosscheck_lemmas(3, 3, sample=10).examined == 10
+
+
 def test_named_examples_suite():
     r = named_examples()
     assert r.confirmed

@@ -1,48 +1,165 @@
-"""Compiled and pure rank kernels must agree, including across the overflow
-bailout of the compiled path."""
+"""The rank kernels and the one rank policy built on them.
+
+Inverse-free elimination mod p is checked against the textbook loop that
+scales by modular inverses (kept here as the slow twin), GF(2) against the
+exact rank it bounds, and the policy against exact Bareiss.
+"""
 
 import random
-
-import pytest
+from fractions import Fraction
 
 from lefschetz_props import _kernels, _ranks_py
+from lefschetz_props.exactlinalg import integer_rows
 
-compiled = pytest.importorskip("lefschetz_props._core") if _kernels.COMPILED_AVAILABLE else None
-
-needs_compiled = pytest.mark.skipif(
-    not _kernels.COMPILED_AVAILABLE, reason="compiled extension not built"
-)
+PRIMES = (2, 3, 97, _kernels.WORD_PRIME, 2**61 - 1)
 
 
-@needs_compiled
-def test_backends_agree_small():
-    rng = random.Random(99)
-    for _ in range(300):
-        nrows = rng.randint(1, 10)
-        ncols = rng.randint(1, 10)
-        rows = [[rng.randint(-20, 20) for _ in range(ncols)] for _ in range(nrows)]
-        rc = compiled.rank_i64(rows, ncols)
-        rp = _ranks_py.rank_i64(rows, ncols)
-        assert rc == rp
-        assert compiled.rank_mod(rows, ncols, 2147483647) == _ranks_py.rank_mod(
-            rows, ncols, 2147483647
-        )
+def inverse_rank_mod(rows, ncols, p):
+    """Rank mod p by elimination with modular inverses (the slow twin)."""
+    nrows = len(rows)
+    if nrows == 0 or ncols == 0:
+        return 0
+    a = [[e % p for e in row] for row in rows]
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = -1
+        for rr in range(r, nrows):
+            if a[rr][c]:
+                pr = rr
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+        pivot_row = a[r]
+        inv = pow(pivot_row[c], p - 2, p)
+        for rr in range(r + 1, nrows):
+            row = a[rr]
+            f = row[c] * inv % p
+            if f:
+                for cc in range(c, ncols):
+                    row[cc] = (row[cc] - f * pivot_row[cc]) % p
+        r += 1
+    return r
 
 
-@needs_compiled
-def test_compiled_bails_on_huge_inputs():
+def seeded_matrices(seed, count, max_dim, entry):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows = rng.randint(1, max_dim)
+        ncols = rng.randint(1, max_dim)
+        yield [[entry(rng) for _ in range(ncols)] for _ in range(nrows)], ncols
+
+
+def test_inverse_free_rank_mod_matches_inverse_twin():
+    entries = (
+        lambda rng: rng.randint(-9, 9),
+        lambda rng: rng.choice((0, 0, 1, 2, 3, 6, 97)),
+        lambda rng: rng.randint(-(2**70), 2**70),
+    )
+    for p in PRIMES:
+        for seed, entry in enumerate(entries):
+            for rows, ncols in seeded_matrices(seed, 100, 9, entry):
+                assert _ranks_py.rank_mod(rows, ncols, p) == inverse_rank_mod(rows, ncols, p)
+
+
+def test_inverse_free_rank_mod_on_low_rank_products():
+    # rank-deficient by construction, so elimination hits zero pivots
+    rng = random.Random(21)
+    for p in PRIMES:
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            left = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(7)]
+            right = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+            assert _ranks_py.rank_mod(rows, 6, p) == inverse_rank_mod(rows, 6, p)
+
+
+def test_gf2_rank_is_a_lower_bound_and_the_parity_rank():
+    entries = (
+        lambda rng: rng.randint(-9, 9),
+        lambda rng: 2 * rng.randint(-5, 5) + (rng.random() < 0.15),
+        lambda rng: rng.randint(-(2**70), 2**70),
+        lambda rng: rng.randint(0, 1),
+    )
+    for seed, entry in enumerate(entries):
+        for rows, ncols in seeded_matrices(seed + 10, 150, 10, entry):
+            g = _ranks_py.rank_gf2(rows)
+            assert g <= _ranks_py.rank_i64(rows, ncols)
+            assert g == inverse_rank_mod(rows, ncols, 2)
+
+
+def test_gf2_rank_edge_shapes():
+    assert _ranks_py.rank_gf2([]) == 0
+    assert _ranks_py.rank_gf2([[], []]) == 0
+    assert _ranks_py.rank_gf2([[2, 4], [6, -8]]) == 0
+    assert _ranks_py.rank_gf2([[1, 1], [1, 1], [-1, 3]]) == 1
+    assert _ranks_py.rank_gf2([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == 2
+
+
+def test_policy_on_huge_entries():
     rows = [[2**70, 1], [1, 1]]
-    assert compiled.rank_i64(rows, 2) == -1
-    assert _kernels.rank_int_rows(rows, 2) == 2
+    assert _kernels.rank_rows(rows, 2) == 2
+    assert _kernels.rank_rows([[2**70, 2], [2**69, 1]], 2) == 1
 
 
-@needs_compiled
-def test_compiled_bails_on_intermediate_growth():
-    # 25x25 with entries up to 99: Bareiss minors overflow 62 bits mid-way
+def test_policy_on_intermediate_growth():
+    # 25x25 with entries up to 99: Bareiss minors far exceed 64 bits mid-way
     rng = random.Random(4)
     rows = [[rng.randint(-99, 99) for _ in range(25)] for _ in range(25)]
-    assert compiled.rank_i64(rows, 25) == -1
-    assert _kernels.rank_int_rows(rows, 25) == _ranks_py.rank_i64(rows, 25)
+    assert _kernels.rank_rows(rows, 25) == _ranks_py.rank_i64(rows, 25) == 25
+    singular = rows[:24] + [[a + b for a, b in zip(rows[0], rows[1])]]
+    assert _kernels.rank_rows(singular, 25) == _ranks_py.rank_i64(singular, 25) == 24
+
+
+def test_policy_matches_exact_rank_on_integer_rows_of_rationals():
+    rng = random.Random(8)
+    for _ in range(150):
+        nrows = rng.randint(1, 8)
+        ncols = rng.randint(1, 8)
+        rows = [
+            [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4))) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if rng.random() < 0.5 and nrows > 1:
+            rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+        ints = integer_rows(rows)
+        assert _kernels.rank_rows(ints, ncols) == _ranks_py.rank_i64(ints, ncols)
+
+
+def test_policy_matches_exact_rank_on_deficient_matrices():
+    # even entries defeat GF(2), and a repeated row defeats every prime
+    rng = random.Random(6)
+    for _ in range(100):
+        ncols = rng.randint(2, 8)
+        rows = [[2 * rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rng.randint(2, 8))]
+        rows.append(list(rows[0]))
+        assert _kernels.rank_rows(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
+    assert _kernels.rank_rows([], 4) == 0
+    assert _kernels.rank_rows([[], []], 0) == 0
+
+
+def test_policy_reaches_the_kernels_through_module_attributes(monkeypatch):
+    # the word prime runs only where GF(2) falls short, the exact rank only
+    # where both do; both are looked up on the module at call time
+    calls = []
+
+    def spy(name, kernel):
+        def counted(rows, ncols, *p):
+            calls.append(name)
+            return kernel(rows, ncols, *p)
+
+        return counted
+
+    for name in ("rank_mod_rows", "rank_int_rows"):
+        monkeypatch.setattr(_kernels, name, spy(name, getattr(_kernels, name)))
+    assert _kernels.rank_rows([[1, 0], [0, 1]], 2) == 2 and calls == []
+    assert _kernels.rank_rows([[2, 0], [0, 2]], 2) == 2
+    assert calls == ["rank_mod_rows"]
+    assert _kernels.rank_rows([[2, 4], [1, 2]], 2) == 1
+    assert calls == ["rank_mod_rows", "rank_mod_rows", "rank_int_rows"]
 
 
 def test_dispatcher_matches_pure():
@@ -52,12 +169,15 @@ def test_dispatcher_matches_pure():
         ncols = rng.randint(1, 8)
         rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
         assert _kernels.rank_int_rows(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
+        assert _kernels.rank_rows(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
 
 
 def test_pure_kernel_does_not_mutate_input():
     rows = [[1, 2], [3, 4]]
     _ranks_py.rank_i64(rows, 2)
     _ranks_py.rank_mod(rows, 2, 97)
+    _ranks_py.rank_gf2(rows)
+    _kernels.rank_rows(rows, 2)
     assert rows == [[1, 2], [3, 4]]
 
 

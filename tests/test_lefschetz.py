@@ -92,9 +92,10 @@ def test_check_wlp_examples():
 
 
 def test_decider_ranks_match_plain_exact_rank(monkeypatch):
-    # every matrix the decider builds is ranked mod p first (maximal rank is
-    # certified there) and exactly otherwise; each recorded rank must equal
-    # the plain fraction-free rank of the same multiplication map
+    # every matrix the decider builds is ranked mod 2 and mod the word prime
+    # first (maximal rank is certified there) and exactly otherwise; each
+    # recorded rank must equal the plain Bareiss rank of exactlinalg.rank,
+    # which takes no modular certificate
     from lefschetz_props import lefschetz
 
     built = []
