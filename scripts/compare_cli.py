@@ -69,6 +69,14 @@ COMMANDS = [
     # policy on contraction columns
     ["verify-thm37", "--n", "3", "--d", "5", "--i", "1"],
     ["verify-thm37", "--n", "4", "--d", "4", "--i", "2"],
+    # pairs past an onto map of the same power: a five-variable campaign on
+    # box parity certificates, and randomized scans (FORMS is onto from
+    # (1, 1); BK fails at (1, 2) and is onto from (1, 3))
+    ["verify-thm1", "--n", "5", "--d", "3"],
+    ["power", "--gens", FORMS, "--i", "1", "--method", "full", "--seed", "9",
+     "--format", "csv"],
+    ["slp", "--gens", BK, "--method", "full", "--mode", "randomized", "--seed", "9",
+     "--format", "csv"],
 ]
 
 

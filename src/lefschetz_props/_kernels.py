@@ -3,7 +3,10 @@
 A rank modulo a prime is a lower bound for the exact rank (a minor that is
 nonzero mod p is nonzero).  So a rank mod 2 or mod the word prime that
 reaches min(dims) is the exact rank, and only the matrices that neither
-certifies run exact Bareiss elimination.
+certifies run exact Bareiss elimination.  A caller that has the GF(2) rank
+from elsewhere (the box parity columns of a support ideal) enters the
+policy after that step, through ``rank_rows_after_gf2``, so no step runs
+twice on one matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +33,15 @@ def rank_rows(rows, ncols: int) -> int:
     m = min(len(rows), ncols)
     if m == 0:
         return 0
-    if _ranks_py.rank_gf2(rows) == m or rank_mod_rows(rows, ncols) == m:
+    if _ranks_py.rank_gf2(rows) == m:
+        return m
+    return rank_rows_after_gf2(rows, ncols)
+
+
+def rank_rows_after_gf2(rows, ncols: int) -> int:
+    """The policy past its GF(2) step: min(dims) when the word prime
+    certifies it, otherwise the exact Bareiss rank."""
+    m = min(len(rows), ncols)
+    if rank_mod_rows(rows, ncols) == m:
         return m
     return rank_int_rows(rows, ncols)

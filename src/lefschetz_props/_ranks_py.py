@@ -79,17 +79,23 @@ def rank_mod(rows, ncols: int, p: int) -> int:
 
 
 def rank_gf2(rows) -> int:
-    """Rank of the integer matrix reduced modulo 2.
-
-    Each row is packed into one int (bit c is the parity of column c) and
-    reduced by XOR against a basis keyed by leading bit.
-    """
-    basis: dict[int, int] = {}
+    """Rank of the integer matrix reduced modulo 2: each row is packed into
+    one int (bit c is the parity of column c) for ``rank_gf2_bits``."""
+    packed = []
     for row in rows:
         v = 0
         for c, e in enumerate(row):
             if e & 1:
                 v |= 1 << c
+        packed.append(v)
+    return rank_gf2_bits(packed)
+
+
+def rank_gf2_bits(vectors) -> int:
+    """Rank over GF(2) of vectors packed as ints, reduced by XOR against a
+    basis keyed by leading bit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
         while v:
             lead = v.bit_length()
             b = basis.get(lead)

@@ -464,8 +464,11 @@ def crosscheck_lemmas(
     Any disagreement is a hard failure.  A run of more ideals than the
     default ideal budget (every mask, with no sample or one at least as large
     as the mask space, or an explicit sample) is refused with
-    ``BudgetExceededError`` before any mask is drawn.
+    ``BudgetExceededError`` before any mask is drawn.  A sample below one
+    would examine no ideal and confirm nothing, so it is a ``ValueError``.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
     t0 = time.perf_counter()
     _, mixed, _ = _campaign_space(n, d)
     total = 1 << len(mixed)

@@ -8,6 +8,10 @@ that: every standard monomial lies in the box [0, d)^n, whose positions
 sum_t a_t d^t order each degree exactly as monomial_basis does, so the whole
 quotient is one bitmask over the box, cut out of per-(n, d) tables built on
 first use, and HF(R, k) is an AND with the degree-k positions and a popcount.
+The same mask gives the multiplication maps by (x_1 + ... + x_n)^i mod 2:
+each exponent c with an odd multinomial(i; c) is a shift of the box, valid
+where a + c stays in the box, so a column is a few shifts ANDed with the
+quotient (``SupportIdeal.parity_columns``).
 Form ideals never go through a Groebner engine: for an ideal with minimal
 generator degree d, the degree-k piece is the explicit span of all
 monomial-times-generator products, row reduced once per (degree, term order)
@@ -27,6 +31,7 @@ from .combinatorics import (
     basis_size,
     macaulay_growth,
     monomial_basis,
+    multinomial,
 )
 from .errors import CapExceededError, NotArtinianError
 from .exactlinalg import ExactMatrix, row_reduce
@@ -253,6 +258,28 @@ def _box_tables(n: int, d: int) -> _BoxTables:
     )
 
 
+@lru_cache(maxsize=None)
+def _odd_shifts(n: int, d: int, i: int) -> tuple[tuple[int, int], ...]:
+    """(offset, valid mask) per exponent c of degree i with an odd
+    multinomial(i; c) that fits in the box [0, d)^n.  Adding c to a box
+    position a is adding the offset sum_t c_t d^t, but only where a + c stays
+    in the box; ``valid`` is that carry guard, the box positions with
+    a_t + c_t < d for every t."""
+    box = [tuple(pos // d**t % d for t in range(n)) for pos in range(d**n)]
+    shifts = []
+    for c in monomial_basis(n, i):
+        if max(c) >= d or not multinomial(i, c) & 1:
+            continue
+        offset = sum(e * d**t for t, e in enumerate(c))
+        valid = sum(
+            1 << pos
+            for pos, a in enumerate(box)
+            if all(x + e < d for x, e in zip(a, c))
+        )
+        shifts.append((offset, valid))
+    return tuple(shifts)
+
+
 class SupportIdeal(MonomialIdeal):
     """Equigenerated artinian ideal in degree d given by its dual support.
 
@@ -326,6 +353,26 @@ class SupportIdeal(MonomialIdeal):
         for i in self.standard_indices(k):
             mask ^= 1 << i
         return mask
+
+    def parity_columns(self, i: int, j: int) -> list[int]:
+        """Columns of multiplication by (x_1 + ... + x_n)^i from degree j,
+        reduced mod 2 and packed as box masks: one int per standard monomial
+        of degree j, bit b set iff box position b is a standard monomial whose
+        entry multinomial(i; c) is odd.  Their GF(2) rank is that of the
+        integer matrix, read from ``std`` without building it."""
+        shifts = _odd_shifts(self.n, self.d, i)
+        std = self.std
+        src = self._std_in_degree(j)
+        cols = []
+        while src:
+            low = src & -src
+            col = 0
+            for offset, valid in shifts:
+                if valid & low:
+                    col |= low << offset
+            cols.append(col & std)
+            src ^= low
+        return cols
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,22 @@ for monomial algebras; form quotients use seeded random trial forms, with the
 per-map convention that maximal rank achieved in any trial stands (specializing
 a form can only drop rank) and a failure is only reported when every trial
 fails.  Every reported rank is exact: each matrix goes through the one rank
-policy of ``_kernels.rank_rows``, where a rank mod 2 or mod the word prime
+policy of ``_kernels``, where a rank mod 2 or mod the word prime
 only certifies maximal rank (a modular rank is a lower bound), and anything
 smaller is recomputed with fraction-free exact elimination.
 
 Maps whose source and target both sit below the minimal generator degree are
 multiplication maps of the full polynomial ring; those are injective, hence
-recorded as maximal without building a matrix.
+recorded as maximal without building a matrix.  Neither is a matrix built
+for a map past an onto one: if ell^i maps R_j onto R_{j+i}, it maps every
+later R_k onto R_{k+i} (Migliore-Miro-Roig-Nagel, Trans. AMS 2011,
+Prop. 2.1), so such a pair is recorded with rank HF(k+i).
+
+A support ideal under the all-ones form holds its quotient as one mask over
+the box [0, d)^n, and the matrix mod 2 is read from that mask
+(``SupportIdeal.parity_columns``): its GF(2) rank is the policy's first
+step.  Rows are built only when that rank falls short of min(dims), and
+they enter the policy after its GF(2) step.
 """
 
 from __future__ import annotations
@@ -24,7 +33,14 @@ from functools import lru_cache
 from . import _kernels
 from .combinatorics import basis_index, basis_size, monomial_basis, multinomial
 from .exactlinalg import ExactMatrix, integer_rows
-from .ideals import FormIdeal, MonomialIdeal, reduce_mod_piece, socle_degree
+from ._ranks_py import rank_gf2_bits
+from .ideals import (
+    FormIdeal,
+    MonomialIdeal,
+    SupportIdeal,
+    reduce_mod_piece,
+    socle_degree,
+)
 from .reporting import LefschetzReport, PairRecord
 
 DEFAULT_TRIALS = 3
@@ -166,11 +182,26 @@ def mult_map_matrix(
     return ExactMatrix(nrows, ncols, rows)
 
 
-def _rank_for_pair(rows, ncols, integral):
-    """Exact rank of the built rows, through the one rank policy."""
+def _pair_rank(
+    I, ell: LinearForm, i: int, j: int, order: str
+) -> tuple[int, int, int]:
+    """(exact rank, rows, columns) of multiplication by ell^i from degree j.
+
+    A support ideal under the all-ones form first takes the GF(2) rank of
+    its box parity columns; when that reaches min(dims) no matrix is built.
+    Otherwise the rows are built and run through the rank policy, entering
+    it after the GF(2) step if that step already ran."""
+    if isinstance(I, SupportIdeal) and ell.is_ones():
+        cols = I.parity_columns(i, j)
+        nrows, ncols = I.hf(j + i), len(cols)
+        if rank_gf2_bits(cols) == min(nrows, ncols):
+            return min(nrows, ncols), nrows, ncols
+        rows = _build_rows(I, ell, i, j, order)[0]
+        return _kernels.rank_rows_after_gf2(rows, ncols), nrows, ncols
+    rows, nrows, ncols, integral = _build_rows(I, ell, i, j, order)
     if not integral:
         rows = integer_rows(rows)
-    return _kernels.rank_rows(rows, ncols)
+    return _kernels.rank_rows(rows, ncols), nrows, ncols
 
 
 def has_maximal_rank(
@@ -194,8 +225,7 @@ def _pair_via_forms(I, forms, i, j, order) -> PairRecord:
     """Per-map randomized record: best exact rank over the trial forms."""
     best = -1
     for ell in forms:
-        rows, nrows, ncols, integral = _build_rows(I, ell, i, j, order)
-        r = _rank_for_pair(rows, ncols, integral)
+        r, nrows, ncols = _pair_rank(I, ell, i, j, order)
         best = max(best, r)
         if r == min(nrows, ncols):
             break
@@ -203,8 +233,7 @@ def _pair_via_forms(I, forms, i, j, order) -> PairRecord:
 
 
 def _pair_exact(I, ell, i, j, order) -> PairRecord:
-    rows, nrows, ncols, integral = _build_rows(I, ell, i, j, order)
-    r = _rank_for_pair(rows, ncols, integral)
+    r, nrows, ncols = _pair_rank(I, ell, i, j, order)
     return PairRecord(i, j, ncols, nrows, r, r == min(nrows, ncols))
 
 
@@ -212,10 +241,18 @@ def _scan_pairs(
     I, pair_list, mode, ell, forms, order, early_stop
 ) -> tuple[list[PairRecord], tuple[int, int] | None]:
     """Evaluate (i, j) pairs in the given order; free pairs (both degrees
-    below the minimal generator degree, or zero target) skip the matrix."""
+    below the minimal generator degree, or zero target) skip the matrix.
+
+    So do pairs past an onto map of the same power: once ell^i maps R_j
+    onto R_{j+i}, R_{j+1+i} = R_1 R_{j+i} = ell^i R_{j+1}, so the map is onto
+    from every later degree (in randomized mode the trial form that was
+    onto stays onto), with its target dimension as rank.  This relies on
+    each pair list ascending in j within one power i, as the WLP, SLP and
+    power lists do."""
     d = I.min_degree
     records: list[PairRecord] = []
     witness = None
+    onto_powers: set[int] = set()
     for i, j in pair_list:
         hj = I.hf(j)
         hji = I.hf(j + i)
@@ -229,11 +266,16 @@ def _scan_pairs(
         if hj == 0:
             records.append(PairRecord(i, j, 0, hji, 0, True))
             continue
+        if i in onto_powers:
+            records.append(PairRecord(i, j, hj, hji, hji, True))
+            continue
         if mode == "randomized":
             rec = _pair_via_forms(I, forms, i, j, order)
         else:
             rec = _pair_exact(I, ell, i, j, order)
         records.append(rec)
+        if rec.rank == rec.dim_target:
+            onto_powers.add(i)
         if not rec.maximal and witness is None:
             witness = (i, j)
             if early_stop:
@@ -343,11 +385,10 @@ def _shortcut_check(I: MonomialIdeal, power: int | None) -> LefschetzReport:
         rep = check_slp(I, "exact") if power is None else check_power(I, power, "exact")
         rep.fallback = True
         return rep
-    # Built directly, not through _pair_exact: the campaign benchmark counts
+    # Ranked directly, not through _pair_exact: the campaign benchmark counts
     # _pair_exact calls as the built share of the pairs _scan_pairs lists.
     ell = ones_form(I.n)
-    rows, nrows, ncols, integral = _build_rows(I, ell, i, j, "degrevlex")
-    r = _rank_for_pair(rows, ncols, integral)
+    r, nrows, ncols = _pair_rank(I, ell, i, j, "degrevlex")
     surjective = r == nrows
     return LefschetzReport(
         property="SLP" if power is None else "power",

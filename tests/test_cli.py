@@ -140,6 +140,14 @@ def test_crosscheck_sample_budget_exit(capsys, monkeypatch):
     assert code == 3
 
 
+def test_crosscheck_empty_sample_is_a_usage_error(capsys):
+    for bad in ("0", "-3"):
+        code = run(["crosscheck", "--n", "3", "--d", "3", "--sample", bad])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "at least 1" in captured.err
+
+
 def test_hf_and_socle(capsys):
     code, payload = invoke_json(capsys, "hf", "--gens", BK)
     assert code == 0

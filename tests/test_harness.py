@@ -286,6 +286,24 @@ def test_crosscheck_sample_refused_over_budget(monkeypatch):
     assert crosscheck_lemmas(3, 3, sample=10).examined == 10
 
 
+def test_crosscheck_refuses_an_empty_sample(monkeypatch):
+    # a sample below one would confirm the lemmas on no ideal at all; it is
+    # refused before any mask is drawn
+    draws = []
+    sample = random.Random.sample
+
+    def counted_sample(rng, *args):
+        draws.append(args)
+        return sample(rng, *args)
+
+    monkeypatch.setattr(random.Random, "sample", counted_sample)
+    for bad in (0, -1, -5000):
+        with pytest.raises(ValueError, match="at least 1"):
+            crosscheck_lemmas(3, 3, sample=bad)
+    assert draws == []
+    assert crosscheck_lemmas(3, 3, sample=1).examined == 1
+
+
 def test_named_examples_suite():
     r = named_examples()
     assert r.confirmed

@@ -162,6 +162,29 @@ def test_policy_reaches_the_kernels_through_module_attributes(monkeypatch):
     assert calls == ["rank_mod_rows", "rank_mod_rows", "rank_int_rows"]
 
 
+def test_policy_after_gf2_skips_the_gf2_step(monkeypatch):
+    # the rest of the policy (word prime, then Bareiss) never reruns GF(2)
+    # and gives the exact rank on its own
+    def no_gf2(rows):
+        raise AssertionError("GF(2) step rerun")
+
+    monkeypatch.setattr(_ranks_py, "rank_gf2", no_gf2)
+    for rows, ncols in seeded_matrices(31, 150, 8, lambda rng: rng.choice((0, 0, 1, 2, -3))):
+        assert _kernels.rank_rows_after_gf2(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
+    assert _kernels.rank_rows_after_gf2([], 3) == 0
+    assert _kernels.rank_rows_after_gf2([[2, 4], [1, 2]], 2) == 1
+
+
+def test_gf2_bits_is_the_packed_gf2_rank():
+    for rows, ncols in seeded_matrices(32, 150, 9, lambda rng: rng.randint(-3, 3)):
+        packed = [sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows]
+        columns = [sum(1 << r for r, row in enumerate(rows) if row[c] & 1) for c in range(ncols)]
+        assert _ranks_py.rank_gf2_bits(packed) == _ranks_py.rank_gf2(rows)
+        assert _ranks_py.rank_gf2_bits(columns) == _ranks_py.rank_gf2(rows)
+    assert _ranks_py.rank_gf2_bits([]) == 0
+    assert _ranks_py.rank_gf2_bits([0, 0b11, 0b11, 0b110]) == 2
+
+
 def test_dispatcher_matches_pure():
     rng = random.Random(5)
     for _ in range(100):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lefschetz_props import _kernels, _ranks_py, lefschetz
 from lefschetz_props.combinatorics import basis_size, monomial_basis, multinomial
 from lefschetz_props.duality import extremal_dual
 from lefschetz_props.errors import NotArtinianError
@@ -13,7 +14,7 @@ from lefschetz_props.harness import (
     monomial_complete_intersection,
     random_form_ideal,
 )
-from lefschetz_props.ideals import MonomialIdeal
+from lefschetz_props.ideals import MonomialIdeal, socle_degree
 from lefschetz_props.lefschetz import (
     check_power,
     check_power_shortcut,
@@ -25,6 +26,8 @@ from lefschetz_props.lefschetz import (
     ones_form,
     random_linear_form,
 )
+from lefschetz_props.parsing import parse_inline_ideal
+from lefschetz_props.reporting import PairRecord
 
 BK = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
 
@@ -91,32 +94,120 @@ def test_check_wlp_examples():
     assert check_wlp(ci).verdict
 
 
+FORMS = parse_inline_ideal("x1^2+x2*x3,x2^2-x1*x3,x3^2")
+
+
+def twin_scan(I, pair_list, forms, memo):
+    """Slow twin of the deciders' pair scan: every pair is built and ranked
+    by plain Bareiss (exactlinalg.rank), with no free pair, no onto
+    propagation and no modular certificate.  Over several trial forms the
+    best rank stands.  ``memo`` shares the records across the scans of one
+    ideal."""
+    records = []
+    for i, j in pair_list:
+        if (i, j) not in memo:
+            mats = [mult_map_matrix(I, ell, i, j) for ell in forms]
+            best = max(rank(M) for M in mats)
+            rows, cols = mats[0].rows, mats[0].cols
+            memo[i, j] = PairRecord(i, j, cols, rows, best, best == min(rows, cols))
+        records.append(memo[i, j])
+    return tuple(records)
+
+
+def scans_against_twin(I, mode, seed=1, trials=3):
+    """Every PairRecord of check_wlp, check_slp and each check_power must
+    equal the twin's, and so must each verdict and witness."""
+    e = socle_degree(I)
+    if mode == "exact":
+        forms = [None]
+    else:
+        forms = [random_linear_form(I.n, seed + t) for t in range(trials)]
+    kw = {"seed": seed, "trials": trials}
+    scans = [
+        (check_wlp(I, mode, **kw), [(1, j) for j in range(e + 1)]),
+        (check_slp(I, mode, **kw), [(i, j) for i in range(1, e + 1) for j in range(e - i + 1)]),
+    ]
+    scans += [
+        (check_power(I, i, mode, **kw), [(i, j) for j in range(e - i + 1)])
+        for i in range(1, e + 1)
+    ]
+    memo = {}
+    for rep, pair_list in scans:
+        twin = twin_scan(I, pair_list, forms, memo)
+        assert rep.pairs == twin, (I, mode, rep.property, rep.power)
+        assert rep.witness == next(((p.i, p.j) for p in twin if not p.maximal), None)
+        assert rep.verdict == (rep.witness is None)
+
+
+def spy(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; returns the list of results of
+    its calls."""
+    results = []
+    inner = getattr(module, name)
+
+    def wrapped(*args):
+        results.append(inner(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapped)
+    return results
+
+
+def nonfree_pairs(I, pairs):
+    """Pairs with both pieces nonzero and the target at or above the minimal
+    generator degree: the ones the scan decides or propagates."""
+    d = I.min_degree
+    return sum(1 for p in pairs if p.dim_target and p.dim_source and p.i + p.j >= d)
+
+
 def test_decider_ranks_match_plain_exact_rank(monkeypatch):
-    # every matrix the decider builds is ranked mod 2 and mod the word prime
-    # first (maximal rank is certified there) and exactly otherwise; each
-    # recorded rank must equal the plain Bareiss rank of exactlinalg.rank,
-    # which takes no modular certificate
-    from lefschetz_props import lefschetz
-
-    built = []
-    pair_exact = lefschetz._pair_exact
-
-    def spy(I, ell, i, j, order):
-        rec = pair_exact(I, ell, i, j, order)
-        built.append((I, rec))
-        return rec
-
-    monkeypatch.setattr(lefschetz, "_pair_exact", spy)
-    rng = random.Random(3)
+    # every recorded rank, whether built and certified mod 2 or mod the word
+    # prime, computed exactly, freed by degree or propagated from an earlier
+    # onto map of the same power, equals the plain Bareiss rank of the twin
+    decided = spy(monkeypatch, lefschetz, "_pair_exact")
     ideals = [BK, monomial_complete_intersection(3, 3)]
-    ideals += [ideal_from_mask(3, 4, mask) for mask in rng.sample(range(1 << 12), 30)]
+    ideals += [ideal_from_mask(3, 4, mask) for mask in range(1 << 12)]
+    for (n, d), seed, count in (((3, 5), 5, 60), ((4, 3), 6, 60)):
+        bits = basis_size(n, d) - n
+        rng = random.Random(seed)
+        ideals += [ideal_from_mask(n, d, rng.getrandbits(bits)) for _ in range(count)]
     for I in ideals:
+        scans_against_twin(I, "exact")
+    assert any(rec.maximal for rec in decided)
+    assert any(not rec.maximal for rec in decided)
+
+
+def test_onto_propagation_skips_pairs_and_keeps_records(monkeypatch):
+    # in exact and randomized mode the scans decide fewer pairs than they
+    # list as non-free, and every record still matches the twin
+    decided = {
+        "exact": spy(monkeypatch, lefschetz, "_pair_exact"),
+        "randomized": spy(monkeypatch, lefschetz, "_pair_via_forms"),
+    }
+    supports = [ideal_from_mask(3, 4, mask) for mask in (0, 77, 1234, 4095)]
+    for mode, ideals in (("exact", [BK] + supports), ("randomized", [BK, FORMS] + supports)):
+        listed = sum(nonfree_pairs(I, check_slp(I, mode, seed=9).pairs) for I in ideals)
+        assert 0 < len(decided[mode]) < listed, mode
+        for I in ideals:
+            for seed in (1, 9):
+                scans_against_twin(I, mode, seed=seed)
+
+
+def test_box_certificate_runs_no_step_twice(monkeypatch):
+    # a support ideal under the all-ones form takes its GF(2) rank from the
+    # box parity columns: rows are built only where that falls short, and
+    # GF(2) never runs again on them; other ideals keep the whole policy
+    built = spy(monkeypatch, lefschetz, "_build_rows")
+    gf2_rows = spy(monkeypatch, _ranks_py, "rank_gf2")
+    rest = spy(monkeypatch, _kernels, "rank_rows_after_gf2")
+    for mask in range(1 << 12):
+        I = ideal_from_mask(3, 4, mask)
         check_slp(I)
-    assert {I for I, _ in built} == set(ideals)
-    assert any(rec.maximal for _, rec in built)
-    assert any(not rec.maximal for _, rec in built)
-    for I, rec in built:
-        assert rec.rank == rank(mult_map_matrix(I, None, rec.i, rec.j)), (I, rec)
+        check_power_shortcut(I, 1)
+    assert gf2_rows == [] and 0 < len(built) == len(rest)
+    built.clear()
+    assert not check_wlp(BK).verdict
+    assert len(gf2_rows) == len(built) > 0
 
 
 def test_check_wlp_rejects_non_artinian():

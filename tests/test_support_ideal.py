@@ -1,14 +1,22 @@
 """Support ideals (the campaigns' bitmask ideals) against the MonomialIdeal
-oracle, and the standard-index row builder against the mask/rowmap one."""
+oracle, the standard-index row builder against the mask/rowmap one, and the
+box parity columns against the parity of the built matrix."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from lefschetz_props._ranks_py import rank_gf2, rank_gf2_bits, rank_i64
 from lefschetz_props.combinatorics import basis_index, basis_size, monomial_basis
 from lefschetz_props.harness import ideal_from_mask
-from lefschetz_props.ideals import MonomialIdeal, SupportIdeal, socle_degree
+from lefschetz_props.ideals import (
+    MonomialIdeal,
+    SupportIdeal,
+    _box_tables,
+    _odd_shifts,
+    socle_degree,
+)
 from lefschetz_props.lefschetz import (
     LinearForm,
     _ones_columns,
@@ -126,3 +134,44 @@ def test_mult_map_rows_match_the_mask_rowmap_twin(n, d, count, seed):
 
 def types(rows):
     return [[type(e) for e in row] for row in rows]
+
+
+def assert_parity_columns_match_the_matrix(S, i, j):
+    """The box parity columns are the odd entries of mult_map_matrix, column
+    by column, and their GF(2) rank is rank_gf2 of its rows, never above
+    the exact rank."""
+    rows = mult_map_matrix(S, None, i, j).to_lists()
+    cols = S.parity_columns(i, j)
+    assert len(cols) == S.hf(j)
+    target = {g: r for r, g in enumerate(S.standard_indices(j + i))}
+    index = _box_tables(S.n, S.d).index
+    for c, col in enumerate(cols):
+        odd = {target[index[b]] for b in range(col.bit_length()) if (col >> b) & 1}
+        assert odd == {r for r, row in enumerate(rows) if row[c] & 1}, (i, j, c)
+    box_rank = rank_gf2_bits(cols)
+    assert box_rank == rank_gf2(rows), (i, j)
+    assert box_rank <= rank_i64(rows, len(cols)), (i, j)
+
+
+def test_box_parity_columns_on_every_3_4_mask():
+    # i runs to d + 1: from i = d on no odd shift fits in the box
+    assert _odd_shifts(3, 4, 4) == _odd_shifts(3, 4, 5) == ()
+    for mask in range(1 << (basis_size(3, 4) - 3)):
+        S = ideal_from_mask(3, 4, mask)
+        e = socle_degree(S)
+        for i in range(1, 6):
+            for j in range(e + 1):
+                assert_parity_columns_match_the_matrix(S, i, j)
+
+
+@pytest.mark.parametrize(
+    "n, d, count, seed",
+    [(3, 5, 40, 11), (4, 3, 40, 12), (4, 4, 8, 13), (5, 3, 8, 14)],
+)
+def test_box_parity_columns_on_sampled_masks(n, d, count, seed):
+    for mask in sample_masks(n, d, count, seed):
+        S = ideal_from_mask(n, d, mask)
+        e = socle_degree(S)
+        for i in range(1, d + 2):
+            for j in range(e + 1):
+                assert_parity_columns_match_the_matrix(S, i, j)
