@@ -57,8 +57,10 @@ COMMANDS = [
     ["verify-thm1", "--n", "3", "--d", "4", "--no-symmetry"],
     ["crosscheck", "--n", "3", "--d", "4", "--sample", "256", "--seed", "3"],
     ["verify-thm2", "--n", "3", "--d", "4"],
-    # the form-ideal path: row-reduced spans under two term orders, and a
-    # non-artinian ideal, which is recognized as such (exit 2)
+    # the form-ideal path: row-reduced spans, a rational-coefficient ideal
+    # (``hf`` has no ``--order`` since the Hilbert function cannot depend on
+    # it, so this one exits 2 against a checkout that still accepts it), and
+    # a non-artinian ideal, which is recognized as such (exit 2)
     ["hf", "--gens", FORMS],
     ["hf", "--gens", RATIONAL_FORMS, "--order", "lex"],
     ["socle", "--gens", FORMS],
@@ -66,9 +68,11 @@ COMMANDS = [
     ["hf", "--gens", NON_ARTINIAN_FORMS],
     ["socle", "--gens", NON_ARTINIAN_FORMS],
     # minimal-kernel-support searches, whose dependence tests run the rank
-    # policy on contraction columns
+    # policy on rows of the multiplication map, also on a nonzero ideal
     ["verify-thm37", "--n", "3", "--d", "5", "--i", "1"],
     ["verify-thm37", "--n", "4", "--d", "4", "--i", "2"],
+    ["verify-thm37", "--n", "3", "--d", "6", "--i", "3"],
+    ["minsupport", "--gens", BK, "--d", "3", "--i", "2", "--bound", "6"],
     # pairs past an onto map of the same power: a five-variable campaign on
     # box parity certificates, and randomized scans (FORMS is onto from
     # (1, 1); BK fails at (1, 2) and is onto from (1, 3))

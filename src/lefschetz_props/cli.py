@@ -185,7 +185,7 @@ def _cmd_hf(args) -> int:
         if not is_artinian(I):
             raise UsageError("--upto is required for non-artinian ideals")
         upto = socle_degree(I) + 1
-    hf = hilbert_function(I, upto, order=args.order)
+    hf = hilbert_function(I, upto)
     _emit({"schema": SCHEMA_ID, "kind": "hf", "command": "hf",
            "ideal": _ideal_echo(I), "n": I.n,
            "hilbert_function": list(hf)}, args)
@@ -212,7 +212,7 @@ def _cmd_check(args) -> int:
         rep = args.shortcut(I, *powers)
     else:
         rep = args.full(I, *powers, args.mode, seed=args.seed,
-                        trials=args.trials, order=args.order)
+                        trials=args.trials)
     payload = rep.to_dict()
     payload.update({"command": args.command, "ideal": _ideal_echo(I)})
     _emit(payload, args)
@@ -394,8 +394,6 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("auto", "exact", "randomized"), default="auto")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--order", choices=("degrevlex", "lex", "grlex"),
-                   default="degrevlex")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hf", help="Hilbert function of a quotient")
     _add_ideal_flags(p)
     p.add_argument("--upto", type=int)
-    p.add_argument("--order", choices=("degrevlex", "lex", "grlex"), default="degrevlex")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_hf)
 

@@ -5,7 +5,11 @@ a monomial is iterated partial differentiation, and contracting by a power of
 a linear form expands through multinomials.  All coefficients are exact
 rationals.  ``min_kernel_support`` searches support subsets in increasing
 size under a hard budget of rank calls: the subset-size search is the
-desk-scale tool, not a general sparsest-vector solver.
+desk-scale tool, not a general sparsest-vector solver.  Contraction by
+ell^i from degree d is the transpose of multiplication by ell^i into degree
+d up to invertible factorial scalings, so the search tests rows of
+``lefschetz.mult_map_matrix``, whose entries are multinomials (GF(2) can
+certify them), while ``contraction_matrix`` builds the contraction itself.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .combinatorics import (
 from .errors import BudgetExceededError
 from .exactlinalg import ExactMatrix
 from .ideals import MonomialIdeal, graded_piece
+from .lefschetz import mult_map_matrix
 
 DEFAULT_RANK_BUDGET = 10_000_000
 
@@ -211,28 +216,6 @@ def extremal_dual(n: int, d: int, i: int) -> tuple[DualElement, MonomialIdeal]:
     return f, ideal
 
 
-def _contraction_columns(
-    I: MonomialIdeal, i: int, k: int, coefficients=None
-) -> tuple[list[list], int]:
-    """Columns of contraction by the i-th power of a linear form from the
-    degree-k inverse-system piece to the degree-(k-i) piece, one per degree-k
-    dual monomial, indexed by the degree-(k-i) dual monomials; returns the
-    columns and that row count."""
-    cols = inverse_system_piece(I, k).dual_monomials
-    rows = inverse_system_piece(I, k - i).dual_monomials
-    row_index = {m: r for r, m in enumerate(rows)}
-    columns = []
-    for mon in cols:
-        col = [0] * len(rows)
-        g = ell_power_contract(DualElement(I.n, k, {mon: Fraction(1)}), i, coefficients)
-        for tgt, coeff in g.support.items():
-            r = row_index.get(tgt)
-            if r is not None:
-                col[r] = int(coeff) if coeff.denominator == 1 else coeff
-        columns.append(col)
-    return columns, len(rows)
-
-
 def contraction_matrix(
     I: MonomialIdeal, i: int, k: int, coefficients=None
 ) -> ExactMatrix:
@@ -244,9 +227,17 @@ def contraction_matrix(
     """
     if i < 0 or k < i:
         raise ValueError("need 0 <= i <= k")
-    columns, nrows = _contraction_columns(I, i, k, coefficients)
-    data = [[col[r] for col in columns] for r in range(nrows)]
-    return ExactMatrix(nrows, len(columns), data)
+    cols = inverse_system_piece(I, k).dual_monomials
+    rows = inverse_system_piece(I, k - i).dual_monomials
+    row_index = {m: r for r, m in enumerate(rows)}
+    data = [[0] * len(cols) for _ in rows]
+    for c, mon in enumerate(cols):
+        g = ell_power_contract(DualElement(I.n, k, {mon: Fraction(1)}), i, coefficients)
+        for tgt, coeff in g.support.items():
+            r = row_index.get(tgt)
+            if r is not None:
+                data[r][c] = int(coeff) if coeff.denominator == 1 else coeff
+    return ExactMatrix(len(rows), len(cols), data)
 
 
 def min_kernel_support(
@@ -260,25 +251,28 @@ def min_kernel_support(
     killed by the i-th power of the all-ones form, or None.
 
     Enumerates support subsets by increasing size; the first size whose
-    chosen columns are linearly dependent is minimal.  Every dependence test
-    is one call of the rank policy, counted against ``budget``.
+    contraction columns are linearly dependent is minimal.  Every dependence
+    test is one call of the rank policy, counted against ``budget``.
     """
     if not 1 <= i <= d:
         raise ValueError("need 1 <= i <= d")
-    # Each column doubles as a row of the transpose, and rank is
-    # transpose-invariant.
-    columns, nrows = _contraction_columns(I, i, d)
-    if bound < 1 or bound > len(columns):
-        raise ValueError(f"bound must lie in 1..{len(columns)}")
+    # x^c o y^a = (a!/(a-c)!) y^(a-c), so the contraction matrix is the
+    # transpose of multiplication by ell^i into degree d with row a scaled
+    # by a! and column b by 1/b!: a set of contraction columns is dependent
+    # exactly when the same set of rows of the multiplication map is.
+    M = mult_map_matrix(I, None, i, d - i)
+    rows, ncols = M.to_lists(), M.cols
+    if bound < 1 or bound > len(rows):
+        raise ValueError(f"bound must lie in 1..{len(rows)}")
     calls = 0
     for size in range(1, bound + 1):
-        for subset in combinations(range(len(columns)), size):
+        for subset in combinations(range(len(rows)), size):
             calls += 1
             if calls > budget:
                 raise BudgetExceededError(
                     f"minimal-support search exceeded {budget} rank calls"
                 )
-            sub = [columns[c] for c in subset]
-            if _kernels.rank_rows(sub, nrows) < size:
+            sub = [rows[r] for r in subset]
+            if _kernels.rank_rows(sub, ncols) < size:
                 return size
     return None

@@ -111,9 +111,9 @@ class SearchSpec:
 
 @lru_cache(maxsize=None)
 def _campaign_space(n: int, d: int):
-    """(pure indices, mixed indices, permutation maps on mixed positions)."""
+    """(mixed indices, permutation maps on mixed positions)."""
     basis = monomial_basis(n, d)
-    pure, mixed = support_positions(n, d)
+    mixed = support_positions(n, d)
     index = {m: i for i, m in enumerate(basis)}
     mixed_pos = {g: p for p, g in enumerate(mixed)}
     maps = []
@@ -124,14 +124,14 @@ def _campaign_space(n: int, d: int):
             permuted = tuple(m[sigma[t]] for t in range(n))
             pm.append(mixed_pos[index[permuted]])
         maps.append(tuple(pm))
-    return pure, mixed, tuple(maps)
+    return mixed, tuple(maps)
 
 
 @lru_cache(maxsize=None)
 def _symmetry_tables(n: int, d: int):
     """Byte lookup images of every non-identity permutation map: entry
     [k][v] is the image of the byte value v placed at bits 8k..8k+7."""
-    _, mixed, maps = _campaign_space(n, d)
+    mixed, maps = _campaign_space(n, d)
     m = len(mixed)
     tables = []
     for pm in maps:
@@ -166,7 +166,7 @@ def iter_support_masks(spec: SearchSpec):
     """Bitmasks over the mixed monomials with popcount in the HF window, by
     popcount, then ascending; Gosper's hack (HAKMEM item 175) visits only
     masks of the wanted popcount."""
-    _, mixed, _ = _campaign_space(spec.n, spec.d)
+    mixed, _ = _campaign_space(spec.n, spec.d)
     tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else ()
     end = 1 << len(mixed)
     for k in range(spec.hf_min, spec.hf_max + 1):
@@ -470,7 +470,7 @@ def crosscheck_lemmas(
     if sample is not None and sample < 1:
         raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
     t0 = time.perf_counter()
-    _, mixed, _ = _campaign_space(n, d)
+    mixed, _ = _campaign_space(n, d)
     total = 1 << len(mixed)
     walk_all = sample is None or sample >= total
     count = total if walk_all else sample

@@ -229,13 +229,12 @@ class _BoxTables:
 
 
 @lru_cache(maxsize=None)
-def support_positions(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(pure-power indices, mixed indices) into monomial_basis(n, d); bit p
-    of a support mask stands for the monomial at the p-th mixed index."""
-    pure, mixed = [], []
-    for g, m in enumerate(monomial_basis(n, d)):
-        (pure if sum(1 for e in m if e) == 1 else mixed).append(g)
-    return tuple(pure), tuple(mixed)
+def support_positions(n: int, d: int) -> tuple[int, ...]:
+    """Indices into monomial_basis(n, d) of the mixed (non-pure-power)
+    monomials; bit p of a support mask stands for the p-th of them."""
+    return tuple(
+        g for g, m in enumerate(monomial_basis(n, d)) if sum(1 for e in m if e) > 1
+    )
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +246,7 @@ def _box_tables(n: int, d: int) -> _BoxTables:
         degree[sum(a)] |= 1 << pos
         index.append(basis_index(n, sum(a))[a])
     basis = monomial_basis(n, d)
-    mixed_pos = {g: p for p, g in enumerate(support_positions(n, d)[1])}
+    mixed_pos = {g: p for p, g in enumerate(support_positions(n, d))}
     generators = tuple((m, mixed_pos.get(g, -1)) for g, m in enumerate(basis))
     orthant = tuple(
         sum(1 << pos for pos, a in enumerate(box) if divides(basis[g], a))
@@ -427,8 +426,9 @@ class FormIdeal:
             self._pieces[key] = cached
         return cached
 
-    def hf(self, k: int, order: str = "degrevlex") -> int:
-        return len(self.piece(k, order).standard)
+    def hf(self, k: int) -> int:
+        """HF(S/I, k), the same under every term order: the degrevlex count."""
+        return len(self.piece(k).standard)
 
     def standard_monomials(self, k: int, order: str = "degrevlex") -> tuple[Monomial, ...]:
         return self.piece(k, order).standard
@@ -560,13 +560,11 @@ def graded_piece(I, k: int, order: str = "degrevlex") -> GradedPiece:
     return GradedPiece(k, piece.standard, span, piece.leads)
 
 
-def hilbert_function(I, upto: int, order: str = "degrevlex") -> tuple[int, ...]:
+def hilbert_function(I, upto: int) -> tuple[int, ...]:
     """h_0, ..., h_upto of S/I."""
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    if isinstance(I, MonomialIdeal):
-        return tuple(I.hf(k) for k in range(upto + 1))
-    return tuple(I.hf(k, order) for k in range(upto + 1))
+    return tuple(I.hf(k) for k in range(upto + 1))
 
 
 def socle_degree(I, cap: int | None = None) -> int:

@@ -1,5 +1,12 @@
 """Multiplication-map matrices and the Lefschetz-property deciders.
 
+Every matrix is read from one cached table of the full ring, ``_columns``,
+which sends a source monomial and an offset exponent c of degree i to the
+target index, together with the coefficients of ell^i (``_weights``): a
+monomial quotient keeps the rows and columns of its standard monomials, and
+a form quotient reduces each column modulo the ideal's degrevlex span.  A
+rank does not depend on the basis, so no decider takes a term order.
+
 Monomial quotients are decided with the all-ones linear form, which suffices
 for monomial algebras; form quotients use seeded random trial forms, with the
 per-map convention that maximal rank achieved in any trial stands (specializing
@@ -79,112 +86,108 @@ def random_linear_form(n: int, seed: int, bound: int = DEFAULT_COEFF_BOUND) -> L
 
 
 @lru_cache(maxsize=None)
-def _ell_offsets(n: int, i: int) -> tuple:
-    """(offset exponent, multinomial weight) pairs in the expansion of the
-    i-th power of a generic linear form."""
-    return tuple((c, multinomial(i, c)) for c in monomial_basis(n, i))
+def _columns(n: int, j: int, i: int) -> tuple:
+    """Multiplication of the full ring from degree j to degree j+i by every
+    offset monomial x^c of degree i at once: for each index into
+    monomial_basis(n, j), the pairs (target index into monomial_basis(n, j+i),
+    offset index c into monomial_basis(n, i))."""
+    tgt_index = basis_index(n, j + i)
+    offsets = monomial_basis(n, i)
+    return tuple(
+        tuple(
+            (tgt_index[tuple(x + y for x, y in zip(a, c))], k)
+            for k, c in enumerate(offsets)
+        )
+        for a in monomial_basis(n, j)
+    )
 
 
 @lru_cache(maxsize=None)
-def _ones_columns(n: int, j: int, i: int) -> tuple:
-    """Sparse columns of multiplication by the all-ones form's i-th power on
-    the full ring: source basis index -> ((target index, weight), ...)."""
-    tgt_index = basis_index(n, j + i)
-    offsets = _ell_offsets(n, i)
-    cols = []
-    for a in monomial_basis(n, j):
-        col = tuple(
-            (tgt_index[tuple(x + y for x, y in zip(a, c))], w) for c, w in offsets
-        )
-        cols.append(col)
-    return tuple(cols)
-
-
-def _weighted_offsets(n: int, i: int, coefficients) -> list:
-    out = []
-    for c, w in _ell_offsets(n, i):
-        weight = Fraction(w)
-        for t, e in enumerate(c):
-            if e:
-                weight *= Fraction(coefficients[t]) ** e
-        if weight:
-            out.append((c, weight))
-    return out
+def _weights(n: int, i: int, coefficients: tuple) -> tuple:
+    """Coefficients of the i-th power of the linear form, one per offset of
+    monomial_basis(n, i): multinomial(i; c) times the product of the
+    coefficients to the powers c.  Ints when every weight is integral, else
+    Fractions, with a zero weight kept as int 0 (the entry nothing reaches)."""
+    weights = []
+    for c in monomial_basis(n, i):
+        w = Fraction(multinomial(i, c))
+        for a, e in zip(coefficients, c):
+            w *= Fraction(a) ** e
+        weights.append(w)
+    if all(w.denominator == 1 for w in weights):
+        return tuple(int(w) for w in weights)
+    return tuple(w if w else 0 for w in weights)
 
 
 def _build_monomial_rows(I: MonomialIdeal, ell: LinearForm, i: int, j: int):
     """Rows of the quotient multiplication map; returns (rows, nrows, ncols,
     integral flag)."""
-    n = I.n
     src = I.standard_indices(j)
     tgt = I.standard_indices(j + i)
-    rowmap = [-1] * basis_size(n, j + i)
+    rowmap = [-1] * basis_size(I.n, j + i)
     for r, gi in enumerate(tgt):
         rowmap[gi] = r
-    nrows, ncols = len(tgt), len(src)
-    rows = [[0] * ncols for _ in range(nrows)]
-    if ell.is_ones():
-        cols = _ones_columns(n, j, i)
-        for ci, gi in enumerate(src):
-            for tg, w in cols[gi]:
-                rr = rowmap[tg]
-                if rr >= 0:
-                    rows[rr][ci] = w
-        return rows, nrows, ncols, True
-    offsets = _weighted_offsets(n, i, ell.coefficients)
-    tgt_index = basis_index(n, j + i)
-    base = monomial_basis(n, j)
-    integral = all(w.denominator == 1 for _, w in offsets)
+    cols = _columns(I.n, j, i)
+    weights = _weights(I.n, i, tuple(ell.coefficients))
+    rows = [[0] * len(src) for _ in tgt]
     for ci, gi in enumerate(src):
-        a = base[gi]
-        for c, w in offsets:
-            rr = rowmap[tgt_index[tuple(x + y for x, y in zip(a, c))]]
+        for tg, c in cols[gi]:
+            rr = rowmap[tg]
             if rr >= 0:
-                rows[rr][ci] += int(w) if integral else w
-    return rows, nrows, ncols, integral
+                rows[rr][ci] = weights[c]
+    return rows, len(tgt), len(src), all(type(w) is int for w in weights)
 
 
-def _build_form_rows(I: FormIdeal, ell: LinearForm, i: int, j: int, order: str):
+def _build_form_rows(I: FormIdeal, ell: LinearForm, i: int, j: int):
     """Quotient multiplication map for a form ideal: expand, reduce each
-    column modulo the row-reduced span, project onto standard monomials."""
-    pj = I.piece(j, order)
-    pji = I.piece(j + i, order)
-    src = pj.standard
+    column modulo the row-reduced span, project onto standard monomials.
+    The degrevlex pieces list their columns in monomial_basis order, so
+    ``_columns`` indexes them directly."""
+    pji = I.piece(j + i)
+    src_index = basis_index(I.n, j)
+    src = I.piece(j).standard
     tgt_cols = [pji.col_index[m] for m in pji.standard]
     nrows, ncols = len(tgt_cols), len(src)
-    offsets = _weighted_offsets(I.n, i, ell.coefficients)
+    cols = _columns(I.n, j, i)
+    weights = _weights(I.n, i, tuple(ell.coefficients))
     rows = [[0] * ncols for _ in range(nrows)]
     for ci, a in enumerate(src):
         vec = [0] * len(pji.columns)
-        for c, w in offsets:
-            vec[pji.col_index[tuple(x + y for x, y in zip(a, c))]] += w
+        for tg, c in cols[src_index[a]]:
+            vec[tg] = weights[c]
         vec = reduce_mod_piece(pji, vec)
         for rr, cpos in enumerate(tgt_cols):
             rows[rr][ci] = vec[cpos]
     return rows, nrows, ncols, False
 
 
-def _build_rows(I, ell: LinearForm, i: int, j: int, order: str):
+def _build_rows(I, ell: LinearForm, i: int, j: int):
     if isinstance(I, MonomialIdeal):
         return _build_monomial_rows(I, ell, i, j)
-    return _build_form_rows(I, ell, i, j, order)
+    return _build_form_rows(I, ell, i, j)
 
 
-def mult_map_matrix(
-    I, ell: LinearForm | None, i: int, j: int, order: str = "degrevlex"
-) -> ExactMatrix:
-    """Matrix of multiplication by the i-th power of ell from degree j to
-    degree j+i, rows indexed by the target standard monomials."""
+def _checked_form(I, ell: LinearForm | None, i: int, j: int) -> LinearForm:
+    """The form of the map ell^i from degree j (the all-ones form for None),
+    after checking the map: i >= 1, j >= 0 and one coefficient per
+    variable."""
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
-    ell = ones_form(I.n) if ell is None else ell
-    rows, nrows, ncols, _ = _build_rows(I, ell, i, j, order)
+    if ell is None:
+        return ones_form(I.n)
+    if ell.n != I.n:
+        raise ValueError(f"linear form has {ell.n} coefficients for {I.n} variables")
+    return ell
+
+
+def mult_map_matrix(I, ell: LinearForm | None, i: int, j: int) -> ExactMatrix:
+    """Matrix of multiplication by the i-th power of ell from degree j to
+    degree j+i, rows indexed by the target standard monomials."""
+    rows, nrows, ncols, _ = _build_rows(I, _checked_form(I, ell, i, j), i, j)
     return ExactMatrix(nrows, ncols, rows)
 
 
-def _pair_rank(
-    I, ell: LinearForm, i: int, j: int, order: str
-) -> tuple[int, int, int]:
+def _pair_rank(I, ell: LinearForm, i: int, j: int) -> tuple[int, int, int]:
     """(exact rank, rows, columns) of multiplication by ell^i from degree j.
 
     A support ideal under the all-ones form first takes the GF(2) rank of
@@ -196,20 +199,18 @@ def _pair_rank(
         nrows, ncols = I.hf(j + i), len(cols)
         if rank_gf2_bits(cols) == min(nrows, ncols):
             return min(nrows, ncols), nrows, ncols
-        rows = _build_rows(I, ell, i, j, order)[0]
+        rows = _build_rows(I, ell, i, j)[0]
         return _kernels.rank_rows_after_gf2(rows, ncols), nrows, ncols
-    rows, nrows, ncols, integral = _build_rows(I, ell, i, j, order)
+    rows, nrows, ncols, integral = _build_rows(I, ell, i, j)
     if not integral:
         rows = integer_rows(rows)
     return _kernels.rank_rows(rows, ncols), nrows, ncols
 
 
-def has_maximal_rank(
-    I, ell: LinearForm | None, i: int, j: int, *, order: str = "degrevlex"
-) -> tuple[bool, int]:
+def has_maximal_rank(I, ell: LinearForm | None, i: int, j: int) -> tuple[bool, int]:
     """Whether multiplication by ell^i from degree j has maximal rank; the
     exact rank is returned alongside."""
-    rec = _pair_exact(I, ones_form(I.n) if ell is None else ell, i, j, order)
+    rec = _pair_exact(I, _checked_form(I, ell, i, j), i, j)
     return rec.maximal, rec.rank
 
 
@@ -221,24 +222,24 @@ def _resolve_mode(I, mode: str | None) -> str:
     return mode
 
 
-def _pair_via_forms(I, forms, i, j, order) -> PairRecord:
+def _pair_via_forms(I, forms, i, j) -> PairRecord:
     """Per-map randomized record: best exact rank over the trial forms."""
     best = -1
     for ell in forms:
-        r, nrows, ncols = _pair_rank(I, ell, i, j, order)
+        r, nrows, ncols = _pair_rank(I, ell, i, j)
         best = max(best, r)
         if r == min(nrows, ncols):
             break
     return PairRecord(i, j, ncols, nrows, best, best == min(nrows, ncols))
 
 
-def _pair_exact(I, ell, i, j, order) -> PairRecord:
-    r, nrows, ncols = _pair_rank(I, ell, i, j, order)
+def _pair_exact(I, ell, i, j) -> PairRecord:
+    r, nrows, ncols = _pair_rank(I, ell, i, j)
     return PairRecord(i, j, ncols, nrows, r, r == min(nrows, ncols))
 
 
 def _scan_pairs(
-    I, pair_list, mode, ell, forms, order, early_stop
+    I, pair_list, mode, ell, forms, early_stop
 ) -> tuple[list[PairRecord], tuple[int, int] | None]:
     """Evaluate (i, j) pairs in the given order; free pairs (both degrees
     below the minimal generator degree, or zero target) skip the matrix.
@@ -270,9 +271,9 @@ def _scan_pairs(
             records.append(PairRecord(i, j, hj, hji, hji, True))
             continue
         if mode == "randomized":
-            rec = _pair_via_forms(I, forms, i, j, order)
+            rec = _pair_via_forms(I, forms, i, j)
         else:
-            rec = _pair_exact(I, ell, i, j, order)
+            rec = _pair_exact(I, ell, i, j)
         records.append(rec)
         if rec.rank == rec.dim_target:
             onto_powers.add(i)
@@ -284,7 +285,7 @@ def _scan_pairs(
 
 
 def _full_check(
-    I, prop, pairs_of, mode, seed, trials, early_stop, order, power=None
+    I, prop, pairs_of, mode, seed, trials, early_stop, power=None
 ) -> LefschetzReport:
     """The one full decider: every (i, j) pair that ``pairs_of(socle degree)``
     lists must have maximal rank.  Exact mode uses the all-ones form;
@@ -299,7 +300,7 @@ def _full_check(
         forms = [random_linear_form(I.n, s) for s in seeds]
     else:
         ell = ones_form(I.n)
-    records, witness = _scan_pairs(I, pair_list, mode, ell, forms, order, early_stop)
+    records, witness = _scan_pairs(I, pair_list, mode, ell, forms, early_stop)
     return LefschetzReport(
         property=prop,
         verdict=witness is None,
@@ -321,13 +322,12 @@ def check_wlp(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     early_stop: bool = False,
-    order: str = "degrevlex",
 ) -> LefschetzReport:
     """Weak Lefschetz check: multiplication from every degree up to the socle
     must have maximal rank."""
     return _full_check(
         I, "WLP", lambda e: [(1, j) for j in range(e + 1)],
-        mode, seed, trials, early_stop, order,
+        mode, seed, trials, early_stop,
     )
 
 
@@ -338,13 +338,12 @@ def check_slp(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     early_stop: bool = False,
-    order: str = "degrevlex",
 ) -> LefschetzReport:
     """Strong Lefschetz check: every power map between nonzero graded pieces
     must have maximal rank; pairs scanned in lexicographic (i, j) order."""
     return _full_check(
         I, "SLP", lambda e: [(i, j) for i in range(1, e + 1) for j in range(e - i + 1)],
-        mode, seed, trials, early_stop, order,
+        mode, seed, trials, early_stop,
     )
 
 
@@ -356,7 +355,6 @@ def check_power(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
     early_stop: bool = False,
-    order: str = "degrevlex",
 ) -> LefschetzReport:
     """Full check that multiplication by the i-th power has maximal rank in
     every degree."""
@@ -364,7 +362,7 @@ def check_power(
         raise ValueError("power must be positive")
     return _full_check(
         I, "power", lambda e: [(i, j) for j in range(max(e - i + 1, 0))],
-        mode, seed, trials, early_stop, order, power=i,
+        mode, seed, trials, early_stop, power=i,
     )
 
 
@@ -373,7 +371,8 @@ def _shortcut_check(I: MonomialIdeal, power: int | None) -> LefschetzReport:
     power from degree d-i to degree d, where d is the minimal generator
     degree and i is ``power`` (None: the SLP lemma's i = d-1).  Outside the
     gate d >= 2, 1 <= i <= d-1, HF(R, d-i) >= HF(R, d) the full check runs
-    instead and the fallback is recorded, never silent."""
+    instead and the fallback is recorded, never silent.  Inside it the pair
+    is scanned like any other, and maximal rank is surjectivity."""
     if not isinstance(I, MonomialIdeal):
         raise TypeError("the shortcut applies to monomial ideals")
     if power is not None and power < 1:
@@ -385,18 +384,15 @@ def _shortcut_check(I: MonomialIdeal, power: int | None) -> LefschetzReport:
         rep = check_slp(I, "exact") if power is None else check_power(I, power, "exact")
         rep.fallback = True
         return rep
-    # Ranked directly, not through _pair_exact: the campaign benchmark counts
-    # _pair_exact calls as the built share of the pairs _scan_pairs lists.
     ell = ones_form(I.n)
-    r, nrows, ncols = _pair_rank(I, ell, i, j, "degrevlex")
-    surjective = r == nrows
+    records, witness = _scan_pairs(I, [(i, j)], "exact", ell, [], False)
     return LefschetzReport(
         property="SLP" if power is None else "power",
-        verdict=surjective,
+        verdict=witness is None,
         method="shortcut",
         mode="exact",
-        pairs=(PairRecord(i, j, ncols, nrows, r, r == min(nrows, ncols)),),
-        witness=None if surjective else (i, j),
+        pairs=tuple(records),
+        witness=witness,
         power=power,
         ell=ell.coefficients,
     )

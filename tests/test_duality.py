@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,8 +20,9 @@ from lefschetz_props.duality import (
     min_kernel_support,
 )
 from lefschetz_props.errors import BudgetExceededError
-from lefschetz_props.exactlinalg import rank
-from lefschetz_props.ideals import MonomialIdeal, is_artinian
+from lefschetz_props.exactlinalg import ExactMatrix, rank
+from lefschetz_props.harness import ideal_from_mask
+from lefschetz_props.ideals import MonomialIdeal, is_artinian, socle_degree
 from lefschetz_props.lefschetz import mult_map_matrix
 
 
@@ -157,13 +159,50 @@ def test_min_support_grid_matches_bound(d):
             assert min_kernel_support(zero, d, i, bound=expected - 1) is None
 
 
-@pytest.mark.parametrize("i", [3, 4, 5, 6])
+@pytest.mark.parametrize("i", [2, 3, 4, 5, 6])
 def test_min_support_grid_degree_six(i):
-    # i = 1, 2 sweep far more subsets (about 20 s) and stay out of the suite
+    # i = 1 sweeps far more subsets (about 5 s) and stays out of the suite
     zero = MonomialIdeal(3, [])
     expected = 6 - i + 2 if i < 6 else 2
     assert min_kernel_support(zero, 6, i, bound=expected) == expected
     assert min_kernel_support(zero, 6, i, bound=expected - 1) is None
+
+
+def brute_min_support(I, d, i, bound):
+    """Oracle of min_kernel_support: the smallest size of a dependent set of
+    columns of contraction_matrix, each subset ranked by plain Bareiss."""
+    C = contraction_matrix(I, i, d)
+    columns = [C.column(c) for c in range(C.cols)]
+    for size in range(1, bound + 1):
+        for subset in combinations(columns, size):
+            sub = ExactMatrix(C.rows, size, [list(row) for row in zip(*subset)])
+            if rank(sub) < size:
+                return size
+    return None
+
+
+def support_search_cases():
+    zero = MonomialIdeal(3, [])
+    cases = [(zero, d) for d in range(1, 6)]
+    rng = random.Random(37)
+    for n, d in ((3, 3), (3, 4), (4, 3)):
+        for _ in range(4):
+            I = ideal_from_mask(n, d, rng.getrandbits(basis_size(n, d) - n))
+            cases += [(I, k) for k in range(1, socle_degree(I) + 1)]
+    return cases
+
+
+def test_min_kernel_support_matches_brute_force():
+    # every power and every bound up to 4 (the whole piece when smaller), on
+    # the zero ideal and seeded support ideals, against column subsets of
+    # the contraction matrix itself
+    for I, d in support_search_cases():
+        top = min(I.hf(d), 4)
+        for i in range(1, d + 1):
+            want = brute_min_support(I, d, i, top)
+            for bound in range(1, top + 1):
+                expected = want if want is not None and want <= bound else None
+                assert min_kernel_support(I, d, i, bound) == expected, (I, d, i, bound)
 
 
 def test_rank_duality_on_brenner_kaid():

@@ -60,7 +60,7 @@ def test_symmetry_orbit_counts():
     # canonical representatives expand back to the full mask count
     from lefschetz_props.harness import _campaign_space
 
-    _, mixed, maps = _campaign_space(3, 3)
+    mixed, maps = _campaign_space(3, 3)
     canonical = list(iter_support_masks(SearchSpec(3, 3, 0, 7, symmetry=True)))
     seen = set()
     for mask in canonical:

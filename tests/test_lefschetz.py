@@ -16,6 +16,7 @@ from lefschetz_props.harness import (
 )
 from lefschetz_props.ideals import MonomialIdeal, socle_degree
 from lefschetz_props.lefschetz import (
+    LinearForm,
     check_power,
     check_power_shortcut,
     check_slp,
@@ -76,6 +77,19 @@ def test_has_maximal_rank_on_complete_intersections():
 def test_has_maximal_rank_brenner_kaid_failure():
     ok, r = has_maximal_rank(BK, None, 1, 2)
     assert not ok and r == 5
+
+
+@pytest.mark.parametrize("check", [has_maximal_rank, mult_map_matrix])
+def test_map_shape_is_checked(check):
+    # a form with too many or too few coefficients, a power below one and a
+    # negative source degree are refused alike by both entry points
+    for ell in (LinearForm((1, 1, 1, 5)), LinearForm((1, 2))):
+        with pytest.raises(ValueError):
+            check(BK, ell, 1, 1)
+    for i, j in ((0, 1), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            check(BK, None, i, j)
+    assert check(BK, LinearForm((1, 2, 3)), 1, 1) is not None
 
 
 def test_extremal_dual_not_surjective():

@@ -2,6 +2,7 @@
 oracle, the standard-index row builder against the mask/rowmap one, and the
 box parity columns against the parity of the built matrix."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,8 +20,6 @@ from lefschetz_props.ideals import (
 )
 from lefschetz_props.lefschetz import (
     LinearForm,
-    _ones_columns,
-    _weighted_offsets,
     mult_map_matrix,
     ones_form,
     random_linear_form,
@@ -79,7 +78,9 @@ def test_support_ideal_rejects_negative_degrees():
 
 def mask_rowmap_rows(I, ell, i, j):
     """Slow twin of the row builder: scan the whole degree-j and degree-(j+i)
-    bases through degree_mask and map target positions to rows."""
+    bases through degree_mask, map target positions to rows, and expand the
+    i-th power of ell term by term.  Entries are ints when every weight is,
+    else the nonzero weights are Fractions."""
     n = I.n
     mask_j = I.degree_mask(j)
     mask_ji = I.degree_mask(j + i)
@@ -91,18 +92,17 @@ def mask_rowmap_rows(I, ell, i, j):
         if not (mask_ji >> gi) & 1:
             rowmap[gi] = r
             r += 1
-    rows = [[0] * len(src) for _ in range(r)]
-    if ell.is_ones():
-        cols = _ones_columns(n, j, i)
-        for ci, gi in enumerate(src):
-            for tg, w in cols[gi]:
-                if rowmap[tg] >= 0:
-                    rows[rowmap[tg]][ci] = w
-        return rows
-    offsets = _weighted_offsets(n, i, ell.coefficients)
+    offsets = []
+    for c in monomial_basis(n, i):
+        w = Fraction(math.factorial(i))
+        for a, e in zip(ell.coefficients, c):
+            w *= Fraction(a) ** e / math.factorial(e)
+        if w:
+            offsets.append((c, w))
+    integral = all(w.denominator == 1 for _, w in offsets)
     tgt_index = basis_index(n, j + i)
     base = monomial_basis(n, j)
-    integral = all(w.denominator == 1 for _, w in offsets)
+    rows = [[0] * len(src) for _ in range(r)]
     for ci, gi in enumerate(src):
         for c, w in offsets:
             rr = rowmap[tgt_index[tuple(x + y for x, y in zip(base[gi], c))]]
