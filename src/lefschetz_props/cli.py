@@ -86,8 +86,6 @@ def _load_ideal(args):
 
 
 def _emit(payload: dict, args) -> None:
-    if getattr(args, "no_timestamp", False):
-        payload.pop("elapsed_seconds", None)
     if getattr(args, "format", "json") == "csv":
         sys.stdout.write(_to_csv(payload))
     else:
@@ -319,7 +317,12 @@ def _cmd_osequence(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _campaign_exit(report) -> int:
+def _emit_campaign(report, args, **fields) -> int:
+    """Emit a campaign report (timing dropped under --no-timestamp) with the
+    given fields set, and return its exit code."""
+    payload = report.to_dict(include_timing=not args.no_timestamp)
+    payload.update(fields)
+    _emit(payload, args)
     if report.partial:
         return EXIT_BUDGET
     return EXIT_OK if report.confirmed else EXIT_FAIL
@@ -337,20 +340,14 @@ def _cmd_verify_bound(args) -> int:
         args.n, args.d, *powers, symmetry=args.symmetry, threads=args.threads,
         budget_ideals=args.budget_ideals, budget_entries=args.budget_entries,
     )
-    payload = report.to_dict(include_timing=not args.no_timestamp)
-    payload["command"] = args.command
-    _emit(payload, args)
-    return _campaign_exit(report)
+    return _emit_campaign(report, args, command=args.command)
 
 
 def _cmd_verify_thm37(args) -> int:
     _apply_config(args, None)
     _fill_defaults(args, budget=10_000_000)
     report = harness.verify_thm37(args.n, args.d, args.i, budget=args.budget)
-    payload = report.to_dict(include_timing=not args.no_timestamp)
-    payload["command"] = "verify-thm37"
-    _emit(payload, args)
-    return _campaign_exit(report)
+    return _emit_campaign(report, args, command="verify-thm37")
 
 
 def _cmd_crosscheck(args) -> int:
@@ -358,20 +355,12 @@ def _cmd_crosscheck(args) -> int:
     _fill_defaults(args, n=3, d=3, seed=harness.DEFAULT_SEED)
     sample = None if args.sample in (None, "all") else int(args.sample)
     report = harness.crosscheck_lemmas(args.n, args.d, sample, args.seed)
-    payload = report.to_dict(include_timing=not args.no_timestamp)
-    payload["command"] = "crosscheck"
-    payload["kind"] = "crosscheck"
-    _emit(payload, args)
-    return _campaign_exit(report)
+    return _emit_campaign(report, args, command="crosscheck", kind="crosscheck")
 
 
 def _cmd_named(args) -> int:
     report = harness.named_examples()
-    payload = report.to_dict(include_timing=not args.no_timestamp)
-    payload["command"] = "named"
-    payload["kind"] = "named-suite"
-    _emit(payload, args)
-    return _campaign_exit(report)
+    return _emit_campaign(report, args, command="named", kind="named-suite")
 
 
 # ---------------------------------------------------------------------------

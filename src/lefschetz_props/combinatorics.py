@@ -23,10 +23,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def basis_size(n: int, d: int) -> int:
     """Number of degree-d monomials in n variables: C(n+d-1, n-1)."""
     return binom(n + d - 1, n - 1)

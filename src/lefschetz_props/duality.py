@@ -2,10 +2,11 @@
 
 The polynomial ring acts on the dual ring by differentiation; contracting by
 a monomial is iterated partial differentiation, and contracting by a power of
-a linear form expands through multinomials.  All coefficients are exact
-rationals.  ``min_kernel_support`` searches support subsets in increasing
-size under a hard budget of rank calls: the subset-size search is the
-desk-scale tool, not a general sparsest-vector solver.  Contraction by
+the all-ones linear form ell (the one form the monomial deciders use)
+expands through multinomials.  All coefficients are exact rationals.
+``min_kernel_support`` searches support subsets in increasing size under a
+hard budget of rank calls: the subset-size search is the desk-scale tool,
+not a general sparsest-vector solver.  Contraction by
 ell^i from degree d is the transpose of multiplication by ell^i into degree
 d up to invertible factorial scalings, so the search tests rows of
 ``lefschetz.mult_map_matrix``, whose entries are multinomials (GF(2) can
@@ -121,23 +122,15 @@ def contract(m: Monomial, f: DualElement) -> DualElement:
     return DualElement(f.n, f.degree - dm, out)
 
 
-def ell_power_contract(f: DualElement, i: int, coefficients=None) -> DualElement:
-    """Contract f by the i-th power of a linear form (all-ones by default)."""
+def ell_power_contract(f: DualElement, i: int) -> DualElement:
+    """Contract f by the i-th power of the all-ones linear form."""
     if i < 0:
         raise ValueError("power must be nonnegative")
     if i > f.degree:
         raise ValueError("power exceeds element degree")
-    if coefficients is not None and len(coefficients) != f.n:
-        raise ValueError("arity mismatch")
     out: dict[Monomial, Fraction] = {}
     for c in monomial_basis(f.n, i):
         weight = multinomial(i, c)
-        if coefficients is not None:
-            for t, e in enumerate(c):
-                if e:
-                    weight *= Fraction(coefficients[t]) ** e
-            if weight == 0:
-                continue
         g = contract(c, f)
         for mon, coeff in g.support.items():
             val = out.get(mon, 0) + weight * coeff
@@ -216,11 +209,9 @@ def extremal_dual(n: int, d: int, i: int) -> tuple[DualElement, MonomialIdeal]:
     return f, ideal
 
 
-def contraction_matrix(
-    I: MonomialIdeal, i: int, k: int, coefficients=None
-) -> ExactMatrix:
-    """Matrix of contraction by the i-th power of a linear form from the
-    degree-k inverse-system piece to the degree-(k-i) piece.
+def contraction_matrix(I: MonomialIdeal, i: int, k: int) -> ExactMatrix:
+    """Matrix of contraction by the i-th power of the all-ones linear form
+    from the degree-k inverse-system piece to the degree-(k-i) piece.
 
     Rows are indexed by the degree-(k-i) dual monomials, columns by the
     degree-k dual monomials.
@@ -232,11 +223,11 @@ def contraction_matrix(
     row_index = {m: r for r, m in enumerate(rows)}
     data = [[0] * len(cols) for _ in rows]
     for c, mon in enumerate(cols):
-        g = ell_power_contract(DualElement(I.n, k, {mon: Fraction(1)}), i, coefficients)
+        g = ell_power_contract(DualElement(I.n, k, {mon: Fraction(1)}), i)
         for tgt, coeff in g.support.items():
             r = row_index.get(tgt)
             if r is not None:
-                data[r][c] = int(coeff) if coeff.denominator == 1 else coeff
+                data[r][c] = int(coeff)
     return ExactMatrix(len(rows), len(cols), data)
 
 

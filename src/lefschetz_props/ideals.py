@@ -446,8 +446,6 @@ class FormIdeal:
 class _FormPiece:
     """Row-reduced degree-k span of a form ideal under one term order."""
 
-    degree: int
-    order: str
     columns: tuple[Monomial, ...]      # descending by the term order
     col_index: dict
     rref_rows: tuple[tuple, ...]       # normalized rows over the columns
@@ -477,7 +475,7 @@ def _build_form_piece(I: FormIdeal, k: int, order: str) -> _FormPiece:
     leads = tuple(cols[c] for c in pivots)
     standard_set = {cols[c] for c in range(len(cols)) if c not in pivot_set}
     standard = tuple(m for m in monomial_basis(I.n, k) if m in standard_set)
-    return _FormPiece(k, order, cols, col_index, rref_rows, pivots, leads, standard)
+    return _FormPiece(cols, col_index, rref_rows, pivots, leads, standard)
 
 
 def reduce_mod_piece(piece: _FormPiece, vec: list) -> list:
@@ -575,12 +573,9 @@ def socle_degree(I, cap: int | None = None) -> int:
     if not is_artinian(I, cap=cap):
         raise NotArtinianError("socle degree needs an artinian ideal")
     cap = default_socle_cap(I) if cap is None else cap
-    e = 0
     for k in range(cap + 2):
-        h = I.hf(k)
-        if h == 0:
+        if I.hf(k) == 0:
             return k - 1
-        e = k
     raise CapExceededError(f"no vanishing up to degree {cap + 1}")
 
 

@@ -77,12 +77,11 @@ def ones_form(n: int) -> LinearForm:
     return LinearForm((1,) * n)
 
 
-def random_linear_form(n: int, seed: int, bound: int = DEFAULT_COEFF_BOUND) -> LinearForm:
-    """Integer coefficients uniform in [1, bound]; deterministic in the seed."""
-    if bound < 2:
-        raise ValueError("coefficient bound must be at least 2")
+def random_linear_form(n: int, seed: int) -> LinearForm:
+    """Integer coefficients uniform in [1, DEFAULT_COEFF_BOUND]; deterministic
+    in the seed."""
     rng = random.Random(seed)
-    return LinearForm(tuple(rng.randint(1, bound) for _ in range(n)))
+    return LinearForm(tuple(rng.randint(1, DEFAULT_COEFF_BOUND) for _ in range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +263,6 @@ def _scan_pairs(
             # full polynomial ring below the generators: injective
             records.append(PairRecord(i, j, hj, hji, hj, True))
             continue
-        if hj == 0:
-            records.append(PairRecord(i, j, 0, hji, 0, True))
-            continue
         if i in onto_powers:
             records.append(PairRecord(i, j, hj, hji, hji, True))
             continue
@@ -366,26 +362,34 @@ def check_power(
     )
 
 
+def _lemma_pair(I: MonomialIdeal, power: int | None) -> tuple[int, int] | None:
+    """The shortcut gate: the lemma pair (i, d-i), where d is the minimal
+    generator degree and i is ``power`` (None: the SLP lemma's i = d-1), or
+    None outside d >= 2, 1 <= i <= d-1, HF(R, d-i) >= HF(R, d)."""
+    d = I.min_degree or 0
+    i = d - 1 if power is None else power
+    if d >= 2 and 1 <= i < d and I.hf(d - i) >= I.hf(d):
+        return i, d - i
+    return None
+
+
 def _shortcut_check(I: MonomialIdeal, power: int | None) -> LefschetzReport:
     """The one shortcut decider: the single surjectivity test of the i-th
-    power from degree d-i to degree d, where d is the minimal generator
-    degree and i is ``power`` (None: the SLP lemma's i = d-1).  Outside the
-    gate d >= 2, 1 <= i <= d-1, HF(R, d-i) >= HF(R, d) the full check runs
-    instead and the fallback is recorded, never silent.  Inside it the pair
-    is scanned like any other, and maximal rank is surjectivity."""
+    power on the lemma pair of ``_lemma_pair``.  Outside that gate the full
+    check runs instead and the fallback is recorded, never silent.  Inside
+    it the pair is scanned like any other, and maximal rank is
+    surjectivity."""
     if not isinstance(I, MonomialIdeal):
         raise TypeError("the shortcut applies to monomial ideals")
     if power is not None and power < 1:
         raise ValueError("power must be positive")
-    d = I.min_degree or 0
-    i = d - 1 if power is None else power
-    j = d - i
-    if not (d >= 2 and 1 <= i < d and I.hf(j) >= I.hf(d)):
+    pair = _lemma_pair(I, power)
+    if pair is None:
         rep = check_slp(I, "exact") if power is None else check_power(I, power, "exact")
         rep.fallback = True
         return rep
     ell = ones_form(I.n)
-    records, witness = _scan_pairs(I, [(i, j)], "exact", ell, [], False)
+    records, witness = _scan_pairs(I, [pair], "exact", ell, [], False)
     return LefschetzReport(
         property="SLP" if power is None else "power",
         verdict=witness is None,

@@ -140,10 +140,6 @@ def _parse_terms(text: str, lineno: int, letter: str) -> list[tuple[dict, Fracti
 _EXPVEC = re.compile(r"^\s*\d+(\s+\d+)*\s*$")
 
 
-def _degree_of(exps: dict) -> int:
-    return sum(exps.values())
-
-
 def parse_generators(
     text: str, letter: str = "x", arity: int | None = None
 ) -> tuple[int, list[list[tuple[dict, Fraction]]]]:

@@ -24,8 +24,15 @@ from lefschetz_props.harness import (
     wiebe_initial_ideal_check,
 )
 from lefschetz_props.ideals import MonomialIdeal, hilbert_function, socle_degree
-from lefschetz_props.lefschetz import check_slp, check_wlp
+from lefschetz_props.lefschetz import (
+    _lemma_pair,
+    check_power_shortcut,
+    check_slp,
+    check_slp_shortcut,
+    check_wlp,
+)
 from lefschetz_props.parsing import parse_inline_ideal
+from lefschetz_props.reporting import VerificationReport
 
 
 def test_theorem_bounds():
@@ -304,6 +311,78 @@ def test_crosscheck_refuses_an_empty_sample(monkeypatch):
     assert crosscheck_lemmas(3, 3, sample=1).examined == 1
 
 
+def _crosscheck_twin(n, d, sample=None, seed=1):
+    """Crosscheck that calls every shortcut and counts a fallback wherever
+    its report says so, with the same mask draw and report layout."""
+    total = 1 << (len(monomial_basis(n, d)) - n)
+    if sample is None:
+        masks = range(total)
+    else:
+        masks = sorted(random.Random(seed).sample(range(total), sample))
+    report = VerificationReport(
+        "crosscheck-lemmas", {"n": n, "d": d, "sample": sample, "seed": seed}, False
+    )
+    counts = {"comparisons": 0, "agreements": 0, "fallbacks": 0}
+    for mask in masks:
+        I = ideal_from_mask(n, d, mask)
+        full = check_slp(I, "exact")
+        checks = [("slp", check_slp_shortcut(I), full.verdict)]
+        for power in range(1, d):
+            expected = all(p.maximal for p in full.pairs if p.i == power)
+            checks.append((f"power-{power}", check_power_shortcut(I, power), expected))
+        for check, short, expected in checks:
+            if short.fallback:
+                counts["fallbacks"] += 1
+                continue
+            counts["comparisons"] += 1
+            if short.verdict == expected:
+                counts["agreements"] += 1
+            else:
+                report.failures.append(
+                    {"mask": mask, "check": check, "full": expected,
+                     "shortcut": short.verdict,
+                     "generators": I.generator_strings()}
+                )
+    report.examined = len(masks)
+    report.confirmed = not report.failures
+    report.details = counts
+    return report.to_dict(include_timing=False)
+
+
+@pytest.mark.parametrize("n, d, sample, seed", [
+    (3, 2, None, 1), (3, 3, None, 1), (4, 2, None, 1),
+    (3, 4, 300, 7), (4, 3, 120, 33),
+])
+def test_crosscheck_matches_the_call_every_shortcut_twin(n, d, sample, seed):
+    got = crosscheck_lemmas(n, d, sample, seed).to_dict(include_timing=False)
+    assert got == _crosscheck_twin(n, d, sample, seed)
+    assert got["details"]["comparisons"] > 0
+
+
+def test_crosscheck_calls_shortcuts_only_inside_the_gate(monkeypatch):
+    from lefschetz_props import harness
+
+    calls = []
+
+    def spy(decider, power_of):
+        def wrapped(I, *args):
+            power = power_of(args)
+            calls.append(power)
+            assert _lemma_pair(I, power) is not None, (I.generator_strings(), power)
+            return decider(I, *args)
+        return wrapped
+
+    monkeypatch.setattr(harness, "check_slp_shortcut",
+                        spy(check_slp_shortcut, lambda args: None))
+    monkeypatch.setattr(harness, "check_power_shortcut",
+                        spy(check_power_shortcut, lambda args: args[0]))
+    report = crosscheck_lemmas(3, 4, 256, 3)
+    assert report.confirmed
+    assert len(calls) == report.details["comparisons"]
+    assert report.details["fallbacks"] > 0
+    assert set(calls) == {None, 1, 2, 3}
+
+
 def test_named_examples_suite():
     r = named_examples()
     assert r.confirmed
@@ -344,22 +423,32 @@ def test_witness_replay():
 
 def test_classifier_one_directional_soundness():
     # whenever the classifier says "forces", every enumerated monomial
-    # algebra with that Hilbert function must have the property
-    by_hf = {}
-    for d in (2, 3):
-        spec = SearchSpec(3, d, 0, (3, 7)[d == 3], symmetry=False)
+    # algebra with that Hilbert function must have the property.  The (3,4)
+    # and (4,3) grids are whole up to symmetry (both properties and the
+    # Hilbert function are permutation-invariant); each grid's count of
+    # ideals failing the WLP / SLP shows the oracles meet failures
+    grids = [
+        (SearchSpec(3, 2, 0, 3, symmetry=False), 8, 0, 0),
+        (SearchSpec(3, 3, 0, 7, symmetry=False), 128, 1, 7),
+        (SearchSpec(3, 4, 0, 12), 752, 2, 69),
+        (SearchSpec(4, 3, 0, 16), 3044, 357, 645),
+    ]
+    for spec, count, wlp_fails, slp_fails in grids:
+        by_hf = {}
         for I in enumerate_equigenerated(spec):
             e = socle_degree(I)
             H = hilbert_function(I, e) if e >= 0 else (1,)
             by_hf.setdefault(H, []).append(I)
-    assert by_hf
-    for H, ideals in by_hf.items():
-        if not is_o_sequence(H):
-            continue
-        if forces_wlp(H):
-            assert all(check_wlp(I).verdict for I in ideals), H
-        if forces_slp(H):
-            assert all(check_slp(I).verdict for I in ideals), H
+        assert sum(map(len, by_hf.values())) == count
+        failing = [0, 0]
+        for H, ideals in by_hf.items():
+            assert is_o_sequence(H), H
+            for k, (check, forces) in enumerate(((check_wlp, forces_wlp),
+                                                 (check_slp, forces_slp))):
+                fails = sum(not check(I, early_stop=True).verdict for I in ideals)
+                failing[k] += fails
+                assert not (fails and forces(H)), (spec.n, spec.d, H)
+        assert failing == [wlp_fails, slp_fails], (spec.n, spec.d)
 
 
 def test_threads_match_serial():
