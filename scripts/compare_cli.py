@@ -84,6 +84,11 @@ COMMANDS = [
      "--format", "csv"],
     ["slp", "--gens", BK, "--method", "full", "--mode", "randomized", "--seed", "9",
      "--format", "csv"],
+    # the cached box parity table for every power i <= d-1 in four
+    # variables: a seeded crosscheck (every power map of the SLP) and the
+    # per-power bound for i = 2
+    ["crosscheck", "--n", "4", "--d", "3", "--sample", "300", "--seed", "5"],
+    ["verify-thm2", "--n", "4", "--d", "3", "--i", "2"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

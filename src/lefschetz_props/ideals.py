@@ -7,11 +7,12 @@ The equigenerated artinian ideals of the campaigns (``SupportIdeal``) skip
 that: every standard monomial lies in the box [0, d)^n, whose positions
 sum_t a_t d^t order each degree exactly as monomial_basis does, so the whole
 quotient is one bitmask over the box, cut out of per-(n, d) tables built on
-first use, and HF(R, k) is an AND with the degree-k positions and a popcount.
-The same mask gives the multiplication maps by (x_1 + ... + x_n)^i mod 2:
-each exponent c with an odd multinomial(i; c) is a shift of the box, valid
-where a + c stays in the box, so a column is a few shifts ANDed with the
-quotient (``SupportIdeal.parity_columns``).
+first use, and its whole Hilbert function is counted once, one popcount per
+degree.  The same mask gives the multiplication maps by (x_1 + ... + x_n)^i
+mod 2: a cached per-(n, d, i) table sends each box position a to the box
+positions a + c over the exponents c with an odd multinomial(i; c), so a
+column is one table entry ANDed with the quotient
+(``SupportIdeal.parity_columns``).
 Form ideals never go through a Groebner engine: for an ideal with minimal
 generator degree d, the degree-k piece is the explicit span of all
 monomial-times-generator products, row reduced once per (degree, term order)
@@ -222,7 +223,8 @@ class _BoxTables:
     sits at bit position sum_t a_t * d^t."""
 
     full: int                          # every box position
-    degree: tuple[int, ...]            # k -> box positions of degree k
+    degree: tuple[int, ...]            # k -> mask of the box positions of degree k
+    positions: tuple[tuple[int, ...], ...]  # k -> those positions, ascending
     orthant: tuple[int, ...]           # mixed position -> box multiples of it
     index: tuple[int, ...]             # box position -> monomial_basis index
     generators: tuple[tuple[Monomial, int], ...]  # degree-d basis, mixed position or -1
@@ -240,10 +242,10 @@ def support_positions(n: int, d: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _box_tables(n: int, d: int) -> _BoxTables:
     box = [tuple(pos // d**t % d for t in range(n)) for pos in range(d**n)]
-    degree = [0] * (n * (d - 1) + 1)
+    positions = [[] for _ in range(n * (d - 1) + 1)]
     index = []
     for pos, a in enumerate(box):
-        degree[sum(a)] |= 1 << pos
+        positions[sum(a)].append(pos)
         index.append(basis_index(n, sum(a))[a])
     basis = monomial_basis(n, d)
     mixed_pos = {g: p for p, g in enumerate(support_positions(n, d))}
@@ -253,30 +255,33 @@ def _box_tables(n: int, d: int) -> _BoxTables:
         for g in mixed_pos
     )
     return _BoxTables(
-        (1 << len(box)) - 1, tuple(degree), orthant, tuple(index), generators
+        (1 << len(box)) - 1,
+        tuple(sum(1 << pos for pos in ps) for ps in positions),
+        tuple(tuple(ps) for ps in positions),
+        orthant,
+        tuple(index),
+        generators,
     )
 
 
 @lru_cache(maxsize=None)
-def _odd_shifts(n: int, d: int, i: int) -> tuple[tuple[int, int], ...]:
-    """(offset, valid mask) per exponent c of degree i with an odd
-    multinomial(i; c) that fits in the box [0, d)^n.  Adding c to a box
-    position a is adding the offset sum_t c_t d^t, but only where a + c stays
-    in the box; ``valid`` is that carry guard, the box positions with
-    a_t + c_t < d for every t."""
+def _parity_images(n: int, d: int, i: int) -> tuple[int, ...]:
+    """Box position a -> box mask of the monomials x^(a+c) with an odd
+    multinomial(i; c), over the exponents c of degree i: the column of a
+    under multiplication by (x_1 + ... + x_n)^i mod 2, before the quotient
+    cuts it.  Adding c to a is adding the offset sum_t c_t d^t, and only
+    targets that stay in the box are kept (the others are multiples of a
+    pure power x_t^d)."""
     box = [tuple(pos // d**t % d for t in range(n)) for pos in range(d**n)]
-    shifts = []
+    images = [0] * len(box)
     for c in monomial_basis(n, i):
         if max(c) >= d or not multinomial(i, c) & 1:
             continue
         offset = sum(e * d**t for t, e in enumerate(c))
-        valid = sum(
-            1 << pos
-            for pos, a in enumerate(box)
-            if all(x + e < d for x, e in zip(a, c))
-        )
-        shifts.append((offset, valid))
-    return tuple(shifts)
+        for pos, a in enumerate(box):
+            if all(x + e < d for x, e in zip(a, c)):
+                images[pos] |= 1 << (pos + offset)
+    return tuple(images)
 
 
 class SupportIdeal(MonomialIdeal):
@@ -296,10 +301,12 @@ class SupportIdeal(MonomialIdeal):
     the box compare like their last differing exponents (base-d digits), so
     box order within one degree is the colex order of monomial_basis, and
     standard_indices and every matrix built from them match MonomialIdeal's
-    entry for entry.  HF(R, k) is one AND and a popcount.
+    entry for entry.  The whole Hilbert function is counted once, at
+    construction, as one popcount of ``std`` per box degree; ``hf`` reads
+    that tuple.
     """
 
-    __slots__ = ("d", "std", "_box")
+    __slots__ = ("d", "std", "_box", "_hfs")
 
     def __init__(self, n: int, d: int, mask: int):
         box = _box_tables(n, d)
@@ -313,8 +320,9 @@ class SupportIdeal(MonomialIdeal):
         self.n = n
         self.d = d
         self.generators = tuple(gens)
-        self.std = box.full & ~killed
+        self.std = std = box.full & ~killed
         self._box = box
+        self._hfs = tuple([(std & m).bit_count() for m in box.degree])
 
     @property
     def min_degree(self) -> int:
@@ -327,25 +335,23 @@ class SupportIdeal(MonomialIdeal):
     def pure_power_degrees(self) -> dict[int, int]:
         return dict.fromkeys(range(self.n), self.d)
 
-    def _std_in_degree(self, k: int) -> int:
+    def _positions(self, k: int) -> tuple[int, ...]:
+        """Ascending box positions of degree k, standard or not."""
         if k < 0:
             raise ValueError("degree must be nonnegative")
-        degree = self._box.degree
-        return self.std & degree[k] if k < len(degree) else 0
+        positions = self._box.positions
+        return positions[k] if k < len(positions) else ()
 
     def hf(self, k: int) -> int:
-        return self._std_in_degree(k).bit_count()
+        if k < 0:
+            raise ValueError("degree must be nonnegative")
+        hfs = self._hfs
+        return hfs[k] if k < len(hfs) else 0
 
     def standard_indices(self, k: int) -> tuple[int, ...]:
-        bits = self._std_in_degree(k)
+        std = self.std
         index = self._box.index
-        out = []
-        while bits:
-            top = bits.bit_length() - 1
-            out.append(index[top])
-            bits ^= 1 << top
-        out.reverse()
-        return tuple(out)
+        return tuple([index[p] for p in self._positions(k) if std >> p & 1])
 
     def degree_mask(self, k: int) -> int:
         mask = (1 << basis_size(self.n, k)) - 1
@@ -357,21 +363,12 @@ class SupportIdeal(MonomialIdeal):
         """Columns of multiplication by (x_1 + ... + x_n)^i from degree j,
         reduced mod 2 and packed as box masks: one int per standard monomial
         of degree j, bit b set iff box position b is a standard monomial whose
-        entry multinomial(i; c) is odd.  Their GF(2) rank is that of the
-        integer matrix, read from ``std`` without building it."""
-        shifts = _odd_shifts(self.n, self.d, i)
+        entry multinomial(i; c) is odd.  Each column is the cached full-box
+        image of its source position (``_parity_images``) cut by ``std``, so
+        their GF(2) rank is that of the integer matrix without building it."""
+        images = _parity_images(self.n, self.d, i)
         std = self.std
-        src = self._std_in_degree(j)
-        cols = []
-        while src:
-            low = src & -src
-            col = 0
-            for offset, valid in shifts:
-                if valid & low:
-                    col |= low << offset
-            cols.append(col & std)
-            src ^= low
-        return cols
+        return [images[p] & std for p in self._positions(j) if std >> p & 1]
 
 
 # ---------------------------------------------------------------------------

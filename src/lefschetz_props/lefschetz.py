@@ -24,10 +24,12 @@ later R_k onto R_{k+i} (Migliore-Miro-Roig-Nagel, Trans. AMS 2011,
 Prop. 2.1), so such a pair is recorded with rank HF(k+i).
 
 A support ideal under the all-ones form holds its quotient as one mask over
-the box [0, d)^n, and the matrix mod 2 is read from that mask
-(``SupportIdeal.parity_columns``): its GF(2) rank is the policy's first
-step.  Rows are built only when that rank falls short of min(dims), and
-they enter the policy after its GF(2) step.
+the box [0, d)^n and its Hilbert function as one tuple, so the dimensions of
+a pair are two lookups.  The matrix mod 2 is read from that mask
+(``SupportIdeal.parity_columns``: one cached parity image per source
+position, cut by the mask), and its GF(2) rank is the policy's first step.
+Rows are built only when that rank falls short of min(dims), and they enter
+the policy after its GF(2) step.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ class LinearForm:
         return len(self.coefficients)
 
     def is_ones(self) -> bool:
-        return all(c == 1 for c in self.coefficients)
+        return self.coefficients == (1,) * len(self.coefficients)
 
 
+@lru_cache(maxsize=None)
 def ones_form(n: int) -> LinearForm:
     return LinearForm((1,) * n)
 
@@ -250,12 +253,13 @@ def _scan_pairs(
     each pair list ascending in j within one power i, as the WLP, SLP and
     power lists do."""
     d = I.min_degree
+    hf = I.hf
     records: list[PairRecord] = []
     witness = None
     onto_powers: set[int] = set()
     for i, j in pair_list:
-        hj = I.hf(j)
-        hji = I.hf(j + i)
+        hj = hf(j)
+        hji = hf(j + i)
         if hji == 0:
             records.append(PairRecord(i, j, hj, 0, 0, True))
             continue

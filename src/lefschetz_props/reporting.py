@@ -8,15 +8,19 @@ test suite validates emitted documents against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SCHEMA_ID = "lefschetz-report/1"
 
 PAIR_FIELDS = ("i", "j", "dim_source", "dim_target", "rank", "maximal")
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One multiplication map: power i from degree j to degree j+i."""
+class PairRecord(NamedTuple):
+    """One multiplication map: power i from degree j to degree j+i.
+
+    A named tuple, because campaigns make several per ideal and a tuple is
+    cheap to build: fields follow ``PAIR_FIELDS``, cannot be assigned, and
+    equal records hash equal."""
 
     i: int
     j: int

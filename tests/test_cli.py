@@ -11,7 +11,16 @@ import jsonschema
 import pytest
 
 from lefschetz_props.cli import run
-from lefschetz_props.reporting import JSON_SCHEMAS, SCHEMA_ID, pairs_from_csv_rows
+from lefschetz_props.ideals import MonomialIdeal
+from lefschetz_props.lefschetz import check_power, check_slp, check_wlp
+from lefschetz_props.reporting import (
+    JSON_SCHEMAS,
+    PAIR_FIELDS,
+    SCHEMA_ID,
+    PairRecord,
+    pairs_from_csv_rows,
+    pairs_to_csv_rows,
+)
 
 BK = "x1^3,x2^3,x3^3,x1*x2*x3"
 
@@ -251,6 +260,43 @@ def test_csv_pairs_round_trip(capsys):
     rows = list(csv.reader(io.StringIO(csv_out)))
     records = pairs_from_csv_rows(rows)
     assert [r.to_dict() for r in records] == payload["pairs"]
+
+
+def test_pair_record_contract():
+    """PairRecord's public contract: fields in PAIR_FIELDS order, to_dict,
+    repr, immutability, equal records hashing equal, the CSV round trip,
+    and reports whose pairs validate against JSON_SCHEMAS."""
+    values = (1, 2, 3, 4, 3, True)
+    rec = PairRecord(*values)
+    assert rec == PairRecord(**dict(zip(PAIR_FIELDS, values)))
+    assert tuple(getattr(rec, f) for f in PAIR_FIELDS) == values
+    assert rec.to_dict() == dict(zip(PAIR_FIELDS, values))
+    assert list(rec.to_dict()) == list(PAIR_FIELDS)
+    assert repr(rec) == (
+        "PairRecord(i=1, j=2, dim_source=3, dim_target=4, rank=3, maximal=True)"
+    )
+    for name in PAIR_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    assert rec.to_dict() == dict(zip(PAIR_FIELDS, values))
+    twin = PairRecord(1, 2, 3, 4, 3, True)
+    other = PairRecord(1, 2, 3, 4, 2, False)
+    assert twin == rec and hash(twin) == hash(rec) and len({rec, twin}) == 1
+    assert other != rec
+    assert pairs_from_csv_rows(pairs_to_csv_rows([rec, other])) == [rec, other]
+    bk = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
+    reports = [
+        check_wlp(bk),
+        check_slp(bk),
+        check_power(bk, 2),
+        check_slp(bk, "randomized", seed=9),
+    ]
+    for rep in reports:
+        assert rep.pairs and all(type(p) is PairRecord for p in rep.pairs)
+        payload = json.loads(json.dumps(rep.to_dict()))
+        validate(payload)
+        assert payload["pairs"] == [p.to_dict() for p in rep.pairs]
+        assert pairs_from_csv_rows(pairs_to_csv_rows(rep.pairs)) == list(rep.pairs)
 
 
 def test_csv_hf(capsys):

@@ -15,7 +15,8 @@ from lefschetz_props.ideals import (
     MonomialIdeal,
     SupportIdeal,
     _box_tables,
-    _odd_shifts,
+    _parity_images,
+    hilbert_function,
     socle_degree,
 )
 from lefschetz_props.lefschetz import (
@@ -48,11 +49,15 @@ def assert_same_ideal(S, O, n, d):
     assert S.generator_strings() == O.generator_strings()
     assert (S.min_degree, S.max_degree) == (O.min_degree, O.max_degree)
     assert S.pure_power_degrees() == O.pure_power_degrees()
-    for k in range(n * (d - 1) + 3):
+    top = n * (d - 1)
+    for k in range(top + 3):
         assert S.hf(k) == O.hf(k), k
         assert S.degree_mask(k) == O.degree_mask(k), k
         assert S.standard_indices(k) == O.standard_indices(k), k
         assert S.standard_monomials(k) == O.standard_monomials(k), k
+    # past the box top no standard monomial is left
+    assert [S.hf(k) for k in range(top + 1, top + 6)] == [0] * 5
+    assert hilbert_function(S, top + 2) == hilbert_function(O, top + 2)
     assert socle_degree(S) == socle_degree(O)
 
 
@@ -74,6 +79,8 @@ def test_support_ideal_rejects_negative_degrees():
     for method in (S.hf, S.standard_indices, S.degree_mask):
         with pytest.raises(ValueError):
             method(-1)
+    with pytest.raises(ValueError):
+        S.parity_columns(1, -1)
 
 
 def mask_rowmap_rows(I, ell, i, j):
@@ -154,8 +161,10 @@ def assert_parity_columns_match_the_matrix(S, i, j):
 
 
 def test_box_parity_columns_on_every_3_4_mask():
-    # i runs to d + 1: from i = d on no odd shift fits in the box
-    assert _odd_shifts(3, 4, 4) == _odd_shifts(3, 4, 5) == ()
+    # i runs to d + 1: from i = d on no odd multinomial(i; c) has c inside
+    # the box, so every image of the parity table is empty
+    for i in (4, 5):
+        assert _parity_images(3, 4, i) == (0,) * 4**3
     for mask in range(1 << (basis_size(3, 4) - 3)):
         S = ideal_from_mask(3, 4, mask)
         e = socle_degree(S)
