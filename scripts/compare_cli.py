@@ -89,6 +89,10 @@ COMMANDS = [
     # per-power bound for i = 2
     ["crosscheck", "--n", "4", "--d", "3", "--sample", "300", "--seed", "5"],
     ["verify-thm2", "--n", "4", "--d", "3", "--i", "2"],
+    # campaigns decided from the one critical map: the power-shortcut decide
+    # over a searched witness window, and 151k four-variable masks
+    ["verify-thm2", "--n", "3", "--d", "5", "--i", "1"],
+    ["verify-thm1", "--n", "4", "--d", "4"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

@@ -10,16 +10,25 @@ both Lefschetz properties are permutation-invariant, so campaign conclusions
 are unchanged by the reduction.  A mask is canonical when no permutation
 image is smaller; images are ORs of per-permutation byte lookup tables.
 
-Each visited mask becomes a ``SupportIdeal``: its standard monomials are one
-bitmask over the box [0, d)^n (the pure powers x_t^d keep every standard
-monomial inside it), and box order within a degree is monomial_basis order,
-so its Hilbert function and matrices equal those of the same MonomialIdeal.
+A campaign decides each visited mask from its one critical map and builds
+no ideal or report for a mask that passes.  Inside the lemma gate
+HF(d-i) >= HF(d) (i = 1 for the WLP, the shortcut's power otherwise) the
+check passes exactly when ell^i maps R_{d-i} onto R_d, that is, when the
+rows of that map for the mask's monomials are independent; for the WLP the
+pairs below it are free and every later pair is onto by propagation.  Only
+a mask that fails, or lies outside the gate, becomes a ``SupportIdeal`` (its
+standard monomials one bitmask over the box [0, d)^n, so its Hilbert
+function and matrices equal those of the same MonomialIdeal) and goes
+through the full check, whose report is recorded.  The matrix entry cost a
+budget counts is HF(j) HF(j+1) summed over the pairs the full check would
+list, not over the one map that is ranked, so it is the same either way.
 Campaigns are deterministic: fixed enumeration order, recorded seeds, and
 order-preserving merges of any parallel work.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import time
@@ -43,20 +52,24 @@ from .ideals import (
     FormIdeal,
     MonomialIdeal,
     SupportIdeal,
+    byte_or_tables,
     hilbert_function,
     initial_ideal_degreewise,
     is_artinian,
     monomial_ideal_from_leads,
     socle_degree,
     support_positions,
+    support_quotient,
 )
 from .lefschetz import (
     _lemma_pair,
+    _lemma_power,
     check_power,  # unused here; campaign_bench wraps harness.check_power
     check_power_shortcut,
     check_slp,
     check_slp_shortcut,
     check_wlp,
+    support_rows_independent,
 )
 from .reporting import VerificationReport
 
@@ -129,23 +142,14 @@ def _campaign_space(n: int, d: int):
 
 @lru_cache(maxsize=None)
 def _symmetry_tables(n: int, d: int):
-    """Byte lookup images of every non-identity permutation map: entry
-    [k][v] is the image of the byte value v placed at bits 8k..8k+7."""
-    mixed, maps = _campaign_space(n, d)
-    m = len(mixed)
-    tables = []
-    for pm in maps:
-        if all(p == b for b, p in enumerate(pm)):
-            continue
-        per_byte = []
-        for base in range(0, m, 8):
-            table = [0] * 256
-            for v in range(1, 256):
-                b = base + (v & -v).bit_length() - 1
-                table[v] = table[v & (v - 1)] | (1 << pm[b] if b < m else 0)
-            per_byte.append(tuple(table))
-        tables.append(tuple(per_byte))
-    return tuple(tables)
+    """Byte lookup images (``byte_or_tables``) of every non-identity
+    permutation map."""
+    _, maps = _campaign_space(n, d)
+    return tuple(
+        byte_or_tables([1 << p for p in pm])
+        for pm in maps
+        if any(p != b for b, p in enumerate(pm))
+    )
 
 
 def _is_canonical(mask: int, tables) -> bool:
@@ -214,29 +218,59 @@ def _run_check(I, key: str, args: dict):
     raise ValueError(f"unknown check {key!r}")
 
 
+def _decide_mask(n: int, d: int, mask: int, key: str, args: dict) -> int | None:
+    """The matrix entry cost ``_run_check`` reports for a mask that passes,
+    decided from the one critical map without building an ideal or a
+    report; None when the mask is outside the gate or fails, and only the
+    full check may report it.
+
+    Every key's gate is the lemma gate of its power (i = 1 for the WLP, the
+    shortcut's i, None for the SLP): HF(d-i) >= HF(d).  Inside it the map
+    ell^i from R_{d-i} = S_{d-i} to R_d must be onto, which is independence
+    of the rows of the mask's monomials; for the WLP the pairs below it are
+    free and every pair after an onto one is onto
+    (``lefschetz._scan_pairs``).  The cost sums
+    HF(j) HF(j+1) over the pairs the full check lists: every degree for the
+    WLP, the lemma pair alone for a shortcut."""
+    power = 1 if key == "wlp" else args.get("i")
+    _, hfs = support_quotient(n, d, mask)
+    i = _lemma_power(d, power, hfs.__getitem__)
+    if i is None or not support_rows_independent(n, d, i, mask):
+        return None
+    if key == "wlp":
+        return sum([a * b for a, b in zip(hfs, hfs[1:])])
+    return hfs[d - i] * hfs[d]
+
+
 def _campaign_worker(job):
     n, d, masks, key, args, first = job
     failures = []
     cost = 0
     for k, mask in enumerate(masks, 1):
-        rep = _run_check(ideal_from_mask(n, d, mask), key, args)
-        cost += _report_cost(rep)
-        if not rep.verdict:
-            failures.append((mask, rep))
-            if first:
-                return k, cost, failures
+        c = _decide_mask(n, d, mask, key, args)
+        if c is None:
+            rep = _run_check(ideal_from_mask(n, d, mask), key, args)
+            c = _report_cost(rep)
+            if not rep.verdict:
+                failures.append((mask, rep))
+        cost += c
+        if first and failures:
+            return k, cost, failures
     return len(masks), cost, failures
 
 
 def _job_results(jobs, workers: int):
     """Results of ``_campaign_worker`` in job order, pulled lazily: the
     builtin map when serial, else a process pool holding at most two jobs
-    per worker in flight.  Closing the generator cancels the jobs that have
-    not started."""
+    per worker in flight.  Workers are forked (pinned, since the default
+    start method on Linux changes in Python 3.14), so they start without
+    re-importing the package.  Closing the generator cancels the jobs that
+    have not started."""
     if workers == 1:
         yield from map(_campaign_worker, jobs)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         window = deque()
         try:
             for job in jobs:

@@ -225,9 +225,25 @@ class _BoxTables:
     full: int                          # every box position
     degree: tuple[int, ...]            # k -> mask of the box positions of degree k
     positions: tuple[tuple[int, ...], ...]  # k -> those positions, ascending
-    orthant: tuple[int, ...]           # mixed position -> box multiples of it
+    mixed: int                         # every support mask bit
+    cleared: tuple[tuple[int, ...], ...]  # byte k, value v -> box multiples of
+                                       # the mixed positions 8k + (bits of v)
     index: tuple[int, ...]             # box position -> monomial_basis index
     generators: tuple[tuple[Monomial, int], ...]  # degree-d basis, mixed position or -1
+
+
+def byte_or_tables(images) -> tuple[tuple[int, ...], ...]:
+    """Byte lookup tables of the map sending bit b of a mask to images[b]
+    and a mask to the OR of the images of its bits: entry [k][v] is the
+    image of the byte value v placed at bits 8k..8k+7."""
+    tables = []
+    for base in range(0, len(images), 8):
+        table = [0] * 256
+        for v in range(1, 256):
+            b = base + (v & -v).bit_length() - 1
+            table[v] = table[v & (v - 1)] | (images[b] if b < len(images) else 0)
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 @lru_cache(maxsize=None)
@@ -250,18 +266,35 @@ def _box_tables(n: int, d: int) -> _BoxTables:
     basis = monomial_basis(n, d)
     mixed_pos = {g: p for p, g in enumerate(support_positions(n, d))}
     generators = tuple((m, mixed_pos.get(g, -1)) for g, m in enumerate(basis))
-    orthant = tuple(
+    orthant = [
         sum(1 << pos for pos, a in enumerate(box) if divides(basis[g], a))
         for g in mixed_pos
-    )
+    ]
     return _BoxTables(
         (1 << len(box)) - 1,
         tuple(sum(1 << pos for pos in ps) for ps in positions),
         tuple(tuple(ps) for ps in positions),
-        orthant,
+        (1 << len(orthant)) - 1,
+        byte_or_tables(orthant),
         tuple(index),
         generators,
     )
+
+
+def support_quotient(n: int, d: int, mask: int) -> tuple[int, tuple[int, ...]]:
+    """(std, Hilbert function) of the support ideal of the mask
+    (``SupportIdeal``): the standard monomials as one mask over the box, the
+    full box minus the box multiples of every cleared mixed bit, read one
+    byte of cleared bits at a time; and HF(k) for every box degree k, one
+    popcount each."""
+    box = _box_tables(n, d)
+    cleared = box.mixed & ~mask
+    killed = 0
+    for table in box.cleared:
+        killed |= table[cleared & 255]
+        cleared >>= 8
+    std = box.full & ~killed
+    return std, tuple([(std & m).bit_count() for m in box.degree])
 
 
 @lru_cache(maxsize=None)
@@ -296,33 +329,27 @@ class SupportIdeal(MonomialIdeal):
     The quotient is ``std``, the standard monomials as one bitmask over the
     box [0, d)^n: the pure powers put every standard monomial inside the
     box, and a box position is standard iff no generator divides it, so
-    ``std`` is the full box minus the box multiples (one cached orthant mask
-    per mixed generator) of the generators.  Two equal-degree monomials in
-    the box compare like their last differing exponents (base-d digits), so
-    box order within one degree is the colex order of monomial_basis, and
-    standard_indices and every matrix built from them match MonomialIdeal's
-    entry for entry.  The whole Hilbert function is counted once, at
-    construction, as one popcount of ``std`` per box degree; ``hf`` reads
-    that tuple.
+    ``std`` is the full box minus the box multiples of the mixed generators
+    (``support_quotient``, which campaigns also call without an ideal).
+    Two equal-degree monomials in the box compare like their last differing
+    exponents (base-d digits), so box order within one degree is the colex
+    order of monomial_basis, and standard_indices and every matrix built
+    from them match MonomialIdeal's entry for entry.  The whole Hilbert
+    function is counted once, at construction, as one popcount of ``std``
+    per box degree; ``hf`` and ``socle_degree`` read that tuple.
     """
 
     __slots__ = ("d", "std", "_box", "_hfs")
 
     def __init__(self, n: int, d: int, mask: int):
         box = _box_tables(n, d)
-        gens = []
-        killed = 0
-        for m, p in box.generators:
-            if p < 0 or not (mask >> p) & 1:
-                gens.append(m)
-                if p >= 0:
-                    killed |= box.orthant[p]
         self.n = n
         self.d = d
-        self.generators = tuple(gens)
-        self.std = std = box.full & ~killed
+        self.generators = tuple(
+            [m for m, p in box.generators if p < 0 or not mask >> p & 1]
+        )
+        self.std, self._hfs = support_quotient(n, d, mask)
         self._box = box
-        self._hfs = tuple([(std & m).bit_count() for m in box.degree])
 
     @property
     def min_degree(self) -> int:
@@ -566,7 +593,16 @@ def socle_degree(I, cap: int | None = None) -> int:
     """Largest e with HF(S/I, e) > 0; requires an artinian ideal.
 
     The quotient is standard graded, so the scan stops at the first zero.
+    A support ideal is artinian and holds its whole Hilbert function, so its
+    socle degree is the last nonzero entry of that tuple.
     """
+    if isinstance(I, SupportIdeal):
+        e = len(I._hfs) - 1
+        while not I._hfs[e]:
+            e -= 1
+        if cap is not None and e > cap:
+            raise CapExceededError(f"no vanishing up to degree {cap + 1}")
+        return e
     if not is_artinian(I, cap=cap):
         raise NotArtinianError("socle degree needs an artinian ideal")
     cap = default_socle_cap(I) if cap is None else cap

@@ -29,7 +29,11 @@ a pair are two lookups.  The matrix mod 2 is read from that mask
 (``SupportIdeal.parity_columns``: one cached parity image per source
 position, cut by the mask), and its GF(2) rank is the policy's first step.
 Rows are built only when that rank falls short of min(dims), and they enter
-the policy after its GF(2) step.
+the policy after its GF(2) step.  A campaign that needs only the verdict of
+the map from S_{d-i} to S_d skips the ideal: ``support_rows_independent``
+picks that map's rows for the monomials of a support mask out of one cached
+per-(n, d, i) table (``_support_rows``), packed mod 2 and as integers, and
+runs them through the same policy.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .ideals import (
     SupportIdeal,
     reduce_mod_piece,
     socle_degree,
+    support_positions,
 )
 from .reporting import LefschetzReport, PairRecord
 
@@ -138,6 +143,40 @@ def _build_monomial_rows(I: MonomialIdeal, ell: LinearForm, i: int, j: int):
             if rr >= 0:
                 rows[rr][ci] = weights[c]
     return rows, len(tgt), len(src), all(type(w) is int for w in weights)
+
+
+@lru_cache(maxsize=None)
+def _support_rows(n: int, d: int, i: int) -> tuple[tuple, tuple]:
+    """Rows of multiplication by the i-th power of the all-ones form from
+    S_{d-i} to S_d, one per mixed degree-d monomial in support mask bit
+    order (``support_positions``), kept twice: packed mod 2 into one int
+    each (bit c is the parity of column c), and as tuples of ints."""
+    weights = _weights(n, i, (1,) * n)
+    rows = [[0] * basis_size(n, d - i) for _ in range(basis_size(n, d))]
+    for ci, targets in enumerate(_columns(n, d - i, i)):
+        for tg, c in targets:
+            rows[tg][ci] = weights[c]
+    mixed = [rows[g] for g in support_positions(n, d)]
+    packed = tuple(sum(1 << c for c, e in enumerate(row) if e & 1) for row in mixed)
+    return packed, tuple(tuple(row) for row in mixed)
+
+
+def support_rows_independent(n: int, d: int, i: int, mask: int) -> bool:
+    """Whether the rows of ``_support_rows(n, d, i)`` picked by the mask are
+    linearly independent over Q, that is, whether ell^i maps R_{d-i} =
+    S_{d-i} onto R_d for the support ideal of the mask, whose degree-d
+    standard monomials are the mask's.  A full GF(2) rank certifies it;
+    otherwise the integer rows enter the rank policy after its GF(2) step."""
+    packed, rows = _support_rows(n, d, i)
+    picked = []
+    while mask:
+        low = mask & -mask
+        picked.append(low.bit_length() - 1)
+        mask ^= low
+    if rank_gf2_bits([packed[p] for p in picked]) == len(picked):
+        return True
+    exact = _kernels.rank_rows_after_gf2([rows[p] for p in picked], basis_size(n, d - i))
+    return exact == len(picked)
 
 
 def _build_form_rows(I: FormIdeal, ell: LinearForm, i: int, j: int):
@@ -366,15 +405,22 @@ def check_power(
     )
 
 
-def _lemma_pair(I: MonomialIdeal, power: int | None) -> tuple[int, int] | None:
-    """The shortcut gate: the lemma pair (i, d-i), where d is the minimal
-    generator degree and i is ``power`` (None: the SLP lemma's i = d-1), or
-    None outside d >= 2, 1 <= i <= d-1, HF(R, d-i) >= HF(R, d)."""
-    d = I.min_degree or 0
+def _lemma_power(d: int, power: int | None, hf) -> int | None:
+    """The shortcut gate on a Hilbert function ``hf`` with minimal generator
+    degree d: the power i (``power``, or for None the SLP lemma's i = d-1),
+    or None outside d >= 2, 1 <= i <= d-1, HF(R, d-i) >= HF(R, d)."""
     i = d - 1 if power is None else power
-    if d >= 2 and 1 <= i < d and I.hf(d - i) >= I.hf(d):
-        return i, d - i
+    if d >= 2 and 1 <= i < d and hf(d - i) >= hf(d):
+        return i
     return None
+
+
+def _lemma_pair(I: MonomialIdeal, power: int | None) -> tuple[int, int] | None:
+    """The shortcut gate of ``_lemma_power`` on a monomial ideal: the lemma
+    pair (i, d-i), where d is the minimal generator degree, or None."""
+    d = I.min_degree or 0
+    i = _lemma_power(d, power, I.hf)
+    return None if i is None else (i, d - i)
 
 
 def _shortcut_check(I: MonomialIdeal, power: int | None) -> LefschetzReport:

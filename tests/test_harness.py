@@ -142,17 +142,19 @@ def test_campaign_budget_yields_flagged_partial_report():
 
 
 def test_entry_budget_bounds_the_ideals_built(monkeypatch):
+    # a passing mask builds no ideal, so the worker's decides are counted
     from lefschetz_props import harness
 
-    built = []
+    decided = []
+    decide = harness._decide_mask
 
-    def counting(n, d, mask):
-        built.append(mask)
-        return ideal_from_mask(n, d, mask)
+    def counting(n, d, mask, key, args):
+        decided.append(mask)
+        return decide(n, d, mask, key, args)
 
-    monkeypatch.setattr(harness, "ideal_from_mask", counting)
+    monkeypatch.setattr(harness, "_decide_mask", counting)
     r = verify_thm1(3, 4, budget_entries=10)
-    assert r.partial and 0 < len(built) <= r.examined
+    assert r.partial and 0 < len(decided) <= r.examined
 
 
 def test_ideal_budget_bounds_the_enumeration(monkeypatch):
@@ -383,6 +385,47 @@ def test_crosscheck_calls_shortcuts_only_inside_the_gate(monkeypatch):
     assert set(calls) == {None, 1, 2, 3}
 
 
+ALL_KEYS_3_4 = [("wlp", {}), ("slp_shortcut", {})] + [
+    ("power_shortcut", {"i": i}) for i in (1, 2, 3)
+]
+
+
+def _masks(n, d, sample=None, seed=1):
+    total = 1 << (len(monomial_basis(n, d)) - n)
+    if sample is None:
+        return range(total)
+    return random.Random(seed).sample(range(total), sample)
+
+
+@pytest.mark.parametrize("n, d, sample, keys", [
+    (3, 4, None, ALL_KEYS_3_4),
+    (4, 3, None, [("wlp", {})]),
+    (3, 5, 2000, [("wlp", {}), ("power_shortcut", {"i": 2})]),
+    (4, 4, 2000, [("wlp", {}), ("power_shortcut", {"i": 1})]),
+    (5, 3, 2000, [("wlp", {}), ("power_shortcut", {"i": 1})]),
+])
+def test_critical_map_decide_matches_the_full_check(n, d, sample, keys):
+    # the campaign worker's verdict-only decide against the full check and
+    # its reported cost; outside the gate the decide must defer to it
+    from lefschetz_props import harness
+
+    for key, args in keys:
+        power = {"wlp": 1, "slp_shortcut": None}.get(key, args.get("i"))
+        decided = 0
+        for mask in _masks(n, d, sample, seed=n * 10 + d):
+            cost = harness._decide_mask(n, d, mask, key, args)
+            I = ideal_from_mask(n, d, mask)
+            if _lemma_pair(I, power) is None:
+                assert cost is None, (n, d, mask, key, args)
+                continue
+            rep = harness._run_check(I, key, args)
+            assert (cost is not None) == rep.verdict, (n, d, mask, key, args)
+            if cost is not None:
+                decided += 1
+                assert cost == harness._report_cost(rep), (n, d, mask, key, args)
+        assert decided > 0, (n, d, key, args)
+
+
 def test_named_examples_suite():
     r = named_examples()
     assert r.confirmed
@@ -467,8 +510,9 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             started.append(max_workers)
+            assert mp_context.get_start_method() == "fork"
 
         def __enter__(self):
             return self
