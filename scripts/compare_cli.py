@@ -93,6 +93,12 @@ COMMANDS = [
     # over a searched witness window, and 151k four-variable masks
     ["verify-thm2", "--n", "3", "--d", "5", "--i", "1"],
     ["verify-thm1", "--n", "4", "--d", "4"],
+    # the orderly below-bound walk stopped by each budget, on the pool path,
+    # and in five variables
+    ["verify-thm1", "--n", "3", "--d", "5", "--budget-ideals", "20000"],
+    ["verify-thm1", "--n", "3", "--d", "5", "--budget-entries", "1000000"],
+    ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2"],
+    ["verify-thm1", "--n", "5", "--d", "3", "--budget-ideals", "1000"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

@@ -8,7 +8,13 @@ Supports are walked as bitmasks by popcount (= HF(R, d)), then ascending,
 optionally reduced to canonical representatives under variable permutations;
 both Lefschetz properties are permutation-invariant, so campaign conclusions
 are unchanged by the reduction.  A mask is canonical when no permutation
-image is smaller; images are ORs of per-permutation byte lookup tables.
+image is smaller; images are ORs of per-permutation byte lookup tables.  The
+below-bound window of a campaign starts at the empty mask and is walked
+orderly: each popcount level is grown from the orbit maxima of the level
+before, so only their one-bit extensions are tested, and each kept orbit
+contributes its smallest image.  Windows that start higher (the at-bound and
+searched-witness windows, which stop at their first failure) or run without
+symmetry stream every mask of each popcount instead.
 
 A campaign decides each visited mask from its one critical map and builds
 no ideal or report for a mask that passes.  Inside the lemma gate
@@ -152,9 +158,15 @@ def _symmetry_tables(n: int, d: int):
     )
 
 
-def _is_canonical(mask: int, tables) -> bool:
-    """Whether no permutation image (``_symmetry_tables``) of the mask is
-    smaller than the mask itself."""
+def _is_canonical(mask: int, tables) -> int | None:
+    """The largest permutation image (``_symmetry_tables``) of the mask when
+    no image is smaller than the mask itself, that is, when the mask is the
+    smallest of its orbit; else None, as soon as a smaller image turns up.
+
+    Images of a complement are the complements of the images, so the mask's
+    complement is then the largest of its orbit, and the complement of the
+    returned image is the smallest image of that complement."""
+    top = mask
     for per_byte in tables:
         image = 0
         rest = mask
@@ -162,21 +174,67 @@ def _is_canonical(mask: int, tables) -> bool:
             image |= table[rest & 255]
             rest >>= 8
         if image < mask:
-            return False
-    return True
+            return None
+        if image > top:
+            top = image
+    return top
+
+
+def _orderly_masks(m: int, hf_max: int, tables):
+    """Orbit minima of masks over m bits with popcount 0..hf_max, by
+    popcount, then ascending, grown level by level from orbit maxima (Read,
+    Ann. Discrete Math. 1978; McKay, J. Algorithms 1998).  Removing the
+    lowest bit of an orbit maximum leaves an orbit maximum, so each orbit
+    maximum of popcount k+1 is a parent p of popcount k with one bit below
+    its lowest set; a child is kept when its complement passes
+    ``_is_canonical``, whose one pass also gives the child's orbit minimum.
+    Only the current level is held, and the next one is built only when
+    asked for."""
+    full = (1 << m) - 1
+    maxima = [0]
+    minima = [0]
+    for k in range(hf_max + 1):
+        minima.sort()
+        yield from minima
+        if k == hf_max:
+            return
+        children = []
+        minima = []
+        for parent in maxima:
+            for b in range((parent & -parent or 1 << m).bit_length() - 1):
+                child = parent | 1 << b
+                top = _is_canonical(full ^ child, tables)
+                if top is not None:
+                    children.append(child)
+                    minima.append(full ^ top)
+        maxima = children
 
 
 def iter_support_masks(spec: SearchSpec):
     """Bitmasks over the mixed monomials with popcount in the HF window, by
-    popcount, then ascending; Gosper's hack (HAKMEM item 175) visits only
-    masks of the wanted popcount."""
+    popcount, then ascending; with symmetry, only the smallest mask of each
+    orbit.
+
+    Two walks give this sequence.  A window from popcount 0 with symmetry
+    (the below-bound window of every campaign) is walked orderly
+    (``_orderly_masks``): it tests only children of orbit maxima, a fraction
+    of the masks, and holds one popcount level at a time.  Any other window
+    streams every mask of each popcount with Gosper's hack (HAKMEM item 175)
+    and keeps the canonical ones.  Orderly generation must start at the
+    empty mask and build a whole level before yielding any of it, which
+    costs more than it saves on the at-bound and searched-witness windows
+    that stop at their first failure; without symmetry there is nothing to
+    reduce."""
     mixed, _ = _campaign_space(spec.n, spec.d)
     tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else ()
+    if spec.symmetry and spec.hf_min == 0:
+        yield from _orderly_masks(len(mixed), spec.hf_max, tables)
+        return
     end = 1 << len(mixed)
     for k in range(spec.hf_min, spec.hf_max + 1):
         mask = (1 << k) - 1
         while mask < end:
-            if not spec.symmetry or _is_canonical(mask, tables):
+            if not spec.symmetry or _is_canonical(mask, tables) is not None:
                 yield mask
             if not mask:
                 break

@@ -161,21 +161,41 @@ def _support_rows(n: int, d: int, i: int) -> tuple[tuple, tuple]:
     return packed, tuple(tuple(row) for row in mixed)
 
 
+@lru_cache(maxsize=None)
+def _support_row_tables(n: int, d: int, i: int) -> tuple:
+    """Byte lookup tables of the packed rows of ``_support_rows(n, d, i)``:
+    entry [k][v] holds the packed rows of the bits of byte value v placed at
+    bits 8k..8k+7, in bit order (as ``ideals.byte_or_tables`` holds ORs)."""
+    packed, _ = _support_rows(n, d, i)
+    tables = []
+    for base in range(0, len(packed), 8):
+        table = [()] * 256
+        for v in range(1, 256):
+            b = base + (v & -v).bit_length() - 1
+            head = (packed[b],) if b < len(packed) else ()
+            table[v] = head + table[v & (v - 1)]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def support_rows_independent(n: int, d: int, i: int, mask: int) -> bool:
     """Whether the rows of ``_support_rows(n, d, i)`` picked by the mask are
     linearly independent over Q, that is, whether ell^i maps R_{d-i} =
     S_{d-i} onto R_d for the support ideal of the mask, whose degree-d
-    standard monomials are the mask's.  A full GF(2) rank certifies it;
-    otherwise the integer rows enter the rank policy after its GF(2) step."""
-    packed, rows = _support_rows(n, d, i)
+    standard monomials are the mask's.  A full GF(2) rank, of the packed
+    rows read a byte of the mask at a time (``_support_row_tables``),
+    certifies it; otherwise the integer rows enter the rank policy after its
+    GF(2) step."""
     picked = []
-    while mask:
-        low = mask & -mask
-        picked.append(low.bit_length() - 1)
-        mask ^= low
-    if rank_gf2_bits([packed[p] for p in picked]) == len(picked):
+    rest = mask
+    for table in _support_row_tables(n, d, i):
+        picked += table[rest & 255]
+        rest >>= 8
+    if rank_gf2_bits(picked) == len(picked):
         return True
-    exact = _kernels.rank_rows_after_gf2([rows[p] for p in picked], basis_size(n, d - i))
+    _, rows = _support_rows(n, d, i)
+    picked = [rows[p] for p in range(mask.bit_length()) if mask >> p & 1]
+    exact = _kernels.rank_rows_after_gf2(picked, basis_size(n, d - i))
     return exact == len(picked)
 
 

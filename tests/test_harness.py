@@ -100,7 +100,8 @@ def orbit_minima(n, d):
 
 @pytest.mark.parametrize(
     "n, d, lo, hi",
-    [(3, 3, 0, 7), (3, 4, 2, 9), (4, 2, 1, 6), (3, 5, 17, 18), (4, 3, 0, 16)],
+    [(3, 3, 0, 7), (3, 4, 2, 9), (4, 2, 1, 6), (3, 5, 17, 18), (4, 3, 0, 16),
+     (3, 5, 0, 11)],
 )
 @pytest.mark.parametrize("symmetry", [False, True])
 def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
@@ -111,6 +112,27 @@ def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
         key=lambda mask: (mask.bit_count(), mask),
     )
     assert list(iter_support_masks(SearchSpec(n, d, lo, hi, symmetry))) == expected
+
+
+@pytest.mark.parametrize("n, d, hi", [(3, 5, 11), (4, 4, 5), (5, 3, 4)])
+def test_orderly_walk_matches_the_gosper_stream(monkeypatch, n, d, hi):
+    # a window from popcount 0 is walked orderly, one from popcount 1 by
+    # Gosper's hack; both must give the same orbit minima in the same order
+    from lefschetz_props import harness
+
+    tests = []
+    original = harness._is_canonical
+
+    def counting(mask, tables):
+        tests.append(mask)
+        return original(mask, tables)
+
+    monkeypatch.setattr(harness, "_is_canonical", counting)
+    orderly = list(iter_support_masks(SearchSpec(n, d, 0, hi)))
+    orderly_tests = len(tests)
+    gosper = list(iter_support_masks(SearchSpec(n, d, 1, hi)))
+    assert orderly == [0] + gosper
+    assert 0 < orderly_tests < len(tests) - orderly_tests
 
 
 def test_spec_validation():
@@ -160,17 +182,19 @@ def test_entry_budget_bounds_the_ideals_built(monkeypatch):
 def test_ideal_budget_bounds_the_enumeration(monkeypatch):
     from lefschetz_props import harness
 
+    # every canonicity test of the walk that runs (orderly here, from
+    # popcount 0), which builds at most one popcount level past the limit
     calls = []
     original = harness._is_canonical
 
-    def counting(mask, maps):
+    def counting(mask, tables):
         calls.append(mask)
-        return original(mask, maps)
+        return original(mask, tables)
 
     monkeypatch.setattr(harness, "_is_canonical", counting)
     r = verify_thm1(3, 5, budget_ideals=5)
     assert r.partial and r.examined == 5
-    assert len(calls) < 500  # not the 2^18 masks of the mixed space
+    assert 0 < len(calls) < 500  # not the 2^18 masks of the mixed space
 
 
 def test_partial_report_independent_of_threads():

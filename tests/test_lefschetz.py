@@ -8,7 +8,7 @@ from lefschetz_props import _kernels, _ranks_py, lefschetz
 from lefschetz_props.combinatorics import basis_size, monomial_basis, multinomial
 from lefschetz_props.duality import extremal_dual
 from lefschetz_props.errors import NotArtinianError
-from lefschetz_props.exactlinalg import rank
+from lefschetz_props.exactlinalg import ExactMatrix, rank
 from lefschetz_props.harness import (
     ideal_from_mask,
     monomial_complete_intersection,
@@ -377,3 +377,36 @@ def test_shortcuts_reject_form_ideals():
 def test_ones_form():
     assert ones_form(4).coefficients == (1, 1, 1, 1)
     assert ones_form(3).is_ones()
+
+
+def _picked_rows_independent(n, d, i, mask):
+    _, rows = lefschetz._support_rows(n, d, i)
+    picked = [rows[p] for p in range(len(rows)) if mask >> p & 1]
+    return rank(ExactMatrix.from_rows(picked)) == len(picked)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_support_row_pick_matches_exact_rank_on_every_3_4_mask(i):
+    # the byte-table row pick, and the exact fallback behind it, against
+    # plain Bareiss on the same integer rows
+    for mask in range(1 << 12):
+        assert lefschetz.support_rows_independent(3, 4, i, mask) == (
+            _picked_rows_independent(3, 4, i, mask)
+        ), (i, mask)
+
+
+@pytest.mark.parametrize("n, d, i", [(3, 5, 1), (3, 5, 2), (4, 4, 1), (4, 4, 2)])
+def test_support_row_pick_matches_exact_rank_on_seeded_masks(n, d, i):
+    packed, _ = lefschetz._support_rows(n, d, i)
+    m, src = len(packed), basis_size(n, d - i)
+    rng = random.Random(n * 100 + d * 10 + i)
+    gf2_short = {False: 0, True: 0}
+    for _ in range(300):
+        bits = rng.sample(range(m), rng.randint(0, min(m, src + 1)))
+        mask = sum(1 << p for p in bits)
+        expected = _picked_rows_independent(n, d, i, mask)
+        assert lefschetz.support_rows_independent(n, d, i, mask) == expected, mask
+        if _ranks_py.rank_gf2_bits([packed[p] for p in bits]) < len(bits):
+            gf2_short[expected] += 1
+    # GF(2)-dependent masks reach the exact fallback, both ways
+    assert gf2_short[False] > 0 and gf2_short[True] > 0
