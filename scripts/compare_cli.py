@@ -76,17 +76,17 @@ COMMANDS = [
     ["verify-thm37", "--n", "4", "--d", "4", "--i", "2"],
     ["verify-thm37", "--n", "3", "--d", "6", "--i", "3"],
     ["minsupport", "--gens", BK, "--d", "3", "--i", "2", "--bound", "6"],
-    # pairs past an onto map of the same power: a five-variable campaign on
-    # box parity certificates, and randomized scans (FORMS is onto from
-    # (1, 1); BK fails at (1, 2) and is onto from (1, 3))
+    # pairs past an onto map of the same power: a five-variable campaign,
+    # and randomized scans (FORMS is onto from (1, 1); BK fails at (1, 2)
+    # and is onto from (1, 3))
     ["verify-thm1", "--n", "5", "--d", "3"],
     ["power", "--gens", FORMS, "--i", "1", "--method", "full", "--seed", "9",
      "--format", "csv"],
     ["slp", "--gens", BK, "--method", "full", "--mode", "randomized", "--seed", "9",
      "--format", "csv"],
-    # the cached box parity table for every power i <= d-1 in four
-    # variables: a seeded crosscheck (every power map of the SLP) and the
-    # per-power bound for i = 2
+    # every power i <= d-1 in four variables, ranked from the parity
+    # columns the row builder packs: a seeded crosscheck (every power map
+    # of the SLP) and the per-power bound for i = 2
     ["crosscheck", "--n", "4", "--d", "3", "--sample", "300", "--seed", "5"],
     ["verify-thm2", "--n", "4", "--d", "3", "--i", "2"],
     # campaigns decided from the one critical map: the power-shortcut decide
@@ -99,6 +99,10 @@ COMMANDS = [
     ["verify-thm1", "--n", "3", "--d", "5", "--budget-entries", "1000000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2"],
     ["verify-thm1", "--n", "5", "--d", "3", "--budget-ideals", "1000"],
+    # the full SLP check on a seeded sample of d = 5 support ideals, and a
+    # degree-6 minimal-support search on the zero ideal's packed parity
+    ["crosscheck", "--n", "3", "--d", "5", "--sample", "300", "--seed", "2"],
+    ["verify-thm37", "--n", "3", "--d", "6", "--i", "1"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

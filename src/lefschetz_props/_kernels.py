@@ -4,7 +4,8 @@ A rank modulo a prime is a lower bound for the exact rank (a minor that is
 nonzero mod p is nonzero).  So a rank mod 2 or mod the word prime that
 reaches min(dims) is the exact rank, and only the matrices that neither
 certifies run exact Bareiss elimination.  A caller that has the GF(2) rank
-from elsewhere (the box parity columns of a support ideal) enters the
+from elsewhere (the parity columns that ``lefschetz``'s monomial row
+builder packs, or the packed rows of a campaign's critical map) enters the
 policy after that step, through ``rank_rows_after_gf2``, so no step runs
 twice on one matrix.
 """

@@ -42,6 +42,7 @@ import sys
 from . import harness
 from .classify import forces_slp, forces_wlp, is_o_sequence
 from .duality import (
+    DEFAULT_RANK_BUDGET,
     DualElement,
     dual_ideal_from_support,
     extremal_dual,
@@ -345,7 +346,7 @@ def _cmd_verify_bound(args) -> int:
 
 def _cmd_verify_thm37(args) -> int:
     _apply_config(args, None)
-    _fill_defaults(args, budget=10_000_000)
+    _fill_defaults(args, budget=DEFAULT_RANK_BUDGET)
     report = harness.verify_thm37(args.n, args.d, args.i, budget=args.budget)
     return _emit_campaign(report, args, command="verify-thm37")
 
@@ -446,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_RANK_BUDGET)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_minsupport)
 

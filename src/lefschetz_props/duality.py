@@ -8,9 +8,11 @@ expands through multinomials.  All coefficients are exact rationals.
 hard budget of rank calls: the subset-size search is the desk-scale tool,
 not a general sparsest-vector solver.  Contraction by
 ell^i from degree d is the transpose of multiplication by ell^i into degree
-d up to invertible factorial scalings, so the search tests rows of
-``lefschetz.mult_map_matrix``, whose entries are multinomials (GF(2) can
-certify them), while ``contraction_matrix`` builds the contraction itself.
+d up to invertible factorial scalings, so the search tests rows of that
+map, whose entries are multinomials (GF(2) can certify them), built once:
+a subset's GF(2) rank is that of the map's packed parity columns cut to
+the subset's rows, and only a subset it leaves short runs the rest of the
+rank policy.  ``contraction_matrix`` builds the contraction itself.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .combinatorics import (
     monomial_basis,
     multinomial,
 )
+from ._ranks_py import rank_gf2_bits
 from .errors import BudgetExceededError
 from .exactlinalg import ExactMatrix
 from .ideals import MonomialIdeal, graded_piece
-from .lefschetz import mult_map_matrix
+from .lefschetz import _build_monomial_rows, ones_form
 
 DEFAULT_RANK_BUDGET = 10_000_000
 
@@ -243,7 +246,7 @@ def min_kernel_support(
 
     Enumerates support subsets by increasing size; the first size whose
     contraction columns are linearly dependent is minimal.  Every dependence
-    test is one call of the rank policy, counted against ``budget``.
+    test is one run of the rank policy, counted against ``budget``.
     """
     if not 1 <= i <= d:
         raise ValueError("need 1 <= i <= d")
@@ -251,19 +254,21 @@ def min_kernel_support(
     # transpose of multiplication by ell^i into degree d with row a scaled
     # by a! and column b by 1/b!: a set of contraction columns is dependent
     # exactly when the same set of rows of the multiplication map is.
-    M = mult_map_matrix(I, None, i, d - i)
-    rows, ncols = M.to_lists(), M.cols
-    if bound < 1 or bound > len(rows):
-        raise ValueError(f"bound must lie in 1..{len(rows)}")
+    rows, nrows, ncols, parity = _build_monomial_rows(I, ones_form(I.n), i, d - i)
+    if bound < 1 or bound > nrows:
+        raise ValueError(f"bound must lie in 1..{nrows}")
     calls = 0
     for size in range(1, bound + 1):
-        for subset in combinations(range(len(rows)), size):
+        for subset in combinations(range(nrows), size):
             calls += 1
             if calls > budget:
                 raise BudgetExceededError(
                     f"minimal-support search exceeded {budget} rank calls"
                 )
+            picked = sum([1 << r for r in subset])
+            if rank_gf2_bits([c & picked for c in parity]) == size:
+                continue
             sub = [rows[r] for r in subset]
-            if _kernels.rank_rows(sub, ncols) < size:
+            if _kernels.rank_rows_after_gf2(sub, ncols) < size:
                 return size
     return None

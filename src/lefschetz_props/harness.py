@@ -46,8 +46,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations
 
-from .combinatorics import basis_size, monomial_basis
+from .combinatorics import basis_index, basis_size, monomial_basis
 from .duality import (
+    DEFAULT_RANK_BUDGET,
     ell_power_contract,
     extremal_dual,
     kernel_witness,
@@ -68,6 +69,7 @@ from .ideals import (
     support_quotient,
 )
 from .lefschetz import (
+    DEFAULT_SEED,
     _lemma_pair,
     _lemma_power,
     check_power,  # unused here; campaign_bench wraps harness.check_power
@@ -79,7 +81,6 @@ from .lefschetz import (
 )
 from .reporting import VerificationReport
 
-DEFAULT_SEED = 1
 DEFAULT_BUDGET_IDEALS = 10**6
 DEFAULT_BUDGET_ENTRIES = 10**8
 # Masks per scan job: the granularity at which budgets stop a scan.
@@ -129,33 +130,21 @@ class SearchSpec:
 
 
 @lru_cache(maxsize=None)
-def _campaign_space(n: int, d: int):
-    """(mixed indices, permutation maps on mixed positions)."""
-    basis = monomial_basis(n, d)
-    mixed = support_positions(n, d)
-    index = {m: i for i, m in enumerate(basis)}
-    mixed_pos = {g: p for p, g in enumerate(mixed)}
-    maps = []
-    for sigma in permutations(range(n)):
-        pm = []
-        for g in mixed:
-            m = basis[g]
-            permuted = tuple(m[sigma[t]] for t in range(n))
-            pm.append(mixed_pos[index[permuted]])
-        maps.append(tuple(pm))
-    return mixed, tuple(maps)
-
-
-@lru_cache(maxsize=None)
 def _symmetry_tables(n: int, d: int):
-    """Byte lookup images (``byte_or_tables``) of every non-identity
-    permutation map."""
-    _, maps = _campaign_space(n, d)
-    return tuple(
-        byte_or_tables([1 << p for p in pm])
-        for pm in maps
-        if any(p != b for b, p in enumerate(pm))
-    )
+    """Byte lookup images (``byte_or_tables``) of every permutation of the
+    variables that moves a support mask bit."""
+    basis = monomial_basis(n, d)
+    index = basis_index(n, d)
+    mixed = support_positions(n, d)
+    mixed_pos = {g: p for p, g in enumerate(mixed)}
+    tables = []
+    for sigma in permutations(range(n)):
+        images = [
+            1 << mixed_pos[index[tuple(basis[g][s] for s in sigma)]] for g in mixed
+        ]
+        if any(image != 1 << p for p, image in enumerate(images)):
+            tables.append(byte_or_tables(images))
+    return tuple(tables)
 
 
 def _is_canonical(mask: int, tables) -> int | None:
@@ -225,12 +214,12 @@ def iter_support_masks(spec: SearchSpec):
     costs more than it saves on the at-bound and searched-witness windows
     that stop at their first failure; without symmetry there is nothing to
     reduce."""
-    mixed, _ = _campaign_space(spec.n, spec.d)
+    m = len(support_positions(spec.n, spec.d))
     tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else ()
     if spec.symmetry and spec.hf_min == 0:
-        yield from _orderly_masks(len(mixed), spec.hf_max, tables)
+        yield from _orderly_masks(m, spec.hf_max, tables)
         return
-    end = 1 << len(mixed)
+    end = 1 << m
     for k in range(spec.hf_min, spec.hf_max + 1):
         mask = (1 << k) - 1
         while mask < end:
@@ -498,6 +487,8 @@ def verify_thm2(
         if report.witnesses:
             witness = report.witnesses[0]
             report.min_failing_hf = witness["hf_d"]
+    if report.failures:
+        report.min_failing_hf = min(w["hf_d"] for w in report.failures)
     sharp_required = constructed or (i is None and d == 2 and bound <= top)
     report.confirmed = (
         not report.failures
@@ -515,7 +506,7 @@ def verify_thm37(
     d: int,
     i: int,
     *,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_RANK_BUDGET,
 ) -> VerificationReport:
     """Confirm that the minimal support of a degree-d dual element killed by
     the i-th power of the all-ones form is exactly d-i+2 over the full dual
@@ -564,8 +555,7 @@ def crosscheck_lemmas(
     if sample is not None and sample < 1:
         raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
     t0 = time.perf_counter()
-    mixed, _ = _campaign_space(n, d)
-    total = 1 << len(mixed)
+    total = 1 << len(support_positions(n, d))
     walk_all = sample is None or sample >= total
     count = total if walk_all else sample
     if count > DEFAULT_BUDGET_IDEALS:

@@ -8,11 +8,9 @@ that: every standard monomial lies in the box [0, d)^n, whose positions
 sum_t a_t d^t order each degree exactly as monomial_basis does, so the whole
 quotient is one bitmask over the box, cut out of per-(n, d) tables built on
 first use, and its whole Hilbert function is counted once, one popcount per
-degree.  The same mask gives the multiplication maps by (x_1 + ... + x_n)^i
-mod 2: a cached per-(n, d, i) table sends each box position a to the box
-positions a + c over the exponents c with an odd multinomial(i; c), so a
-column is one table entry ANDed with the quotient
-(``SupportIdeal.parity_columns``).
+degree.  Its ``standard_indices`` read the set bits of that mask, so the
+multiplication maps of ``lefschetz`` are built from it like those of any
+monomial ideal.
 Form ideals never go through a Groebner engine: for an ideal with minimal
 generator degree d, the degree-k piece is the explicit span of all
 monomial-times-generator products, row reduced once per (degree, term order)
@@ -32,7 +30,6 @@ from .combinatorics import (
     basis_size,
     macaulay_growth,
     monomial_basis,
-    multinomial,
 )
 from .errors import CapExceededError, NotArtinianError
 from .exactlinalg import ExactMatrix, row_reduce
@@ -297,26 +294,6 @@ def support_quotient(n: int, d: int, mask: int) -> tuple[int, tuple[int, ...]]:
     return std, tuple([(std & m).bit_count() for m in box.degree])
 
 
-@lru_cache(maxsize=None)
-def _parity_images(n: int, d: int, i: int) -> tuple[int, ...]:
-    """Box position a -> box mask of the monomials x^(a+c) with an odd
-    multinomial(i; c), over the exponents c of degree i: the column of a
-    under multiplication by (x_1 + ... + x_n)^i mod 2, before the quotient
-    cuts it.  Adding c to a is adding the offset sum_t c_t d^t, and only
-    targets that stay in the box are kept (the others are multiples of a
-    pure power x_t^d)."""
-    box = [tuple(pos // d**t % d for t in range(n)) for pos in range(d**n)]
-    images = [0] * len(box)
-    for c in monomial_basis(n, i):
-        if max(c) >= d or not multinomial(i, c) & 1:
-            continue
-        offset = sum(e * d**t for t, e in enumerate(c))
-        for pos, a in enumerate(box):
-            if all(x + e < d for x, e in zip(a, c)):
-                images[pos] |= 1 << (pos + offset)
-    return tuple(images)
-
-
 class SupportIdeal(MonomialIdeal):
     """Equigenerated artinian ideal in degree d given by its dual support.
 
@@ -362,13 +339,6 @@ class SupportIdeal(MonomialIdeal):
     def pure_power_degrees(self) -> dict[int, int]:
         return dict.fromkeys(range(self.n), self.d)
 
-    def _positions(self, k: int) -> tuple[int, ...]:
-        """Ascending box positions of degree k, standard or not."""
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        positions = self._box.positions
-        return positions[k] if k < len(positions) else ()
-
     def hf(self, k: int) -> int:
         if k < 0:
             raise ValueError("degree must be nonnegative")
@@ -376,26 +346,20 @@ class SupportIdeal(MonomialIdeal):
         return hfs[k] if k < len(hfs) else 0
 
     def standard_indices(self, k: int) -> tuple[int, ...]:
+        if k < 0:
+            raise ValueError("degree must be nonnegative")
+        positions = self._box.positions
+        if k >= len(positions):
+            return ()
         std = self.std
         index = self._box.index
-        return tuple([index[p] for p in self._positions(k) if std >> p & 1])
+        return tuple([index[p] for p in positions[k] if std >> p & 1])
 
     def degree_mask(self, k: int) -> int:
         mask = (1 << basis_size(self.n, k)) - 1
         for i in self.standard_indices(k):
             mask ^= 1 << i
         return mask
-
-    def parity_columns(self, i: int, j: int) -> list[int]:
-        """Columns of multiplication by (x_1 + ... + x_n)^i from degree j,
-        reduced mod 2 and packed as box masks: one int per standard monomial
-        of degree j, bit b set iff box position b is a standard monomial whose
-        entry multinomial(i; c) is odd.  Each column is the cached full-box
-        image of its source position (``_parity_images``) cut by ``std``, so
-        their GF(2) rank is that of the integer matrix without building it."""
-        images = _parity_images(self.n, self.d, i)
-        std = self.std
-        return [images[p] & std for p in self._positions(j) if std >> p & 1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,17 @@ for a map past an onto one: if ell^i maps R_j onto R_{j+i}, it maps every
 later R_k onto R_{k+i} (Migliore-Miro-Roig-Nagel, Trans. AMS 2011,
 Prop. 2.1), so such a pair is recorded with rank HF(k+i).
 
-A support ideal under the all-ones form holds its quotient as one mask over
-the box [0, d)^n and its Hilbert function as one tuple, so the dimensions of
-a pair are two lookups.  The matrix mod 2 is read from that mask
-(``SupportIdeal.parity_columns``: one cached parity image per source
-position, cut by the mask), and its GF(2) rank is the policy's first step.
-Rows are built only when that rank falls short of min(dims), and they enter
-the policy after its GF(2) step.  A campaign that needs only the verdict of
-the map from S_{d-i} to S_d skips the ideal: ``support_rows_independent``
-picks that map's rows for the monomials of a support mask out of one cached
-per-(n, d, i) table (``_support_rows``), packed mod 2 and as integers, and
-runs them through the same policy.
+The monomial row builder packs each column mod 2 into one int in the same
+pass that fills the integer rows, so an integral monomial map gets its
+GF(2) rank, the policy's first step, without packing its rows again; rows
+that GF(2) does not certify enter the policy after that step.  A support
+ideal holds its Hilbert function as one tuple, so the dimensions of a pair
+are two lookups.  A campaign that needs only the verdict of the map from
+S_{d-i} to S_d skips the ideal: ``support_rows_independent`` picks that
+map's rows for the monomials of a support mask out of one cached
+per-(n, d, i) table (``_support_rows``, the zero ideal's rows from the same
+builder), packed mod 2 and as integers, and runs them through the same
+policy.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from ._ranks_py import rank_gf2_bits
 from .ideals import (
     FormIdeal,
     MonomialIdeal,
-    SupportIdeal,
     reduce_mod_piece,
     socle_degree,
     support_positions,
@@ -75,9 +74,6 @@ class LinearForm:
     @property
     def n(self) -> int:
         return len(self.coefficients)
-
-    def is_ones(self) -> bool:
-        return self.coefficients == (1,) * len(self.coefficients)
 
 
 @lru_cache(maxsize=None)
@@ -110,11 +106,12 @@ def _columns(n: int, j: int, i: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _weights(n: int, i: int, coefficients: tuple) -> tuple:
+def _weights(n: int, i: int, coefficients: tuple) -> tuple[tuple, bool]:
     """Coefficients of the i-th power of the linear form, one per offset of
     monomial_basis(n, i): multinomial(i; c) times the product of the
-    coefficients to the powers c.  Ints when every weight is integral, else
-    Fractions, with a zero weight kept as int 0 (the entry nothing reaches)."""
+    coefficients to the powers c; and whether every one is an integer.  Ints
+    when every weight is integral, else Fractions, with a zero weight kept
+    as int 0 (the entry nothing reaches)."""
     weights = []
     for c in monomial_basis(n, i):
         w = Fraction(multinomial(i, c))
@@ -122,40 +119,45 @@ def _weights(n: int, i: int, coefficients: tuple) -> tuple:
             w *= Fraction(a) ** e
         weights.append(w)
     if all(w.denominator == 1 for w in weights):
-        return tuple(int(w) for w in weights)
-    return tuple(w if w else 0 for w in weights)
+        return tuple(int(w) for w in weights), True
+    return tuple(w if w else 0 for w in weights), False
 
 
 def _build_monomial_rows(I: MonomialIdeal, ell: LinearForm, i: int, j: int):
     """Rows of the quotient multiplication map; returns (rows, nrows, ncols,
-    integral flag)."""
+    parity).  In the same pass each column is packed mod 2 into one int, bit
+    r the parity of row r, and ``parity`` lists them; it is None when a
+    weight of ell^i is not an integer."""
     src = I.standard_indices(j)
     tgt = I.standard_indices(j + i)
     rowmap = [-1] * basis_size(I.n, j + i)
     for r, gi in enumerate(tgt):
         rowmap[gi] = r
     cols = _columns(I.n, j, i)
-    weights = _weights(I.n, i, tuple(ell.coefficients))
+    weights, integral = _weights(I.n, i, tuple(ell.coefficients))
+    odd = weights if integral else (0,) * len(weights)
     rows = [[0] * len(src) for _ in tgt]
+    parity = []
     for ci, gi in enumerate(src):
+        bits = 0
         for tg, c in cols[gi]:
             rr = rowmap[tg]
             if rr >= 0:
                 rows[rr][ci] = weights[c]
-    return rows, len(tgt), len(src), all(type(w) is int for w in weights)
+                if odd[c] & 1:
+                    bits |= 1 << rr
+        parity.append(bits)
+    return rows, len(tgt), len(src), parity if integral else None
 
 
 @lru_cache(maxsize=None)
 def _support_rows(n: int, d: int, i: int) -> tuple[tuple, tuple]:
     """Rows of multiplication by the i-th power of the all-ones form from
-    S_{d-i} to S_d, one per mixed degree-d monomial in support mask bit
-    order (``support_positions``), kept twice: packed mod 2 into one int
-    each (bit c is the parity of column c), and as tuples of ints."""
-    weights = _weights(n, i, (1,) * n)
-    rows = [[0] * basis_size(n, d - i) for _ in range(basis_size(n, d))]
-    for ci, targets in enumerate(_columns(n, d - i, i)):
-        for tg, c in targets:
-            rows[tg][ci] = weights[c]
+    S_{d-i} to S_d (the zero ideal's map), one per mixed degree-d monomial
+    in support mask bit order (``support_positions``), kept twice: packed
+    mod 2 into one int each (bit c is the parity of column c), and as
+    tuples of ints."""
+    rows = _build_monomial_rows(MonomialIdeal(n, []), ones_form(n), i, d - i)[0]
     mixed = [rows[g] for g in support_positions(n, d)]
     packed = tuple(sum(1 << c for c, e in enumerate(row) if e & 1) for row in mixed)
     return packed, tuple(tuple(row) for row in mixed)
@@ -210,7 +212,7 @@ def _build_form_rows(I: FormIdeal, ell: LinearForm, i: int, j: int):
     tgt_cols = [pji.col_index[m] for m in pji.standard]
     nrows, ncols = len(tgt_cols), len(src)
     cols = _columns(I.n, j, i)
-    weights = _weights(I.n, i, tuple(ell.coefficients))
+    weights, _ = _weights(I.n, i, tuple(ell.coefficients))
     rows = [[0] * ncols for _ in range(nrows)]
     for ci, a in enumerate(src):
         vec = [0] * len(pji.columns)
@@ -219,7 +221,7 @@ def _build_form_rows(I: FormIdeal, ell: LinearForm, i: int, j: int):
         vec = reduce_mod_piece(pji, vec)
         for rr, cpos in enumerate(tgt_cols):
             rows[rr][ci] = vec[cpos]
-    return rows, nrows, ncols, False
+    return rows, nrows, ncols, None
 
 
 def _build_rows(I, ell: LinearForm, i: int, j: int):
@@ -251,21 +253,17 @@ def mult_map_matrix(I, ell: LinearForm | None, i: int, j: int) -> ExactMatrix:
 def _pair_rank(I, ell: LinearForm, i: int, j: int) -> tuple[int, int, int]:
     """(exact rank, rows, columns) of multiplication by ell^i from degree j.
 
-    A support ideal under the all-ones form first takes the GF(2) rank of
-    its box parity columns; when that reaches min(dims) no matrix is built.
-    Otherwise the rows are built and run through the rank policy, entering
-    it after the GF(2) step if that step already ran."""
-    if isinstance(I, SupportIdeal) and ell.is_ones():
-        cols = I.parity_columns(i, j)
-        nrows, ncols = I.hf(j + i), len(cols)
-        if rank_gf2_bits(cols) == min(nrows, ncols):
-            return min(nrows, ncols), nrows, ncols
-        rows = _build_rows(I, ell, i, j)[0]
-        return _kernels.rank_rows_after_gf2(rows, ncols), nrows, ncols
-    rows, nrows, ncols, integral = _build_rows(I, ell, i, j)
-    if not integral:
-        rows = integer_rows(rows)
-    return _kernels.rank_rows(rows, ncols), nrows, ncols
+    An integral monomial map takes the GF(2) rank of the parity columns its
+    row builder packed; when that reaches min(dims) it is the rank, and
+    otherwise the rows enter the rank policy after its GF(2) step.  Other
+    rows, scaled to integers, run the whole policy."""
+    rows, nrows, ncols, parity = _build_rows(I, ell, i, j)
+    if parity is None:
+        return _kernels.rank_rows(integer_rows(rows), ncols), nrows, ncols
+    m = min(nrows, ncols)
+    if rank_gf2_bits(parity) == m:
+        return m, nrows, ncols
+    return _kernels.rank_rows_after_gf2(rows, ncols), nrows, ncols
 
 
 def has_maximal_rank(I, ell: LinearForm | None, i: int, j: int) -> tuple[bool, int]:

@@ -65,15 +65,16 @@ def test_enumeration_is_artinian_equigenerated_with_right_hf():
 
 def test_symmetry_orbit_counts():
     # canonical representatives expand back to the full mask count
-    from lefschetz_props.harness import _campaign_space
+    from lefschetz_props.harness import _symmetry_tables
 
-    mixed, maps = _campaign_space(3, 3)
+    tables = _symmetry_tables(3, 3)
+    assert len(tables) == 5  # every permutation of three variables but the identity
     canonical = list(iter_support_masks(SearchSpec(3, 3, 0, 7, symmetry=True)))
     seen = set()
     for mask in canonical:
-        bits = [b for b in range(len(mixed)) if (mask >> b) & 1]
-        for pm in maps:
-            seen.add(sum(1 << pm[b] for b in bits))
+        seen.add(mask)
+        for per_byte in tables:
+            seen.add(sum(table[mask >> 8 * k & 255] for k, table in enumerate(per_byte)))
     assert len(seen) == 128
 
 
@@ -262,6 +263,32 @@ def test_verify_thm2_vacuous_cases():
     assert r.confirmed and not r.details["bound_attainable"] and not r.witnesses
     r = verify_thm2(3, 2, 1)
     assert r.confirmed and r.min_failing_hf is None
+
+
+def test_a_failure_below_the_bound_sets_the_minimal_failing_hf(monkeypatch):
+    # one HF-2 mask (3, the smallest mask of popcount 2, so its orbit's
+    # representative) is sent to the full check, which is made to fail it
+    from lefschetz_props import harness
+
+    decide, run_check = harness._decide_mask, harness._run_check
+    failing = []
+
+    def decide_mask(n, d, mask, key, args):
+        return None if mask == 3 else decide(n, d, mask, key, args)
+
+    def fail_mask_3(I, key, args):
+        rep = run_check(I, key, args)
+        if I in failing:
+            rep.verdict = False
+        return rep
+
+    monkeypatch.setattr(harness, "_decide_mask", decide_mask)
+    monkeypatch.setattr(harness, "_run_check", fail_mask_3)
+    for campaign, args in ((verify_thm1, (3, 4)), (verify_thm2, (3, 5, 3))):
+        failing[:] = [ideal_from_mask(3, args[1], 3)]
+        r = campaign(*args)
+        assert [w["hf_d"] for w in r.failures] == [2]
+        assert r.min_failing_hf == 2 and not r.confirmed
 
 
 def test_verify_thm2_power_sharp_for_i_two():

@@ -208,20 +208,34 @@ def test_onto_propagation_skips_pairs_and_keeps_records(monkeypatch):
 
 
 def test_box_certificate_runs_no_step_twice(monkeypatch):
-    # a support ideal under the all-ones form takes its GF(2) rank from the
-    # box parity columns: rows are built only where that falls short, and
-    # GF(2) never runs again on them; other ideals keep the whole policy
+    # an integral monomial map takes its GF(2) rank from the parity columns
+    # its row builder packed: GF(2) never runs on its rows, and the rest of
+    # the policy runs on exactly the rows whose parity rank falls short, on
+    # support ideals and other monomial ideals alike
     built = spy(monkeypatch, lefschetz, "_build_rows")
     gf2_rows = spy(monkeypatch, _ranks_py, "rank_gf2")
-    rest = spy(monkeypatch, _kernels, "rank_rows_after_gf2")
-    for mask in range(1 << 12):
-        I = ideal_from_mask(3, 4, mask)
-        check_slp(I)
-        check_power_shortcut(I, 1)
-    assert gf2_rows == [] and 0 < len(built) == len(rest)
-    built.clear()
-    assert not check_wlp(BK).verdict
-    assert len(gf2_rows) == len(built) > 0
+    ranked = []
+    rest = _kernels.rank_rows_after_gf2
+
+    def after_gf2(rows, ncols):
+        ranked.append(rows)
+        return rest(rows, ncols)
+
+    monkeypatch.setattr(_kernels, "rank_rows_after_gf2", after_gf2)
+    supports = [ideal_from_mask(3, 4, mask) for mask in range(1 << 12)]
+    for ideals in (supports, [BK]):
+        built.clear()
+        ranked.clear()
+        for I in ideals:
+            check_slp(I)
+            check_power_shortcut(I, 1)
+            check_slp(I, "randomized", seed=9)
+        short = [
+            rows for rows, nrows, ncols, parity in built
+            if _ranks_py.rank_gf2_bits(parity) < min(nrows, ncols)
+        ]
+        assert gf2_rows == [] and 0 < len(short) < len(built)
+        assert [id(rows) for rows in ranked] == [id(rows) for rows in short]
 
 
 def test_check_wlp_rejects_non_artinian():
@@ -376,7 +390,6 @@ def test_shortcuts_reject_form_ideals():
 
 def test_ones_form():
     assert ones_form(4).coefficients == (1, 1, 1, 1)
-    assert ones_form(3).is_ones()
 
 
 def _picked_rows_independent(n, d, i, mask):

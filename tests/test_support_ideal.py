@@ -1,6 +1,6 @@
 """Support ideals (the campaigns' bitmask ideals) against the MonomialIdeal
-oracle, the standard-index row builder against the mask/rowmap one, and the
-box parity columns against the parity of the built matrix."""
+oracle, and the standard-index row builder, with the parity columns it
+packs, against the mask/rowmap one."""
 
 import math
 import random
@@ -8,19 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from lefschetz_props._ranks_py import rank_gf2, rank_gf2_bits, rank_i64
 from lefschetz_props.combinatorics import basis_index, basis_size, monomial_basis
 from lefschetz_props.harness import ideal_from_mask
 from lefschetz_props.ideals import (
     MonomialIdeal,
     SupportIdeal,
-    _box_tables,
-    _parity_images,
     hilbert_function,
     socle_degree,
 )
 from lefschetz_props.lefschetz import (
     LinearForm,
+    _build_monomial_rows,
     mult_map_matrix,
     ones_form,
     random_linear_form,
@@ -79,8 +77,6 @@ def test_support_ideal_rejects_negative_degrees():
     for method in (S.hf, S.standard_indices, S.degree_mask):
         with pytest.raises(ValueError):
             method(-1)
-    with pytest.raises(ValueError):
-        S.parity_columns(1, -1)
 
 
 def mask_rowmap_rows(I, ell, i, j):
@@ -122,65 +118,28 @@ def mask_rowmap_rows(I, ell, i, j):
     "n, d, count, seed", [(3, 4, 40, 5), (3, 5, 15, 6), (4, 3, 15, 7), (4, 4, 4, 8)]
 )
 def test_mult_map_rows_match_the_mask_rowmap_twin(n, d, count, seed):
-    forms = [
-        ones_form(n),
-        random_linear_form(n, seed),
-        LinearForm((Fraction(1, 2),) + tuple(range(2, n + 1))),
-    ]
+    rational = LinearForm((Fraction(1, 2),) + tuple(range(2, n + 1)))
+    forms = [ones_form(n), random_linear_form(n, seed), rational]
     for mask in sample_masks(n, d, count, seed):
         S, O = ideal_from_mask(n, d, mask), oracle(n, d, mask)
         for i in range(1, d):
             for j in range(socle_degree(O) + 1):
                 for ell in forms:
                     expected = mask_rowmap_rows(O, ell, i, j)
+                    parity = None if ell is rational else odd_columns(expected, O.hf(j))
                     for I in (S, O):
                         rows = mult_map_matrix(I, ell, i, j).to_lists()
                         assert rows == expected, (mask, i, j, ell)
                         assert types(rows) == types(expected)
+                        built = _build_monomial_rows(I, ell, i, j)[3]
+                        assert built == parity, (mask, i, j, ell)
 
 
 def types(rows):
     return [[type(e) for e in row] for row in rows]
 
 
-def assert_parity_columns_match_the_matrix(S, i, j):
-    """The box parity columns are the odd entries of mult_map_matrix, column
-    by column, and their GF(2) rank is rank_gf2 of its rows, never above
-    the exact rank."""
-    rows = mult_map_matrix(S, None, i, j).to_lists()
-    cols = S.parity_columns(i, j)
-    assert len(cols) == S.hf(j)
-    target = {g: r for r, g in enumerate(S.standard_indices(j + i))}
-    index = _box_tables(S.n, S.d).index
-    for c, col in enumerate(cols):
-        odd = {target[index[b]] for b in range(col.bit_length()) if (col >> b) & 1}
-        assert odd == {r for r, row in enumerate(rows) if row[c] & 1}, (i, j, c)
-    box_rank = rank_gf2_bits(cols)
-    assert box_rank == rank_gf2(rows), (i, j)
-    assert box_rank <= rank_i64(rows, len(cols)), (i, j)
-
-
-def test_box_parity_columns_on_every_3_4_mask():
-    # i runs to d + 1: from i = d on no odd multinomial(i; c) has c inside
-    # the box, so every image of the parity table is empty
-    for i in (4, 5):
-        assert _parity_images(3, 4, i) == (0,) * 4**3
-    for mask in range(1 << (basis_size(3, 4) - 3)):
-        S = ideal_from_mask(3, 4, mask)
-        e = socle_degree(S)
-        for i in range(1, 6):
-            for j in range(e + 1):
-                assert_parity_columns_match_the_matrix(S, i, j)
-
-
-@pytest.mark.parametrize(
-    "n, d, count, seed",
-    [(3, 5, 40, 11), (4, 3, 40, 12), (4, 4, 8, 13), (5, 3, 8, 14)],
-)
-def test_box_parity_columns_on_sampled_masks(n, d, count, seed):
-    for mask in sample_masks(n, d, count, seed):
-        S = ideal_from_mask(n, d, mask)
-        e = socle_degree(S)
-        for i in range(1, d + 2):
-            for j in range(e + 1):
-                assert_parity_columns_match_the_matrix(S, i, j)
+def odd_columns(rows, ncols):
+    """The odd entries of integer rows packed column by column: bit r is
+    the parity of row r."""
+    return [sum(1 << r for r, row in enumerate(rows) if row[c] & 1) for c in range(ncols)]
