@@ -25,6 +25,7 @@ BK = "x1^3,x2^3,x3^3,x1*x2*x3"
 FORMS = "x1^2+x2*x3,x2^2-x1*x3,x3^2"
 RATIONAL_FORMS = "1/2*x1^2+x2*x3,x2^2-3*x1*x3,x3^2"
 NON_ARTINIAN_FORMS = "x1^2+x2*x3,x2^2-x1*x3"
+CUBIC_FORMS = "x1^3+x2^2*x3,x2^3-x1*x3^2,x3^3"
 
 COMMANDS = [
     # README examples
@@ -103,6 +104,16 @@ COMMANDS = [
     # degree-6 minimal-support search on the zero ideal's packed parity
     ["crosscheck", "--n", "3", "--d", "5", "--sample", "300", "--seed", "2"],
     ["verify-thm37", "--n", "3", "--d", "6", "--i", "1"],
+    # the integer-only form path: full checks on the rational-coefficient
+    # ideal, and a cubic ideal whose pieces past the socle are certified
+    # to be all of S_k without an elimination
+    ["slp", "--gens", RATIONAL_FORMS, "--mode", "randomized", "--seed", "9",
+     "--method", "full", "--format", "csv"],
+    ["power", "--gens", RATIONAL_FORMS, "--i", "2", "--method", "full",
+     "--seed", "9", "--format", "csv"],
+    ["hf", "--gens", CUBIC_FORMS, "--upto", "8"],
+    ["slp", "--gens", CUBIC_FORMS, "--mode", "randomized", "--seed", "4",
+     "--method", "full", "--format", "csv"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

@@ -6,9 +6,11 @@ fraction-free on those integer rows.  ``rank`` is plain exact Bareiss
 elimination on Python integers, with no modular certificate, so tests can
 use it as an oracle for the deciders' rank policy.  ``row_reduce`` runs
 fraction-free Gauss-Jordan and normalizes the RREF to rationals once, at the
-end.  ``rank_mod`` exposes the modular rank: the result is always a lower
-bound for the exact rank, so it can certify maximal rank on its own but
-anything smaller must be confirmed exactly.
+end.  Its integer core, ``integer_rref``, also reduces the graded pieces
+of form ideals, which keep the integer rows and never normalize them.
+``rank_mod`` exposes the modular rank: the result is always a lower bound
+for the exact rank, so it can certify maximal rank on its own but anything
+smaller must be confirmed exactly.
 
 Pivot policy everywhere: first nonzero entry in column order, rows scanned
 top-down.  This keeps every reduction deterministic and reproducible.
@@ -126,18 +128,16 @@ def rank_mod(M: ExactMatrix, p: int = _kernels.WORD_PRIME) -> int:
     return _kernels.rank_mod_rows(integer_rows(M._data), M.cols, p)
 
 
-def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the (strictly increasing) pivot columns.
+def integer_rref(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
+    (strictly increasing) pivot columns.
 
-    Fraction-free Gauss-Jordan: the rows are scaled to integers, each
-    elimination replaces a row by ``a*row - b*pivot_row`` with the smallest
-    integer multipliers and divides out its content, and every pivot row is
-    divided by its pivot once at the end.  Entries are ints where that
-    division is exact and Fractions otherwise.  The shape is preserved (zero
-    rows sink to the bottom), which makes the reduction idempotent.
+    Each elimination replaces a row by ``a*row - b*pivot_row`` with the
+    smallest integer multipliers and divides out its content.  Afterwards
+    the first len(pivots) rows are the reduced rows, each with a positive
+    pivot and zeros in every other pivot column, and the zero rows follow.
     """
-    data = integer_rows(M._data)
-    nrows, ncols = M.rows, M.cols
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -145,29 +145,46 @@ def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
             break
         pr = -1
         for rr in range(r, nrows):
-            if data[rr][c]:
+            if rows[rr][c]:
                 pr = rr
                 break
         if pr < 0:
             continue
         if pr != r:
-            data[r], data[pr] = data[pr], data[r]
-        prow = data[r]
+            rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
         p = prow[c]
         for rr in range(nrows):
-            f = data[rr][c]
+            f = rows[rr][c]
             if rr != r and f:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(data[rr], prow)]
+                row = [a * x - b * y for x, y in zip(rows[rr], prow)]
                 g = gcd(*row)
-                data[rr] = [x // g for x in row] if g > 1 else row
+                rows[rr] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
     for i, c in enumerate(pivots):
+        if rows[i][c] < 0:
+            rows[i] = [-x for x in rows[i]]
+    return tuple(pivots)
+
+
+def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the (strictly increasing) pivot columns.
+
+    The rows are scaled to integers and reduced by ``integer_rref``, and
+    every pivot row is divided by its pivot once at the end.  Entries are
+    ints where that division is exact and Fractions otherwise.  The shape is
+    preserved (zero rows sink to the bottom), which makes the reduction
+    idempotent.
+    """
+    data = integer_rows(M._data)
+    pivots = integer_rref(data, M.cols)
+    for i, c in enumerate(pivots):
         p = data[i][c]
         data[i] = [x // p if x % p == 0 else Fraction(x, p) for x in data[i]]
-    return ExactMatrix(nrows, ncols, data), tuple(pivots)
+    return ExactMatrix(M.rows, M.cols, data), pivots
 
 
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:

@@ -13,9 +13,15 @@ multiplication maps of ``lefschetz`` are built from it like those of any
 monomial ideal.
 Form ideals never go through a Groebner engine: for an ideal with minimal
 generator degree d, the degree-k piece is the explicit span of all
-monomial-times-generator products, row reduced once per (degree, term order)
-and cached.  Ideals are immutable after construction and their caches only
-grow, so concurrent readers are safe.
+monomial-times-generator products, reduced once per (degree, term order) and
+cached.  The whole form path runs on integers: each generator is scaled to
+integer coefficients, a piece whose GF(2) or word-prime rank already equals
+its column count is all of S_k and skips the elimination (a modular rank
+only ever certifies full rank), any other piece keeps the integer rows of
+fraction-free Gauss-Jordan, and vectors are reduced modulo a piece
+fraction-free, returning integers over a positive scale.  The normalized
+rational rows are derived only on demand.  Ideals are immutable after
+construction and their caches only grow, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -23,7 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add
 
+from . import _kernels
+from ._ranks_py import rank_gf2_bits
 from .combinatorics import (
     Monomial,
     basis_index,
@@ -32,7 +42,7 @@ from .combinatorics import (
     monomial_basis,
 )
 from .errors import CapExceededError, NotArtinianError
-from .exactlinalg import ExactMatrix, row_reduce
+from .exactlinalg import ExactMatrix, integer_rref, row_reduce
 
 TERM_ORDERS = ("degrevlex", "lex", "grlex")
 
@@ -313,10 +323,12 @@ class SupportIdeal(MonomialIdeal):
     order of monomial_basis, and standard_indices and every matrix built
     from them match MonomialIdeal's entry for entry.  The whole Hilbert
     function is counted once, at construction, as one popcount of ``std``
-    per box degree; ``hf`` and ``socle_degree`` read that tuple.
+    per box degree; ``hf`` and ``socle_degree`` read that tuple.  The
+    standard indices of a degree are read off ``std`` on first use and
+    kept, since one check builds many maps between the same degrees.
     """
 
-    __slots__ = ("d", "std", "_box", "_hfs")
+    __slots__ = ("d", "std", "_box", "_hfs", "_indices")
 
     def __init__(self, n: int, d: int, mask: int):
         box = _box_tables(n, d)
@@ -327,6 +339,7 @@ class SupportIdeal(MonomialIdeal):
         )
         self.std, self._hfs = support_quotient(n, d, mask)
         self._box = box
+        self._indices: dict[int, tuple[int, ...]] = {}
 
     @property
     def min_degree(self) -> int:
@@ -346,14 +359,21 @@ class SupportIdeal(MonomialIdeal):
         return hfs[k] if k < len(hfs) else 0
 
     def standard_indices(self, k: int) -> tuple[int, ...]:
+        """Read off the set bits of ``std`` in degree k once; later calls
+        for the same degree return the stored tuple."""
+        cached = self._indices.get(k)
+        if cached is not None:
+            return cached
         if k < 0:
             raise ValueError("degree must be nonnegative")
         positions = self._box.positions
-        if k >= len(positions):
-            return ()
         std = self.std
         index = self._box.index
-        return tuple([index[p] for p in positions[k] if std >> p & 1])
+        cached = () if k >= len(positions) else tuple(
+            [index[p] for p in positions[k] if std >> p & 1]
+        )
+        self._indices[k] = cached
+        return cached
 
     def degree_mask(self, k: int) -> int:
         mask = (1 << basis_size(self.n, k)) - 1
@@ -432,51 +452,96 @@ class FormIdeal:
 
 @dataclass(frozen=True)
 class _FormPiece:
-    """Row-reduced degree-k span of a form ideal under one term order."""
+    """Row-reduced degree-k span of a form ideal under one term order, kept
+    on integers: the reduced rows of ``integer_rref``, each with a positive
+    pivot and zeros in the other pivot columns, not divided by the pivot."""
 
     columns: tuple[Monomial, ...]      # descending by the term order
     col_index: dict
-    rref_rows: tuple[tuple, ...]       # normalized rows over the columns
+    rows: tuple[tuple[int, ...], ...]  # reduced integer rows over the columns
     pivots: tuple[int, ...]
     leads: tuple[Monomial, ...]        # pivot monomials = leading monomials
     standard: tuple[Monomial, ...]     # canonical basis order
+    standard_columns: tuple[int, ...]  # their positions among the columns
+
+    @property
+    def rref_rows(self) -> tuple[tuple, ...]:
+        """The normalized rows, derived on demand: ``row_reduce`` of rows
+        already reduced only divides each by its pivot, giving ints where
+        that is exact and Fractions otherwise."""
+        rref, _ = row_reduce(ExactMatrix(len(self.rows), len(self.columns), self.rows))
+        return tuple(rref.row(i) for i in range(rref.rows))
 
 
 def _build_form_piece(I: FormIdeal, k: int, order: str) -> _FormPiece:
+    """The degree-k span of the monomial-times-generator products, each
+    generator scaled to integer coefficients once.  Rows are packed mod 2 as
+    they are filled; when there are at least as many rows as columns and
+    GF(2) or the word prime finds full column rank, the span is all of S_k
+    and no elimination runs (a modular rank is a lower bound, so it only
+    certifies that).  Otherwise ``integer_rref`` reduces the rows."""
     cols, col_index = ordered_basis(I.n, k, order)
-    rows: list[list] = []
+    ncols = len(cols)
+    rows: list[list[int]] = []
+    parity: list[int] = []
     for deg, items in I.generators:
         if deg > k:
             continue
+        denom = lcm(*(c.denominator for _, c in items))
+        coeffs = [(mon, c.numerator * (denom // c.denominator)) for mon, c in items]
         for m in monomial_basis(I.n, k - deg):
-            row = [0] * len(cols)
-            for mon, coeff in items:
-                prod = tuple(a + b for a, b in zip(mon, m))
-                row[col_index[prod]] = coeff
+            row = [0] * ncols
+            bits = 0
+            for mon, coeff in coeffs:
+                pos = col_index[tuple(map(add, mon, m))]
+                row[pos] = coeff
+                if coeff & 1:
+                    bits |= 1 << pos
             rows.append(row)
-    if rows:
-        rref, pivots = row_reduce(ExactMatrix(len(rows), len(cols), rows))
-        rref_rows = tuple(rref.row(i) for i in range(len(pivots)))
+            parity.append(bits)
+    if len(rows) >= ncols and (
+        rank_gf2_bits(parity) == ncols or _kernels.rank_mod_rows(rows, ncols) == ncols
+    ):
+        rows = [[int(c == r) for c in range(ncols)] for r in range(ncols)]
+        pivots = tuple(range(ncols))
     else:
-        rref_rows, pivots = (), ()
+        pivots = integer_rref(rows, ncols)
     pivot_set = set(pivots)
     leads = tuple(cols[c] for c in pivots)
-    standard_set = {cols[c] for c in range(len(cols)) if c not in pivot_set}
+    standard_set = {cols[c] for c in range(ncols) if c not in pivot_set}
     standard = tuple(m for m in monomial_basis(I.n, k) if m in standard_set)
-    return _FormPiece(cols, col_index, rref_rows, pivots, leads, standard)
+    return _FormPiece(
+        cols, col_index, tuple(map(tuple, rows[:len(pivots)])), pivots, leads,
+        standard, tuple(col_index[m] for m in standard),
+    )
 
 
-def reduce_mod_piece(piece: _FormPiece, vec: list) -> list:
-    """Reduce a coefficient vector (in the piece's column order) modulo the
-    row-reduced span; the result is supported on standard monomials."""
+def reduce_mod_piece(piece: _FormPiece, vec: list[int]) -> tuple[list[int], int]:
+    """Reduce an integer coefficient vector (in the piece's column order)
+    modulo the span, fraction-free: for each pivot c with f = v[c] != 0 and
+    pivot p, v becomes (p/g)*v - (f/g)*row with g = gcd(p, f).  Returns
+    (part, scale): the reduced vector is part/scale on the standard columns
+    (in the order of ``standard``) and zero elsewhere; scale > 0, and the
+    content common to part and scale is divided out."""
     v = list(vec)
-    for row, c in zip(piece.rref_rows, piece.pivots):
+    scale = 1
+    for row, c in zip(piece.rows, piece.pivots):
         f = v[c]
         if f:
-            for cc in range(c, len(v)):
-                if row[cc]:
-                    v[cc] -= f * row[cc]
-    return v
+            p = row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a == 1:
+                v = [x - b * y for x, y in zip(v, row)]
+            else:
+                v = [a * x - b * y for x, y in zip(v, row)]
+                scale *= a
+    part = [v[c] for c in piece.standard_columns]
+    g = gcd(scale, *part)
+    if g > 1:
+        part = [x // g for x in part]
+        scale //= g
+    return part, scale
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ which sends a source monomial and an offset exponent c of degree i to the
 target index, together with the coefficients of ell^i (``_weights``): a
 monomial quotient keeps the rows and columns of its standard monomials, and
 a form quotient reduces each column modulo the ideal's degrevlex span.  A
-rank does not depend on the basis, so no decider takes a term order.
+form column is expanded with integer weights and reduced fraction-free, so
+it comes out as integers over a positive scale; the deciders rank the
+integer columns (scaling a column keeps the rank), and only
+``mult_map_matrix`` divides the scales back out.  A rank does not depend on
+the basis, so no decider takes a term order.
 
 Monomial quotients are decided with the all-ones linear form, which suffices
 for monomial algebras; form quotients use seeded random trial forms, with the
@@ -23,17 +27,17 @@ for a map past an onto one: if ell^i maps R_j onto R_{j+i}, it maps every
 later R_k onto R_{k+i} (Migliore-Miro-Roig-Nagel, Trans. AMS 2011,
 Prop. 2.1), so such a pair is recorded with rank HF(k+i).
 
-The monomial row builder packs each column mod 2 into one int in the same
-pass that fills the integer rows, so an integral monomial map gets its
-GF(2) rank, the policy's first step, without packing its rows again; rows
-that GF(2) does not certify enter the policy after that step.  A support
-ideal holds its Hilbert function as one tuple, so the dimensions of a pair
-are two lookups.  A campaign that needs only the verdict of the map from
-S_{d-i} to S_d skips the ideal: ``support_rows_independent`` picks that
-map's rows for the monomials of a support mask out of one cached
-per-(n, d, i) table (``_support_rows``, the zero ideal's rows from the same
-builder), packed mod 2 and as integers, and runs them through the same
-policy.
+Both row builders pack each integer column mod 2 into one int as they fill
+the rows, so every integral map (each form map, and each monomial map with
+integer weights) gets its GF(2) rank, the policy's first step, without
+packing its rows again; rows that GF(2) does not certify enter the policy
+after that step.  A support ideal holds its Hilbert function as one tuple,
+so the dimensions of a pair are two lookups.  A campaign that needs only
+the verdict of the map from S_{d-i} to S_d skips the ideal:
+``support_rows_independent`` picks that map's rows for the monomials of a
+support mask out of one cached per-(n, d, i) table (``_support_rows``, the
+zero ideal's rows from the same builder), packed mod 2 and as integers, and
+runs them through the same policy.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import _kernels
 from .combinatorics import basis_index, basis_size, monomial_basis, multinomial
@@ -111,12 +116,14 @@ def _weights(n: int, i: int, coefficients: tuple) -> tuple[tuple, bool]:
     monomial_basis(n, i): multinomial(i; c) times the product of the
     coefficients to the powers c; and whether every one is an integer.  Ints
     when every weight is integral, else Fractions, with a zero weight kept
-    as int 0 (the entry nothing reaches)."""
+    as int 0 (the entry nothing reaches).  Integer coefficients are
+    multiplied as ints, without a Fraction."""
+    coefficients = [a if isinstance(a, int) else Fraction(a) for a in coefficients]
     weights = []
     for c in monomial_basis(n, i):
-        w = Fraction(multinomial(i, c))
+        w = multinomial(i, c)
         for a, e in zip(coefficients, c):
-            w *= Fraction(a) ** e
+            w *= a ** e
         weights.append(w)
     if all(w.denominator == 1 for w in weights):
         return tuple(int(w) for w in weights), True
@@ -201,27 +208,49 @@ def support_rows_independent(n: int, d: int, i: int, mask: int) -> bool:
     return exact == len(picked)
 
 
-def _build_form_rows(I: FormIdeal, ell: LinearForm, i: int, j: int):
-    """Quotient multiplication map for a form ideal: expand, reduce each
-    column modulo the row-reduced span, project onto standard monomials.
-    The degrevlex pieces list their columns in monomial_basis order, so
-    ``_columns`` indexes them directly."""
+def _integer_weights(n: int, i: int, coefficients: tuple) -> tuple[tuple[int, ...], int]:
+    """The weights of ``_weights`` over one common denominator D, the LCM of
+    theirs: (the integers w*D, D)."""
+    weights, integral = _weights(n, i, coefficients)
+    if integral:
+        return weights, 1
+    denom = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (denom // w.denominator) for w in weights), denom
+
+
+def _form_columns(I: FormIdeal, ell: LinearForm, i: int, j: int):
+    """Columns of the quotient multiplication map for a form ideal, on
+    integers: each source monomial's image is expanded with the integer
+    weights of ell^i, reduced modulo the degree-(j+i) span
+    (``reduce_mod_piece``) and projected onto the standard monomials.
+    Returns (columns, scales, nrows): the exact column ci is columns[ci]
+    divided by the positive integer scales[ci].  The degrevlex pieces list
+    their columns in monomial_basis order, so ``_columns`` indexes them
+    directly."""
     pji = I.piece(j + i)
     src_index = basis_index(I.n, j)
-    src = I.piece(j).standard
-    tgt_cols = [pji.col_index[m] for m in pji.standard]
-    nrows, ncols = len(tgt_cols), len(src)
     cols = _columns(I.n, j, i)
-    weights, _ = _weights(I.n, i, tuple(ell.coefficients))
-    rows = [[0] * ncols for _ in range(nrows)]
-    for ci, a in enumerate(src):
+    weights, denom = _integer_weights(I.n, i, tuple(ell.coefficients))
+    columns, scales = [], []
+    for a in I.piece(j).standard:
         vec = [0] * len(pji.columns)
         for tg, c in cols[src_index[a]]:
             vec[tg] = weights[c]
-        vec = reduce_mod_piece(pji, vec)
-        for rr, cpos in enumerate(tgt_cols):
-            rows[rr][ci] = vec[cpos]
-    return rows, nrows, ncols, None
+        part, scale = reduce_mod_piece(pji, vec)
+        columns.append(part)
+        scales.append(scale * denom)
+    return columns, scales, len(pji.standard)
+
+
+def _build_form_rows(I: FormIdeal, ell: LinearForm, i: int, j: int):
+    """Rows of a form ideal's multiplication map with every column scaled
+    to integers (``_form_columns``), which leaves the rank unchanged;
+    returns (rows, nrows, ncols, parity) like ``_build_monomial_rows``, each
+    integer column packed mod 2 into one int."""
+    columns, _, nrows = _form_columns(I, ell, i, j)
+    rows = [[col[r] for col in columns] for r in range(nrows)]
+    parity = [sum(1 << r for r, e in enumerate(col) if e & 1) for col in columns]
+    return rows, nrows, len(columns), parity
 
 
 def _build_rows(I, ell: LinearForm, i: int, j: int):
@@ -246,17 +275,28 @@ def _checked_form(I, ell: LinearForm | None, i: int, j: int) -> LinearForm:
 def mult_map_matrix(I, ell: LinearForm | None, i: int, j: int) -> ExactMatrix:
     """Matrix of multiplication by the i-th power of ell from degree j to
     degree j+i, rows indexed by the target standard monomials."""
-    rows, nrows, ncols, _ = _build_rows(I, _checked_form(I, ell, i, j), i, j)
-    return ExactMatrix(nrows, ncols, rows)
+    ell = _checked_form(I, ell, i, j)
+    if isinstance(I, MonomialIdeal):
+        rows, nrows, ncols, _ = _build_monomial_rows(I, ell, i, j)
+        return ExactMatrix(nrows, ncols, rows)
+    columns, scales, nrows = _form_columns(I, ell, i, j)
+    rows = [
+        [col[r] // s if col[r] % s == 0 else Fraction(col[r], s)
+         for col, s in zip(columns, scales)]
+        for r in range(nrows)
+    ]
+    return ExactMatrix(nrows, len(columns), rows)
 
 
 def _pair_rank(I, ell: LinearForm, i: int, j: int) -> tuple[int, int, int]:
     """(exact rank, rows, columns) of multiplication by ell^i from degree j.
 
-    An integral monomial map takes the GF(2) rank of the parity columns its
-    row builder packed; when that reaches min(dims) it is the rank, and
-    otherwise the rows enter the rank policy after its GF(2) step.  Other
-    rows, scaled to integers, run the whole policy."""
+    An integral map, which is every form map and every monomial map whose
+    ell^i weights are integers, takes the GF(2) rank of the parity columns
+    its row builder packed; when that reaches min(dims) it is the rank, and
+    otherwise the rows enter the rank policy after its GF(2) step.  The
+    rows of a monomial map with fractional weights, scaled to integers, run
+    the whole policy."""
     rows, nrows, ncols, parity = _build_rows(I, ell, i, j)
     if parity is None:
         return _kernels.rank_rows(integer_rows(rows), ncols), nrows, ncols

@@ -21,7 +21,11 @@ from lefschetz_props.duality import (
 )
 from lefschetz_props.errors import BudgetExceededError
 from lefschetz_props.exactlinalg import ExactMatrix, rank
-from lefschetz_props.harness import ideal_from_mask
+from lefschetz_props.harness import (
+    ideal_from_mask,
+    monomial_complete_intersection,
+    theorem1_bound,
+)
 from lefschetz_props.ideals import MonomialIdeal, is_artinian, socle_degree
 from lefschetz_props.lefschetz import mult_map_matrix
 
@@ -166,6 +170,18 @@ def test_min_support_grid_degree_six(i):
     expected = 6 - i + 2 if i < 6 else 2
     assert min_kernel_support(zero, 6, i, bound=expected) == expected
     assert min_kernel_support(zero, 6, i, bound=expected - 1) is None
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (3, 4), (4, 3)])
+def test_theorem1_bound_is_the_complete_intersection_girth(n, d):
+    # cross-oracle: the Theorem 1 bound, written down from the paper, equals
+    # the smallest dependent row set of multiplication by the all-ones form
+    # from R_{d-1} to R_d on the monomial complete intersection, found by
+    # the support search
+    bound = theorem1_bound(n, d)
+    ci = monomial_complete_intersection(n, d)
+    assert min_kernel_support(ci, d, 1, bound) == bound
+    assert min_kernel_support(ci, d, 1, bound - 1) is None
 
 
 def brute_min_support(I, d, i, bound):

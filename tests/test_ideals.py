@@ -1,11 +1,13 @@
 """Graded pieces, Hilbert functions, socle degrees, and initial ideals."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from lefschetz_props import _kernels
 from lefschetz_props.combinatorics import basis_size, monomial_basis
 from lefschetz_props.cli import run
 from lefschetz_props.errors import CapExceededError, NotArtinianError
@@ -22,6 +24,7 @@ from lefschetz_props.ideals import (
     is_artinian,
     minimalize,
     monomial_ideal_from_leads,
+    reduce_mod_piece,
     socle_degree,
 )
 from lefschetz_props.parsing import parse_inline_ideal
@@ -270,6 +273,75 @@ def test_form_piece_matches_fraction_oracle():
                 assert got == want
                 assert [[type(e) for e in r] for r in got[1]] == \
                     [[type(e) for e in r] for r in want[1]]
+
+
+def test_certified_pieces_run_no_elimination(monkeypatch):
+    # a piece with at least as many rows as columns whose GF(2) or word-prime
+    # rank is the column count is all of S_k and skips the integer
+    # elimination; every other piece runs it
+    def no_elimination(rows, ncols):
+        raise RuntimeError("integer elimination ran")
+
+    cubic = parse_inline_ideal("x1^3+x2^2*x3,x2^3-x1*x3^2,x3^3")
+    even = parse_inline_ideal("2*x1^2+x2*x3,x2^2,x3^2")
+    real_mod = _kernels.rank_mod_rows
+    with monkeypatch.context() as m:
+        m.setattr("lefschetz_props.ideals.integer_rref", no_elimination)
+        with monkeypatch.context() as gf2_only:
+            # 45 x 36 and 63 x 45: GF(2) alone certifies, no word prime runs
+            gf2_only.setattr(_kernels, "rank_mod_rows", no_elimination)
+            certified = [(cubic, 7), (cubic, 8)]
+            for I, k in certified:
+                piece = _build_form_piece(I, k, "degrevlex")
+                assert piece.standard == () and piece.pivots == tuple(range(len(piece.columns)))
+        # 18 x 15 and 30 x 21 with GF(2) ranks 12 and 18: the word prime certifies
+        word_prime = [(even, 4), (even, 5)]
+        for I, k in certified + word_prime:
+            for order in TERM_ORDERS:
+                piece = _build_form_piece(I, k, order)
+                assert (piece.columns, piece.rref_rows, piece.pivots, piece.leads,
+                        piece.standard) == oracle_form_piece(I, k, order)
+        # 30 x 28 of rank 27 is tall but not full, and 9 x 10 is wide: both
+        # fall back to the elimination
+        for I, k in ((cubic, 6), (even, 3)):
+            with pytest.raises(RuntimeError, match="elimination ran"):
+                _build_form_piece(I, k, "degrevlex")
+    ran = []
+
+    def spy_mod(rows, ncols, *args):
+        ran.append((len(rows), ncols))
+        return real_mod(rows, ncols, *args)
+
+    monkeypatch.setattr(_kernels, "rank_mod_rows", spy_mod)
+    for I, k in word_prime + [(cubic, 6)]:
+        _build_form_piece(I, k, "degrevlex")
+    assert ran == [(18, 15), (30, 21), (30, 28)]
+
+
+def test_reduce_mod_piece_is_the_fraction_reduction_over_a_scale():
+    # the fraction-free reduction returns part / scale with scale > 0 and no
+    # common content; times the scale it equals the reduction on Fractions
+    # by the normalized rows, restricted to the standard columns
+    rng = random.Random(14)
+    forms = [random_form_ideal(3, d, rng) for d in (2, 3)]
+    forms.append(parse_inline_ideal("1/2*x1^2+x2*x3,x2^2-3*x1*x3,x3^2"))
+    seen_scales = set()
+    for I in forms:
+        for k in range(I.min_degree, socle_degree(I) + 2):
+            piece = I.piece(k)
+            for _ in range(20):
+                vec = [rng.randint(-50, 50) for _ in piece.columns]
+                part, scale = reduce_mod_piece(piece, vec)
+                want = [Fraction(e) for e in vec]
+                for row, c in zip(piece.rref_rows, piece.pivots):
+                    f = want[c]
+                    want = [x - f * y for x, y in zip(want, row)]
+                assert all(want[c] == 0 for c in piece.pivots)
+                assert [Fraction(x, scale) for x in part] == \
+                    [want[piece.col_index[m]] for m in piece.standard]
+                assert scale > 0 and math.gcd(scale, *part) == 1
+                seen_scales.add(scale)
+    assert len(seen_scales) > 1
 
 
 NON_ARTINIAN_FORMS = "x1^2+x2*x3,x2^2-x1*x3"

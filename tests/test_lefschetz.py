@@ -1,6 +1,7 @@
 """Multiplication maps and the WLP/SLP deciders."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -367,6 +368,95 @@ def test_form_ideal_randomized_checks():
     rep = check_slp(F, "randomized", seed=11, trials=3)
     assert rep.mode == "randomized"
     assert rep.seeds == (11, 12, 13)
+
+
+RATIONAL_FORMS = parse_inline_ideal("1/2*x1^2+x2*x3,x2^2-3*x1*x3,x3^2")
+
+
+def fraction_form_map(I, coefficients, i, j):
+    """Slow twin of mult_map_matrix on a form ideal, on Fractions: expand
+    ell^i times each source standard monomial, reduce it by the normalized
+    rows of the target piece, and project onto the target standard
+    monomials."""
+    src, tgt = I.piece(j), I.piece(j + i)
+    power = {}
+    for c in monomial_basis(I.n, i):
+        w = Fraction(multinomial(i, c))
+        for a, e in zip(coefficients, c):
+            w *= Fraction(a) ** e
+        power[c] = w
+    columns = []
+    for a in src.standard:
+        v = [Fraction(0)] * len(tgt.columns)
+        for c, w in power.items():
+            v[tgt.col_index[tuple(x + y for x, y in zip(a, c))]] += w
+        for row, c in zip(tgt.rref_rows, tgt.pivots):
+            f = v[c]
+            v = [x - f * y for x, y in zip(v, row)]
+        columns.append([v[tgt.col_index[m]] for m in tgt.standard])
+    return [[col[r] for col in columns] for r in range(len(tgt.standard))]
+
+
+def test_form_mult_map_matches_fraction_twin():
+    # integer columns over a positive scale, divided back, give the exact
+    # rational matrix entry for entry, for an integer and a Fraction form
+    rng = random.Random(141)
+    ideals = [FORMS, RATIONAL_FORMS]
+    ideals += [random_form_ideal(3, d, rng) for d in (2, 3, 2, 3)]
+    ideals.append(random_form_ideal(4, 2, rng))
+    fractional = 0
+    for I in ideals:
+        e = socle_degree(I)
+        forms = [random_linear_form(I.n, 5).coefficients,
+                 tuple(Fraction(t + 1, 2 * t + 3) for t in range(I.n))]
+        for coefficients in forms:
+            for i in range(1, e + 1):
+                for j in range(e - i + 1):
+                    M = mult_map_matrix(I, LinearForm(coefficients), i, j)
+                    want = fraction_form_map(I, coefficients, i, j)
+                    assert M.to_lists() == want, (I, coefficients, i, j)
+                    assert (M.rows, M.cols) == (I.hf(j + i), I.hf(j))
+                    fractional += any(
+                        isinstance(x, Fraction) for row in want for x in row
+                        if x.denominator > 1
+                    )
+    assert fractional
+
+
+def test_form_maps_rank_their_packed_parity(monkeypatch):
+    # every form map is integral: its builder packs each integer column mod
+    # 2, GF(2) never runs on its rows, integer_rows is never called, and the
+    # rest of the policy runs on exactly the rows whose parity falls short
+    built = spy(monkeypatch, lefschetz, "_build_rows")
+    gf2_rows = spy(monkeypatch, _ranks_py, "rank_gf2")
+    ranked = []
+    rest = _kernels.rank_rows_after_gf2
+
+    def after_gf2(rows, ncols):
+        ranked.append(rows)
+        return rest(rows, ncols)
+
+    def no_scaling(rows):
+        raise AssertionError("integer_rows ran on a form map")
+
+    monkeypatch.setattr(_kernels, "rank_rows_after_gf2", after_gf2)
+    monkeypatch.setattr(lefschetz, "integer_rows", no_scaling)
+    rng = random.Random(5)
+    ideals = [FORMS, RATIONAL_FORMS] + [random_form_ideal(3, 3, rng) for _ in range(6)]
+    for I in ideals:
+        for seed in (1, 9):
+            scans_against_twin(I, "randomized", seed=seed)
+    for rows, nrows, ncols, parity in built:
+        assert all(type(e) is int for row in rows for e in row)
+        assert parity == [
+            sum(1 << r for r in range(nrows) if rows[r][c] & 1) for c in range(ncols)
+        ]
+    short = [
+        rows for rows, nrows, ncols, parity in built
+        if _ranks_py.rank_gf2_bits(parity) < min(nrows, ncols)
+    ]
+    assert gf2_rows == [] and 0 < len(short) < len(built)
+    assert [id(rows) for rows in ranked] == [id(rows) for rows in short]
 
 
 def test_randomized_mode_needs_a_trial():
