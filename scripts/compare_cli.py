@@ -114,6 +114,13 @@ COMMANDS = [
     ["hf", "--gens", CUBIC_FORMS, "--upto", "8"],
     ["slp", "--gens", CUBIC_FORMS, "--mode", "randomized", "--seed", "4",
      "--method", "full", "--format", "csv"],
+    # below-bound masks certified by the orderly walk on the other keys and
+    # on the pool path: the power-2 window stopped by an entry budget after
+    # its first chunk (256 of its 261 masks), the SLP shortcut, and 151k
+    # four-variable WLP masks
+    ["verify-thm2", "--n", "4", "--d", "4", "--i", "2", "--budget-entries", "5000"],
+    ["verify-thm2", "--n", "3", "--d", "5", "--threads", "2"],
+    ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

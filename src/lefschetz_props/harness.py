@@ -18,18 +18,26 @@ symmetry stream every mask of each popcount instead.
 
 A campaign decides each visited mask from its one critical map and builds
 no ideal or report for a mask that passes.  Inside the lemma gate
-HF(d-i) >= HF(d) (i = 1 for the WLP, the shortcut's power otherwise) the
-check passes exactly when ell^i maps R_{d-i} onto R_d, that is, when the
-rows of that map for the mask's monomials are independent; for the WLP the
-pairs below it are free and every later pair is onto by propagation.  Only
-a mask that fails, or lies outside the gate, becomes a ``SupportIdeal`` (its
-standard monomials one bitmask over the box [0, d)^n, so its Hilbert
-function and matrices equal those of the same MonomialIdeal) and goes
-through the full check, whose report is recorded.  The matrix entry cost a
-budget counts is HF(j) HF(j+1) summed over the pairs the full check would
-list, not over the one map that is ranked, so it is the same either way.
-Campaigns are deterministic: fixed enumeration order, recorded seeds, and
-order-preserving merges of any parallel work.
+HF(d-i) = dim S_{d-i} >= HF(d) (i = 1 for the WLP, the shortcut's power,
+d-1 for the SLP) the check passes exactly when ell^i maps R_{d-i} onto R_d,
+that is, when the rows of that map for the mask's monomials are
+independent; for the WLP the pairs below it are free and every later pair
+is onto by propagation.  The orderly walk certifies most below-bound masks
+as it grows them: each kept orbit maximum extends its parent's GF(2)
+echelon basis of those rows by the row of its one new bit, and a nonzero
+remainder shows the rows independent mod 2, hence over Q, for the whole
+orbit.  A certified mask is decided without ranking anything.  The rest
+rank their rows from scratch: masks whose rows are dependent mod 2 (which
+may still be independent over Q), and every mask of the Gosper stream.
+Only a mask that fails, or lies outside the gate, becomes a
+``SupportIdeal`` (its standard monomials one bitmask over the box
+[0, d)^n, so its Hilbert function and matrices equal those of the same
+MonomialIdeal) and goes through the full check, whose report is recorded.
+The matrix entry cost a budget counts is HF(j) HF(j+1) summed over the
+pairs the full check would list, not over the one map that is ranked, so
+it is the same either way; a passing mask's cost needs only the Hilbert
+function above d.  Campaigns are deterministic: fixed enumeration order,
+recorded seeds, and order-preserving merges of any parallel work.
 """
 
 from __future__ import annotations
@@ -65,13 +73,14 @@ from .ideals import (
     is_artinian,
     monomial_ideal_from_leads,
     socle_degree,
+    support_hf_above,
     support_positions,
-    support_quotient,
 )
 from .lefschetz import (
     DEFAULT_SEED,
     _lemma_pair,
     _lemma_power,
+    _support_rows,
     check_power,  # unused here; campaign_bench wraps harness.check_power
     check_power_shortcut,
     check_slp,
@@ -169,7 +178,7 @@ def _is_canonical(mask: int, tables) -> int | None:
     return top
 
 
-def _orderly_masks(m: int, hf_max: int, tables):
+def _orderly_masks(m: int, hf_max: int, tables, rows=None):
     """Orbit minima of masks over m bits with popcount 0..hf_max, by
     popcount, then ascending, grown level by level from orbit maxima (Read,
     Ann. Discrete Math. 1978; McKay, J. Algorithms 1998).  Removing the
@@ -178,28 +187,62 @@ def _orderly_masks(m: int, hf_max: int, tables):
     its lowest set; a child is kept when its complement passes
     ``_is_canonical``, whose one pass also gives the child's orbit minimum.
     Only the current level is held, and the next one is built only when
-    asked for."""
+    asked for; a maximum that can have no children (lowest bit 0, or on the
+    last level) is not held at all.
+
+    Each minimum comes as a pair (minimum, certified).  ``rows`` holds one
+    packed GF(2) row per mask bit (``lefschetz._support_rows``); without it
+    nothing is certified.  Every held maximum whose rows are independent
+    mod 2 keeps a GF(2) echelon basis of them as one int: the basis row
+    with leading bit p sits in slot p, bits p*w .. p*w + w-1 for rows of
+    width w.  A kept child reduces only the row of its new bit against its
+    parent's basis, leading bit by leading bit.  A remainder that reaches
+    an empty slot certifies that the child's rows are independent mod 2,
+    hence over Q, and fills that slot of the child's basis.  A permutation
+    of the variables permutes the rows and the columns of every power of
+    the all-ones form, so the certificate also holds for the child's orbit
+    minimum.  A parent's basis is dropped once its children are made.
+    """
     full = (1 << m) - 1
+    width = max(rows or (0,)).bit_length()
+    slot = (1 << width) - 1
     maxima = [0]
-    minima = [0]
+    bases = [None if rows is None else 0]
+    minima = [0 if rows is None else 1]  # minimum << 1 | certified
     for k in range(hf_max + 1):
         minima.sort()
-        yield from minima
+        yield from ((x >> 1, (x & 1) == 1) for x in minima)
         if k == hf_max:
             return
+        held = k + 1 < hf_max
         children = []
+        child_bases = []
         minima = []
-        for parent in maxima:
+        while maxima:
+            parent = maxima.pop()
+            basis = bases.pop()
             for b in range((parent & -parent or 1 << m).bit_length() - 1):
                 child = parent | 1 << b
                 top = _is_canonical(full ^ child, tables)
-                if top is not None:
+                if top is None:
+                    continue
+                certified = 0
+                v = 0 if basis is None else rows[b]
+                while v:
+                    p = v.bit_length() - 1
+                    row = basis >> p * width & slot
+                    if not row:
+                        certified = 1
+                        break
+                    v ^= row
+                minima.append((full ^ top) << 1 | certified)
+                if b and held:
                     children.append(child)
-                    minima.append(full ^ top)
-        maxima = children
+                    child_bases.append(basis | v << p * width if certified else None)
+        maxima, bases = children, child_bases
 
 
-def iter_support_masks(spec: SearchSpec):
+def iter_support_masks(spec: SearchSpec, rows=None):
     """Bitmasks over the mixed monomials with popcount in the HF window, by
     popcount, then ascending; with symmetry, only the smallest mask of each
     orbit.
@@ -213,18 +256,24 @@ def iter_support_masks(spec: SearchSpec):
     empty mask and build a whole level before yielding any of it, which
     costs more than it saves on the at-bound and searched-witness windows
     that stop at their first failure; without symmetry there is nothing to
-    reduce."""
+    reduce.
+
+    A campaign scan passes the packed rows of its critical map
+    (``lefschetz._support_rows``) as ``rows`` and gets pairs (mask,
+    certified) instead: certified when the orderly walk has shown the
+    mask's rows independent mod 2, always False on the Gosper stream."""
     m = len(support_positions(spec.n, spec.d))
     tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else ()
     if spec.symmetry and spec.hf_min == 0:
-        yield from _orderly_masks(m, spec.hf_max, tables)
+        pairs = _orderly_masks(m, spec.hf_max, tables, rows)
+        yield from pairs if rows is not None else (mask for mask, _ in pairs)
         return
     end = 1 << m
     for k in range(spec.hf_min, spec.hf_max + 1):
         mask = (1 << k) - 1
         while mask < end:
             if not spec.symmetry or _is_canonical(mask, tables) is not None:
-                yield mask
+                yield mask if rows is None else (mask, False)
             if not mask:
                 break
             low = mask & -mask
@@ -265,36 +314,66 @@ def _run_check(I, key: str, args: dict):
     raise ValueError(f"unknown check {key!r}")
 
 
-def _decide_mask(n: int, d: int, mask: int, key: str, args: dict) -> int | None:
+@lru_cache(maxsize=None)
+def _critical_map(n: int, d: int, key: str, i: int | None) -> tuple[int, int]:
+    """(i, dim S_{d-i}) of a check key's critical map ell^i: S_{d-i} -> S_d,
+    with the power of its lemma gate (``_lemma_power``): 1 for the WLP, the
+    shortcut's i, d-1 for the SLP (i None).  Campaigns only pass powers
+    1 <= i <= d-1.  Below degree d a support ideal is all of S, so
+    HF(d-i) = dim S_{d-i}, and a mask is inside the gate exactly when its
+    popcount is at most that."""
+    i = _lemma_power(
+        d, 1 if key == "wlp" else i, lambda k: basis_size(n, k) if k < d else 0
+    )
+    return i, basis_size(n, d - i)
+
+
+@lru_cache(maxsize=None)
+def _free_pairs_cost(n: int, d: int) -> int:
+    """dim S_j dim S_{j+1} summed over the WLP pairs j < d-1, which every
+    support ideal in degree d shares."""
+    return sum(basis_size(n, j) * basis_size(n, j + 1) for j in range(d - 1))
+
+
+def _decide_mask(
+    n: int, d: int, mask: int, key: str, args: dict, certified: bool = False
+) -> int | None:
     """The matrix entry cost ``_run_check`` reports for a mask that passes,
     decided from the one critical map without building an ideal or a
     report; None when the mask is outside the gate or fails, and only the
     full check may report it.
 
-    Every key's gate is the lemma gate of its power (i = 1 for the WLP, the
-    shortcut's i, None for the SLP): HF(d-i) >= HF(d).  Inside it the map
-    ell^i from R_{d-i} = S_{d-i} to R_d must be onto, which is independence
-    of the rows of the mask's monomials; for the WLP the pairs below it are
+    Every key's gate is the lemma gate of its power (``_critical_map``):
+    HF(d-i) = dim S_{d-i} >= HF(d) = popcount.  Inside it the map ell^i
+    from R_{d-i} = S_{d-i} to R_d must be onto, which is independence of
+    the rows of the mask's monomials; for the WLP the pairs below it are
     free and every pair after an onto one is onto
-    (``lefschetz._scan_pairs``).  The cost sums
-    HF(j) HF(j+1) over the pairs the full check lists: every degree for the
-    WLP, the lemma pair alone for a shortcut."""
-    power = 1 if key == "wlp" else args.get("i")
-    _, hfs = support_quotient(n, d, mask)
-    i = _lemma_power(d, power, hfs.__getitem__)
-    if i is None or not support_rows_independent(n, d, i, mask):
+    (``lefschetz._scan_pairs``).  A mask ``certified`` by the orderly walk
+    (``_orderly_masks``) has independent rows; any other mask ranks them
+    (``support_rows_independent``).  The cost sums HF(j) HF(j+1) over the
+    pairs the full check lists without building the quotient: for the WLP
+    a per-(n, d) constant for the pairs below d-1, then dim S_{d-1} HF(d),
+    then the degrees above d (``support_hf_above``); for a shortcut the
+    lemma pair alone, dim S_{d-i} HF(d)."""
+    i, source = _critical_map(n, d, key, args.get("i"))
+    size = mask.bit_count()
+    if size > source or not (certified or support_rows_independent(n, d, i, mask)):
         return None
-    if key == "wlp":
-        return sum([a * b for a, b in zip(hfs, hfs[1:])])
-    return hfs[d - i] * hfs[d]
+    if key != "wlp":
+        return source * size
+    cost = _free_pairs_cost(n, d) + source * size
+    for h in support_hf_above(n, d, mask):
+        cost += size * h
+        size = h
+    return cost
 
 
 def _campaign_worker(job):
     n, d, masks, key, args, first = job
     failures = []
     cost = 0
-    for k, mask in enumerate(masks, 1):
-        c = _decide_mask(n, d, mask, key, args)
+    for k, (mask, certified) in enumerate(masks, 1):
+        c = _decide_mask(n, d, mask, key, args, certified)
         if c is None:
             rep = _run_check(ideal_from_mask(n, d, mask), key, args)
             c = _report_cost(rep)
@@ -340,7 +419,8 @@ def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = Fa
     there are CPUs.  The scan stops, partial, once either budget is exceeded,
     and with ``first`` at the first failing ideal.
     """
-    masks = iter_support_masks(spec)
+    i, _ = _critical_map(spec.n, spec.d, key, args.get("i"))
+    masks = iter_support_masks(spec, _support_rows(spec.n, spec.d, i)[0])
     budgeted = islice(masks, spec.budget_ideals)
     chunks = iter(lambda: list(islice(budgeted, SCAN_CHUNK)), [])
     jobs = ((spec.n, spec.d, chunk, key, args, first) for chunk in chunks)

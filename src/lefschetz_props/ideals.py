@@ -288,20 +288,42 @@ def _box_tables(n: int, d: int) -> _BoxTables:
     )
 
 
-def support_quotient(n: int, d: int, mask: int) -> tuple[int, tuple[int, ...]]:
-    """(std, Hilbert function) of the support ideal of the mask
-    (``SupportIdeal``): the standard monomials as one mask over the box, the
-    full box minus the box multiples of every cleared mixed bit, read one
-    byte of cleared bits at a time; and HF(k) for every box degree k, one
-    popcount each."""
-    box = _box_tables(n, d)
+def _support_std(box: _BoxTables, mask: int) -> int:
+    """The standard monomials of the support ideal of the mask as one mask
+    over the box: the full box minus the box multiples of every cleared
+    mixed bit, read one byte of cleared bits at a time."""
     cleared = box.mixed & ~mask
     killed = 0
     for table in box.cleared:
         killed |= table[cleared & 255]
         cleared >>= 8
-    std = box.full & ~killed
+    return box.full & ~killed
+
+
+def support_quotient(n: int, d: int, mask: int) -> tuple[int, tuple[int, ...]]:
+    """(std, Hilbert function) of the support ideal of the mask
+    (``SupportIdeal``): the standard monomials over the box
+    (``_support_std``), and HF(k) for every box degree k, one popcount
+    each."""
+    box = _box_tables(n, d)
+    std = _support_std(box, mask)
     return std, tuple([(std & m).bit_count() for m in box.degree])
+
+
+def support_hf_above(n: int, d: int, mask: int) -> list[int]:
+    """HF(d+1), HF(d+2), ... of the support ideal of the mask, up to its
+    socle degree: the popcounts of ``support_quotient`` over the box degrees
+    above d only, stopped at the first zero (every later one is zero too,
+    since R_{k+1} = R_1 R_k)."""
+    box = _box_tables(n, d)
+    std = _support_std(box, mask)
+    hfs = []
+    for m in box.degree[d + 1:]:
+        h = (std & m).bit_count()
+        if not h:
+            break
+        hfs.append(h)
+    return hfs
 
 
 class SupportIdeal(MonomialIdeal):
@@ -317,7 +339,8 @@ class SupportIdeal(MonomialIdeal):
     box [0, d)^n: the pure powers put every standard monomial inside the
     box, and a box position is standard iff no generator divides it, so
     ``std`` is the full box minus the box multiples of the mixed generators
-    (``support_quotient``, which campaigns also call without an ideal).
+    (``support_quotient``; campaigns read only the degrees above d, without
+    an ideal, through ``support_hf_above``).
     Two equal-degree monomials in the box compare like their last differing
     exponents (base-d digits), so box order within one degree is the colex
     order of monomial_basis, and standard_indices and every matrix built

@@ -110,14 +110,16 @@ def _columns(n: int, j: int, i: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _weights(n: int, i: int, coefficients: tuple) -> tuple[tuple, bool]:
     """Coefficients of the i-th power of the linear form, one per offset of
     monomial_basis(n, i): multinomial(i; c) times the product of the
     coefficients to the powers c; and whether every one is an integer.  Ints
     when every weight is integral, else Fractions, with a zero weight kept
     as int 0 (the entry nothing reaches).  Integer coefficients are
-    multiplied as ints, without a Fraction."""
+    multiplied as ints, without a Fraction.  The cache is keyed on the form
+    and the randomized deciders draw fresh forms per seed, so it keeps only
+    the recent entries; one check reuses a form's weights for every degree."""
     coefficients = [a if isinstance(a, int) else Fraction(a) for a in coefficients]
     weights = []
     for c in monomial_basis(n, i):

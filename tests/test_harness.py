@@ -23,9 +23,16 @@ from lefschetz_props.harness import (
     verify_thm37,
     wiebe_initial_ideal_check,
 )
-from lefschetz_props.ideals import MonomialIdeal, hilbert_function, socle_degree
+from lefschetz_props._ranks_py import rank_gf2_bits
+from lefschetz_props.ideals import (
+    MonomialIdeal,
+    hilbert_function,
+    socle_degree,
+    support_quotient,
+)
 from lefschetz_props.lefschetz import (
     _lemma_pair,
+    _support_rows,
     check_power_shortcut,
     check_slp,
     check_slp_shortcut,
@@ -112,7 +119,11 @@ def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
          if lo <= mask.bit_count() <= hi and (not symmetry or mask in minima)),
         key=lambda mask: (mask.bit_count(), mask),
     )
-    assert list(iter_support_masks(SearchSpec(n, d, lo, hi, symmetry))) == expected
+    spec = SearchSpec(n, d, lo, hi, symmetry)
+    assert list(iter_support_masks(spec)) == expected
+    # a scan's pairs carry the same masks in the same order
+    rows = _support_rows(n, d, 1)[0]
+    assert [mask for mask, _ in iter_support_masks(spec, rows)] == expected
 
 
 @pytest.mark.parametrize("n, d, hi", [(3, 5, 11), (4, 4, 5), (5, 3, 4)])
@@ -171,9 +182,9 @@ def test_entry_budget_bounds_the_ideals_built(monkeypatch):
     decided = []
     decide = harness._decide_mask
 
-    def counting(n, d, mask, key, args):
+    def counting(n, d, mask, key, args, certified=False):
         decided.append(mask)
-        return decide(n, d, mask, key, args)
+        return decide(n, d, mask, key, args, certified)
 
     monkeypatch.setattr(harness, "_decide_mask", counting)
     r = verify_thm1(3, 4, budget_entries=10)
@@ -273,8 +284,8 @@ def test_a_failure_below_the_bound_sets_the_minimal_failing_hf(monkeypatch):
     decide, run_check = harness._decide_mask, harness._run_check
     failing = []
 
-    def decide_mask(n, d, mask, key, args):
-        return None if mask == 3 else decide(n, d, mask, key, args)
+    def decide_mask(n, d, mask, key, args, certified=False):
+        return None if mask == 3 else decide(n, d, mask, key, args, certified)
 
     def fail_mask_3(I, key, args):
         rep = run_check(I, key, args)
@@ -475,6 +486,86 @@ def test_critical_map_decide_matches_the_full_check(n, d, sample, keys):
                 decided += 1
                 assert cost == harness._report_cost(rep), (n, d, mask, key, args)
         assert decided > 0, (n, d, key, args)
+
+
+def _key_window(n, d, key, args):
+    """The critical map's power and packed rows for a check key, and every
+    orbit minimum with the orderly walk's certificate."""
+    i = {"wlp": 1, "slp_shortcut": d - 1}.get(key, args.get("i"))
+    packed = _support_rows(n, d, i)[0]
+    top = len(monomial_basis(n, d)) - n
+    return i, packed, iter_support_masks(SearchSpec(n, d, 0, top), packed)
+
+
+KEYS_BY_CASE = [
+    (n, d, key, args)
+    for n, d in ((3, 3), (3, 4), (4, 3))
+    for key, args in [("wlp", {}), ("slp_shortcut", {})]
+    + [("power_shortcut", {"i": i}) for i in range(1, d)]
+]
+
+
+@pytest.mark.parametrize("n, d, key, args", KEYS_BY_CASE)
+def test_certified_masks_pass_the_full_check_at_their_fast_cost(n, d, key, args):
+    # every orbit minimum of the whole mask space, which holds each key's
+    # below-bound window: the walk certifies exactly the masks whose rows
+    # are independent mod 2, a certified mask passes the full check, and
+    # the decide's cost, certified or not, is that full report's cost
+    from lefschetz_props import harness
+
+    i, packed, window = _key_window(n, d, key, args)
+    certified_count = 0
+    for mask, certified in window:
+        picked = [packed[p] for p in range(len(packed)) if mask >> p & 1]
+        assert certified == (rank_gf2_bits(picked) == len(picked)), mask
+        certified_count += certified
+        cost = harness._decide_mask(n, d, mask, key, args, certified)
+        I = ideal_from_mask(n, d, mask)
+        if _lemma_pair(I, None if key == "slp_shortcut" else i) is None:
+            assert cost is None and not certified, mask
+            continue
+        rep = harness._run_check(I, key, args)
+        assert rep.verdict or not certified, mask
+        assert (cost is not None) == rep.verdict, mask
+        if cost is not None:
+            assert cost == harness._report_cost(rep), mask
+    assert certified_count > 0
+
+
+def test_fast_wlp_cost_matches_the_quotient_on_every_3_5_mask():
+    from lefschetz_props import harness
+
+    below = SearchSpec(3, 5, 0, theorem1_bound(3, 5) - 1)
+    pairs = list(iter_support_masks(below, _support_rows(3, 5, 1)[0]))
+    assert len(pairs) == 38918
+    for mask, certified in pairs:
+        _, hfs = support_quotient(3, 5, mask)
+        expected = sum(a * b for a, b in zip(hfs, hfs[1:]))
+        assert harness._decide_mask(3, 5, mask, "wlp", {}, certified) == expected, mask
+
+
+def test_a_certified_mask_never_ranks_its_rows(monkeypatch):
+    from lefschetz_props import harness
+
+    certified_masks, ranked = [], []
+    decide, independent = harness._decide_mask, harness.support_rows_independent
+
+    def decide_mask(n, d, mask, key, args, certified=False):
+        if certified:
+            certified_masks.append((d, mask))
+        return decide(n, d, mask, key, args, certified)
+
+    def rows_independent(n, d, i, mask):
+        ranked.append((d, mask))
+        return independent(n, d, i, mask)
+
+    monkeypatch.setattr(harness, "_decide_mask", decide_mask)
+    monkeypatch.setattr(harness, "support_rows_independent", rows_independent)
+    for campaign in (lambda: verify_thm1(4, 3), lambda: verify_thm2(4, 3, 2)):
+        certified_masks[:], ranked[:] = [], []
+        assert campaign().confirmed
+        assert certified_masks and ranked
+        assert not set(certified_masks) & set(ranked)
 
 
 def test_named_examples_suite():

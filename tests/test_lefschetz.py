@@ -513,3 +513,16 @@ def test_support_row_pick_matches_exact_rank_on_seeded_masks(n, d, i):
             gf2_short[expected] += 1
     # GF(2)-dependent masks reach the exact fallback, both ways
     assert gf2_short[False] > 0 and gf2_short[True] > 0
+
+
+def test_weights_cache_stays_bounded_over_seeds():
+    # every seed draws fresh trial forms, so an unbounded cache keyed on the
+    # form would keep growing with the seeds one process runs
+    from lefschetz_props.harness import wiebe_initial_ideal_check
+
+    lefschetz._weights.cache_clear()
+    for seed in (1, 2, 3):
+        assert wiebe_initial_ideal_check(3, (2, 3), 40, seed).confirmed
+    info = lefschetz._weights.cache_info()
+    assert info.maxsize is not None
+    assert info.misses > info.maxsize >= info.currsize
