@@ -121,6 +121,11 @@ COMMANDS = [
     ["verify-thm2", "--n", "4", "--d", "4", "--i", "2", "--budget-entries", "5000"],
     ["verify-thm2", "--n", "3", "--d", "5", "--threads", "2"],
     ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2"],
+    # the packed canonicity test on the Gosper stream of larger groups: the
+    # searched witness window of 23 permutations, and the SLP bound's
+    # at-bound window under 119
+    ["verify-thm2", "--n", "4", "--d", "3", "--i", "1"],
+    ["verify-thm2", "--n", "5", "--d", "2"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

@@ -8,13 +8,14 @@ Supports are walked as bitmasks by popcount (= HF(R, d)), then ascending,
 optionally reduced to canonical representatives under variable permutations;
 both Lefschetz properties are permutation-invariant, so campaign conclusions
 are unchanged by the reduction.  A mask is canonical when no permutation
-image is smaller; images are ORs of per-permutation byte lookup tables.  The
-below-bound window of a campaign starts at the empty mask and is walked
-orderly: each popcount level is grown from the orbit maxima of the level
-before, so only their one-bit extensions are tested, and each kept orbit
-contributes its smallest image.  Windows that start higher (the at-bound and
-searched-witness windows, which stop at their first failure) or run without
-symmetry stream every mask of each popcount instead.
+image is smaller: one byte lookup per mask byte gives every image at once,
+packed into the lanes of one int, and one subtraction compares them all with
+the mask.  The below-bound window of a campaign starts at the empty mask and
+is walked orderly: each popcount level is grown from the orbit maxima of the
+level before, so only their one-bit extensions are tested, and each kept
+orbit contributes its smallest image.  Windows that start higher (the
+at-bound and searched-witness windows, which stop at their first failure)
+or run without symmetry stream every mask of each popcount instead.
 
 A campaign decides each visited mask from its one critical map and builds
 no ideal or report for a mask that passes.  Inside the lemma gate
@@ -36,8 +37,10 @@ MonomialIdeal) and goes through the full check, whose report is recorded.
 The matrix entry cost a budget counts is HF(j) HF(j+1) summed over the
 pairs the full check would list, not over the one map that is ranked, so
 it is the same either way; a passing mask's cost needs only the Hilbert
-function above d.  Campaigns are deterministic: fixed enumeration order,
-recorded seeds, and order-preserving merges of any parallel work.
+function above d.  Everything a decide reads that depends only on the
+campaign, not on the mask, is one cached lookup.  Campaigns are
+deterministic: fixed enumeration order, recorded seeds, and
+order-preserving merges of any parallel work.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations
+from typing import NamedTuple
 
 from .combinatorics import basis_index, basis_size, monomial_basis
 from .duality import (
@@ -67,13 +71,13 @@ from .ideals import (
     FormIdeal,
     MonomialIdeal,
     SupportIdeal,
+    _box_tables,
     byte_or_tables,
     hilbert_function,
     initial_ideal_degreewise,
     is_artinian,
     monomial_ideal_from_leads,
     socle_degree,
-    support_hf_above,
     support_positions,
 )
 from .lefschetz import (
@@ -138,43 +142,79 @@ class SearchSpec:
             raise ValueError(f"HF range must lie within [0, {top}]")
 
 
+class _SymmetryTables(NamedTuple):
+    """Every moving permutation image of a support mask in one int
+    (``_symmetry_tables``): P lanes of m+1 bits, lane k holding the k-th
+    image in its low m bits over a clear guard bit m."""
+
+    per_byte: tuple[tuple[int, ...], ...]  # byte k, value v -> packed images
+    ones: int                              # bit 0 of every lane
+    guards: int                            # bit m of every lane
+    full: int                              # the m bits of one lane
+    width: int                             # m + 1
+
+
 @lru_cache(maxsize=None)
-def _symmetry_tables(n: int, d: int):
-    """Byte lookup images (``byte_or_tables``) of every permutation of the
-    variables that moves a support mask bit."""
+def _symmetry_tables(n: int, d: int) -> _SymmetryTables:
+    """Byte lookup tables (``byte_or_tables``) of the images of a support
+    mask under the P permutations of the variables that move one of its m
+    bits, all packed into one int.  Mask bit b goes to lane k's bit
+    sigma_k(b), so the packed images of a mask are the OR of the entries of
+    its bytes, ceil(m/8) lookups for all P images at once.  The tables hold
+    256 ceil(m/8) ints of P(m+1) bits: at (4, 4) 1,024 ints of 736 bits, at
+    (6, 3) 1,792 ints of 36,669 bits (8 MiB)."""
     basis = monomial_basis(n, d)
     index = basis_index(n, d)
     mixed = support_positions(n, d)
     mixed_pos = {g: p for p, g in enumerate(mixed)}
-    tables = []
+    m = len(mixed)
+    width = m + 1
+    identity = list(range(m))
+    bit_images = [0] * m
+    lane = 0
     for sigma in permutations(range(n)):
-        images = [
-            1 << mixed_pos[index[tuple(basis[g][s] for s in sigma)]] for g in mixed
-        ]
-        if any(image != 1 << p for p, image in enumerate(images)):
-            tables.append(byte_or_tables(images))
-    return tuple(tables)
+        targets = [mixed_pos[index[tuple(basis[g][s] for s in sigma)]] for g in mixed]
+        if targets == identity:
+            continue
+        for b, t in enumerate(targets):
+            bit_images[b] |= 1 << lane * width + t
+        lane += 1
+    ones = sum(1 << k * width for k in range(lane))
+    return _SymmetryTables(
+        byte_or_tables(bit_images), ones, ones << m, (1 << m) - 1, width
+    )
 
 
-def _is_canonical(mask: int, tables) -> int | None:
+def _is_canonical(mask: int, tables: _SymmetryTables) -> int | None:
     """The largest permutation image (``_symmetry_tables``) of the mask when
     no image is smaller than the mask itself, that is, when the mask is the
-    smallest of its orbit; else None, as soon as a smaller image turns up.
+    smallest of its orbit; else None.
+
+    One pass over the mask's bytes gives every image, and one subtraction
+    compares them all with the mask (SWAR, Knuth, TAOCP 4A, 7.1.3): with
+    every guard bit set, lane k of the packed images minus the mask in
+    every lane is 2^m + image_k - mask, which stays in its lane and keeps
+    its guard bit exactly when image_k >= mask.  So some image is smaller
+    exactly when a guard bit is cleared.  Only a mask that passes scans the
+    lanes for the largest image.
 
     Images of a complement are the complements of the images, so the mask's
     complement is then the largest of its orbit, and the complement of the
     returned image is the smallest image of that complement."""
+    per_byte, ones, guards, full, width = tables
+    images = 0
+    rest = mask
+    for table in per_byte:
+        images |= table[rest & 255]
+        rest >>= 8
+    if ((images | guards) - mask * ones) & guards != guards:
+        return None
     top = mask
-    for per_byte in tables:
-        image = 0
-        rest = mask
-        for table in per_byte:
-            image |= table[rest & 255]
-            rest >>= 8
-        if image < mask:
-            return None
+    while images:
+        image = images & full
         if image > top:
             top = image
+        images >>= width
     return top
 
 
@@ -263,7 +303,7 @@ def iter_support_masks(spec: SearchSpec, rows=None):
     certified) instead: certified when the orderly walk has shown the
     mask's rows independent mod 2, always False on the Gosper stream."""
     m = len(support_positions(spec.n, spec.d))
-    tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else ()
+    tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else None
     if spec.symmetry and spec.hf_min == 0:
         pairs = _orderly_masks(m, spec.hf_max, tables, rows)
         yield from pairs if rows is not None else (mask for mask, _ in pairs)
@@ -314,25 +354,36 @@ def _run_check(I, key: str, args: dict):
     raise ValueError(f"unknown check {key!r}")
 
 
+class _MaskDecider(NamedTuple):
+    """What ``_decide_mask`` reads for one (n, d, check key, power)."""
+
+    power: int                 # i of the critical map ell^i: S_{d-i} -> S_d
+    source: int                # dim S_{d-i}
+    free: int | None           # WLP cost of the pairs below d-1; None: shortcut
+    mixed: int                 # every support mask bit
+    cleared: tuple[tuple[int, ...], ...]  # ``_box_tables(n, d).cleared``
+    above: tuple[int, ...]     # the box positions of each degree above d
+
+
 @lru_cache(maxsize=None)
-def _critical_map(n: int, d: int, key: str, i: int | None) -> tuple[int, int]:
-    """(i, dim S_{d-i}) of a check key's critical map ell^i: S_{d-i} -> S_d,
-    with the power of its lemma gate (``_lemma_power``): 1 for the WLP, the
+def _mask_decider(n: int, d: int, key: str, i: int | None) -> _MaskDecider:
+    """The per-(n, d, key, i) part of ``_decide_mask``.  The critical map's
+    power is that of its lemma gate (``_lemma_power``): 1 for the WLP, the
     shortcut's i, d-1 for the SLP (i None).  Campaigns only pass powers
     1 <= i <= d-1.  Below degree d a support ideal is all of S, so
     HF(d-i) = dim S_{d-i}, and a mask is inside the gate exactly when its
-    popcount is at most that."""
+    popcount is at most that.  The WLP pairs j < d-1 cost dim S_j
+    dim S_{j+1} for every support ideal in degree d."""
     i = _lemma_power(
         d, 1 if key == "wlp" else i, lambda k: basis_size(n, k) if k < d else 0
     )
-    return i, basis_size(n, d - i)
-
-
-@lru_cache(maxsize=None)
-def _free_pairs_cost(n: int, d: int) -> int:
-    """dim S_j dim S_{j+1} summed over the WLP pairs j < d-1, which every
-    support ideal in degree d shares."""
-    return sum(basis_size(n, j) * basis_size(n, j + 1) for j in range(d - 1))
+    free = None
+    if key == "wlp":
+        free = sum(basis_size(n, j) * basis_size(n, j + 1) for j in range(d - 1))
+    box = _box_tables(n, d)
+    return _MaskDecider(
+        i, basis_size(n, d - i), free, box.mixed, box.cleared, box.degree[d + 1:]
+    )
 
 
 def _decide_mask(
@@ -343,7 +394,7 @@ def _decide_mask(
     report; None when the mask is outside the gate or fails, and only the
     full check may report it.
 
-    Every key's gate is the lemma gate of its power (``_critical_map``):
+    Every key's gate is the lemma gate of its power (``_mask_decider``):
     HF(d-i) = dim S_{d-i} >= HF(d) = popcount.  Inside it the map ell^i
     from R_{d-i} = S_{d-i} to R_d must be onto, which is independence of
     the rows of the mask's monomials; for the WLP the pairs below it are
@@ -353,16 +404,28 @@ def _decide_mask(
     (``support_rows_independent``).  The cost sums HF(j) HF(j+1) over the
     pairs the full check lists without building the quotient: for the WLP
     a per-(n, d) constant for the pairs below d-1, then dim S_{d-1} HF(d),
-    then the degrees above d (``support_hf_above``); for a shortcut the
-    lemma pair alone, dim S_{d-i} HF(d)."""
-    i, source = _critical_map(n, d, key, args.get("i"))
+    then the degrees above d, each one popcount of the box positions that
+    no cleared bit's box multiples reach (as ``ideals.support_quotient``
+    counts them), up to the first zero (every later one is zero too, since
+    R_{k+1} = R_1 R_k); for a shortcut the lemma pair alone,
+    dim S_{d-i} HF(d)."""
+    i, source, free, mixed, cleared, above = _mask_decider(n, d, key, args.get("i"))
     size = mask.bit_count()
     if size > source or not (certified or support_rows_independent(n, d, i, mask)):
         return None
-    if key != "wlp":
+    if free is None:
         return source * size
-    cost = _free_pairs_cost(n, d) + source * size
-    for h in support_hf_above(n, d, mask):
+    cost = free + source * size
+    rest = mixed & ~mask
+    killed = 0
+    for table in cleared:
+        killed |= table[rest & 255]
+        rest >>= 8
+    std = ~killed
+    for degree in above:
+        h = (degree & std).bit_count()
+        if not h:
+            break
         cost += size * h
         size = h
     return cost
@@ -419,7 +482,7 @@ def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = Fa
     there are CPUs.  The scan stops, partial, once either budget is exceeded,
     and with ``first`` at the first failing ideal.
     """
-    i, _ = _critical_map(spec.n, spec.d, key, args.get("i"))
+    i = _mask_decider(spec.n, spec.d, key, args.get("i")).power
     masks = iter_support_masks(spec, _support_rows(spec.n, spec.d, i)[0])
     budgeted = islice(masks, spec.budget_ideals)
     chunks = iter(lambda: list(islice(budgeted, SCAN_CHUNK)), [])

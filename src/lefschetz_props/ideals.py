@@ -310,22 +310,6 @@ def support_quotient(n: int, d: int, mask: int) -> tuple[int, tuple[int, ...]]:
     return std, tuple([(std & m).bit_count() for m in box.degree])
 
 
-def support_hf_above(n: int, d: int, mask: int) -> list[int]:
-    """HF(d+1), HF(d+2), ... of the support ideal of the mask, up to its
-    socle degree: the popcounts of ``support_quotient`` over the box degrees
-    above d only, stopped at the first zero (every later one is zero too,
-    since R_{k+1} = R_1 R_k)."""
-    box = _box_tables(n, d)
-    std = _support_std(box, mask)
-    hfs = []
-    for m in box.degree[d + 1:]:
-        h = (std & m).bit_count()
-        if not h:
-            break
-        hfs.append(h)
-    return hfs
-
-
 class SupportIdeal(MonomialIdeal):
     """Equigenerated artinian ideal in degree d given by its dual support.
 
@@ -339,8 +323,8 @@ class SupportIdeal(MonomialIdeal):
     box [0, d)^n: the pure powers put every standard monomial inside the
     box, and a box position is standard iff no generator divides it, so
     ``std`` is the full box minus the box multiples of the mixed generators
-    (``support_quotient``; campaigns read only the degrees above d, without
-    an ideal, through ``support_hf_above``).
+    (``support_quotient``; campaigns read only the degrees above d off the
+    same tables, without an ideal, in ``harness._decide_mask``).
     Two equal-degree monomials in the box compare like their last differing
     exponents (base-d digits), so box order within one degree is the colex
     order of monomial_basis, and standard_indices and every matrix built

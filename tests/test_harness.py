@@ -1,8 +1,12 @@
 """Enumeration, symmetry reduction, and campaign behavior."""
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -71,39 +75,126 @@ def test_enumeration_is_artinian_equigenerated_with_right_hf():
 
 
 def test_symmetry_orbit_counts():
-    # canonical representatives expand back to the full mask count
+    # canonical representatives expand back to the full mask count, each
+    # image read from its own lane of the packed tables
     from lefschetz_props.harness import _symmetry_tables
 
-    tables = _symmetry_tables(3, 3)
-    assert len(tables) == 5  # every permutation of three variables but the identity
+    per_byte, ones, guards, full, width = _symmetry_tables(3, 3)
+    assert (len(per_byte), full, width) == (1, 127, 8)  # 7 mixed monomials
+    # every permutation of three variables but the identity, one lane each
+    assert ones == sum(1 << 8 * k for k in range(5)) and guards == ones << 7
     canonical = list(iter_support_masks(SearchSpec(3, 3, 0, 7, symmetry=True)))
     seen = set()
     for mask in canonical:
         seen.add(mask)
-        for per_byte in tables:
-            seen.add(sum(table[mask >> 8 * k & 255] for k, table in enumerate(per_byte)))
+        images = per_byte[0][mask]
+        assert images & guards == 0
+        seen.update(images >> 8 * k & full for k in range(5))
     assert len(seen) == 128
+
+
+def test_import_builds_no_campaign_table():
+    # the symmetry tables and the decide lookups are built on first use, so
+    # importing the package, which every lefprop invocation does, pays for
+    # none of them
+    import lefschetz_props
+
+    src = Path(lefschetz_props.__file__).resolve().parent.parent
+    code = (
+        "import lefschetz_props.cli\n"
+        "from lefschetz_props import harness\n"
+        "print(harness._symmetry_tables.cache_info().currsize,"
+        " harness._mask_decider.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0"]
+
+
+def _permutation_maps(n, d):
+    """The image position of every mixed monomial under each permutation of
+    the variables, from the exponent vectors themselves (independent of the
+    symmetry tables)."""
+    mixed = [m for m in monomial_basis(n, d) if sum(1 for e in m if e) > 1]
+    pos = {m: p for p, m in enumerate(mixed)}
+    return [[pos[tuple(m[s] for s in sigma)] for m in mixed]
+            for sigma in permutations(range(n))]
+
+
+def _moving_permutations(n, d):
+    return [t for t in _permutation_maps(n, d) if t != sorted(t)]
+
+
+def _image(mask, t):
+    return sum(1 << t[b] for b in range(len(t)) if mask >> b & 1)
+
+
+def _brute_canonical(mask, images):
+    """``_is_canonical`` from the mask's images, one per moving permutation."""
+    return None if min(images) < mask else max(images + [mask])
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (3, 4), (4, 3)])
+def test_packed_canonicity_matches_every_image_on_every_mask(n, d):
+    # the one-pass test against each permutation's image built bit by bit
+    # (each mask's from the mask without its lowest bit): the same
+    # None/accept verdict and the same largest image
+    from lefschetz_props.harness import _is_canonical, _symmetry_tables
+
+    maps = _moving_permutations(n, d)
+    m = len(maps[0])
+    tables = _symmetry_tables(n, d)
+    assert tables.ones.bit_count() == len(maps) and tables.width == m + 1
+    images = [[0] * (1 << m) for _ in maps]
+    for image, t in zip(images, maps):
+        for mask in range(1, 1 << m):
+            image[mask] = image[mask & mask - 1] | 1 << t[(mask & -mask).bit_length() - 1]
+    accepted = 0
+    for mask in range(1 << m):
+        got = _is_canonical(mask, tables)
+        assert got == _brute_canonical(mask, [image[mask] for image in images]), mask
+        accepted += got is not None
+    assert 0 < accepted < 1 << m
+
+
+@pytest.mark.parametrize("n, d, sample", [(3, 5, 1500), (4, 4, 1500), (5, 3, 300)])
+def test_packed_canonicity_matches_every_image_on_a_sample(n, d, sample):
+    # as above on seeded masks of uneven popcount, and on the orbit minimum
+    # of each, so that about half the masks tested are accepted
+    from lefschetz_props.harness import _is_canonical, _symmetry_tables
+
+    maps = _moving_permutations(n, d)
+    m = len(maps[0])
+    tables = _symmetry_tables(n, d)
+    assert tables.ones.bit_count() == len(maps) and tables.width == m + 1
+    rng = random.Random(n * 10 + d)
+    accepted = 0
+    for _ in range(sample):
+        mask = rng.getrandbits(m) >> rng.randrange(m)
+        for x in (mask, min(mask, *(_image(mask, t) for t in maps))):
+            got = _is_canonical(x, tables)
+            assert got == _brute_canonical(x, [_image(x, t) for t in maps]), x
+            accepted += got is not None
+    assert sample <= accepted < 2 * sample
 
 
 @lru_cache(maxsize=None)
 def orbit_minima(n, d):
     """Smallest mask of every orbit under permuting the variables, from the
     exponent vectors themselves (independent of the symmetry tables)."""
-    mixed = [m for m in monomial_basis(n, d) if sum(1 for e in m if e) > 1]
-    pos = {m: p for p, m in enumerate(mixed)}
-    images = [
-        [pos[tuple(m[s] for s in sigma)] for m in mixed]
-        for sigma in permutations(range(n))
-    ]
+    images = _permutation_maps(n, d)
+    m = len(images[0])
     minima, seen = set(), set()
-    for mask in range(1 << len(mixed)):
+    for mask in range(1 << m):
         if mask in seen:
             continue
-        bits = [p for p in range(len(mixed)) if (mask >> p) & 1]
+        bits = [p for p in range(m) if (mask >> p) & 1]
         orbit = {sum(1 << image[p] for p in bits) for image in images}
         seen |= orbit
         minima.add(min(orbit))
-    return mixed, minima
+    return m, minima
 
 
 @pytest.mark.parametrize(
@@ -113,9 +204,9 @@ def orbit_minima(n, d):
 )
 @pytest.mark.parametrize("symmetry", [False, True])
 def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
-    mixed, minima = orbit_minima(n, d)
+    m, minima = orbit_minima(n, d)
     expected = sorted(
-        (mask for mask in range(1 << len(mixed))
+        (mask for mask in range(1 << m)
          if lo <= mask.bit_count() <= hi and (not symmetry or mask in minima)),
         key=lambda mask: (mask.bit_count(), mask),
     )
