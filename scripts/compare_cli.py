@@ -126,6 +126,16 @@ COMMANDS = [
     # at-bound window under 119
     ["verify-thm2", "--n", "4", "--d", "3", "--i", "1"],
     ["verify-thm2", "--n", "5", "--d", "2"],
+    # the below-bound walk split across forked workers level by level:
+    # partial reports stopped by each budget, the no-symmetry window, an
+    # entry budget on a power window, and a window partial at the default
+    # budgets
+    ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2", "--budget-ideals", "20000"],
+    ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2", "--budget-entries", "1000000"],
+    ["verify-thm1", "--n", "3", "--d", "4", "--no-symmetry", "--threads", "2"],
+    ["verify-thm2", "--n", "4", "--d", "4", "--i", "2", "--budget-entries", "5000",
+     "--threads", "2"],
+    ["verify-thm1", "--n", "3", "--d", "6", "--threads", "2"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

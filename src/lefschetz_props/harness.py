@@ -38,24 +38,30 @@ The matrix entry cost a budget counts is HF(j) HF(j+1) summed over the
 pairs the full check would list, not over the one map that is ranked, so
 it is the same either way; a passing mask's cost needs only the Hilbert
 function above d.  Everything a decide reads that depends only on the
-campaign, not on the mask, is one cached lookup.  Campaigns are
-deterministic: fixed enumeration order, recorded seeds, and
-order-preserving merges of any parallel work.
+campaign, not on the mask, is one cached lookup.
+
+With more than one thread, a below-bound window is split level by level:
+the parent walks it until a level holds enough orbit maxima, then deals
+them to forked workers.  Each orbit maximum has exactly one parent in the
+orderly tree, so the workers' subtrees are disjoint; each worker grows and
+decides its share of every later level, and the parent merges the shares
+back into enumeration order.  Campaigns are deterministic: fixed
+enumeration order, recorded seeds, and budgets counted over the merged
+order, so no report depends on the number of threads.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
+from bisect import bisect_left, bisect_right
+from contextlib import closing, suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import accumulate, chain, islice, permutations
+from math import comb
 from typing import NamedTuple
 
 from .combinatorics import basis_index, basis_size, monomial_basis
@@ -96,8 +102,10 @@ from .reporting import VerificationReport
 
 DEFAULT_BUDGET_IDEALS = 10**6
 DEFAULT_BUDGET_ENTRIES = 10**8
-# Masks per scan job: the granularity at which budgets stop a scan.
+# Masks per budget chunk: the granularity at which the entry budget stops a scan.
 SCAN_CHUNK = 256
+# Held orbit maxima per worker before a scan's levels are split across workers.
+SPLIT_HELD = 512
 
 
 def theorem1_bound(n: int, d: int) -> int:
@@ -218,68 +226,93 @@ def _is_canonical(mask: int, tables: _SymmetryTables) -> int | None:
     return top
 
 
-def _orderly_masks(m: int, hf_max: int, tables, rows=None):
-    """Orbit minima of masks over m bits with popcount 0..hf_max, by
-    popcount, then ascending, grown level by level from orbit maxima (Read,
-    Ann. Discrete Math. 1978; McKay, J. Algorithms 1998).  Removing the
-    lowest bit of an orbit maximum leaves an orbit maximum, so each orbit
-    maximum of popcount k+1 is a parent p of popcount k with one bit below
-    its lowest set; a child is kept when its complement passes
-    ``_is_canonical``, whose one pass also gives the child's orbit minimum.
-    Only the current level is held, and the next one is built only when
-    asked for; a maximum that can have no children (lowest bit 0, or on the
-    last level) is not held at all.
+def _grow_level(held: tuple, keep: bool, m: int, tables, rows=None):
+    """One level of the orderly walk (Read, Ann. Discrete Math. 1978; McKay,
+    J. Algorithms 1998), grown from the held orbit maxima of popcount k, a
+    pair of lists (maxima, bases) that it uses up.  Returns the sorted orbit
+    minima of popcount k+1, each as minimum << 1 | certified, and, with
+    ``keep``, the pair held to grow the level after.
 
-    Each minimum comes as a pair (minimum, certified).  ``rows`` holds one
-    packed GF(2) row per mask bit (``lefschetz._support_rows``); without it
-    nothing is certified.  Every held maximum whose rows are independent
-    mod 2 keeps a GF(2) echelon basis of them as one int: the basis row
-    with leading bit p sits in slot p, bits p*w .. p*w + w-1 for rows of
-    width w.  A kept child reduces only the row of its new bit against its
-    parent's basis, leading bit by leading bit.  A remainder that reaches
-    an empty slot certifies that the child's rows are independent mod 2,
-    hence over Q, and fills that slot of the child's basis.  A permutation
-    of the variables permutes the rows and the columns of every power of
-    the all-ones form, so the certificate also holds for the child's orbit
-    minimum.  A parent's basis is dropped once its children are made.
+    Removing the lowest bit of an orbit maximum leaves an orbit maximum, so
+    each orbit maximum of popcount k+1 is a parent p of popcount k with one
+    bit below its lowest set; a child is kept when its complement passes
+    ``_is_canonical``, whose one pass also gives the child's orbit minimum.
+    A maximum that can have no children (lowest bit 0, or on the last
+    level) is not held at all.
+
+    ``rows`` holds one packed GF(2) row per mask bit
+    (``lefschetz._support_rows``); without it nothing is certified.  Every
+    held maximum whose rows are independent mod 2 keeps a GF(2) echelon
+    basis of them as one int: the basis row with leading bit p sits in slot
+    p, bits p*w .. p*w + w-1 for rows of width w.  A kept child reduces
+    only the row of its new bit against its parent's basis, leading bit by
+    leading bit.  A remainder that reaches an empty slot certifies that the
+    child's rows are independent mod 2, hence over Q, and fills that slot
+    of the child's basis.  A permutation of the variables permutes the rows
+    and the columns of every power of the all-ones form, so the certificate
+    also holds for the child's orbit minimum.  A parent's basis is dropped
+    once its children are made.
     """
     full = (1 << m) - 1
     width = max(rows or (0,)).bit_length()
     slot = (1 << width) - 1
-    maxima = [0]
-    bases = [None if rows is None else 0]
-    minima = [0 if rows is None else 1]  # minimum << 1 | certified
-    for k in range(hf_max + 1):
-        minima.sort()
-        yield from ((x >> 1, (x & 1) == 1) for x in minima)
-        if k == hf_max:
+    maxima, bases = held
+    minima = []
+    children = []
+    child_bases = []
+    while maxima:
+        parent = maxima.pop()
+        basis = bases.pop()
+        for b in range((parent & -parent or 1 << m).bit_length() - 1):
+            child = parent | 1 << b
+            top = _is_canonical(full ^ child, tables)
+            if top is None:
+                continue
+            certified = 0
+            v = 0 if basis is None else rows[b]
+            while v:
+                p = v.bit_length() - 1
+                row = basis >> p * width & slot
+                if not row:
+                    certified = 1
+                    break
+                v ^= row
+            minima.append((full ^ top) << 1 | certified)
+            if b and keep:
+                children.append(child)
+                child_bases.append(basis | v << p * width if certified else None)
+    minima.sort()
+    return minima, (children, child_bases)
+
+
+def _orderly_levels(m: int, hf_max: int, tables, rows=None, k: int = 0, held=None):
+    """The levels of the orderly walk up to popcount ``hf_max``, each as
+    ``_grow_level`` returns it: from the empty mask, or, given the ``held``
+    maxima of popcount k, from their children.  Only the current level is
+    held: the next one is built only when asked for, and the list of the
+    last one is emptied first."""
+    if held is None:
+        held = [0], [None if rows is None else 0]
+        yield [0 if rows is None else 1], held
+    for k in range(k, hf_max):
+        level, held = _grow_level(held, k + 1 < hf_max, m, tables, rows)
+        yield level, held
+        level.clear()
+
+
+def _gosper_level(m: int, k: int, tables):
+    """Masks over m bits with popcount k, ascending (Gosper's hack, HAKMEM
+    item 175); with symmetry ``tables``, only the canonical ones."""
+    end = 1 << m
+    mask = (1 << k) - 1
+    while mask < end:
+        if tables is None or _is_canonical(mask, tables) is not None:
+            yield mask
+        if not mask:
             return
-        held = k + 1 < hf_max
-        children = []
-        child_bases = []
-        minima = []
-        while maxima:
-            parent = maxima.pop()
-            basis = bases.pop()
-            for b in range((parent & -parent or 1 << m).bit_length() - 1):
-                child = parent | 1 << b
-                top = _is_canonical(full ^ child, tables)
-                if top is None:
-                    continue
-                certified = 0
-                v = 0 if basis is None else rows[b]
-                while v:
-                    p = v.bit_length() - 1
-                    row = basis >> p * width & slot
-                    if not row:
-                        certified = 1
-                        break
-                    v ^= row
-                minima.append((full ^ top) << 1 | certified)
-                if b and held:
-                    children.append(child)
-                    child_bases.append(basis | v << p * width if certified else None)
-        maxima, bases = children, child_bases
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
 def iter_support_masks(spec: SearchSpec, rows=None):
@@ -289,13 +322,13 @@ def iter_support_masks(spec: SearchSpec, rows=None):
 
     Two walks give this sequence.  A window from popcount 0 with symmetry
     (the below-bound window of every campaign) is walked orderly
-    (``_orderly_masks``): it tests only children of orbit maxima, a fraction
-    of the masks, and holds one popcount level at a time.  Any other window
-    streams every mask of each popcount with Gosper's hack (HAKMEM item 175)
-    and keeps the canonical ones.  Orderly generation must start at the
-    empty mask and build a whole level before yielding any of it, which
-    costs more than it saves on the at-bound and searched-witness windows
-    that stop at their first failure; without symmetry there is nothing to
+    (``_orderly_levels``): it tests only children of orbit maxima, a
+    fraction of the masks, and holds one popcount level at a time.  Any
+    other window streams every mask of each popcount (``_gosper_level``) and
+    keeps the canonical ones.  Orderly generation must start at the empty
+    mask and build a whole level before yielding any of it, which costs
+    more than it saves on the at-bound and searched-witness windows that
+    stop at their first failure; without symmetry there is nothing to
     reduce.
 
     A campaign scan passes the packed rows of its critical map
@@ -305,20 +338,15 @@ def iter_support_masks(spec: SearchSpec, rows=None):
     m = len(support_positions(spec.n, spec.d))
     tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else None
     if spec.symmetry and spec.hf_min == 0:
-        pairs = _orderly_masks(m, spec.hf_max, tables, rows)
-        yield from pairs if rows is not None else (mask for mask, _ in pairs)
+        for level, _ in _orderly_levels(m, spec.hf_max, tables, rows):
+            if rows is None:
+                yield from (x >> 1 for x in level)
+            else:
+                yield from ((x >> 1, (x & 1) == 1) for x in level)
         return
-    end = 1 << m
     for k in range(spec.hf_min, spec.hf_max + 1):
-        mask = (1 << k) - 1
-        while mask < end:
-            if not spec.symmetry or _is_canonical(mask, tables) is not None:
-                yield mask if rows is None else (mask, False)
-            if not mask:
-                break
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | ((mask ^ ripple) >> 2) // low
+        for mask in _gosper_level(m, k, tables):
+            yield mask if rows is None else (mask, False)
 
 
 def ideal_from_mask(n: int, d: int, mask: int) -> SupportIdeal:
@@ -400,7 +428,7 @@ def _decide_mask(
     the rows of the mask's monomials; for the WLP the pairs below it are
     free and every pair after an onto one is onto
     (``lefschetz._scan_pairs``).  A mask ``certified`` by the orderly walk
-    (``_orderly_masks``) has independent rows; any other mask ranks them
+    (``_grow_level``) has independent rows; any other mask ranks them
     (``support_rows_independent``).  The cost sums HF(j) HF(j+1) over the
     pairs the full check lists without building the quotient: for the WLP
     a per-(n, d) constant for the pairs below d-1, then dim S_{d-1} HF(d),
@@ -431,76 +459,278 @@ def _decide_mask(
     return cost
 
 
-def _campaign_worker(job):
-    n, d, masks, key, args, first = job
+def _full_check(n: int, d: int, mask: int, key: str, args: dict):
+    """(matrix entry cost, failing report or None) of a mask that
+    ``_decide_mask`` leaves to the full check."""
+    rep = _run_check(ideal_from_mask(n, d, mask), key, args)
+    return _report_cost(rep), None if rep.verdict else rep
+
+
+def _serial_results(spec: SearchSpec, key: str, args: dict, rows, first: bool):
+    """The window's masks decided in-process in enumeration order, at most
+    ``spec.budget_ideals`` of them, yielded as one batch (costs, [(position,
+    mask, failing report)]) per chunk of ``SCAN_CHUNK`` masks, which ends at
+    its first failure with ``first``.  Returns whether any mask is left
+    beyond the ideal limit."""
+    n, d = spec.n, spec.d
+    masks = iter_support_masks(spec, rows)
+    budgeted = islice(masks, spec.budget_ideals)
+    for chunk in iter(lambda: list(islice(budgeted, SCAN_CHUNK)), []):
+        costs = []
+        failures = []
+        for mask, certified in chunk:
+            cost = _decide_mask(n, d, mask, key, args, certified)
+            if cost is None:
+                cost, failure = _full_check(n, d, mask, key, args)
+                if failure is not None:
+                    failures.append((len(costs), mask, failure))
+            costs.append(cost)
+            if first and failures:
+                break
+        yield costs, failures
+    return next(masks, None) is not None
+
+
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on; None when unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def _split_results(spec: SearchSpec, key: str, args: dict, rows, workers: int):
+    """What ``_serial_results`` yields and returns without ``first``, one
+    batch per popcount level, with the levels past the first wide one
+    decided by ``workers`` forked processes.
+
+    The levels are walked in-process, as the serial scan walks them, until
+    a level is wide: its held orbit maxima (orderly walk) or the masks of
+    the next popcount (Gosper stream) number at least ``SPLIT_HELD`` per
+    worker.  A window that never gets that wide forks nothing.  Otherwise
+    worker w takes every workers-th held maximum, with its GF(2) basis, and
+    grows its own subtree from them, level by level; each orbit maximum has
+    exactly one parent, so the subtrees are disjoint.  On the Gosper stream
+    worker w keeps the positions = w mod workers of each level.  Each level
+    is decided by ``_decide_share``, in-process or in every worker for its
+    share, and the shares are merged back into ascending order, so the
+    stream, and every report, is the serial one.
+    """
+    n, d, hf_max = spec.n, spec.d, spec.hf_max
+    m = len(support_positions(n, d))
+    tables = _symmetry_tables(n, d) if spec.symmetry else None
+    orderly = spec.symmetry and spec.hf_min == 0
+    walk = _orderly_levels(m, hf_max, tables, rows) if orderly else None
+    bits = _cost_bits(n, d)
+    low = (1 << bits) - 1
+    left = spec.budget_ideals
+    spent = 0
+    crew = []
+    idle = True
+    try:
+        for k in range(spec.hf_min, hf_max + 1):
+            entries = spec.budget_entries - spent
+            if crew:
+                idle = False
+                for _, conn in crew:
+                    conn.send((left, entries))
+                replies = [_reply(process, conn) for process, conn in crew]
+                idle = True
+            else:
+                if orderly:
+                    level, held = next(walk)
+                else:
+                    level = [mask << 1 for mask in _gosper_level(m, k, tables)]
+                replies = [_decide_share(level, left, entries, n, d, key, args)]
+            size = sum(reply[0] for reply in replies)
+            decided = sorted(chain.from_iterable(reply[1] for reply in replies))
+            # A share decided only in part is in order only up to its first
+            # undecided mask.
+            cutoff = min((reply[3] for reply in replies if reply[3] is not None), default=None)
+            if cutoff is not None:
+                decided = decided[:bisect_left(decided, cutoff << bits)]
+            take = min(left, size)
+            costs = [x & low for x in islice(decided, take)]
+            failures = sorted(
+                (bisect_left(decided, mask << bits), mask, rep)
+                for reply in replies for mask, rep in reply[2]
+            )
+            yield costs, [f for f in failures if f[0] < len(costs)]
+            if len(costs) < take:
+                raise RuntimeError("campaign scan read past what its workers decided")
+            left -= take
+            spent += sum(costs)
+            if not left or k == hf_max:
+                # Every popcount 0..m has a mask, and hf_max <= m.
+                return take < size or k < hf_max
+            if not crew and (
+                len(held[0]) if orderly else comb(m, k + 1)
+            ) >= SPLIT_HELD * workers:
+                shares = [
+                    _orderly_share(m, hf_max, tables, rows, k, [h[w::workers] for h in held])
+                    if orderly else _gosper_share(m, hf_max, tables, k, w, workers)
+                    for w in range(workers)
+                ]
+                for worker in _fork_workers(shares, n, d, key, args):
+                    crew.append(worker)
+    finally:
+        for process, conn in crew:
+            if idle:
+                with suppress(OSError):
+                    conn.send(None)
+            else:
+                process.terminate()
+        for process, conn in crew:
+            process.join()
+            conn.close()
+
+
+def _orderly_share(m: int, hf_max: int, tables, rows, k: int, held):
+    """The levels above k of the orderly subtrees below the held maxima."""
+    return (level for level, _ in _orderly_levels(m, hf_max, tables, rows, k, held))
+
+
+def _gosper_share(m: int, hf_max: int, tables, k: int, w: int, workers: int):
+    """Positions = w mod workers of the Gosper levels above k."""
+    for j in range(k + 1, hf_max + 1):
+        yield [mask << 1 for mask in islice(_gosper_level(m, j, tables), w, None, workers)]
+
+
+@lru_cache(maxsize=None)
+def _cost_bits(n: int, d: int) -> int:
+    """Bits that hold the matrix entry cost of any one (n, d) mask: each
+    pair costs HF(j) HF(j+1) <= dim S_j dim S_{j+1}, and R_j = 0 past the
+    socle degree, which is at most n(d-1) since every x_t^d is in I."""
+    return sum(basis_size(n, j) * basis_size(n, j + 1) for j in range(n * (d - 1) + 1)).bit_length()
+
+
+def _decide_share(level: list, ideals: int, entries: int, n, d, key, args):
+    """Decide a sorted level, or a worker's share of one, of masks encoded
+    mask << 1 | certified, in order and in place: no more masks than the
+    ``ideals`` left of the ideal budget, and once its own cost passes the
+    ``entries`` left (the scan then stops within one chunk) at most one
+    chunk more.  Returns (size, the list cut to the decided masks, each now
+    mask << ``_cost_bits`` | cost, [(mask, failing report)], the first
+    undecided mask or None); one int per mask keeps the replies small and
+    sorts them by mask."""
+    bits = _cost_bits(n, d)
+    size = len(level)
     failures = []
-    cost = 0
-    for k, (mask, certified) in enumerate(masks, 1):
-        c = _decide_mask(n, d, mask, key, args, certified)
-        if c is None:
-            rep = _run_check(ideal_from_mask(n, d, mask), key, args)
-            c = _report_cost(rep)
-            if not rep.verdict:
-                failures.append((mask, rep))
-        cost += c
-        if first and failures:
-            return k, cost, failures
-    return len(masks), cost, failures
+    spent = 0
+    stop = min(ideals, size)
+    j = 0
+    while j < stop:
+        mask = level[j] >> 1
+        cost = _decide_mask(n, d, mask, key, args, level[j] & 1)
+        if cost is None:
+            cost, failure = _full_check(n, d, mask, key, args)
+            if failure is not None:
+                failures.append((mask, failure))
+        if cost >> bits:
+            raise OverflowError(f"mask cost {cost} exceeds {bits} bits")
+        level[j] = mask << bits | cost
+        spent += cost
+        j += 1
+        if spent > entries:
+            stop = min(stop, j + SCAN_CHUNK - 1)
+    cutoff = level[j] >> 1 if j < size else None
+    del level[j:]
+    return size, level, failures, cutoff
 
 
-def _job_results(jobs, workers: int):
-    """Results of ``_campaign_worker`` in job order, pulled lazily: the
-    builtin map when serial, else a process pool holding at most two jobs
-    per worker in flight.  Workers are forked (pinned, since the default
-    start method on Linux changes in Python 3.14), so they start without
-    re-importing the package.  Closing the generator cancels the jobs that
-    have not started."""
-    if workers == 1:
-        yield from map(_campaign_worker, jobs)
-        return
+def _fork_workers(shares: list, n: int, d: int, key: str, args: dict):
+    """Fork one ``_split_worker`` per share of levels, yielding each as a
+    (process, connection) pair once it runs.  Workers are forked (pinned,
+    since the default start method on Linux changes in Python 3.14), so
+    they start without re-importing the package and with their share
+    already in memory."""
+    import multiprocessing
+
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        window = deque()
-        try:
-            for job in jobs:
-                window.append(pool.submit(_campaign_worker, job))
-                if len(window) == 2 * workers:
-                    yield window.popleft().result()
-            while window:
-                yield window.popleft().result()
-        finally:
-            for future in window:
-                future.cancel()
+    for levels in shares:
+        conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_split_worker, args=(child_conn, levels, n, d, key, args), daemon=True
+        )
+        process.start()
+        child_conn.close()
+        yield process, conn
+
+
+def _split_worker(conn, levels, n: int, d: int, key: str, args: dict) -> None:
+    """Grow and decide (``_decide_share``) the next level of a share per
+    request, (ideals left, entries left) of the scan's budgets before the
+    level; None ends the worker.  Replies with what ``_decide_share``
+    returns, or with the exception it raised, its traceback as a note."""
+    try:
+        for ideals, entries in iter(conn.recv, None):
+            conn.send(_decide_share(next(levels), ideals, entries, n, d, key, args))
+    except Exception as exc:
+        if hasattr(exc, "add_note"):
+            import traceback
+
+            exc.add_note(f"in a campaign worker:\n{traceback.format_exc()}")
+        conn.send(exc)
+
+
+def _reply(process, conn):
+    """A worker's reply; raises the exception it sent, or if it died (only
+    the worker holds the other end of its connection)."""
+    try:
+        reply = conn.recv()
+    except EOFError:
+        process.join()
+        raise RuntimeError(f"campaign worker exited with code {process.exitcode}") from None
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
 
 
 def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = False):
     """Run a check over the window in enumeration order, collecting failures.
 
-    Returns (examined, cost, failures, partial).  Masks are streamed in
-    chunks of ``SCAN_CHUNK`` and results merged in job order, so no report
-    depends on ``spec.threads``; the pool never starts more workers than
-    there are CPUs.  The scan stops, partial, once either budget is exceeded,
-    and with ``first`` at the first failing ideal.
+    Returns (examined, cost, failures, partial).  The budgets count in
+    enumeration order over chunks of ``SCAN_CHUNK`` masks: the scan stops,
+    partial, at the end of the chunk in which the entry budget is
+    exceeded, or once the ideal budget is used up with masks left.  With
+    ``first`` it stops at the first failing ideal.  A scan with
+    ``spec.threads`` > 1 (never a ``first`` one) splits its wide levels
+    across that many forked workers, at most one per usable CPU
+    (``_split_results``); the batches are the serial stream cut
+    differently, so no report depends on ``spec.threads``.
     """
     i = _mask_decider(spec.n, spec.d, key, args.get("i")).power
-    masks = iter_support_masks(spec, _support_rows(spec.n, spec.d, i)[0])
-    budgeted = islice(masks, spec.budget_ideals)
-    chunks = iter(lambda: list(islice(budgeted, SCAN_CHUNK)), [])
-    jobs = ((spec.n, spec.d, chunk, key, args, first) for chunk in chunks)
-    workers = min(spec.threads, os.cpu_count() or 1)
+    rows = _support_rows(spec.n, spec.d, i)[0]
+    workers = 1 if first else min(spec.threads, _usable_cpus() or 1)
+    if workers == 1:
+        batches = _serial_results(spec, key, args, rows, first)
+    else:
+        batches = _split_results(spec, key, args, rows, workers)
     examined = 0
     cost = 0
     failures = []
-    with closing(_job_results(jobs, workers)) as results:
-        for count, c, fails in results:
-            examined += count
-            cost += c
-            failures.extend(fails)
-            if first and fails:
-                return examined, cost, failures, False
-            if cost > spec.budget_entries:
+    with closing(batches):
+        while True:
+            try:
+                costs, fails = next(batches)
+            except StopIteration as end:
+                return examined, cost, failures, cost > spec.budget_entries or end.value
+            # totals[j]: the cost after the batch's first j masks
+            totals = list(accumulate(costs, initial=cost))
+            over = bisect_right(totals, spec.budget_entries)
+            stop = len(costs)
+            if over <= stop:
+                # the end of the chunk that first goes over the entry budget
+                edge = -(-(examined + over) // SCAN_CHUNK) * SCAN_CHUNK
+                stop = min(stop, edge - examined)
+            if first and fails and fails[0][0] < stop:
+                j, mask, rep = fails[0]
+                failures.append((mask, rep))
+                return examined + j + 1, totals[j + 1], failures, False
+            failures.extend((mask, rep) for j, mask, rep in fails if j < stop)
+            examined += stop
+            cost = totals[stop]
+            if over <= len(costs) and not examined % SCAN_CHUNK:
                 return examined, cost, failures, True
-    return examined, cost, failures, next(masks, None) is not None
 
 
 def _scan_window(report, spec: SearchSpec, key: str, args: dict, first: bool = False):

@@ -2,8 +2,10 @@
 
 import os
 import random
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -735,40 +737,222 @@ def test_threads_match_serial():
     assert serial.min_failing_hf == parallel.min_failing_hf
 
 
-def test_pool_workers_capped_at_cpu_count(monkeypatch):
-    from concurrent.futures import Future
-
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every scan with threads > 1 as soon as a level holds one orbit
+    maximum per worker, on three usable CPUs; records the workers forked
+    per scan."""
     from lefschetz_props import harness
 
     started = []
+    fork = harness._fork_workers
 
-    class SerialPool:
-        def __init__(self, max_workers, mp_context):
-            started.append(max_workers)
-            assert mp_context.get_start_method() == "fork"
+    def spy(shares, *args):
+        started.append(len(shares))
+        return fork(shares, *args)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(harness, "SPLIT_HELD", 1)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(harness, "_fork_workers", spy)
+    return started
 
-        def __exit__(self, *exc):
-            return False
 
-        def submit(self, fn, job):
-            future = Future()
-            future.set_result(fn(job))
-            return future
+def test_pool_workers_capped_at_cpu_count(forks, monkeypatch):
+    from lefschetz_props import harness
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = verify_thm1(3, 3, threads=1)
     capped = verify_thm1(3, 3, threads=64)
-    assert started == [2]
+    assert forks == [2]
     assert capped.confirmed == serial.confirmed
     assert capped.examined == serial.examined
     assert capped.min_failing_hf == serial.min_failing_hf
+    # without an affinity mask the CPU count caps the workers
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    verify_thm1(3, 3, threads=64)
+    assert forks == [2, 2]
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     verify_thm1(3, 3, threads=64)
-    assert started == [2]  # unknown CPU count: no pool
+    assert forks == [2, 2]  # unknown CPU count: no pool
+
+
+def _without_threads(report) -> dict:
+    rep = report.to_dict(include_timing=False)
+    del rep["params"]["threads"]
+    return rep
+
+
+def _assert_split_matches_serial(forks, campaign, *args, **kwargs):
+    serial = _without_threads(campaign(*args, threads=1, **kwargs))
+    for threads in (2, 3):
+        del forks[:]
+        assert _without_threads(campaign(*args, threads=threads, **kwargs)) == serial
+        assert forks == [threads]
+    return serial
+
+
+@pytest.mark.parametrize("campaign, args, kwargs", [
+    (verify_thm1, (3, 3), {}),
+    (verify_thm1, (3, 4), {}),
+    (verify_thm1, (4, 3), {}),
+    (verify_thm1, (3, 5), {}),
+    (verify_thm1, (3, 4), {"symmetry": False}),
+    (verify_thm1, (3, 4), {"symmetry": False, "budget_entries": 50000}),
+    (verify_thm2, (4, 4), {}),
+    (verify_thm2, (4, 4, 2), {}),
+    (verify_thm2, (4, 4, 2), {"budget_entries": 5000}),
+    (verify_thm2, (3, 5, 2), {}),
+])
+def test_split_scan_reports_match_serial(forks, campaign, args, kwargs):
+    _assert_split_matches_serial(forks, campaign, *args, **kwargs)
+
+
+@lru_cache(maxsize=None)
+def _thm1_3_5_costs() -> tuple:
+    """(popcount, matrix entry cost) of each mask of the (3, 5) WLP
+    below-bound window, in scan order; every one of them passes."""
+    from lefschetz_props import harness
+
+    spec = SearchSpec(3, 5, 0, theorem1_bound(3, 5) - 1)
+    rows = _support_rows(3, 5, 1)[0]
+    return tuple(
+        (mask.bit_count(), harness._decide_mask(3, 5, mask, "wlp", {}, certified))
+        for mask, certified in iter_support_masks(spec, rows)
+    )
+
+
+def test_split_scan_ideal_budget_on_and_off_a_level_boundary(forks):
+    masks = _thm1_3_5_costs()
+    boundary = sum(1 for size, _ in masks if size <= 7)
+    assert masks[boundary][0] == 8 and boundary % 256
+    # on a level boundary, off it, and inside the last level
+    for budget in (boundary, boundary + 100, len(masks) - 100):
+        rep = _assert_split_matches_serial(forks, verify_thm1, 3, 5, budget_ideals=budget)
+        assert rep["partial"] and rep["examined"] == budget
+
+
+def test_split_scan_entry_budget_mid_level_and_across_levels(forks):
+    masks = _thm1_3_5_costs()
+    total = [0]
+    for _, cost in masks:
+        total.append(total[-1] + cost)
+    boundary = sum(1 for size, _ in masks if size <= 7)
+    edge = -(-boundary // 256) * 256
+    mid = sum(1 for size, _ in masks if size <= 8) + 1000
+    # the mask that goes over the budget: mid-level; the last of a level
+    # whose chunk runs into the next; the first of that next level
+    for over, stop in ((mid, -(-mid // 256) * 256), (boundary, edge), (boundary + 1, edge)):
+        rep = _assert_split_matches_serial(
+            forks, verify_thm1, 3, 5, budget_entries=total[over] - 1
+        )
+        assert rep["partial"] and rep["examined"] == stop
+        assert rep["details"]["matrix_entry_cost"] == total[stop]
+
+
+def test_split_scan_decides_one_chunk_past_its_entry_budget(forks, monkeypatch):
+    from lefschetz_props import harness
+
+    # Before the split one share holds whole chunks: going over the budget
+    # on the first mask of a chunk needs the 255 masks after it decided.
+    monkeypatch.setattr(harness, "SPLIT_HELD", 512)
+    masks = _thm1_3_5_costs()
+    assert 5 * 256 < sum(1 for size, _ in masks if size <= 5)
+    budget = sum(cost for _, cost in masks[:4 * 256 + 1]) - 1
+    serial = _without_threads(verify_thm1(3, 5, budget_entries=budget))
+    assert serial["partial"] and serial["examined"] == 5 * 256
+    for threads in (2, 3):
+        assert _without_threads(verify_thm1(3, 5, threads=threads, budget_entries=budget)) == serial
+    assert not forks  # the scan stops before its first wide level
+
+
+def test_split_scan_reports_every_failure_in_order(forks):
+    from lefschetz_props import harness
+
+    def scan(threads, **budgets):
+        spec = SearchSpec(4, 3, 0, 16, threads=threads, **budgets)
+        examined, cost, failures, partial = harness._scan_expected_pass(spec, "wlp", {})
+        return examined, cost, [(mask, rep.to_dict()) for mask, rep in failures], partial
+
+    # The whole (4, 3) mask space, 357 failures in 3,044 masks, and stopped
+    # by an entry budget on the first mask of the third chunk, whose last
+    # mask fails.
+    over = scan(1, budget_ideals=2 * 256 + 1)[1] - 1
+    for budgets in ({}, {"budget_entries": over}):
+        serial = scan(1, **budgets)
+        assert serial[2] and serial == scan(2, **budgets) == scan(3, **budgets)
+    assert serial[0] == 3 * 256 and serial[3]
+    assert forks == [2, 3, 2, 3]
+
+
+def test_split_scan_refuses_to_read_past_a_budget_stop(forks):
+    from lefschetz_props import harness
+
+    spec = SearchSpec(3, 5, 0, 11, threads=2, budget_entries=10**6)
+    rows = _support_rows(3, 5, 1)[0]
+    batches = harness._split_results(spec, "wlp", {}, rows, 2)
+    with pytest.raises(RuntimeError, match="read past"):
+        for _ in batches:
+            pass
+
+
+def test_first_failure_ends_the_scan_on_that_mask():
+    below = sum(1 for _ in iter_support_masks(SearchSpec(3, 5, 0, 11)))
+    at = iter_support_masks(SearchSpec(3, 5, 12, 12))
+    witness = next(
+        k for k, mask in enumerate(at, 1)
+        if not check_wlp(ideal_from_mask(3, 5, mask), early_stop=True).verdict
+    )
+    assert verify_thm1(3, 5).examined == below + witness
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Turn a hang of the calls inside into a TimeoutError."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_split_scan_leaves_no_process(forks, monkeypatch):
+    import multiprocessing
+
+    from lefschetz_props import harness
+
+    with _deadline(60):
+        assert verify_thm1(3, 4, threads=2).confirmed
+        assert verify_thm1(3, 5, threads=2, budget_entries=10**6).partial
+    assert forks == [2, 2] and not multiprocessing.active_children()
+    parent = os.getpid()
+    run_check = harness._run_check
+
+    def boom(I, key, args):
+        if os.getpid() != parent:
+            raise RuntimeError("boom")
+        return run_check(I, key, args)
+
+    monkeypatch.setattr(harness, "_decide_mask", lambda *args: None)
+    monkeypatch.setattr(harness, "_run_check", boom)
+    with _deadline(60), pytest.raises(RuntimeError, match="boom"):
+        verify_thm1(3, 4, threads=2)
+    assert not multiprocessing.active_children()
+
+    def die(I, key, args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return run_check(I, key, args)
+
+    monkeypatch.setattr(harness, "_run_check", die)
+    with _deadline(60), pytest.raises(RuntimeError, match="exited with code 3"):
+        verify_thm1(3, 4, threads=2)
+    assert not multiprocessing.active_children()
 
 
 def test_wiebe_small_sample():
