@@ -130,6 +130,11 @@ _CONFIG_KEYS = {
 
 _INT_KEYS = {"n", "d", "i", "budget", "budget_entries", "seed", "threads"}
 
+_SWITCHES = {
+    "1": True, "on": True, "true": True, "yes": True,
+    "0": False, "off": False, "false": False, "no": False,
+}
+
 
 def _read_config(path: str) -> dict:
     out: dict = {}
@@ -161,7 +166,11 @@ def _apply_config(args, expected_property: str | None) -> None:
         if key in _INT_KEYS:
             value = int(value)
         elif key == "symmetry":
-            value = value.lower() in ("1", "on", "true", "yes")
+            value = _SWITCHES.get(value.lower())
+            if value is None:
+                raise UsageError(
+                    f"{args.config}: symmetry must be one of {', '.join(_SWITCHES)}"
+                )
         dest = {"budget": "budget_ideals"}.get(key, key)
         if getattr(args, dest, None) is None:
             setattr(args, dest, value)
@@ -333,7 +342,7 @@ def _cmd_verify_bound(args) -> int:
     """verify-thm1 (WLP bound) and verify-thm2 (SLP or power bound)."""
     thm1 = args.command == "verify-thm1"
     _apply_config(args, "wlp" if thm1 else "slp" if args.i is None else "power")
-    _fill_defaults(args, n=3, d=3, threads=1,
+    _fill_defaults(args, n=3, d=3, symmetry=True, threads=1,
                    budget_ideals=harness.DEFAULT_BUDGET_IDEALS,
                    budget_entries=harness.DEFAULT_BUDGET_ENTRIES)
     campaign, powers = (harness.verify_thm1, ()) if thm1 else (harness.verify_thm2, (args.i,))
@@ -468,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int)
         if with_i:
             p.add_argument("--i", type=int)
-        p.add_argument("--symmetry", dest="symmetry", action="store_true", default=True)
-        p.add_argument("--no-symmetry", dest="symmetry", action="store_false")
+        p.add_argument("--symmetry", dest="symmetry", action="store_true", default=None)
+        p.add_argument("--no-symmetry", dest="symmetry", action="store_false", default=None)
         p.add_argument("--threads", type=int)
         p.add_argument("--budget-ideals", dest="budget_ideals", type=int)
         p.add_argument("--budget-entries", dest="budget_entries", type=int)

@@ -15,7 +15,8 @@ is walked orderly: each popcount level is grown from the orbit maxima of the
 level before, so only their one-bit extensions are tested, and each kept
 orbit contributes its smallest image.  Windows that start higher (the
 at-bound and searched-witness windows, which stop at their first failure)
-or run without symmetry stream every mask of each popcount instead.
+or run without symmetry stream every mask of each popcount instead,
+lazily.
 
 A campaign decides each visited mask from its one critical map and builds
 no ideal or report for a mask that passes.  Inside the lemma gate
@@ -40,14 +41,18 @@ it is the same either way; a passing mask's cost needs only the Hilbert
 function above d.  Everything a decide reads that depends only on the
 campaign, not on the mask, is one cached lookup.
 
-With more than one thread, a below-bound window is split level by level:
-the parent walks it until a level holds enough orbit maxima, then deals
-them to forked workers.  Each orbit maximum has exactly one parent in the
-orderly tree, so the workers' subtrees are disjoint; each worker grows and
-decides its share of every later level, and the parent merges the shares
-back into enumeration order.  Campaigns are deterministic: fixed
-enumeration order, recorded seeds, and budgets counted over the merged
-order, so no report depends on the number of threads.
+One driver scans every window, level by level and mask by mask in
+enumeration order; its budgets stop it right after the mask that uses one
+up.  With more than one thread, a window is split level by level: the
+parent decides levels until one holds enough orbit maxima (or, without
+symmetry, masks), then deals them to forked workers.  Each orbit maximum
+has exactly one parent in the orderly tree, so the workers' subtrees are
+disjoint; each worker grows and decides its share of every later level
+under the budgets left, and the parent merges the shares back into
+enumeration order and counts them under the same stops.  Campaigns are
+deterministic: fixed enumeration order, recorded seeds, and budgets
+counted over the merged order, so no report depends on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -55,12 +60,11 @@ from __future__ import annotations
 import os
 import random
 import time
-from bisect import bisect_left, bisect_right
-from contextlib import closing, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice, permutations
+from itertools import chain, islice, permutations
 from math import comb
 from typing import NamedTuple
 
@@ -102,8 +106,6 @@ from .reporting import VerificationReport
 
 DEFAULT_BUDGET_IDEALS = 10**6
 DEFAULT_BUDGET_ENTRIES = 10**8
-# Masks per budget chunk: the granularity at which the entry budget stops a scan.
-SCAN_CHUNK = 256
 # Held orbit maxima per worker before a scan's levels are split across workers.
 SPLIT_HELD = 512
 
@@ -302,12 +304,13 @@ def _orderly_levels(m: int, hf_max: int, tables, rows=None, k: int = 0, held=Non
 
 def _gosper_level(m: int, k: int, tables):
     """Masks over m bits with popcount k, ascending (Gosper's hack, HAKMEM
-    item 175); with symmetry ``tables``, only the canonical ones."""
+    item 175), each as mask << 1 (never certified); with symmetry
+    ``tables``, only the canonical ones."""
     end = 1 << m
     mask = (1 << k) - 1
     while mask < end:
         if tables is None or _is_canonical(mask, tables) is not None:
-            yield mask
+            yield mask << 1
         if not mask:
             return
         low = mask & -mask
@@ -315,38 +318,49 @@ def _gosper_level(m: int, k: int, tables):
         mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
-def iter_support_masks(spec: SearchSpec, rows=None):
-    """Bitmasks over the mixed monomials with popcount in the HF window, by
-    popcount, then ascending; with symmetry, only the smallest mask of each
-    orbit.
+def _window_levels(spec: SearchSpec, rows=None, k=None, held=None, share=slice(None)):
+    """The popcount levels of the window in enumeration order, each a pair
+    (masks, held): the level's masks ascending, each as mask << 1 |
+    certified, and the orbit maxima held to grow the next level (None on
+    the Gosper stream).
 
-    Two walks give this sequence.  A window from popcount 0 with symmetry
-    (the below-bound window of every campaign) is walked orderly
-    (``_orderly_levels``): it tests only children of orbit maxima, a
-    fraction of the masks, and holds one popcount level at a time.  Any
-    other window streams every mask of each popcount (``_gosper_level``) and
-    keeps the canonical ones.  Orderly generation must start at the empty
-    mask and build a whole level before yielding any of it, which costs
-    more than it saves on the at-bound and searched-witness windows that
-    stop at their first failure; without symmetry there is nothing to
-    reduce.
+    A window from popcount 0 with symmetry (the below-bound window of every
+    campaign) is walked orderly (``_orderly_levels``): it tests only
+    children of orbit maxima, a fraction of the masks, and holds one level
+    at a time.  Any other window streams every mask of each popcount, lazily
+    (``_gosper_level``), and keeps the canonical ones.  Orderly generation
+    must start at the empty mask and build a whole level before yielding
+    any of it, which costs more than it saves on the at-bound and
+    searched-witness windows that stop at their first failure; without
+    symmetry there is nothing to reduce.  With the packed rows of a
+    critical map (``lefschetz._support_rows``) as ``rows``, a mask is
+    certified when the orderly walk has shown its rows independent mod 2.
 
-    A campaign scan passes the packed rows of its critical map
-    (``lefschetz._support_rows``) as ``rows`` and gets pairs (mask,
-    certified) instead: certified when the orderly walk has shown the
-    mask's rows independent mod 2, always False on the Gosper stream."""
+    Given the popcount k of a level walked, and its ``held`` maxima, only
+    the levels above k are walked, and of them only the ``share``: the
+    orderly subtrees below ``held[share]``, or the positions ``share`` of
+    each Gosper level.  Each orbit maximum has exactly one parent, so the
+    shares ``slice(w, None, workers)`` split every level above k into
+    disjoint ascending parts."""
     m = len(support_positions(spec.n, spec.d))
     tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else None
     if spec.symmetry and spec.hf_min == 0:
-        for level, _ in _orderly_levels(m, spec.hf_max, tables, rows):
-            if rows is None:
-                yield from (x >> 1 for x in level)
-            else:
-                yield from ((x >> 1, (x & 1) == 1) for x in level)
+        if k is None:
+            yield from _orderly_levels(m, spec.hf_max, tables, rows)
+        else:
+            yield from _orderly_levels(m, spec.hf_max, tables, rows, k, [h[share] for h in held])
         return
-    for k in range(spec.hf_min, spec.hf_max + 1):
-        for mask in _gosper_level(m, k, tables):
-            yield mask if rows is None else (mask, False)
+    for j in range(spec.hf_min if k is None else k + 1, spec.hf_max + 1):
+        yield islice(_gosper_level(m, j, tables), share.start, share.stop, share.step), None
+
+
+def iter_support_masks(spec: SearchSpec):
+    """Bitmasks over the mixed monomials with popcount in the HF window, by
+    popcount, then ascending; with symmetry, only the smallest mask of each
+    orbit.  The flat stream of ``_window_levels``."""
+    for level, _ in _window_levels(spec):
+        for x in level:
+            yield x >> 1
 
 
 def ideal_from_mask(n: int, d: int, mask: int) -> SupportIdeal:
@@ -459,140 +473,11 @@ def _decide_mask(
     return cost
 
 
-def _full_check(n: int, d: int, mask: int, key: str, args: dict):
-    """(matrix entry cost, failing report or None) of a mask that
-    ``_decide_mask`` leaves to the full check."""
-    rep = _run_check(ideal_from_mask(n, d, mask), key, args)
-    return _report_cost(rep), None if rep.verdict else rep
-
-
-def _serial_results(spec: SearchSpec, key: str, args: dict, rows, first: bool):
-    """The window's masks decided in-process in enumeration order, at most
-    ``spec.budget_ideals`` of them, yielded as one batch (costs, [(position,
-    mask, failing report)]) per chunk of ``SCAN_CHUNK`` masks, which ends at
-    its first failure with ``first``.  Returns whether any mask is left
-    beyond the ideal limit."""
-    n, d = spec.n, spec.d
-    masks = iter_support_masks(spec, rows)
-    budgeted = islice(masks, spec.budget_ideals)
-    for chunk in iter(lambda: list(islice(budgeted, SCAN_CHUNK)), []):
-        costs = []
-        failures = []
-        for mask, certified in chunk:
-            cost = _decide_mask(n, d, mask, key, args, certified)
-            if cost is None:
-                cost, failure = _full_check(n, d, mask, key, args)
-                if failure is not None:
-                    failures.append((len(costs), mask, failure))
-            costs.append(cost)
-            if first and failures:
-                break
-        yield costs, failures
-    return next(masks, None) is not None
-
-
 def _usable_cpus() -> int | None:
     """The CPUs this process may run on; None when unknown."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count()
-
-
-def _split_results(spec: SearchSpec, key: str, args: dict, rows, workers: int):
-    """What ``_serial_results`` yields and returns without ``first``, one
-    batch per popcount level, with the levels past the first wide one
-    decided by ``workers`` forked processes.
-
-    The levels are walked in-process, as the serial scan walks them, until
-    a level is wide: its held orbit maxima (orderly walk) or the masks of
-    the next popcount (Gosper stream) number at least ``SPLIT_HELD`` per
-    worker.  A window that never gets that wide forks nothing.  Otherwise
-    worker w takes every workers-th held maximum, with its GF(2) basis, and
-    grows its own subtree from them, level by level; each orbit maximum has
-    exactly one parent, so the subtrees are disjoint.  On the Gosper stream
-    worker w keeps the positions = w mod workers of each level.  Each level
-    is decided by ``_decide_share``, in-process or in every worker for its
-    share, and the shares are merged back into ascending order, so the
-    stream, and every report, is the serial one.
-    """
-    n, d, hf_max = spec.n, spec.d, spec.hf_max
-    m = len(support_positions(n, d))
-    tables = _symmetry_tables(n, d) if spec.symmetry else None
-    orderly = spec.symmetry and spec.hf_min == 0
-    walk = _orderly_levels(m, hf_max, tables, rows) if orderly else None
-    bits = _cost_bits(n, d)
-    low = (1 << bits) - 1
-    left = spec.budget_ideals
-    spent = 0
-    crew = []
-    idle = True
-    try:
-        for k in range(spec.hf_min, hf_max + 1):
-            entries = spec.budget_entries - spent
-            if crew:
-                idle = False
-                for _, conn in crew:
-                    conn.send((left, entries))
-                replies = [_reply(process, conn) for process, conn in crew]
-                idle = True
-            else:
-                if orderly:
-                    level, held = next(walk)
-                else:
-                    level = [mask << 1 for mask in _gosper_level(m, k, tables)]
-                replies = [_decide_share(level, left, entries, n, d, key, args)]
-            size = sum(reply[0] for reply in replies)
-            decided = sorted(chain.from_iterable(reply[1] for reply in replies))
-            # A share decided only in part is in order only up to its first
-            # undecided mask.
-            cutoff = min((reply[3] for reply in replies if reply[3] is not None), default=None)
-            if cutoff is not None:
-                decided = decided[:bisect_left(decided, cutoff << bits)]
-            take = min(left, size)
-            costs = [x & low for x in islice(decided, take)]
-            failures = sorted(
-                (bisect_left(decided, mask << bits), mask, rep)
-                for reply in replies for mask, rep in reply[2]
-            )
-            yield costs, [f for f in failures if f[0] < len(costs)]
-            if len(costs) < take:
-                raise RuntimeError("campaign scan read past what its workers decided")
-            left -= take
-            spent += sum(costs)
-            if not left or k == hf_max:
-                # Every popcount 0..m has a mask, and hf_max <= m.
-                return take < size or k < hf_max
-            if not crew and (
-                len(held[0]) if orderly else comb(m, k + 1)
-            ) >= SPLIT_HELD * workers:
-                shares = [
-                    _orderly_share(m, hf_max, tables, rows, k, [h[w::workers] for h in held])
-                    if orderly else _gosper_share(m, hf_max, tables, k, w, workers)
-                    for w in range(workers)
-                ]
-                for worker in _fork_workers(shares, n, d, key, args):
-                    crew.append(worker)
-    finally:
-        for process, conn in crew:
-            if idle:
-                with suppress(OSError):
-                    conn.send(None)
-            else:
-                process.terminate()
-        for process, conn in crew:
-            process.join()
-            conn.close()
-
-
-def _orderly_share(m: int, hf_max: int, tables, rows, k: int, held):
-    """The levels above k of the orderly subtrees below the held maxima."""
-    return (level for level, _ in _orderly_levels(m, hf_max, tables, rows, k, held))
-
-
-def _gosper_share(m: int, hf_max: int, tables, k: int, w: int, workers: int):
-    """Positions = w mod workers of the Gosper levels above k."""
-    for j in range(k + 1, hf_max + 1):
-        yield [mask << 1 for mask in islice(_gosper_level(m, j, tables), w, None, workers)]
 
 
 @lru_cache(maxsize=None)
@@ -603,38 +488,70 @@ def _cost_bits(n: int, d: int) -> int:
     return sum(basis_size(n, j) * basis_size(n, j + 1) for j in range(n * (d - 1) + 1)).bit_length()
 
 
-def _decide_share(level: list, ideals: int, entries: int, n, d, key, args):
-    """Decide a sorted level, or a worker's share of one, of masks encoded
-    mask << 1 | certified, in order and in place: no more masks than the
-    ``ideals`` left of the ideal budget, and once its own cost passes the
-    ``entries`` left (the scan then stops within one chunk) at most one
-    chunk more.  Returns (size, the list cut to the decided masks, each now
-    mask << ``_cost_bits`` | cost, [(mask, failing report)], the first
-    undecided mask or None); one int per mask keeps the replies small and
-    sorts them by mask."""
+def _decide_share(level, ideals: int, entries: int, first: bool, n, d, key, args, decided=None):
+    """Decide the masks of a level, or of a worker's share of one, in order,
+    each given as mask << 1 | certified: at most ``ideals`` of them,
+    stopping right after the mask whose cost takes their total over
+    ``entries`` and, with ``first``, right after the first failure.  A mask
+    the critical map leaves undecided (``_decide_mask``) goes through the
+    full check.  Returns (masks decided, their total cost, [(mask, failing
+    report)], stopped), stopped when masks may be left undecided.  Given a
+    list ``decided``, appends each mask decided to it as mask <<
+    ``_cost_bits`` | cost, one int per mask, small to send and sorted by
+    mask."""
     bits = _cost_bits(n, d)
-    size = len(level)
+    count = spent = 0
     failures = []
-    spent = 0
-    stop = min(ideals, size)
-    j = 0
-    while j < stop:
-        mask = level[j] >> 1
-        cost = _decide_mask(n, d, mask, key, args, level[j] & 1)
+    for x in level:
+        if count == ideals:
+            return count, spent, failures, True
+        mask = x >> 1
+        cost = _decide_mask(n, d, mask, key, args, x & 1)
         if cost is None:
-            cost, failure = _full_check(n, d, mask, key, args)
-            if failure is not None:
-                failures.append((mask, failure))
-        if cost >> bits:
-            raise OverflowError(f"mask cost {cost} exceeds {bits} bits")
-        level[j] = mask << bits | cost
+            rep = _run_check(ideal_from_mask(n, d, mask), key, args)
+            cost = _report_cost(rep)
+            if not rep.verdict:
+                failures.append((mask, rep))
+        count += 1
         spent += cost
-        j += 1
+        if decided is not None:
+            if cost >> bits:
+                raise OverflowError(f"mask cost {cost} exceeds {bits} bits")
+            decided.append(mask << bits | cost)
+        if spent > entries or first and failures:
+            return count, spent, failures, True
+    return count, spent, failures, False
+
+
+def _merge_level(replies: list, ideals: int, entries: int, bits: int):
+    """What ``_decide_share`` returns for a whole level, from the workers'
+    replies (decided masks, failures, stopped) for their shares of it: the
+    decided masks merged into ascending order and counted under the same
+    stops.  A share that stopped is decided only up to its last mask, which
+    the count must stop at or before; a share's total up to any mask is
+    at most the level's, so only a faulty share makes it read past."""
+    merged = sorted(chain.from_iterable(reply[0] for reply in replies))
+    limit = min((reply[0][-1] for reply in replies if reply[2]), default=None)
+    low = (1 << bits) - 1
+    count = spent = 0
+    stopped = limit is not None
+    for x in merged:
+        if count == ideals:
+            stopped = True
+            break
+        count += 1
+        spent += x & low
         if spent > entries:
-            stop = min(stop, j + SCAN_CHUNK - 1)
-    cutoff = level[j] >> 1 if j < size else None
-    del level[j:]
-    return size, level, failures, cutoff
+            stopped = True
+            break
+        if x == limit and count < ideals:
+            raise RuntimeError("campaign scan read past what its workers decided")
+    last = merged[count - 1] >> bits if count else -1
+    failures = sorted(
+        (fail for reply in replies for fail in reply[1] if fail[0] <= last),
+        key=lambda fail: fail[0],
+    )
+    return count, spent, failures, stopped
 
 
 def _fork_workers(shares: list, n: int, d: int, key: str, args: dict):
@@ -657,13 +574,18 @@ def _fork_workers(shares: list, n: int, d: int, key: str, args: dict):
 
 
 def _split_worker(conn, levels, n: int, d: int, key: str, args: dict) -> None:
-    """Grow and decide (``_decide_share``) the next level of a share per
+    """Walk and decide (``_decide_share``) the next level of a share per
     request, (ideals left, entries left) of the scan's budgets before the
-    level; None ends the worker.  Replies with what ``_decide_share``
-    returns, or with the exception it raised, its traceback as a note."""
+    level; None ends the worker.  Replies with (decided masks, failures,
+    stopped), or with the exception it raised, its traceback as a note."""
     try:
         for ideals, entries in iter(conn.recv, None):
-            conn.send(_decide_share(next(levels), ideals, entries, n, d, key, args))
+            level, _ = next(levels)
+            decided = []
+            *_, failures, stopped = _decide_share(
+                level, ideals, entries, False, n, d, key, args, decided
+            )
+            conn.send((decided, failures, stopped))
     except Exception as exc:
         if hasattr(exc, "add_note"):
             import traceback
@@ -688,49 +610,77 @@ def _reply(process, conn):
 def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = False):
     """Run a check over the window in enumeration order, collecting failures.
 
-    Returns (examined, cost, failures, partial).  The budgets count in
-    enumeration order over chunks of ``SCAN_CHUNK`` masks: the scan stops,
-    partial, at the end of the chunk in which the entry budget is
-    exceeded, or once the ideal budget is used up with masks left.  With
-    ``first`` it stops at the first failing ideal.  A scan with
-    ``spec.threads`` > 1 (never a ``first`` one) splits its wide levels
-    across that many forked workers, at most one per usable CPU
-    (``_split_results``); the batches are the serial stream cut
-    differently, so no report depends on ``spec.threads``.
+    Returns (examined, cost, failures, partial).  The budgets count mask by
+    mask in enumeration order: the scan stops, partial, right after the
+    mask whose cost takes the total over the entry budget, that mask
+    counted, or once the ideal budget is used up with masks left.  With
+    ``first`` it stops at the first failing ideal.
+
+    The levels of the window (``_window_levels``) are decided in-process
+    (``_decide_share``) until one is wide: its held orbit maxima (orderly
+    walk) or the masks of the next popcount (Gosper stream) number at least
+    ``SPLIT_HELD`` per worker.  A scan with ``spec.threads`` > 1 (never a
+    ``first`` one) then splits the levels above it across that many forked
+    workers, at most one per usable CPU; worker w walks the share
+    ``slice(w, None, workers)`` of them.  Each worker decides its share of a
+    level under the budgets left before the level, stopping right after the
+    mask that takes its own total over the entries left; a share's total up
+    to any mask is at most the scan's, so every mask up to the scan's stop
+    is decided.  The parent merges the shares back into enumeration order
+    (``_merge_level``), so no report depends on ``spec.threads``.
     """
-    i = _mask_decider(spec.n, spec.d, key, args.get("i")).power
-    rows = _support_rows(spec.n, spec.d, i)[0]
+    n, d, hf_max = spec.n, spec.d, spec.hf_max
+    rows = _support_rows(n, d, _mask_decider(n, d, key, args.get("i")).power)[0]
     workers = 1 if first else min(spec.threads, _usable_cpus() or 1)
-    if workers == 1:
-        batches = _serial_results(spec, key, args, rows, first)
-    else:
-        batches = _split_results(spec, key, args, rows, workers)
-    examined = 0
-    cost = 0
+    m = len(support_positions(n, d))
+    levels = _window_levels(spec, rows)
+    examined = cost = 0
     failures = []
-    with closing(batches):
-        while True:
-            try:
-                costs, fails = next(batches)
-            except StopIteration as end:
-                return examined, cost, failures, cost > spec.budget_entries or end.value
-            # totals[j]: the cost after the batch's first j masks
-            totals = list(accumulate(costs, initial=cost))
-            over = bisect_right(totals, spec.budget_entries)
-            stop = len(costs)
-            if over <= stop:
-                # the end of the chunk that first goes over the entry budget
-                edge = -(-(examined + over) // SCAN_CHUNK) * SCAN_CHUNK
-                stop = min(stop, edge - examined)
-            if first and fails and fails[0][0] < stop:
-                j, mask, rep = fails[0]
-                failures.append((mask, rep))
-                return examined + j + 1, totals[j + 1], failures, False
-            failures.extend((mask, rep) for j, mask, rep in fails if j < stop)
-            examined += stop
-            cost = totals[stop]
-            if over <= len(costs) and not examined % SCAN_CHUNK:
+    crew = []
+    idle = True
+    try:
+        for k in range(spec.hf_min, hf_max + 1):
+            ideals = spec.budget_ideals - examined
+            entries = spec.budget_entries - cost
+            if crew:
+                idle = False
+                for _, conn in crew:
+                    conn.send((ideals, entries))
+                replies = [_reply(process, conn) for process, conn in crew]
+                idle = True
+                done, spent, fails, stopped = _merge_level(replies, ideals, entries, _cost_bits(n, d))
+            else:
+                level, held = next(levels)
+                done, spent, fails, stopped = _decide_share(
+                    level, ideals, entries, first, n, d, key, args
+                )
+            examined += done
+            cost += spent
+            failures += fails
+            if first and fails:
+                return examined, cost, failures, False
+            # Every popcount 0..m has a mask, and hf_max <= m.
+            if stopped or examined == spec.budget_ideals and k < hf_max:
                 return examined, cost, failures, True
+            if not crew and workers > 1 and k < hf_max and (
+                comb(m, k + 1) if held is None else len(held[0])
+            ) >= SPLIT_HELD * workers:
+                shares = [
+                    _window_levels(spec, rows, k, held, slice(w, None, workers))
+                    for w in range(workers)
+                ]
+                crew.extend(_fork_workers(shares, n, d, key, args))
+        return examined, cost, failures, False
+    finally:
+        for process, conn in crew:
+            if idle:
+                with suppress(OSError):
+                    conn.send(None)
+            else:
+                process.terminate()
+        for process, conn in crew:
+            process.join()
+            conn.close()
 
 
 def _scan_window(report, spec: SearchSpec, key: str, args: dict, first: bool = False):
@@ -782,7 +732,7 @@ def verify_thm1(
     cost, partial = _scan_window(report, below, "wlp", {})
     witness_possible = bound <= top
     if witness_possible and not partial:
-        at = replace(below, hf_min=bound, hf_max=bound, threads=1)
+        at = replace(below, hf_min=bound, hf_max=bound)
         _, partial = _scan_window(report, at, "wlp", {}, first=True)
     if report.failures:
         report.min_failing_hf = min(w["hf_d"] for w in report.failures)
@@ -855,7 +805,7 @@ def verify_thm2(
         # searched witness: d = 2 SLP case and the i = 1 power case, where
         # the bound need not be attained; record the observed minimum, which
         # is the HF of the first failure over [bound, top].
-        at = replace(below, hf_min=bound, hf_max=top, threads=1)
+        at = replace(below, hf_min=bound, hf_max=top)
         _, partial = _scan_window(report, at, key, args, first=True)
         if report.witnesses:
             witness = report.witnesses[0]

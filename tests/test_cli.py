@@ -226,6 +226,26 @@ def test_config_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_symmetry_switch(capsys, tmp_path):
+    conf = tmp_path / "off.cfg"
+    conf.write_text("n = 3\nd = 4\nsymmetry = off\n")
+    code, payload = invoke_json(capsys, "verify-thm1", "--config", str(conf), "--no-timestamp")
+    assert code == 0 and payload["params"]["symmetry"] is False
+    code, flag = invoke_json(
+        capsys, "verify-thm1", "--n", "3", "--d", "4", "--no-symmetry", "--no-timestamp"
+    )
+    assert payload["examined"] == flag["examined"] == 4018
+    # an explicit flag wins over the config
+    code, payload = invoke_json(
+        capsys, "verify-thm1", "--config", str(conf), "--symmetry", "--no-timestamp"
+    )
+    assert code == 0 and payload["params"]["symmetry"] is True
+    assert payload["examined"] == 735
+    conf.write_text("n = 3\nd = 4\nsymmetry = maybe\n")
+    code, _ = invoke(capsys, "verify-thm1", "--config", str(conf))
+    assert code == 2
+
+
 def test_parse_error_diagnostics(capsys, tmp_path):
     path = tmp_path / "bad.ideal"
     path.write_text("x1^3\nx2^@3\n")

@@ -199,6 +199,16 @@ def orbit_minima(n, d):
     return m, minima
 
 
+def _scan_masks(spec, rows):
+    """(mask, certified) for each mask of the window in the order a
+    campaign scan walks them, with the critical map's packed rows."""
+    from lefschetz_props import harness
+
+    for level, _ in harness._window_levels(spec, rows):
+        for x in level:
+            yield x >> 1, x & 1 == 1
+
+
 @pytest.mark.parametrize(
     "n, d, lo, hi",
     [(3, 3, 0, 7), (3, 4, 2, 9), (4, 2, 1, 6), (3, 5, 17, 18), (4, 3, 0, 16),
@@ -214,9 +224,9 @@ def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
     )
     spec = SearchSpec(n, d, lo, hi, symmetry)
     assert list(iter_support_masks(spec)) == expected
-    # a scan's pairs carry the same masks in the same order
+    # a scan's certified masks are the same masks in the same order
     rows = _support_rows(n, d, 1)[0]
-    assert [mask for mask, _ in iter_support_masks(spec, rows)] == expected
+    assert [mask for mask, _ in _scan_masks(spec, rows)] == expected
 
 
 @pytest.mark.parametrize("n, d, hi", [(3, 5, 11), (4, 4, 5), (5, 3, 4)])
@@ -269,7 +279,8 @@ def test_campaign_budget_yields_flagged_partial_report():
 
 
 def test_entry_budget_bounds_the_ideals_built(monkeypatch):
-    # a passing mask builds no ideal, so the worker's decides are counted
+    # a passing mask builds no ideal, so the decides are counted: a scan
+    # stopped by either budget decides exactly the masks it examined
     from lefschetz_props import harness
 
     decided = []
@@ -280,8 +291,11 @@ def test_entry_budget_bounds_the_ideals_built(monkeypatch):
         return decide(n, d, mask, key, args, certified)
 
     monkeypatch.setattr(harness, "_decide_mask", counting)
-    r = verify_thm1(3, 4, budget_entries=10)
-    assert r.partial and 0 < len(decided) <= r.examined
+    for budgets in ({"budget_entries": 10}, {"budget_entries": 10**5}, {"budget_ideals": 100}):
+        decided[:] = []
+        r = verify_thm1(3, 4, threads=1, **budgets)
+        assert r.partial and len(decided) == r.examined > 0, budgets
+    assert r.examined == 100
 
 
 def test_ideal_budget_bounds_the_enumeration(monkeypatch):
@@ -587,7 +601,7 @@ def _key_window(n, d, key, args):
     i = {"wlp": 1, "slp_shortcut": d - 1}.get(key, args.get("i"))
     packed = _support_rows(n, d, i)[0]
     top = len(monomial_basis(n, d)) - n
-    return i, packed, iter_support_masks(SearchSpec(n, d, 0, top), packed)
+    return i, packed, _scan_masks(SearchSpec(n, d, 0, top), packed)
 
 
 KEYS_BY_CASE = [
@@ -629,7 +643,7 @@ def test_fast_wlp_cost_matches_the_quotient_on_every_3_5_mask():
     from lefschetz_props import harness
 
     below = SearchSpec(3, 5, 0, theorem1_bound(3, 5) - 1)
-    pairs = list(iter_support_masks(below, _support_rows(3, 5, 1)[0]))
+    pairs = list(_scan_masks(below, _support_rows(3, 5, 1)[0]))
     assert len(pairs) == 38918
     for mask, certified in pairs:
         _, hfs = support_quotient(3, 5, mask)
@@ -818,7 +832,7 @@ def _thm1_3_5_costs() -> tuple:
     rows = _support_rows(3, 5, 1)[0]
     return tuple(
         (mask.bit_count(), harness._decide_mask(3, 5, mask, "wlp", {}, certified))
-        for mask, certified in iter_support_masks(spec, rows)
+        for mask, certified in _scan_masks(spec, rows)
     )
 
 
@@ -838,29 +852,38 @@ def test_split_scan_entry_budget_mid_level_and_across_levels(forks):
     for _, cost in masks:
         total.append(total[-1] + cost)
     boundary = sum(1 for size, _ in masks if size <= 7)
-    edge = -(-boundary // 256) * 256
     mid = sum(1 for size, _ in masks if size <= 8) + 1000
-    # the mask that goes over the budget: mid-level; the last of a level
-    # whose chunk runs into the next; the first of that next level
-    for over, stop in ((mid, -(-mid // 256) * 256), (boundary, edge), (boundary + 1, edge)):
+    # the scan stops right after the mask that goes over the budget, the
+    # over-th one: mid-level; the last of a level; the first of the next
+    for over in (mid, boundary, boundary + 1):
         rep = _assert_split_matches_serial(
             forks, verify_thm1, 3, 5, budget_entries=total[over] - 1
         )
-        assert rep["partial"] and rep["examined"] == stop
-        assert rep["details"]["matrix_entry_cost"] == total[stop]
+        assert rep["partial"] and rep["examined"] == over
+        assert rep["details"]["matrix_entry_cost"] == total[over]
+    assert mid == 19022
 
 
-def test_split_scan_decides_one_chunk_past_its_entry_budget(forks, monkeypatch):
+def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
     from lefschetz_props import harness
 
-    # Before the split one share holds whole chunks: going over the budget
-    # on the first mask of a chunk needs the 255 masks after it decided.
+    # Before the split every level is decided in-process: going over the
+    # budget on a mask stops the scan right after it, with no later mask
+    # decided.
     monkeypatch.setattr(harness, "SPLIT_HELD", 512)
     masks = _thm1_3_5_costs()
     assert 5 * 256 < sum(1 for size, _ in masks if size <= 5)
     budget = sum(cost for _, cost in masks[:4 * 256 + 1]) - 1
+    decided = []
+    decide = harness._decide_mask
+
+    def counting(n, d, mask, key, args, certified=False):
+        decided.append(mask)
+        return decide(n, d, mask, key, args, certified)
+
+    monkeypatch.setattr(harness, "_decide_mask", counting)
     serial = _without_threads(verify_thm1(3, 5, budget_entries=budget))
-    assert serial["partial"] and serial["examined"] == 5 * 256
+    assert serial["partial"] and serial["examined"] == len(decided) == 4 * 256 + 1
     for threads in (2, 3):
         assert _without_threads(verify_thm1(3, 5, threads=threads, budget_entries=budget)) == serial
     assert not forks  # the scan stops before its first wide level
@@ -874,26 +897,45 @@ def test_split_scan_reports_every_failure_in_order(forks):
         examined, cost, failures, partial = harness._scan_expected_pass(spec, "wlp", {})
         return examined, cost, [(mask, rep.to_dict()) for mask, rep in failures], partial
 
-    # The whole (4, 3) mask space, 357 failures in 3,044 masks, and stopped
-    # by an entry budget on the first mask of the third chunk, whose last
-    # mask fails.
-    over = scan(1, budget_ideals=2 * 256 + 1)[1] - 1
-    for budgets in ({}, {"budget_entries": over}):
+    # The whole (4, 3) mask space, 357 failures in 3,044 masks; stopped by
+    # an entry budget on its 513th mask; and stopped on a failing mask,
+    # whose failure is reported.
+    order = list(iter_support_masks(SearchSpec(4, 3, 0, 16)))
+    whole = scan(1)
+    assert whole[0] == len(order) == 3044 and len(whole[2]) == 357
+    failed = {mask for mask, _ in whole[2]}
+    stop = next(k for k, mask in enumerate(order) if k > 2 * 256 and mask in failed)
+    runs = [
+        ({}, len(order), False),
+        ({"budget_entries": scan(1, budget_ideals=2 * 256 + 1)[1] - 1}, 2 * 256 + 1, True),
+        ({"budget_entries": scan(1, budget_ideals=stop + 1)[1] - 1}, stop + 1, True),
+    ]
+    for budgets, examined, partial in runs:
         serial = scan(1, **budgets)
         assert serial[2] and serial == scan(2, **budgets) == scan(3, **budgets)
-    assert serial[0] == 3 * 256 and serial[3]
-    assert forks == [2, 3, 2, 3]
+        assert serial[0] == examined and serial[3] == partial
+    assert serial[2][-1][0] == order[stop]
+    assert forks == [2, 3] * 3
 
 
-def test_split_scan_refuses_to_read_past_a_budget_stop(forks):
+def test_split_scan_refuses_to_read_past_a_budget_stop(forks, monkeypatch):
+    import multiprocessing
+
     from lefschetz_props import harness
 
-    spec = SearchSpec(3, 5, 0, 11, threads=2, budget_entries=10**6)
-    rows = _support_rows(3, 5, 1)[0]
-    batches = harness._split_results(spec, "wlp", {}, rows, 2)
-    with pytest.raises(RuntimeError, match="read past"):
-        for _ in batches:
-            pass
+    # worker shares that stop after their first mask, short of the scan's
+    # budgets, leave masks undecided that the merged order would count
+    parent = os.getpid()
+    decide = harness._decide_share
+
+    def short(level, ideals, entries, *args):
+        return decide(level, ideals, -1 if os.getpid() != parent else entries, *args)
+
+    monkeypatch.setattr(harness, "_decide_share", short)
+    spec = SearchSpec(3, 5, 0, 11, threads=2)
+    with _deadline(60), pytest.raises(RuntimeError, match="read past"):
+        harness._scan_expected_pass(spec, "wlp", {})
+    assert forks == [2] and not multiprocessing.active_children()
 
 
 def test_first_failure_ends_the_scan_on_that_mask():
@@ -904,6 +946,41 @@ def test_first_failure_ends_the_scan_on_that_mask():
         if not check_wlp(ideal_from_mask(3, 5, mask), early_stop=True).verdict
     )
     assert verify_thm1(3, 5).examined == below + witness
+
+
+def test_first_failure_window_tests_no_mask_past_its_witness(monkeypatch):
+    # the at-bound window of verify_thm1(3, 5) streams popcount 12 lazily,
+    # also with threads: it tests masks for canonicity in ascending order
+    # and stops at its witness, not after the 18,564 masks of the level
+    from lefschetz_props import harness
+
+    tested, scans = [], []
+    canonical, scan = harness._is_canonical, harness._scan_expected_pass
+
+    def counting(mask, tables):
+        tested.append(mask)
+        return canonical(mask, tables)
+
+    def recording(spec, key, args, first=False):
+        start = len(tested)
+        result = scan(spec, key, args, first)
+        if first:
+            scans.append((spec, tested[start:], result))
+        return result
+
+    monkeypatch.setattr(harness, "_is_canonical", counting)
+    monkeypatch.setattr(harness, "_scan_expected_pass", recording)
+    assert verify_thm1(3, 5, threads=2).confirmed
+    [(at, window, (examined, _, [(witness, _)], partial))] = scans
+    assert (at.hf_min, at.hf_max, at.threads) == (12, 12, 2) and not partial
+    level = [mask for mask in range(1 << 18) if mask.bit_count() == 12]
+    assert len(level) == 18564
+    assert window == level[:len(window)]
+    assert len(window) <= level.index(witness) + 2
+    tables = harness._symmetry_tables(3, 5)
+    assert examined == sum(
+        canonical(mask, tables) is not None for mask in level[:level.index(witness) + 1]
+    )
 
 
 @contextmanager
