@@ -26,7 +26,6 @@ from .duality import (
     extremal_dual,
     inverse_system_piece,
     kernel_witness,
-    min_kernel_support,
 )
 from .errors import BudgetExceededError, CapExceededError, NotArtinianError
 from .exactlinalg import ExactMatrix, kernel_basis, rank, rank_mod, row_reduce
@@ -34,6 +33,7 @@ from .harness import (
     SearchSpec,
     crosscheck_lemmas,
     enumerate_equigenerated,
+    min_kernel_support,
     monomial_complete_intersection,
     named_examples,
     random_form_ideal,

@@ -41,13 +41,7 @@ import sys
 
 from . import harness
 from .classify import forces_slp, forces_wlp, is_o_sequence
-from .duality import (
-    DEFAULT_RANK_BUDGET,
-    DualElement,
-    dual_ideal_from_support,
-    extremal_dual,
-    min_kernel_support,
-)
+from .duality import DualElement, dual_ideal_from_support, extremal_dual
 from .errors import BudgetExceededError, CapExceededError, NotArtinianError
 from .ideals import MonomialIdeal, hilbert_function, is_artinian, socle_degree
 from .lefschetz import (
@@ -282,7 +276,7 @@ def _cmd_minsupport(args) -> int:
         if args.n is None:
             raise UsageError("--n is required without an ideal")
         I = MonomialIdeal(args.n, [])
-    found = min_kernel_support(I, args.d, args.i, args.bound, budget=args.budget)
+    found = harness.min_kernel_support(I, args.d, args.i, args.bound, budget=args.budget)
     payload = {
         "schema": SCHEMA_ID, "kind": "minsupport", "command": "minsupport",
         "n": I.n, "d": args.d, "i": args.i, "bound": args.bound,
@@ -355,7 +349,7 @@ def _cmd_verify_bound(args) -> int:
 
 def _cmd_verify_thm37(args) -> int:
     _apply_config(args, None)
-    _fill_defaults(args, budget=DEFAULT_RANK_BUDGET)
+    _fill_defaults(args, budget=harness.DEFAULT_RANK_BUDGET)
     report = harness.verify_thm37(args.n, args.d, args.i, budget=args.budget)
     return _emit_campaign(report, args, command="verify-thm37")
 
@@ -456,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_RANK_BUDGET)
+    p.add_argument("--budget", type=int, default=harness.DEFAULT_RANK_BUDGET)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_minsupport)
 

@@ -1,27 +1,21 @@
-"""Macaulay inverse systems: contraction, dual supports, and kernel search.
+"""Macaulay inverse systems: contraction, dual supports, extremal elements.
 
 The polynomial ring acts on the dual ring by differentiation; contracting by
 a monomial is iterated partial differentiation, and contracting by a power of
 the all-ones linear form ell (the one form the monomial deciders use)
 expands through multinomials.  All coefficients are exact rationals.
-``min_kernel_support`` searches support subsets in increasing size under a
-hard budget of rank calls: the subset-size search is the desk-scale tool,
-not a general sparsest-vector solver.  Contraction by
-ell^i from degree d is the transpose of multiplication by ell^i into degree
-d up to invertible factorial scalings, so the search tests rows of that
-map, whose entries are multinomials (GF(2) can certify them), built once:
-a subset's GF(2) rank is that of the map's packed parity columns cut to
-the subset's rows, and only a subset it leaves short runs the rest of the
-rank policy.  ``contraction_matrix`` builds the contraction itself.
+``contraction_matrix`` builds the contraction by ell^i from degree d, which
+is the transpose of multiplication by ell^i into degree d up to invertible
+factorial scalings; so the smallest support of a dual element it kills is
+the girth of the rows of that multiplication map, which
+``harness.min_kernel_support`` searches on the campaigns' orderly tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
-from . import _kernels
 from .combinatorics import (
     Monomial,
     basis_index,
@@ -29,13 +23,8 @@ from .combinatorics import (
     monomial_basis,
     multinomial,
 )
-from ._ranks_py import rank_gf2_bits
-from .errors import BudgetExceededError
 from .exactlinalg import ExactMatrix
 from .ideals import MonomialIdeal, graded_piece
-from .lefschetz import _build_monomial_rows, ones_form
-
-DEFAULT_RANK_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -233,42 +222,3 @@ def contraction_matrix(I: MonomialIdeal, i: int, k: int) -> ExactMatrix:
                 data[r][c] = int(coeff)
     return ExactMatrix(len(rows), len(cols), data)
 
-
-def min_kernel_support(
-    I: MonomialIdeal,
-    d: int,
-    i: int,
-    bound: int,
-    budget: int = DEFAULT_RANK_BUDGET,
-) -> int | None:
-    """Smallest support size <= bound of a nonzero degree-d dual element
-    killed by the i-th power of the all-ones form, or None.
-
-    Enumerates support subsets by increasing size; the first size whose
-    contraction columns are linearly dependent is minimal.  Every dependence
-    test is one run of the rank policy, counted against ``budget``.
-    """
-    if not 1 <= i <= d:
-        raise ValueError("need 1 <= i <= d")
-    # x^c o y^a = (a!/(a-c)!) y^(a-c), so the contraction matrix is the
-    # transpose of multiplication by ell^i into degree d with row a scaled
-    # by a! and column b by 1/b!: a set of contraction columns is dependent
-    # exactly when the same set of rows of the multiplication map is.
-    rows, nrows, ncols, parity = _build_monomial_rows(I, ones_form(I.n), i, d - i)
-    if bound < 1 or bound > nrows:
-        raise ValueError(f"bound must lie in 1..{nrows}")
-    calls = 0
-    for size in range(1, bound + 1):
-        for subset in combinations(range(nrows), size):
-            calls += 1
-            if calls > budget:
-                raise BudgetExceededError(
-                    f"minimal-support search exceeded {budget} rank calls"
-                )
-            picked = sum([1 << r for r in subset])
-            if rank_gf2_bits([c & picked for c in parity]) == size:
-                continue
-            sub = [rows[r] for r in subset]
-            if _kernels.rank_rows_after_gf2(sub, ncols) < size:
-                return size
-    return None

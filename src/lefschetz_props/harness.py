@@ -53,6 +53,10 @@ enumeration order and counts them under the same stops.  Campaigns are
 deterministic: fixed enumeration order, recorded seeds, and budgets
 counted over the merged order, so no report depends on the number of
 threads.
+
+``min_kernel_support`` (behind ``verify_thm37``) grows the same tree, depth
+first, over the rows of ell^i: S_{d-i} -> S_d on an ideal's degree-d
+standard monomials, and tests its uncertified masks as a campaign does.
 """
 
 from __future__ import annotations
@@ -64,24 +68,20 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, permutations
-from math import comb
+from itertools import chain, groupby, islice, permutations
+from math import comb, factorial
 from typing import NamedTuple
 
 from .combinatorics import basis_index, basis_size, monomial_basis
-from .duality import (
-    DEFAULT_RANK_BUDGET,
-    ell_power_contract,
-    extremal_dual,
-    kernel_witness,
-    min_kernel_support,
-)
+from .duality import ell_power_contract, extremal_dual, kernel_witness
 from .errors import BudgetExceededError, CapExceededError
 from .ideals import (
     FormIdeal,
     MonomialIdeal,
     SupportIdeal,
+    _BoxTables,
     _box_tables,
+    _support_std,
     byte_or_tables,
     hilbert_function,
     initial_ideal_degreewise,
@@ -92,20 +92,25 @@ from .ideals import (
 )
 from .lefschetz import (
     DEFAULT_SEED,
+    _build_monomial_rows,
     _lemma_pair,
     _lemma_power,
+    _mask_rows_independent,
+    _packed_rows,
     _support_rows,
     check_power,  # unused here; campaign_bench wraps harness.check_power
     check_power_shortcut,
     check_slp,
     check_slp_shortcut,
     check_wlp,
+    ones_form,
     support_rows_independent,
 )
 from .reporting import VerificationReport
 
 DEFAULT_BUDGET_IDEALS = 10**6
 DEFAULT_BUDGET_ENTRIES = 10**8
+DEFAULT_RANK_BUDGET = 10_000_000
 # Held orbit maxima per worker before a scan's levels are split across workers.
 SPLIT_HELD = 512
 
@@ -153,7 +158,7 @@ class SearchSpec:
 
 
 class _SymmetryTables(NamedTuple):
-    """Every moving permutation image of a support mask in one int
+    """Every moving permutation image of a mask in one int
     (``_symmetry_tables``): P lanes of m+1 bits, lane k holding the k-th
     image in its low m bits over a clear guard bit m."""
 
@@ -165,25 +170,25 @@ class _SymmetryTables(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _symmetry_tables(n: int, d: int) -> _SymmetryTables:
-    """Byte lookup tables (``byte_or_tables``) of the images of a support
-    mask under the P permutations of the variables that move one of its m
-    bits, all packed into one int.  Mask bit b goes to lane k's bit
-    sigma_k(b), so the packed images of a mask are the OR of the entries of
-    its bytes, ceil(m/8) lookups for all P images at once.  The tables hold
-    256 ceil(m/8) ints of P(m+1) bits: at (4, 4) 1,024 ints of 736 bits, at
-    (6, 3) 1,792 ints of 36,669 bits (8 MiB)."""
+def _symmetry_tables(n: int, d: int, positions: tuple[int, ...]) -> _SymmetryTables:
+    """Byte lookup tables (``byte_or_tables``) of the images of a mask over
+    the degree-d monomials at ``positions`` (a campaign's are the
+    ``support_positions``) under the P permutations of the variables that
+    move one of its m bits, packed into one int.  Mask bit b goes to lane
+    k's bit sigma_k(b), so the packed images of a mask are the OR of the
+    entries of its bytes.  The support tables hold 256 ceil(m/8) ints of
+    P(m+1) bits: at (4, 4) 1,024 ints of 736 bits, at (6, 3) 1,792 ints of
+    36,669 bits (8 MiB)."""
     basis = monomial_basis(n, d)
     index = basis_index(n, d)
-    mixed = support_positions(n, d)
-    mixed_pos = {g: p for p, g in enumerate(mixed)}
-    m = len(mixed)
+    bit_of = {g: p for p, g in enumerate(positions)}
+    m = len(positions)
     width = m + 1
     identity = list(range(m))
     bit_images = [0] * m
     lane = 0
     for sigma in permutations(range(n)):
-        targets = [mixed_pos[index[tuple(basis[g][s] for s in sigma)]] for g in mixed]
+        targets = [bit_of[index[tuple(basis[g][s] for s in sigma)]] for g in positions]
         if targets == identity:
             continue
         for b, t in enumerate(targets):
@@ -251,9 +256,9 @@ def _grow_level(held: tuple, keep: bool, m: int, tables, rows=None):
     leading bit.  A remainder that reaches an empty slot certifies that the
     child's rows are independent mod 2, hence over Q, and fills that slot
     of the child's basis.  A permutation of the variables permutes the rows
-    and the columns of every power of the all-ones form, so the certificate
-    also holds for the child's orbit minimum.  A parent's basis is dropped
-    once its children are made.
+    and the columns of multiplication by ell^i on any ideal it fixes, so the
+    certificate also holds for the child's orbit minimum.  A parent's basis
+    is dropped once its children are made.
     """
     full = (1 << m) - 1
     width = max(rows or (0,)).bit_length()
@@ -342,8 +347,9 @@ def _window_levels(spec: SearchSpec, rows=None, k=None, held=None, share=slice(N
     each Gosper level.  Each orbit maximum has exactly one parent, so the
     shares ``slice(w, None, workers)`` split every level above k into
     disjoint ascending parts."""
-    m = len(support_positions(spec.n, spec.d))
-    tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else None
+    positions = support_positions(spec.n, spec.d)
+    m = len(positions)
+    tables = _symmetry_tables(spec.n, spec.d, positions) if spec.symmetry else None
     if spec.symmetry and spec.hf_min == 0:
         if k is None:
             yield from _orderly_levels(m, spec.hf_max, tables, rows)
@@ -402,8 +408,7 @@ class _MaskDecider(NamedTuple):
     power: int                 # i of the critical map ell^i: S_{d-i} -> S_d
     source: int                # dim S_{d-i}
     free: int | None           # WLP cost of the pairs below d-1; None: shortcut
-    mixed: int                 # every support mask bit
-    cleared: tuple[tuple[int, ...], ...]  # ``_box_tables(n, d).cleared``
+    box: _BoxTables            # ``_box_tables(n, d)``
     above: tuple[int, ...]     # the box positions of each degree above d
 
 
@@ -423,9 +428,7 @@ def _mask_decider(n: int, d: int, key: str, i: int | None) -> _MaskDecider:
     if key == "wlp":
         free = sum(basis_size(n, j) * basis_size(n, j + 1) for j in range(d - 1))
     box = _box_tables(n, d)
-    return _MaskDecider(
-        i, basis_size(n, d - i), free, box.mixed, box.cleared, box.degree[d + 1:]
-    )
+    return _MaskDecider(i, basis_size(n, d - i), free, box, box.degree[d + 1:])
 
 
 def _decide_mask(
@@ -446,24 +449,18 @@ def _decide_mask(
     (``support_rows_independent``).  The cost sums HF(j) HF(j+1) over the
     pairs the full check lists without building the quotient: for the WLP
     a per-(n, d) constant for the pairs below d-1, then dim S_{d-1} HF(d),
-    then the degrees above d, each one popcount of the box positions that
-    no cleared bit's box multiples reach (as ``ideals.support_quotient``
-    counts them), up to the first zero (every later one is zero too, since
-    R_{k+1} = R_1 R_k); for a shortcut the lemma pair alone,
-    dim S_{d-i} HF(d)."""
-    i, source, free, mixed, cleared, above = _mask_decider(n, d, key, args.get("i"))
+    then the degrees above d, each one popcount of the mask's standard
+    monomials over the box (``ideals._support_std``), up to the first zero
+    (every later one is zero too, since R_{k+1} = R_1 R_k); for a shortcut
+    the lemma pair alone, dim S_{d-i} HF(d)."""
+    i, source, free, box, above = _mask_decider(n, d, key, args.get("i"))
     size = mask.bit_count()
     if size > source or not (certified or support_rows_independent(n, d, i, mask)):
         return None
     if free is None:
         return source * size
     cost = free + source * size
-    rest = mixed & ~mask
-    killed = 0
-    for table in cleared:
-        killed |= table[rest & 255]
-        rest >>= 8
-    std = ~killed
+    std = _support_std(box, mask)
     for degree in above:
         h = (degree & std).bit_count()
         if not h:
@@ -824,6 +821,76 @@ def verify_thm2(
     return report
 
 
+def min_kernel_support(
+    I: MonomialIdeal,
+    d: int,
+    i: int,
+    bound: int,
+    budget: int = DEFAULT_RANK_BUDGET,
+) -> int | None:
+    """Smallest support size <= bound of a nonzero degree-d dual element
+    killed by the i-th power of the all-ones form, or None.
+
+    x^c o y^a = (a!/(a-c)!) y^(a-c), so the contraction matrix is the
+    transpose of multiplication by ell^i into degree d with row a scaled by
+    a! and column b by 1/b!, and the answer is the first popcount with a
+    mask of dependent rows of that map.  On an ideal that every permutation
+    of the variables fixes, a search walks the orderly tree (one mask per
+    orbit, ``_grow_level``) depth first to each popcount in turn, if n <= 5
+    and its tables (4 ceil(m/8) (n!-1)(m+1) words for m rows) fit in
+    ``budget``: at six and seven variables measured searches ran faster
+    streamed.  Any other search streams every mask.  ``budget`` counts each
+    streamed mask, or each canonicity test on the tree, before the test.
+    """
+    if not 1 <= i <= d:
+        raise ValueError("need 1 <= i <= d")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    rows, nrows, ncols, _ = _build_monomial_rows(I, ones_form(I.n), i, d - i)
+    if bound < 1 or bound > nrows:
+        raise ValueError(f"bound must lie in 1..{nrows}")
+    packed = _packed_rows(rows)
+    gens = set(I.generators)
+    words = 4 * -(-nrows // 8) * (factorial(I.n) - 1) * (nrows + 1)
+    walked = I.n <= 5 and words <= budget and all(
+        {tuple(g[s] for s in sigma) for g in gens} == gens
+        for sigma in permutations(range(I.n))
+    )
+    tables = _symmetry_tables(I.n, d, I.standard_indices(d)) if walked else None
+    tested = 0
+
+    def charge(masks: int) -> None:
+        nonlocal tested
+        tested += masks
+        if tested > budget:
+            raise BudgetExceededError(
+                f"minimal-support search exceeded {budget} masks tested"
+            )
+
+    def dependent(x: int) -> bool:
+        return not x & 1 and not _mask_rows_independent(packed, rows, x >> 1, ncols)
+
+    def below(held, depth: int, size: int) -> bool:
+        # whether a dependent orbit minimum of popcount size lies below held
+        charge(sum((p & -p or 1 << nrows).bit_length() - 1 for p in held[0]))
+        minima, (kids, bases) = _grow_level(held, depth + 1 < size, nrows, tables, packed)
+        if depth + 1 == size:
+            return any(map(dependent, minima))
+        return any(  # a kept child's parent is the child less its lowest bit
+            below([list(h) for h in zip(*siblings)], depth + 1, size)
+            for _, siblings in groupby(zip(kids, bases), lambda kb: kb[0] & kb[0] - 1)
+        )
+
+    if walked:
+        return next((k for k in range(1, bound + 1) if below(([0], [0]), 0, k)), None)
+    for size in range(1, bound + 1):
+        for x in _gosper_level(nrows, size, None):
+            charge(1)
+            if dependent(x):
+                return size
+    return None
+
+
 def verify_thm37(
     n: int,
     d: int,
@@ -835,8 +902,8 @@ def verify_thm37(
     the i-th power of the all-ones form is exactly d-i+2 over the full dual
     space (1 <= i <= d-1), with the constructed witness achieving it."""
     t0 = time.perf_counter()
-    if not 1 <= i <= d - 1:
-        raise ValueError("need 1 <= i <= d-1")
+    if n < 3 or not 1 <= i <= d - 1:
+        raise ValueError("need n >= 3 and 1 <= i <= d-1")
     expected = d - i + 2
     params = {"n": n, "d": d, "i": i, "budget": budget}
     report = VerificationReport("thm37", params, False, expected_bound=expected)

@@ -37,7 +37,7 @@ the verdict of the map from S_{d-i} to S_d skips the ideal:
 ``support_rows_independent`` picks that map's rows for the monomials of a
 support mask out of one cached per-(n, d, i) table (``_support_rows``, the
 zero ideal's rows from the same builder), packed mod 2 and as integers, and
-runs them through the same policy.
+runs them through ``_mask_rows_independent``, as ``min_kernel_support`` does.
 """
 
 from __future__ import annotations
@@ -168,46 +168,33 @@ def _support_rows(n: int, d: int, i: int) -> tuple[tuple, tuple]:
     tuples of ints."""
     rows = _build_monomial_rows(MonomialIdeal(n, []), ones_form(n), i, d - i)[0]
     mixed = [rows[g] for g in support_positions(n, d)]
-    packed = tuple(sum(1 << c for c, e in enumerate(row) if e & 1) for row in mixed)
-    return packed, tuple(tuple(row) for row in mixed)
+    return tuple(_packed_rows(mixed)), tuple(tuple(row) for row in mixed)
 
 
-@lru_cache(maxsize=None)
-def _support_row_tables(n: int, d: int, i: int) -> tuple:
-    """Byte lookup tables of the packed rows of ``_support_rows(n, d, i)``:
-    entry [k][v] holds the packed rows of the bits of byte value v placed at
-    bits 8k..8k+7, in bit order (as ``ideals.byte_or_tables`` holds ORs)."""
-    packed, _ = _support_rows(n, d, i)
-    tables = []
-    for base in range(0, len(packed), 8):
-        table = [()] * 256
-        for v in range(1, 256):
-            b = base + (v & -v).bit_length() - 1
-            head = (packed[b],) if b < len(packed) else ()
-            table[v] = head + table[v & (v - 1)]
-        tables.append(tuple(table))
-    return tuple(tables)
+def _packed_rows(rows) -> list[int]:
+    """Each integer row packed mod 2 into one int (bit c: column c's parity)."""
+    return [sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows]
+
+
+def _mask_rows_independent(packed, rows, mask: int, ncols: int) -> bool:
+    """Whether the rows that the set bits of the mask pick are linearly
+    independent over Q, given as ``packed`` mod 2 (``_packed_rows``) and as
+    integer ``rows``: a full GF(2) rank certifies it; otherwise the integer
+    rows enter the rank policy after its GF(2) step."""
+    picked = [p for p in range(mask.bit_length()) if mask >> p & 1]
+    if rank_gf2_bits([packed[p] for p in picked]) == len(picked):
+        return True
+    exact = _kernels.rank_rows_after_gf2([rows[p] for p in picked], ncols)
+    return exact == len(picked)
 
 
 def support_rows_independent(n: int, d: int, i: int, mask: int) -> bool:
     """Whether the rows of ``_support_rows(n, d, i)`` picked by the mask are
-    linearly independent over Q, that is, whether ell^i maps R_{d-i} =
-    S_{d-i} onto R_d for the support ideal of the mask, whose degree-d
-    standard monomials are the mask's.  A full GF(2) rank, of the packed
-    rows read a byte of the mask at a time (``_support_row_tables``),
-    certifies it; otherwise the integer rows enter the rank policy after its
-    GF(2) step."""
-    picked = []
-    rest = mask
-    for table in _support_row_tables(n, d, i):
-        picked += table[rest & 255]
-        rest >>= 8
-    if rank_gf2_bits(picked) == len(picked):
-        return True
-    _, rows = _support_rows(n, d, i)
-    picked = [rows[p] for p in range(mask.bit_length()) if mask >> p & 1]
-    exact = _kernels.rank_rows_after_gf2(picked, basis_size(n, d - i))
-    return exact == len(picked)
+    linearly independent over Q (``_mask_rows_independent``), that is,
+    whether ell^i maps R_{d-i} = S_{d-i} onto R_d for the support ideal of
+    the mask, whose degree-d standard monomials are the mask's."""
+    packed, rows = _support_rows(n, d, i)
+    return _mask_rows_independent(packed, rows, mask, basis_size(n, d - i))
 
 
 def _integer_weights(n: int, i: int, coefficients: tuple) -> tuple[tuple[int, ...], int]:

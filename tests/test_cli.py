@@ -136,6 +136,22 @@ def test_minsupport_budget_exit(capsys):
     assert code == 3
 
 
+def test_support_searches_refuse_bad_arguments_before_searching(capsys, monkeypatch):
+    # usage errors (exit 2), not budget stops (exit 3): two variables, which
+    # the witness of verify-thm37 cannot have, and negative budgets
+    from lefschetz_props import harness
+
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(harness, "_build_monomial_rows", search)
+    assert run(["verify-thm37", "--n", "2", "--d", "40", "--i", "1"]) == 2
+    assert run(["verify-thm37", "--n", "3", "--d", "5", "--i", "2", "--budget", "-5"]) == 2
+    assert run(["minsupport", "--n", "3", "--d", "4", "--i", "2", "--bound", "4",
+                "--budget", "-5"]) == 2
+    assert "budget must be non-negative" in capsys.readouterr().err
+
+
 def test_crosscheck_all_masks_budget_exit(capsys):
     code, _ = invoke(capsys, "crosscheck", "--n", "4", "--d", "4", "--sample", "all")
     assert code == 3

@@ -17,12 +17,12 @@ from lefschetz_props.duality import (
     extremal_dual,
     inverse_system_piece,
     kernel_witness,
-    min_kernel_support,
 )
 from lefschetz_props.errors import BudgetExceededError
 from lefschetz_props.exactlinalg import ExactMatrix, rank
 from lefschetz_props.harness import (
     ideal_from_mask,
+    min_kernel_support,
     monomial_complete_intersection,
     theorem1_bound,
 )
@@ -149,6 +149,8 @@ def test_min_kernel_support_bound_validation():
         min_kernel_support(MonomialIdeal(3, []), 3, 2, bound=0)
     with pytest.raises(ValueError):
         min_kernel_support(MonomialIdeal(3, []), 3, 2, bound=11)
+    with pytest.raises(ValueError):
+        min_kernel_support(MonomialIdeal(3, []), 3, 2, bound=3, budget=-1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -163,9 +165,8 @@ def test_min_support_grid_matches_bound(d):
             assert min_kernel_support(zero, d, i, bound=expected - 1) is None
 
 
-@pytest.mark.parametrize("i", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("i", [1, 2, 3, 4, 5, 6])
 def test_min_support_grid_degree_six(i):
-    # i = 1 sweeps far more subsets (about 5 s) and stays out of the suite
     zero = MonomialIdeal(3, [])
     expected = 6 - i + 2 if i < 6 else 2
     assert min_kernel_support(zero, 6, i, bound=expected) == expected
@@ -220,6 +221,60 @@ def test_min_kernel_support_matches_brute_force():
                 expected = want if want is not None and want <= bound else None
                 assert min_kernel_support(I, d, i, bound) == expected, (I, d, i, bound)
 
+
+def test_min_support_walks_the_orderly_tree_only_for_a_symmetric_ideal(monkeypatch):
+    # an ideal that every permutation of the variables fixes (here the
+    # complete intersection) is searched one orbit at a time on the orderly
+    # tree, which tests canonicity; any other ideal streams every subset and
+    # never does; both agree with the brute-force oracle
+    from lefschetz_props import harness
+
+    tested = []
+    canonical = harness._is_canonical
+
+    def spy(mask, tables):
+        tested.append(mask)
+        return canonical(mask, tables)
+
+    monkeypatch.setattr(harness, "_is_canonical", spy)
+    symmetric = monomial_complete_intersection(3, 4)
+    other = ideal_from_mask(3, 4, 0b000011111111)
+    for I, walked in ((symmetric, True), (other, False)):
+        tested.clear()
+        want = brute_min_support(I, 4, 2, 5)
+        assert want == 4
+        assert min_kernel_support(I, 4, 2, 5) == want
+        assert bool(tested) == walked
+
+
+def test_min_support_budget_stops_the_orderly_walk_inside_a_level(monkeypatch):
+    # the budget counts every canonicity test of the depth-first orderly
+    # walk before the test is made: one test short of the whole search, the
+    # walk stops inside its pass over popcount 6, after every test of the
+    # passes before it, and never makes more tests than the budget
+    from lefschetz_props import harness
+
+    tested = []
+    canonical = harness._is_canonical
+
+    def spy(mask, tables):
+        tested.append(mask)
+        return canonical(mask, tables)
+
+    monkeypatch.setattr(harness, "_is_canonical", spy)
+    zero = MonomialIdeal(3, [])
+    assert min_kernel_support(zero, 5, 1, bound=5) is None
+    before = len(tested)
+    tested.clear()
+    assert min_kernel_support(zero, 5, 1, bound=6) == 6
+    needed = len(tested)
+    tested.clear()
+    assert min_kernel_support(zero, 5, 1, bound=6, budget=needed) == 6
+    assert len(tested) == needed
+    tested.clear()
+    with pytest.raises(BudgetExceededError):
+        min_kernel_support(zero, 5, 1, bound=6, budget=needed - 1)
+    assert before < len(tested) < needed
 
 def test_rank_duality_on_brenner_kaid():
     bk = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])

@@ -34,6 +34,7 @@ from lefschetz_props.ideals import (
     MonomialIdeal,
     hilbert_function,
     socle_degree,
+    support_positions,
     support_quotient,
 )
 from lefschetz_props.lefschetz import (
@@ -81,7 +82,7 @@ def test_symmetry_orbit_counts():
     # image read from its own lane of the packed tables
     from lefschetz_props.harness import _symmetry_tables
 
-    per_byte, ones, guards, full, width = _symmetry_tables(3, 3)
+    per_byte, ones, guards, full, width = _symmetry_tables(3, 3, support_positions(3, 3))
     assert (len(per_byte), full, width) == (1, 127, 8)  # 7 mixed monomials
     # every permutation of three variables but the identity, one lane each
     assert ones == sum(1 << 8 * k for k in range(5)) and guards == ones << 7
@@ -147,7 +148,7 @@ def test_packed_canonicity_matches_every_image_on_every_mask(n, d):
 
     maps = _moving_permutations(n, d)
     m = len(maps[0])
-    tables = _symmetry_tables(n, d)
+    tables = _symmetry_tables(n, d, support_positions(n, d))
     assert tables.ones.bit_count() == len(maps) and tables.width == m + 1
     images = [[0] * (1 << m) for _ in maps]
     for image, t in zip(images, maps):
@@ -169,7 +170,7 @@ def test_packed_canonicity_matches_every_image_on_a_sample(n, d, sample):
 
     maps = _moving_permutations(n, d)
     m = len(maps[0])
-    tables = _symmetry_tables(n, d)
+    tables = _symmetry_tables(n, d, support_positions(n, d))
     assert tables.ones.bit_count() == len(maps) and tables.width == m + 1
     rng = random.Random(n * 10 + d)
     accepted = 0
@@ -422,6 +423,35 @@ def test_verify_thm37_small():
     with pytest.raises(ValueError):
         verify_thm37(3, 3, 3)
 
+
+def test_verify_thm37_validates_before_searching(monkeypatch):
+    # fewer than three variables (the witness needs three) and a negative
+    # budget are refused before the support search builds its rows
+    from lefschetz_props import harness
+
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(harness, "_build_monomial_rows", search)
+    for n, d, budget in ((2, 40, 10**7), (1, 3, 10**7), (3, 3, -5)):
+        with pytest.raises(ValueError):
+            verify_thm37(n, d, 1, budget=budget)
+
+
+def test_verify_thm37_streams_from_six_variables(monkeypatch):
+    # from six variables on the search streams its masks and builds no
+    # symmetry tables (n! - 1 lanes: at (8, 3) they would take gigabytes);
+    # each search answers in a fraction of a second
+    from lefschetz_props import harness
+
+    def tables(*args):
+        raise AssertionError("symmetry tables built")
+
+    monkeypatch.setattr(harness, "_symmetry_tables", tables)
+    for n, d, i in ((6, 3, 1), (7, 3, 2), (8, 3, 2)):
+        r = verify_thm37(n, d, i)
+        assert r.confirmed and r.details["min_support"] == d - i + 2
+        assert r.elapsed_seconds < 10
 
 def test_crosscheck_full_small_grids():
     r = crosscheck_lemmas(3, 2)
@@ -977,7 +1007,7 @@ def test_first_failure_window_tests_no_mask_past_its_witness(monkeypatch):
     assert len(level) == 18564
     assert window == level[:len(window)]
     assert len(window) <= level.index(witness) + 2
-    tables = harness._symmetry_tables(3, 5)
+    tables = harness._symmetry_tables(3, 5, support_positions(3, 5))
     assert examined == sum(
         canonical(mask, tables) is not None for mask in level[:level.index(witness) + 1]
     )
