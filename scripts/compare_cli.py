@@ -151,6 +151,13 @@ COMMANDS = [
     ["minsupport", "--gens", "x1^4,x2^4,x3^4", "--d", "4", "--i", "1", "--bound", "10"],
     ["minsupport", "--gens", ASYMMETRIC, "--d", "4", "--i", "2", "--bound", "5"],
     ["verify-thm37", "--n", "3", "--d", "7", "--i", "3"],
+    # workers that only walk, their levels decided by the parent: a
+    # four-variable window stopped by an entry budget inside popcount 6,
+    # two levels past its split, and a no-symmetry window, whose workers
+    # rank every mask's rows, stopped by the ideal budget
+    ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2", "--budget-entries", "10000000"],
+    ["verify-thm1", "--n", "3", "--d", "5", "--no-symmetry", "--threads", "2",
+     "--budget-ideals", "100000"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

@@ -28,7 +28,10 @@ generators are comma-separated: --gens "x1^3,x2^3,x3^3,x1*x2*x3".
 
 Campaign config files are declarative "key = value" lines with keys among
 n, d, i, property, symmetry, budget, budget_entries, seed, threads, sample;
-explicit command-line flags win over the config.
+explicit command-line flags win over the config.  A subcommand reads the
+keys of its own flags (budget is --budget-ideals of verify-thm1/2 and
+--budget of verify-thm37; property only for verify-thm1/2) and refuses
+any other key.
 """
 
 from __future__ import annotations
@@ -122,16 +125,15 @@ _CONFIG_KEYS = {
     "budget_entries", "seed", "threads", "sample",
 }
 
-_INT_KEYS = {"n", "d", "i", "budget", "budget_entries", "seed", "threads"}
-
 _SWITCHES = {
     "1": True, "on": True, "true": True, "yes": True,
     "0": False, "off": False, "false": False, "no": False,
 }
 
 
-def _read_config(path: str) -> dict:
-    out: dict = {}
+def _read_config(path: str) -> list:
+    """The (line number, key, value) of each config line."""
+    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -142,31 +144,41 @@ def _read_config(path: str) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = value
+            out.append((lineno, key, value))
     return out
 
 
-def _apply_config(args, expected_property: str | None) -> None:
+def _config_value(key: str, value: str):
+    """A config value parsed for its key; a ValueError says what it must be."""
+    if key == "symmetry":
+        if value.lower() not in _SWITCHES:
+            raise ValueError(f"one of {', '.join(_SWITCHES)}")
+        return _SWITCHES[value.lower()]
+    if key == "property" or key == "sample" and value == "all":
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("an integer or 'all'" if key == "sample" else "an integer") from None
+
+
+def _apply_config(args) -> None:
+    """Fill each flag left unset from the config file.  A key goes to the
+    subcommand's own flag: ``budget`` is the ideal budget of verify-thm1/2
+    and the mask budget of verify-thm37.  A key the subcommand has no flag
+    for, or a value that does not parse, is a usage error at its line."""
     if not getattr(args, "config", None):
         return
-    conf = _read_config(args.config)
-    prop = conf.pop("property", None)
-    if prop and expected_property and prop != expected_property:
-        raise UsageError(
-            f"config property {prop!r} does not match this subcommand "
-            f"({expected_property})"
-        )
-    for key, value in conf.items():
-        if key in _INT_KEYS:
-            value = int(value)
-        elif key == "symmetry":
-            value = _SWITCHES.get(value.lower())
-            if value is None:
-                raise UsageError(
-                    f"{args.config}: symmetry must be one of {', '.join(_SWITCHES)}"
-                )
-        dest = {"budget": "budget_ideals"}.get(key, key)
-        if getattr(args, dest, None) is None:
+    for lineno, key, value in _read_config(args.config):
+        where = f"{args.config}:{lineno}"
+        dest = "budget_ideals" if key == "budget" and not hasattr(args, key) else key
+        if not hasattr(args, dest):
+            raise UsageError(f"{where}: {args.command} does not read config key {key!r}")
+        try:
+            value = _config_value(key, value)
+        except ValueError as exc:
+            raise UsageError(f"{where}: {key} must be {exc}, got {value!r}") from None
+        if getattr(args, dest) is None:
             setattr(args, dest, value)
 
 
@@ -335,7 +347,13 @@ def _emit_campaign(report, args, **fields) -> int:
 def _cmd_verify_bound(args) -> int:
     """verify-thm1 (WLP bound) and verify-thm2 (SLP or power bound)."""
     thm1 = args.command == "verify-thm1"
-    _apply_config(args, "wlp" if thm1 else "slp" if args.i is None else "power")
+    _apply_config(args)
+    expected = "wlp" if thm1 else "slp" if args.i is None else "power"
+    if args.property and args.property != expected:
+        raise UsageError(
+            f"config property {args.property!r} does not match this subcommand "
+            f"({expected})"
+        )
     _fill_defaults(args, n=3, d=3, symmetry=True, threads=1,
                    budget_ideals=harness.DEFAULT_BUDGET_IDEALS,
                    budget_entries=harness.DEFAULT_BUDGET_ENTRIES)
@@ -348,14 +366,14 @@ def _cmd_verify_bound(args) -> int:
 
 
 def _cmd_verify_thm37(args) -> int:
-    _apply_config(args, None)
+    _apply_config(args)
     _fill_defaults(args, budget=harness.DEFAULT_RANK_BUDGET)
     report = harness.verify_thm37(args.n, args.d, args.i, budget=args.budget)
     return _emit_campaign(report, args, command="verify-thm37")
 
 
 def _cmd_crosscheck(args) -> int:
-    _apply_config(args, None)
+    _apply_config(args)
     _fill_defaults(args, n=3, d=3, seed=harness.DEFAULT_SEED)
     sample = None if args.sample in (None, "all") else int(args.sample)
     report = harness.crosscheck_lemmas(args.n, args.d, sample, args.seed)
@@ -478,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-entries", dest="budget_entries", type=int)
         p.add_argument("--config", help="campaign config file (key = value lines)")
         _add_output_flags(p)
-        p.set_defaults(func=_cmd_verify_bound)
+        # ``property`` has no flag; only a config sets it
+        p.set_defaults(func=_cmd_verify_bound, property=None)
 
     p = sub.add_parser("verify-thm37", help="minimal kernel support bound campaign")
     p.add_argument("--n", type=int, required=True)

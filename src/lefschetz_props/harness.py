@@ -43,16 +43,16 @@ campaign, not on the mask, is one cached lookup.
 
 One driver scans every window, level by level and mask by mask in
 enumeration order; its budgets stop it right after the mask that uses one
-up.  With more than one thread, a window is split level by level: the
-parent decides levels until one holds enough orbit maxima (or, without
-symmetry, masks), then deals them to forked workers.  Each orbit maximum
-has exactly one parent in the orderly tree, so the workers' subtrees are
-disjoint; each worker grows and decides its share of every later level
-under the budgets left, and the parent merges the shares back into
-enumeration order and counts them under the same stops.  Campaigns are
-deterministic: fixed enumeration order, recorded seeds, and budgets
-counted over the merged order, so no report depends on the number of
-threads.
+up.  With more than one thread, the walk of a window is split level by
+level: the parent walks levels until one holds enough orbit maxima (or,
+without symmetry, masks), then deals them to forked workers.  Each orbit
+maximum has exactly one parent in the orderly tree, so the workers'
+subtrees are disjoint; each worker grows its share of every later level,
+ranks the rows of the masks its walk left uncertified, and sends the
+share back.  The parent merges the shares into enumeration order and
+decides every mask itself, as it does without workers.  Campaigns are
+deterministic: fixed enumeration order, recorded seeds, and one decide
+of the merged order, so no report depends on the number of threads.
 
 ``min_kernel_support`` (behind ``verify_thm37``) grows the same tree, depth
 first, over the rows of ell^i: S_{d-i} -> S_d on an ideal's degree-d
@@ -64,7 +64,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -477,26 +476,14 @@ def _usable_cpus() -> int | None:
     return os.cpu_count()
 
 
-@lru_cache(maxsize=None)
-def _cost_bits(n: int, d: int) -> int:
-    """Bits that hold the matrix entry cost of any one (n, d) mask: each
-    pair costs HF(j) HF(j+1) <= dim S_j dim S_{j+1}, and R_j = 0 past the
-    socle degree, which is at most n(d-1) since every x_t^d is in I."""
-    return sum(basis_size(n, j) * basis_size(n, j + 1) for j in range(n * (d - 1) + 1)).bit_length()
-
-
-def _decide_share(level, ideals: int, entries: int, first: bool, n, d, key, args, decided=None):
-    """Decide the masks of a level, or of a worker's share of one, in order,
-    each given as mask << 1 | certified: at most ``ideals`` of them,
-    stopping right after the mask whose cost takes their total over
-    ``entries`` and, with ``first``, right after the first failure.  A mask
-    the critical map leaves undecided (``_decide_mask``) goes through the
-    full check.  Returns (masks decided, their total cost, [(mask, failing
-    report)], stopped), stopped when masks may be left undecided.  Given a
-    list ``decided``, appends each mask decided to it as mask <<
-    ``_cost_bits`` | cost, one int per mask, small to send and sorted by
-    mask."""
-    bits = _cost_bits(n, d)
+def _decide_share(level, ideals: int, entries: int, first: bool, n, d, key, args):
+    """Decide the masks of a level in order, each given as mask << 1 |
+    certified: at most ``ideals`` of them, stopping right after the mask
+    whose cost takes their total over ``entries`` and, with ``first``,
+    right after the first failure.  A mask the critical map leaves
+    undecided (``_decide_mask``) goes through the full check.  Returns
+    (masks decided, their total cost, [(mask, failing report)], stopped),
+    stopped when masks may be left undecided."""
     count = spent = 0
     failures = []
     for x in level:
@@ -511,44 +498,9 @@ def _decide_share(level, ideals: int, entries: int, first: bool, n, d, key, args
                 failures.append((mask, rep))
         count += 1
         spent += cost
-        if decided is not None:
-            if cost >> bits:
-                raise OverflowError(f"mask cost {cost} exceeds {bits} bits")
-            decided.append(mask << bits | cost)
         if spent > entries or first and failures:
             return count, spent, failures, True
     return count, spent, failures, False
-
-
-def _merge_level(replies: list, ideals: int, entries: int, bits: int):
-    """What ``_decide_share`` returns for a whole level, from the workers'
-    replies (decided masks, failures, stopped) for their shares of it: the
-    decided masks merged into ascending order and counted under the same
-    stops.  A share that stopped is decided only up to its last mask, which
-    the count must stop at or before; a share's total up to any mask is
-    at most the level's, so only a faulty share makes it read past."""
-    merged = sorted(chain.from_iterable(reply[0] for reply in replies))
-    limit = min((reply[0][-1] for reply in replies if reply[2]), default=None)
-    low = (1 << bits) - 1
-    count = spent = 0
-    stopped = limit is not None
-    for x in merged:
-        if count == ideals:
-            stopped = True
-            break
-        count += 1
-        spent += x & low
-        if spent > entries:
-            stopped = True
-            break
-        if x == limit and count < ideals:
-            raise RuntimeError("campaign scan read past what its workers decided")
-    last = merged[count - 1] >> bits if count else -1
-    failures = sorted(
-        (fail for reply in replies for fail in reply[1] if fail[0] <= last),
-        key=lambda fail: fail[0],
-    )
-    return count, spent, failures, stopped
 
 
 def _fork_workers(shares: list, n: int, d: int, key: str, args: dict):
@@ -571,18 +523,26 @@ def _fork_workers(shares: list, n: int, d: int, key: str, args: dict):
 
 
 def _split_worker(conn, levels, n: int, d: int, key: str, args: dict) -> None:
-    """Walk and decide (``_decide_share``) the next level of a share per
-    request, (ideals left, entries left) of the scan's budgets before the
-    level; None ends the worker.  Replies with (decided masks, failures,
-    stopped), or with the exception it raised, its traceback as a note."""
+    """Walk a share level by level: send the masks of one level, each as
+    mask << 1 | certified, then wait for a tick before walking the next.
+    A mask inside the lemma gate that the walk left uncertified ranks its
+    rows here (``support_rows_independent``) and is certified when they are
+    independent, so the ranking is split too; the parent decides every
+    mask.  Sends the exception it raised instead, its traceback as a note.
+    Runs until the parent ends it."""
+    i, source, *_ = _mask_decider(n, d, key, args.get("i"))
+
+    def certify(x: int) -> int:
+        mask = x >> 1
+        if x & 1 or mask.bit_count() > source or not support_rows_independent(n, d, i, mask):
+            return x
+        return x | 1
+
     try:
-        for ideals, entries in iter(conn.recv, None):
+        while True:
             level, _ = next(levels)
-            decided = []
-            *_, failures, stopped = _decide_share(
-                level, ideals, entries, False, n, d, key, args, decided
-            )
-            conn.send((decided, failures, stopped))
+            conn.send(list(map(certify, level)))
+            conn.recv()
     except Exception as exc:
         if hasattr(exc, "add_note"):
             import traceback
@@ -613,18 +573,18 @@ def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = Fa
     counted, or once the ideal budget is used up with masks left.  With
     ``first`` it stops at the first failing ideal.
 
-    The levels of the window (``_window_levels``) are decided in-process
-    (``_decide_share``) until one is wide: its held orbit maxima (orderly
-    walk) or the masks of the next popcount (Gosper stream) number at least
-    ``SPLIT_HELD`` per worker.  A scan with ``spec.threads`` > 1 (never a
-    ``first`` one) then splits the levels above it across that many forked
-    workers, at most one per usable CPU; worker w walks the share
-    ``slice(w, None, workers)`` of them.  Each worker decides its share of a
-    level under the budgets left before the level, stopping right after the
-    mask that takes its own total over the entries left; a share's total up
-    to any mask is at most the scan's, so every mask up to the scan's stop
-    is decided.  The parent merges the shares back into enumeration order
-    (``_merge_level``), so no report depends on ``spec.threads``.
+    Every level of the window (``_window_levels``) is decided in-process by
+    ``_decide_share``.  The parent walks the levels itself until one is
+    wide: its held orbit maxima (orderly walk) or the masks of the next
+    popcount (Gosper stream) number at least ``SPLIT_HELD`` per worker.  A
+    scan with ``spec.threads`` > 1 (never a ``first`` one) then splits the
+    walk of the levels above it across that many forked workers, at most
+    one per usable CPU; worker w walks the share ``slice(w, None,
+    workers)`` of them (``_split_worker``).  The parent merges the shares
+    of a level into enumeration order and asks for the next level before it
+    decides this one, so the workers walk at most the level after the one
+    the scan stops in, and no report depends on ``spec.threads``.  On every
+    exit the parent ends and joins its workers.
     """
     n, d, hf_max = spec.n, spec.d, spec.hf_max
     rows = _support_rows(n, d, _mask_decider(n, d, key, args.get("i")).power)[0]
@@ -634,23 +594,19 @@ def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = Fa
     examined = cost = 0
     failures = []
     crew = []
-    idle = True
     try:
         for k in range(spec.hf_min, hf_max + 1):
-            ideals = spec.budget_ideals - examined
-            entries = spec.budget_entries - cost
             if crew:
-                idle = False
-                for _, conn in crew:
-                    conn.send((ideals, entries))
-                replies = [_reply(process, conn) for process, conn in crew]
-                idle = True
-                done, spent, fails, stopped = _merge_level(replies, ideals, entries, _cost_bits(n, d))
+                level = sorted(chain.from_iterable(_reply(*worker) for worker in crew))
+                if k < hf_max:
+                    for _, conn in crew:
+                        conn.send(None)  # a tick: walk the next level
             else:
                 level, held = next(levels)
-                done, spent, fails, stopped = _decide_share(
-                    level, ideals, entries, first, n, d, key, args
-                )
+            done, spent, fails, stopped = _decide_share(
+                level, spec.budget_ideals - examined, spec.budget_entries - cost,
+                first, n, d, key, args,
+            )
             examined += done
             cost += spent
             failures += fails
@@ -670,11 +626,7 @@ def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = Fa
         return examined, cost, failures, False
     finally:
         for process, conn in crew:
-            if idle:
-                with suppress(OSError):
-                    conn.send(None)
-            else:
-                process.terminate()
+            process.terminate()
         for process, conn in crew:
             process.join()
             conn.close()

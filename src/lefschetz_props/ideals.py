@@ -566,6 +566,11 @@ class GradedPiece:
     pivot_monomials: tuple[Monomial, ...] = ()
 
 
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 0:
+        raise ValueError(f"socle cap must be non-negative, got {cap}")
+
+
 def is_artinian(I, cap: int | None = None) -> bool:
     """Finite dimensionality of S/I.
 
@@ -576,8 +581,9 @@ def is_artinian(I, cap: int | None = None) -> bool:
     largest generator degree, since by Gotzmann persistence it then grows
     maximally, and stays positive, in every later degree.  If neither
     happens by the cap the test is indeterminate and CapExceededError is
-    raised.
+    raised.  A negative cap is a ValueError.
     """
+    _check_cap(cap)
     if isinstance(I, MonomialIdeal):
         return len(I.pure_power_degrees()) == I.n
     cap = default_socle_cap(I) if cap is None else cap
@@ -630,8 +636,10 @@ def socle_degree(I, cap: int | None = None) -> int:
 
     The quotient is standard graded, so the scan stops at the first zero.
     A support ideal is artinian and holds its whole Hilbert function, so its
-    socle degree is the last nonzero entry of that tuple.
+    socle degree is the last nonzero entry of that tuple.  A negative cap
+    is a ValueError.
     """
+    _check_cap(cap)
     if isinstance(I, SupportIdeal):
         e = len(I._hfs) - 1
         while not I._hfs[e]:

@@ -262,6 +262,77 @@ def test_config_symmetry_switch(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_budget_goes_to_each_subcommands_budget(capsys, tmp_path):
+    conf = tmp_path / "budget.cfg"
+    conf.write_text("budget = 5\n")
+    # the mask budget of the minimal-support search, as --budget 5 is
+    thm37 = ["verify-thm37", "--n", "3", "--d", "5", "--i", "2"]
+    for extra in (["--config", str(conf)], ["--budget", "5"]):
+        assert run(thm37 + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeded 5 masks" in captured.err
+    # the ideal budget of a bound campaign, as --budget-ideals 5 is
+    code, payload = invoke_json(
+        capsys, "verify-thm1", "--n", "3", "--d", "4", "--config", str(conf), "--no-timestamp"
+    )
+    code_flag, flag = invoke_json(
+        capsys, "verify-thm1", "--n", "3", "--d", "4", "--budget-ideals", "5", "--no-timestamp"
+    )
+    assert code == code_flag == 3 and payload == flag and payload["examined"] == 5
+
+
+@pytest.mark.parametrize("command, key", [
+    (("verify-thm1", "--n", "3", "--d", "3"), "seed = 2"),
+    (("verify-thm1", "--n", "3", "--d", "3"), "sample = 10"),
+    (("verify-thm1", "--n", "3", "--d", "3"), "i = 1"),
+    (("verify-thm2", "--n", "3", "--d", "3"), "seed = 2"),
+    (("verify-thm37", "--n", "3", "--d", "3", "--i", "1"), "threads = 2"),
+    (("verify-thm37", "--n", "3", "--d", "3", "--i", "1"), "budget_entries = 9"),
+    (("verify-thm37", "--n", "3", "--d", "3", "--i", "1"), "property = wlp"),
+    (("crosscheck", "--n", "3", "--d", "2"), "threads = 2"),
+    (("crosscheck", "--n", "3", "--d", "2"), "budget = 5"),
+    (("crosscheck", "--n", "3", "--d", "2"), "symmetry = off"),
+])
+def test_config_key_the_subcommand_does_not_read_is_a_usage_error(capsys, tmp_path, command, key):
+    conf = tmp_path / "campaign.cfg"
+    conf.write_text(f"# campaign\n{key}\n")
+    code = run([*command, "--config", str(conf)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"{conf}:2: " in err and repr(key.split()[0]) in err
+
+
+@pytest.mark.parametrize("command, key", [
+    (("verify-thm1",), "d = x"),
+    (("verify-thm2",), "budget_entries = 1e6"),
+    (("verify-thm1",), "symmetry = maybe"),
+    (("verify-thm37", "--n", "3", "--d", "3", "--i", "1"), "budget = lots"),
+    (("crosscheck",), "sample = some"),
+    (("crosscheck",), "seed = 1.5"),
+])
+def test_config_value_that_does_not_parse_names_its_line(capsys, tmp_path, command, key):
+    conf = tmp_path / "campaign.cfg"
+    conf.write_text(f"n = 3\n{key}\n")
+    code = run([*command, "--config", str(conf)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"{conf}:2: {key.split()[0]} must be" in err
+
+
+def test_config_keys_each_subcommand_reads(capsys, tmp_path):
+    conf = tmp_path / "crosscheck.cfg"
+    conf.write_text("n = 3\nd = 3\nsample = 20\nseed = 4\n")
+    code, payload = invoke_json(capsys, "crosscheck", "--config", str(conf), "--no-timestamp")
+    assert code == 0 and payload["params"]["sample"] == 20 and payload["params"]["seed"] == 4
+    conf.write_text("n = 3\nd = 3\nsample = all\n")
+    code, payload = invoke_json(capsys, "crosscheck", "--config", str(conf), "--no-timestamp")
+    assert code == 0 and payload["params"]["sample"] is None and payload["examined"] == 128
+    conf.write_text("n = 3\nd = 4\ni = 2\nproperty = power\nthreads = 2\nbudget_entries = 100\n")
+    code, payload = invoke_json(capsys, "verify-thm2", "--config", str(conf), "--no-timestamp")
+    assert payload["params"] == {"n": 3, "d": 4, "symmetry": True, "threads": 2, "i": 2}
+    assert code == 3 and payload["partial"]
+
+
 def test_parse_error_diagnostics(capsys, tmp_path):
     path = tmp_path / "bad.ideal"
     path.write_text("x1^3\nx2^@3\n")
@@ -285,6 +356,10 @@ def test_usage_errors(capsys):
     assert run(["power", "--gens", forms, "--i", "1"]) == 2
     assert run(["slp", "--gens", forms, "--method", "shortcut"]) == 2
     assert "--method full" in capsys.readouterr().err
+    # a negative socle cap is refused, not a cap that is reached
+    assert run(["socle", "--gens", "x1^2,x2^2,x3^2", "--cap", "-3"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert run(["socle", "--gens", "x1^2,x2^2,x3^2", "--cap", "2"]) == 3
 
 
 def test_csv_pairs_round_trip(capsys):

@@ -279,15 +279,19 @@ def test_campaign_budget_yields_flagged_partial_report():
     assert r.partial and not r.confirmed
 
 
-def test_entry_budget_bounds_the_ideals_built(monkeypatch):
+def test_entry_budget_bounds_the_ideals_built(forks, monkeypatch):
     # a passing mask builds no ideal, so the decides are counted: a scan
-    # stopped by either budget decides exactly the masks it examined
+    # stopped by either budget decides exactly the masks it examined, and
+    # decides them all in the parent, also once workers walk the (3, 5)
+    # window past its split
     from lefschetz_props import harness
 
     decided = []
     decide = harness._decide_mask
+    parent = os.getpid()
 
     def counting(n, d, mask, key, args, certified=False):
+        assert os.getpid() == parent, "a campaign worker decided a mask"
         decided.append(mask)
         return decide(n, d, mask, key, args, certified)
 
@@ -296,7 +300,17 @@ def test_entry_budget_bounds_the_ideals_built(monkeypatch):
         decided[:] = []
         r = verify_thm1(3, 4, threads=1, **budgets)
         assert r.partial and len(decided) == r.examined > 0, budgets
-    assert r.examined == 100
+    assert r.examined == 100 and not forks
+    for threads in (2, 3):
+        for budgets, examined in (
+            ({"budget_entries": 10**6}, 3210), ({"budget_ideals": 5000}, 5000), ({}, None)
+        ):
+            decided[:] = []
+            with _deadline(60):
+                r = verify_thm1(3, 5, threads=threads, **budgets)
+            assert r.partial == bool(budgets) and len(decided) == r.examined, budgets
+            assert examined in (None, r.examined), budgets
+    assert forks == [2] * 3 + [3] * 3
 
 
 def test_ideal_budget_bounds_the_enumeration(monkeypatch):
@@ -948,26 +962,6 @@ def test_split_scan_reports_every_failure_in_order(forks):
     assert forks == [2, 3] * 3
 
 
-def test_split_scan_refuses_to_read_past_a_budget_stop(forks, monkeypatch):
-    import multiprocessing
-
-    from lefschetz_props import harness
-
-    # worker shares that stop after their first mask, short of the scan's
-    # budgets, leave masks undecided that the merged order would count
-    parent = os.getpid()
-    decide = harness._decide_share
-
-    def short(level, ideals, entries, *args):
-        return decide(level, ideals, -1 if os.getpid() != parent else entries, *args)
-
-    monkeypatch.setattr(harness, "_decide_share", short)
-    spec = SearchSpec(3, 5, 0, 11, threads=2)
-    with _deadline(60), pytest.raises(RuntimeError, match="read past"):
-        harness._scan_expected_pass(spec, "wlp", {})
-    assert forks == [2] and not multiprocessing.active_children()
-
-
 def test_first_failure_ends_the_scan_on_that_mask():
     below = sum(1 for _ in iter_support_masks(SearchSpec(3, 5, 0, 11)))
     at = iter_support_masks(SearchSpec(3, 5, 12, 12))
@@ -1033,33 +1027,36 @@ def test_split_scan_leaves_no_process(forks, monkeypatch):
 
     from lefschetz_props import harness
 
+    # a finished scan, and one stopped by a budget while the workers walk
+    # the level after the stop
     with _deadline(60):
         assert verify_thm1(3, 4, threads=2).confirmed
         assert verify_thm1(3, 5, threads=2, budget_entries=10**6).partial
     assert forks == [2, 2] and not multiprocessing.active_children()
     parent = os.getpid()
-    run_check = harness._run_check
+    grow = harness._grow_level
 
-    def boom(I, key, args):
+    def boom(*args):
         if os.getpid() != parent:
             raise RuntimeError("boom")
-        return run_check(I, key, args)
+        return grow(*args)
 
-    monkeypatch.setattr(harness, "_decide_mask", lambda *args: None)
-    monkeypatch.setattr(harness, "_run_check", boom)
+    # a worker's walk raises, or kills the worker
+    monkeypatch.setattr(harness, "_grow_level", boom)
     with _deadline(60), pytest.raises(RuntimeError, match="boom"):
         verify_thm1(3, 4, threads=2)
     assert not multiprocessing.active_children()
 
-    def die(I, key, args):
+    def die(*args):
         if os.getpid() != parent:
             os._exit(3)
-        return run_check(I, key, args)
+        return grow(*args)
 
-    monkeypatch.setattr(harness, "_run_check", die)
+    monkeypatch.setattr(harness, "_grow_level", die)
     with _deadline(60), pytest.raises(RuntimeError, match="exited with code 3"):
         verify_thm1(3, 4, threads=2)
     assert not multiprocessing.active_children()
+    assert forks == [2, 2, 2, 2]
 
 
 def test_wiebe_small_sample():

@@ -15,6 +15,7 @@ from lefschetz_props.harness import random_form_ideal
 from lefschetz_props.ideals import (
     FormIdeal,
     MonomialIdeal,
+    SupportIdeal,
     TERM_ORDERS,
     _build_form_piece,
     default_socle_cap,
@@ -365,6 +366,23 @@ def test_non_artinian_form_ideal_exceeds_the_cap(capsys):
     assert run(["hf", "--gens", NON_ARTINIAN_FORMS]) == 2
     assert run(["socle", "--gens", NON_ARTINIAN_FORMS, "--cap", "2"]) == 3
     capsys.readouterr()
+
+
+def test_a_negative_cap_is_a_value_error():
+    # on a monomial, a support and a form ideal: not a cap that is reached
+    ideals = (
+        parse_inline_ideal("x1^2,x2^2,x3^2"),
+        SupportIdeal(3, 2, 0b101),
+        parse_inline_ideal(NON_ARTINIAN_FORMS),
+    )
+    for I in ideals:
+        for check in (is_artinian, socle_degree):
+            with pytest.raises(ValueError, match="non-negative"):
+                check(I, cap=-1)
+    # cap 0 is a cap: x1^2, x2^2, x3^2 has socle degree 3
+    assert is_artinian(ideals[0], cap=0) and socle_degree(ideals[0], cap=3) == 3
+    with pytest.raises(CapExceededError):
+        socle_degree(ideals[0], cap=0)
 
 
 def test_gotzmann_exit_agrees_with_the_cap_scan():
