@@ -118,7 +118,7 @@ COMMANDS = [
      "--method", "full", "--format", "csv"],
     # below-bound masks certified by the orderly walk on the other keys and
     # on the pool path: the power-2 window stopped by an entry budget on
-    # its 181st of 261 masks, the SLP shortcut, and 151k four-variable WLP
+    # its 173rd of 261 masks, the SLP shortcut, and 151k four-variable WLP
     # masks
     ["verify-thm2", "--n", "4", "--d", "4", "--i", "2", "--budget-entries", "5000"],
     ["verify-thm2", "--n", "3", "--d", "5", "--threads", "2"],
@@ -128,41 +128,67 @@ COMMANDS = [
     # at-bound window under 119
     ["verify-thm2", "--n", "4", "--d", "3", "--i", "1"],
     ["verify-thm2", "--n", "5", "--d", "2"],
-    # the below-bound walk split across forked workers level by level:
-    # partial reports stopped by each budget, the no-symmetry window, an
-    # entry budget on a power window, and a window partial at the default
-    # budgets
+    # the below-bound walk split across forked workers: partial reports
+    # stopped by each budget, the no-symmetry window, an entry budget on a
+    # power window, and a window partial at the default budgets
     ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2", "--budget-ideals", "20000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2", "--budget-entries", "1000000"],
     ["verify-thm1", "--n", "3", "--d", "4", "--no-symmetry", "--threads", "2"],
     ["verify-thm2", "--n", "4", "--d", "4", "--i", "2", "--budget-entries", "5000",
      "--threads", "2"],
     ["verify-thm1", "--n", "3", "--d", "6", "--threads", "2"],
-    # the entry budget stopping the Gosper stream of a no-symmetry window,
-    # in-process and split into the shares of two workers
+    # the entry budget stopping the walk of a no-symmetry window, which
+    # visits every subset, in-process and split across two workers
     ["verify-thm1", "--n", "3", "--d", "4", "--no-symmetry", "--budget-entries", "50000"],
     ["verify-thm1", "--n", "3", "--d", "4", "--no-symmetry", "--budget-entries", "50000",
      "--threads", "2"],
     # minimal-support searches on the orderly tree of a symmetric ideal
     # other than the zero ideal (the Theorem 1 girth of the complete
-    # intersection), streamed over every subset of an asymmetric one, and
+    # intersection), walked over every subset of an asymmetric one, and
     # a degree-7 search whose walk leaves about 10k of its 400k orbits
     # uncertified (the weights of ell^3 are not all odd)
     ["minsupport", "--gens", "x1^4,x2^4,x3^4", "--d", "4", "--i", "1", "--bound", "10"],
     ["minsupport", "--gens", ASYMMETRIC, "--d", "4", "--i", "2", "--bound", "5"],
     ["verify-thm37", "--n", "3", "--d", "7", "--i", "3"],
-    # workers that only walk, their levels decided by the parent: a
-    # four-variable window stopped by an entry budget inside popcount 6,
-    # two levels past its split, and a no-symmetry window, whose workers
-    # rank every mask's rows, stopped by the ideal budget
+    # workers that only walk, every mask decided by the parent: a
+    # four-variable window stopped by an entry budget inside a dealt
+    # subtree, and a no-symmetry window stopped by the ideal budget
     ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2", "--budget-entries", "10000000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--no-symmetry", "--threads", "2",
      "--budget-ideals", "100000"],
+    # a girth (4) below the bound (5): the first dependent mask lowers the
+    # depth of the rest of the branch-and-bound walk
+    ["minsupport", "--gens", "x1^4,x2^4,x3^4", "--d", "4", "--i", "2", "--bound", "5"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a
 # tuple of the argv above, mapped to the reason.
-DECLARED: dict[tuple[str, ...], str] = {}
+PREORDER = ("budget stop moves: the below-bound window is walked depth first "
+            "in preorder, not by popcount levels")
+DECLARED: dict[tuple[str, ...], str] = {
+    tuple(argv.split()): f"{PREORDER}; {change}"
+    for argv, change in [
+        ("verify-thm1 --n 3 --d 5 --budget-ideals 20000", "cost 7087539 -> 8156656"),
+        ("verify-thm1 --n 3 --d 5 --budget-entries 1000000", "examined 3210 -> 2212"),
+        ("verify-thm1 --n 5 --d 3 --budget-ideals 1000", "cost 149683 -> 154770"),
+        ("verify-thm2 --n 4 --d 4 --i 2 --budget-entries 5000", "examined 181 -> 173"),
+        ("verify-thm1 --n 3 --d 5 --threads 2 --budget-ideals 20000",
+         "cost 7087539 -> 8156656"),
+        ("verify-thm1 --n 3 --d 5 --threads 2 --budget-entries 1000000",
+         "examined 3210 -> 2212"),
+        ("verify-thm2 --n 4 --d 4 --i 2 --budget-entries 5000 --threads 2",
+         "examined 181 -> 173"),
+        ("verify-thm1 --n 3 --d 6 --threads 2", "examined 143616 -> 100648"),
+        ("verify-thm1 --n 3 --d 4 --no-symmetry --budget-entries 50000",
+         "examined 441 -> 253"),
+        ("verify-thm1 --n 3 --d 4 --no-symmetry --budget-entries 50000 --threads 2",
+         "examined 441 -> 253"),
+        ("verify-thm1 --n 4 --d 4 --threads 2 --budget-entries 10000000",
+         "examined 27855 -> 25627"),
+        ("verify-thm1 --n 3 --d 5 --no-symmetry --threads 2 --budget-ideals 100000",
+         "cost 34735391 -> 40239529"),
+    ]
+}
 
 
 def run(checkout: Path, argv: list[str], cwd: str) -> tuple[int, bytes]:

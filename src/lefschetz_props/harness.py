@@ -4,19 +4,17 @@ verification campaigns for the sharp Hilbert-function bounds.
 Enumeration is keyed on dual supports: an equigenerated artinian ideal in
 degree d is the complement of a subset T of the non-pure-power degree-d
 monomials (the pure powers are forced by artinianness), and HF(R, d) = |T|.
-Supports are walked as bitmasks by popcount (= HF(R, d)), then ascending,
-optionally reduced to canonical representatives under variable permutations;
-both Lefschetz properties are permutation-invariant, so campaign conclusions
-are unchanged by the reduction.  A mask is canonical when no permutation
-image is smaller: one byte lookup per mask byte gives every image at once,
-packed into the lanes of one int, and one subtraction compares them all with
-the mask.  The below-bound window of a campaign starts at the empty mask and
-is walked orderly: each popcount level is grown from the orbit maxima of the
-level before, so only their one-bit extensions are tested, and each kept
-orbit contributes its smallest image.  Windows that start higher (the
-at-bound and searched-witness windows, which stop at their first failure)
-or run without symmetry stream every mask of each popcount instead,
-lazily.
+Supports are bitmasks, optionally reduced to canonical representatives
+under variable permutations; both Lefschetz properties are
+permutation-invariant, so campaign conclusions are unchanged by the
+reduction.  A mask is canonical when no permutation image is smaller: one
+byte lookup per mask byte gives every image at once, packed into the lanes
+of one int, and one subtraction compares them all with the mask.  The
+below-bound window of a campaign starts at the empty mask and is walked
+depth first on the orderly tree (one node per orbit, or per subset without
+symmetry), in preorder, holding only the path it is on.  Windows that
+start higher (the at-bound and searched-witness windows, which stop at
+their first failure) stream every mask of each popcount, ascending.
 
 A campaign decides each visited mask from its one critical map and builds
 no ideal or report for a mask that passes.  Inside the lemma gate
@@ -24,39 +22,35 @@ HF(d-i) = dim S_{d-i} >= HF(d) (i = 1 for the WLP, the shortcut's power,
 d-1 for the SLP) the check passes exactly when ell^i maps R_{d-i} onto R_d,
 that is, when the rows of that map for the mask's monomials are
 independent; for the WLP the pairs below it are free and every later pair
-is onto by propagation.  The orderly walk certifies most below-bound masks
-as it grows them: each kept orbit maximum extends its parent's GF(2)
-echelon basis of those rows by the row of its one new bit, and a nonzero
-remainder shows the rows independent mod 2, hence over Q, for the whole
-orbit.  A certified mask is decided without ranking anything.  The rest
-rank their rows from scratch: masks whose rows are dependent mod 2 (which
-may still be independent over Q), and every mask of the Gosper stream.
-Only a mask that fails, or lies outside the gate, becomes a
-``SupportIdeal`` (its standard monomials one bitmask over the box
-[0, d)^n, so its Hilbert function and matrices equal those of the same
-MonomialIdeal) and goes through the full check, whose report is recorded.
-The matrix entry cost a budget counts is HF(j) HF(j+1) summed over the
-pairs the full check would list, not over the one map that is ranked, so
-it is the same either way; a passing mask's cost needs only the Hilbert
-function above d.  Everything a decide reads that depends only on the
-campaign, not on the mask, is one cached lookup.
+is onto by propagation.  The walk certifies most below-bound masks as it
+goes: each node extends its parent's GF(2) echelon basis of those rows by
+the row of its one new bit, and a nonzero remainder shows the rows
+independent mod 2, hence over Q, for the whole orbit.  A certified mask is
+decided without ranking anything.  The rest rank their rows from scratch:
+masks whose rows are dependent mod 2 (which may still be independent over
+Q), and every streamed mask.  Only a mask that fails, or lies outside the
+gate, becomes a ``SupportIdeal`` (its standard monomials one bitmask over
+the box [0, d)^n, so its Hilbert function and matrices equal those of the
+same MonomialIdeal) and goes through the full check, whose report is
+recorded.  The matrix entry cost a budget counts is HF(j) HF(j+1) summed
+over the pairs the full check would list, not over the one map that is
+ranked, so it is the same either way; a passing mask's cost needs only the
+Hilbert function above d.  Everything a decide reads that depends only on
+the campaign, not on the mask, is one cached lookup.
 
-One driver scans every window, level by level and mask by mask in
-enumeration order; its budgets stop it right after the mask that uses one
-up.  With more than one thread, the walk of a window is split level by
-level: the parent walks levels until one holds enough orbit maxima (or,
-without symmetry, masks), then deals them to forked workers.  Each orbit
-maximum has exactly one parent in the orderly tree, so the workers'
-subtrees are disjoint; each worker grows its share of every later level,
-ranks the rows of the masks its walk left uncertified, and sends the
-share back.  The parent merges the shares into enumeration order and
-decides every mask itself, as it does without workers.  Campaigns are
-deterministic: fixed enumeration order, recorded seeds, and one decide
-of the merged order, so no report depends on the number of threads.
+One loop scans every window, mask by mask; its budgets stop it right
+after the mask that uses one up.  With more than one thread the walk is
+split at a popcount: the parent walks the top of the tree and deals the
+nodes there round-robin to forked workers, which walk their subtrees (each
+orbit maximum has one parent, so they are disjoint) and send them back in
+chunks.  The parent decides every mask itself, in the order it would
+without workers.  Failures are listed by popcount, then mask, so no report
+depends on the number of threads, and no complete one on the scan order.
 
-``min_kernel_support`` (behind ``verify_thm37``) grows the same tree, depth
-first, over the rows of ell^i: S_{d-i} -> S_d on an ideal's degree-d
-standard monomials, and tests its uncertified masks as a campaign does.
+``min_kernel_support`` (behind ``verify_thm37``) walks the same tree, with
+branch and bound, over the rows of ell^i: S_{d-i} -> S_d on an ideal's
+degree-d standard monomials, and tests its uncertified masks as a
+campaign does.
 """
 
 from __future__ import annotations
@@ -64,10 +58,11 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby, islice, permutations
+from itertools import permutations
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -110,8 +105,10 @@ from .reporting import VerificationReport
 DEFAULT_BUDGET_IDEALS = 10**6
 DEFAULT_BUDGET_ENTRIES = 10**8
 DEFAULT_RANK_BUDGET = 10_000_000
-# Held orbit maxima per worker before a scan's levels are split across workers.
+# Masks per worker at the popcount whose nodes a split scan deals out.
 SPLIT_HELD = 512
+# Masks per message from a worker of a split scan.
+SPLIT_CHUNK = 1024
 
 
 def theorem1_bound(n: int, d: int) -> int:
@@ -232,48 +229,78 @@ def _is_canonical(mask: int, tables: _SymmetryTables) -> int | None:
     return top
 
 
-def _grow_level(held: tuple, keep: bool, m: int, tables, rows=None):
-    """One level of the orderly walk (Read, Ann. Discrete Math. 1978; McKay,
-    J. Algorithms 1998), grown from the held orbit maxima of popcount k, a
-    pair of lists (maxima, bases) that it uses up.  Returns the sorted orbit
-    minima of popcount k+1, each as minimum << 1 | certified, and, with
-    ``keep``, the pair held to grow the level after.
+def _orderly_walk(m: int, depth: int, tables, rows=None, charge=None):
+    """Every orbit of masks over m bits up to popcount ``depth``, one node
+    of the orderly tree each (Read, Ann. Discrete Math. 1978; McKay,
+    J. Algorithms 1998), in preorder, yielded as minimum << 1 | certified.
+    ``tables`` None is the trivial group: every subset is a node.
 
-    Removing the lowest bit of an orbit maximum leaves an orbit maximum, so
-    each orbit maximum of popcount k+1 is a parent p of popcount k with one
-    bit below its lowest set; a child is kept when its complement passes
+    The nodes are the orbit maxima.  Removing the lowest bit of an orbit
+    maximum leaves an orbit maximum, so the children of a node p are its
+    extensions by one bit below its lowest set bit whose complement passes
     ``_is_canonical``, whose one pass also gives the child's orbit minimum.
-    A maximum that can have no children (lowest bit 0, or on the last
-    level) is not held at all.
+    They are walked largest new bit first, each with its subtree, so the
+    walk holds one path: at most m pending siblings per depth.
+    ``charge``, if given, is called with the number of extensions of a
+    node before any is tested.  Sending a limit right after a node
+    (``send`` returns None) skips that node's subtree and walks no deeper
+    than the limit from then on.
 
     ``rows`` holds one packed GF(2) row per mask bit
-    (``lefschetz._support_rows``); without it nothing is certified.  Every
-    held maximum whose rows are independent mod 2 keeps a GF(2) echelon
-    basis of them as one int: the basis row with leading bit p sits in slot
-    p, bits p*w .. p*w + w-1 for rows of width w.  A kept child reduces
-    only the row of its new bit against its parent's basis, leading bit by
-    leading bit.  A remainder that reaches an empty slot certifies that the
-    child's rows are independent mod 2, hence over Q, and fills that slot
-    of the child's basis.  A permutation of the variables permutes the rows
-    and the columns of multiplication by ell^i on any ideal it fixes, so the
-    certificate also holds for the child's orbit minimum.  A parent's basis
-    is dropped once its children are made.
+    (``lefschetz._support_rows``); without it nothing is certified.  Each
+    node on the path whose rows are independent mod 2 keeps a GF(2)
+    echelon basis of them as one int, the basis row with leading bit p in
+    bits p*w .. p*w + w-1 for rows of width w.  A child reduces the row of
+    its new bit against its parent's basis; a remainder that reaches an
+    empty slot certifies the child's rows independent mod 2, hence over Q,
+    and fills that slot of its basis.  A permutation of the variables
+    permutes the rows and the columns of multiplication by ell^i on any
+    ideal it fixes, so the certificate holds for the whole orbit.
     """
     full = (1 << m) - 1
     width = max(rows or (0,)).bit_length()
     slot = (1 << width) - 1
-    maxima, bases = held
-    minima = []
-    children = []
-    child_bases = []
-    while maxima:
-        parent = maxima.pop()
-        basis = bases.pop()
-        for b in range((parent & -parent or 1 << m).bit_length() - 1):
+    # Each pending node waits on the stack as its yield, or as the one's
+    # complement of it when it may have children, with its maximum and its
+    # basis on their own stacks.
+    stack = [~0 if rows is None else ~1]
+    maxima = [0]
+    bases = [None if rows is None else 0]
+    while stack:
+        x = stack.pop()
+        parent = None
+        if x < 0:
+            x = ~x
+            parent = maxima.pop()
+            basis = bases.pop()
+        limit = yield x
+        if limit is not None:
+            depth = limit
+            # the popcounts on the stack rise from the bottom
+            while stack and (max(stack[-1], ~stack[-1]) >> 1).bit_count() > depth:
+                if stack.pop() < 0:
+                    maxima.pop()
+                    bases.pop()
+            yield
+            continue
+        if parent is None:
+            continue
+        size = parent.bit_count()
+        low = (parent & -parent or 1 << m).bit_length() - 1
+        if size >= depth or not low:
+            continue
+        if charge:
+            charge(low)
+        inner = size + 1 < depth
+        for b in range(low):
             child = parent | 1 << b
-            top = _is_canonical(full ^ child, tables)
-            if top is None:
-                continue
+            if tables is None:
+                minimum = child
+            else:
+                top = _is_canonical(full ^ child, tables)
+                if top is None:
+                    continue
+                minimum = full ^ top
             certified = 0
             v = 0 if basis is None else rows[b]
             while v:
@@ -283,89 +310,37 @@ def _grow_level(held: tuple, keep: bool, m: int, tables, rows=None):
                     certified = 1
                     break
                 v ^= row
-            minima.append((full ^ top) << 1 | certified)
-            if b and keep:
-                children.append(child)
-                child_bases.append(basis | v << p * width if certified else None)
-    minima.sort()
-    return minima, (children, child_bases)
+            x = minimum << 1 | certified
+            if b and inner:
+                stack.append(~x)
+                maxima.append(child)
+                bases.append(basis | v << p * width if certified else None)
+            else:
+                stack.append(x)
 
 
-def _orderly_levels(m: int, hf_max: int, tables, rows=None, k: int = 0, held=None):
-    """The levels of the orderly walk up to popcount ``hf_max``, each as
-    ``_grow_level`` returns it: from the empty mask, or, given the ``held``
-    maxima of popcount k, from their children.  Only the current level is
-    held: the next one is built only when asked for, and the list of the
-    last one is emptied first."""
-    if held is None:
-        held = [0], [None if rows is None else 0]
-        yield [0 if rows is None else 1], held
-    for k in range(k, hf_max):
-        level, held = _grow_level(held, k + 1 < hf_max, m, tables, rows)
-        yield level, held
-        level.clear()
-
-
-def _gosper_level(m: int, k: int, tables):
-    """Masks over m bits with popcount k, ascending (Gosper's hack, HAKMEM
-    item 175), each as mask << 1 (never certified); with symmetry
-    ``tables``, only the canonical ones."""
-    end = 1 << m
-    mask = (1 << k) - 1
-    while mask < end:
-        if tables is None or _is_canonical(mask, tables) is not None:
-            yield mask << 1
-        if not mask:
-            return
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> 2) // low
-
-
-def _window_levels(spec: SearchSpec, rows=None, k=None, held=None, share=slice(None)):
-    """The popcount levels of the window in enumeration order, each a pair
-    (masks, held): the level's masks ascending, each as mask << 1 |
-    certified, and the orbit maxima held to grow the next level (None on
-    the Gosper stream).
-
-    A window from popcount 0 with symmetry (the below-bound window of every
-    campaign) is walked orderly (``_orderly_levels``): it tests only
-    children of orbit maxima, a fraction of the masks, and holds one level
-    at a time.  Any other window streams every mask of each popcount, lazily
-    (``_gosper_level``), and keeps the canonical ones.  Orderly generation
-    must start at the empty mask and build a whole level before yielding
-    any of it, which costs more than it saves on the at-bound and
-    searched-witness windows that stop at their first failure; without
-    symmetry there is nothing to reduce.  With the packed rows of a
-    critical map (``lefschetz._support_rows``) as ``rows``, a mask is
-    certified when the orderly walk has shown its rows independent mod 2.
-
-    Given the popcount k of a level walked, and its ``held`` maxima, only
-    the levels above k are walked, and of them only the ``share``: the
-    orderly subtrees below ``held[share]``, or the positions ``share`` of
-    each Gosper level.  Each orbit maximum has exactly one parent, so the
-    shares ``slice(w, None, workers)`` split every level above k into
-    disjoint ascending parts."""
+def _window_tables(spec: SearchSpec):
+    """The window's mask width m and its symmetry tables (None without)."""
     positions = support_positions(spec.n, spec.d)
-    m = len(positions)
     tables = _symmetry_tables(spec.n, spec.d, positions) if spec.symmetry else None
-    if spec.symmetry and spec.hf_min == 0:
-        if k is None:
-            yield from _orderly_levels(m, spec.hf_max, tables, rows)
-        else:
-            yield from _orderly_levels(m, spec.hf_max, tables, rows, k, [h[share] for h in held])
-        return
-    for j in range(spec.hf_min if k is None else k + 1, spec.hf_max + 1):
-        yield islice(_gosper_level(m, j, tables), share.start, share.stop, share.step), None
+    return len(positions), tables
 
 
 def iter_support_masks(spec: SearchSpec):
     """Bitmasks over the mixed monomials with popcount in the HF window, by
-    popcount, then ascending; with symmetry, only the smallest mask of each
-    orbit.  The flat stream of ``_window_levels``."""
-    for level, _ in _window_levels(spec):
-        for x in level:
-            yield x >> 1
+    popcount, then ascending (Gosper's hack, HAKMEM item 175), lazily; with
+    symmetry, only the smallest mask of each orbit."""
+    m, tables = _window_tables(spec)
+    for k in range(spec.hf_min, spec.hf_max + 1):
+        mask = (1 << k) - 1
+        while mask >> m == 0:
+            if tables is None or _is_canonical(mask, tables) is not None:
+                yield mask
+            if not mask:
+                break
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
 def ideal_from_mask(n: int, d: int, mask: int) -> SupportIdeal:
@@ -444,7 +419,7 @@ def _decide_mask(
     the rows of the mask's monomials; for the WLP the pairs below it are
     free and every pair after an onto one is onto
     (``lefschetz._scan_pairs``).  A mask ``certified`` by the orderly walk
-    (``_grow_level``) has independent rows; any other mask ranks them
+    (``_orderly_walk``) has independent rows; any other mask ranks them
     (``support_rows_independent``).  The cost sums HF(j) HF(j+1) over the
     pairs the full check lists without building the quotient: for the WLP
     a per-(n, d) constant for the pairs below d-1, then dim S_{d-1} HF(d),
@@ -476,73 +451,132 @@ def _usable_cpus() -> int | None:
     return os.cpu_count()
 
 
-def _decide_share(level, ideals: int, entries: int, first: bool, n, d, key, args):
-    """Decide the masks of a level in order, each given as mask << 1 |
-    certified: at most ``ideals`` of them, stopping right after the mask
-    whose cost takes their total over ``entries`` and, with ``first``,
-    right after the first failure.  A mask the critical map leaves
-    undecided (``_decide_mask``) goes through the full check.  Returns
-    (masks decided, their total cost, [(mask, failing report)], stopped),
-    stopped when masks may be left undecided."""
-    count = spent = 0
-    failures = []
-    for x in level:
-        if count == ideals:
-            return count, spent, failures, True
-        mask = x >> 1
-        cost = _decide_mask(n, d, mask, key, args, x & 1)
-        if cost is None:
-            rep = _run_check(ideal_from_mask(n, d, mask), key, args)
-            cost = _report_cost(rep)
-            if not rep.verdict:
-                failures.append((mask, rep))
-        count += 1
-        spent += cost
-        if spent > entries or first and failures:
-            return count, spent, failures, True
-    return count, spent, failures, False
+def _scan_order(spec: SearchSpec, rows, workers: int, key: str, args: dict):
+    """The masks of the window in the order a scan decides them, each as
+    mask << 1 | certified by the critical map's ``rows``: the orderly walk
+    in preorder from popcount 0 (every campaign's below-bound window), and
+    by popcount, then ascending, from higher (``iter_support_masks``).
+    With more than one worker, the walk is split at the first popcount
+    with at least ``SPLIT_HELD`` masks per worker, if it reaches one."""
+    if spec.hf_min:
+        return (mask << 1 for mask in iter_support_masks(spec))
+    m, tables = _window_tables(spec)
+    if workers > 1:
+        for split in range(spec.hf_max):
+            if comb(m, split) >= SPLIT_HELD * workers:
+                return _split_walk(spec, m, tables, rows, split, workers, key, args)
+    return _orderly_walk(m, spec.hf_max, tables, rows)
 
 
-def _fork_workers(shares: list, n: int, d: int, key: str, args: dict):
-    """Fork one ``_split_worker`` per share of levels, yielding each as a
-    (process, connection) pair once it runs.  Workers are forked (pinned,
-    since the default start method on Linux changes in Python 3.14), so
-    they start without re-importing the package and with their share
-    already in memory."""
+def _split_walk(spec, m, tables, rows, split, workers, key, args):
+    """The walk of ``_scan_order`` split across forked workers.  The parent
+    walks the top of the tree down to popcount ``split`` and forks the
+    workers at its first node there.  The nodes of that popcount are dealt
+    round-robin in preorder (``_dealt_subtrees``), and after each one the
+    parent reads its subtree from the worker that walked it.  The parent
+    ends and joins its workers when the scan stops or the walk ends."""
+    crew = []
+    chunks = [iter(())] * workers  # the rest of the chunk last read from each
+    dealt = 0
+    try:
+        for x in _orderly_walk(m, split, tables, rows):
+            yield x
+            if (x >> 1).bit_count() < split:
+                continue
+            if not crew:
+                crew.extend(_fork_workers([
+                    _dealt_subtrees(spec, m, tables, rows, split, w, workers, key, args)
+                    for w in range(workers)
+                ]))
+            w = dealt % workers
+            dealt += 1
+            while True:  # the node's subtree, up to its -1
+                for x in chunks[w]:
+                    if x < 0:
+                        break
+                    yield x
+                else:  # the chunk ran out first: read the next one
+                    process, conn = crew[w]
+                    chunks[w] = iter(_reply(process, conn))
+                    conn.send(None)  # a tick: walk the next chunk
+                    continue
+                break
+    finally:
+        for process, conn in crew:
+            process.terminate()
+        for process, conn in crew:
+            process.join()
+            conn.close()
+
+
+def _dealt_subtrees(spec, m, tables, rows, split, w, workers, key, args):
+    """Worker w's part of a split walk (``_split_walk``): the subtrees of
+    every ``workers``-th node of popcount ``split``, from the w-th, each in
+    preorder less its node and followed by -1, in chunks of ``SPLIT_CHUNK``
+    items.  A mask inside the lemma gate that the walk left uncertified
+    ranks its rows here (``support_rows_independent``), so the ranking is
+    split too."""
+    n, d = spec.n, spec.d
+    i, source, *_ = _mask_decider(n, d, key, args.get("i"))
+    walk = _orderly_walk(m, spec.hf_max, tables, rows)
+    skip = w
+    mine = False
+    chunk = []
+    for x in walk:
+        size = (x >> 1).bit_count()
+        if size > split:
+            if not x & 1 and size <= source and support_rows_independent(n, d, i, x >> 1):
+                x |= 1
+            chunk.append(x)
+        else:
+            if mine:
+                chunk.append(-1)  # the end of a subtree
+            mine = False
+            if size == split:
+                if skip:
+                    skip -= 1
+                    walk.send(spec.hf_max)  # another worker's: skip its subtree
+                else:
+                    skip = workers - 1
+                    mine = True
+        if len(chunk) == SPLIT_CHUNK:
+            yield chunk
+            chunk = []
+    if mine:
+        chunk.append(-1)
+    if chunk:
+        yield chunk
+
+
+def _fork_workers(shares: list):
+    """Fork one ``_split_worker`` per share, yielding each as a (process,
+    connection) pair once it runs.  Workers are forked (pinned, since the
+    default start method on Linux changes in Python 3.14), so they start
+    without re-importing the package, with the walk's tables in memory."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    for levels in shares:
+    for chunks in shares:
         conn, child_conn = context.Pipe()
         process = context.Process(
-            target=_split_worker, args=(child_conn, levels, n, d, key, args), daemon=True
+            target=_split_worker, args=(child_conn, chunks), daemon=True
         )
         process.start()
         child_conn.close()
         yield process, conn
 
 
-def _split_worker(conn, levels, n: int, d: int, key: str, args: dict) -> None:
-    """Walk a share level by level: send the masks of one level, each as
-    mask << 1 | certified, then wait for a tick before walking the next.
-    A mask inside the lemma gate that the walk left uncertified ranks its
-    rows here (``support_rows_independent``) and is certified when they are
-    independent, so the ranking is split too; the parent decides every
-    mask.  Sends the exception it raised instead, its traceback as a note.
-    Runs until the parent ends it."""
-    i, source, *_ = _mask_decider(n, d, key, args.get("i"))
-
-    def certify(x: int) -> int:
-        mask = x >> 1
-        if x & 1 or mask.bit_count() > source or not support_rows_independent(n, d, i, mask):
-            return x
-        return x | 1
-
+def _split_worker(conn, chunks) -> None:
+    """Send each chunk of a share (``_dealt_subtrees``) once the parent has
+    read the one before, so a worker walks at most two chunks past the last
+    one the parent read from it: one sent, one waiting.  Sends the
+    exception it raised instead, its traceback as a note."""
     try:
-        while True:
-            level, _ = next(levels)
-            conn.send(list(map(certify, level)))
-            conn.recv()
+        for k, chunk in enumerate(chunks):
+            if k:
+                conn.recv()  # the tick for the chunk before
+            conn.send(chunk)
+        conn.recv()  # the parent ticks the last chunk too
     except Exception as exc:
         if hasattr(exc, "add_note"):
             import traceback
@@ -565,71 +599,46 @@ def _reply(process, conn):
 
 
 def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = False):
-    """Run a check over the window in enumeration order, collecting failures.
+    """Run a check over the window in scan order (``_scan_order``),
+    collecting failures.
 
     Returns (examined, cost, failures, partial).  The budgets count mask by
-    mask in enumeration order: the scan stops, partial, right after the
-    mask whose cost takes the total over the entry budget, that mask
-    counted, or once the ideal budget is used up with masks left.  With
-    ``first`` it stops at the first failing ideal.
-
-    Every level of the window (``_window_levels``) is decided in-process by
-    ``_decide_share``.  The parent walks the levels itself until one is
-    wide: its held orbit maxima (orderly walk) or the masks of the next
-    popcount (Gosper stream) number at least ``SPLIT_HELD`` per worker.  A
-    scan with ``spec.threads`` > 1 (never a ``first`` one) then splits the
-    walk of the levels above it across that many forked workers, at most
-    one per usable CPU; worker w walks the share ``slice(w, None,
-    workers)`` of them (``_split_worker``).  The parent merges the shares
-    of a level into enumeration order and asks for the next level before it
-    decides this one, so the workers walk at most the level after the one
-    the scan stops in, and no report depends on ``spec.threads``.  On every
-    exit the parent ends and joins its workers.
-    """
-    n, d, hf_max = spec.n, spec.d, spec.hf_max
+    mask: the scan stops, partial, right after the mask whose cost takes
+    the total over the entry budget, that mask counted, or once the ideal
+    budget is used up with masks left.  With ``first`` it stops at the
+    first failing ideal.  A mask the critical map leaves undecided
+    (``_decide_mask``) goes through the full check.  Failures are sorted by
+    (popcount, mask).  A scan with ``spec.threads`` > 1 (never a ``first``
+    one) splits its walk across that many forked workers, at most one per
+    usable CPU; the parent decides every mask in the same order."""
+    n, d = spec.n, spec.d
+    ideals, entries = spec.budget_ideals, spec.budget_entries
     rows = _support_rows(n, d, _mask_decider(n, d, key, args.get("i")).power)[0]
     workers = 1 if first else min(spec.threads, _usable_cpus() or 1)
-    m = len(support_positions(n, d))
-    levels = _window_levels(spec, rows)
     examined = cost = 0
     failures = []
-    crew = []
-    try:
-        for k in range(spec.hf_min, hf_max + 1):
-            if crew:
-                level = sorted(chain.from_iterable(_reply(*worker) for worker in crew))
-                if k < hf_max:
-                    for _, conn in crew:
-                        conn.send(None)  # a tick: walk the next level
-            else:
-                level, held = next(levels)
-            done, spent, fails, stopped = _decide_share(
-                level, spec.budget_ideals - examined, spec.budget_entries - cost,
-                first, n, d, key, args,
-            )
-            examined += done
+    partial = False
+    with closing(_scan_order(spec, rows, workers, key, args)) as masks:
+        for x in masks:
+            if examined == ideals:
+                partial = True
+                break
+            mask = x >> 1
+            spent = _decide_mask(n, d, mask, key, args, x & 1)
+            if spent is None:
+                rep = _run_check(ideal_from_mask(n, d, mask), key, args)
+                spent = _report_cost(rep)
+                if not rep.verdict:
+                    failures.append((mask, rep))
+            examined += 1
             cost += spent
-            failures += fails
-            if first and fails:
-                return examined, cost, failures, False
-            # Every popcount 0..m has a mask, and hf_max <= m.
-            if stopped or examined == spec.budget_ideals and k < hf_max:
-                return examined, cost, failures, True
-            if not crew and workers > 1 and k < hf_max and (
-                comb(m, k + 1) if held is None else len(held[0])
-            ) >= SPLIT_HELD * workers:
-                shares = [
-                    _window_levels(spec, rows, k, held, slice(w, None, workers))
-                    for w in range(workers)
-                ]
-                crew.extend(_fork_workers(shares, n, d, key, args))
-        return examined, cost, failures, False
-    finally:
-        for process, conn in crew:
-            process.terminate()
-        for process, conn in crew:
-            process.join()
-            conn.close()
+            if first and failures:
+                break
+            if cost > entries:
+                partial = True
+                break
+    failures.sort(key=lambda failure: (failure[0].bit_count(), failure[0]))
+    return examined, cost, failures, partial
 
 
 def _scan_window(report, spec: SearchSpec, key: str, args: dict, first: bool = False):
@@ -785,14 +794,17 @@ def min_kernel_support(
 
     x^c o y^a = (a!/(a-c)!) y^(a-c), so the contraction matrix is the
     transpose of multiplication by ell^i into degree d with row a scaled by
-    a! and column b by 1/b!, and the answer is the first popcount with a
-    mask of dependent rows of that map.  On an ideal that every permutation
-    of the variables fixes, a search walks the orderly tree (one mask per
-    orbit, ``_grow_level``) depth first to each popcount in turn, if n <= 5
-    and its tables (4 ceil(m/8) (n!-1)(m+1) words for m rows) fit in
-    ``budget``: at six and seven variables measured searches ran faster
-    streamed.  Any other search streams every mask.  ``budget`` counts each
-    streamed mask, or each canonicity test on the tree, before the test.
+    a! and column b by 1/b!, and the answer is the smallest popcount of a
+    mask of dependent rows of that map.  One branch-and-bound pass over the
+    orderly tree (``_orderly_walk``) finds it: dependence is closed upward,
+    so a dependent mask ends its subtree and lowers the depth of the rest
+    of the walk to its popcount - 1.  On an ideal that every permutation of
+    the variables fixes, the tree has one mask per orbit if n <= 5 and its
+    tables (4 ceil(m/8) (n!-1)(m+1) words for m rows) fit in ``budget``: at
+    six and seven variables measured searches ran faster without them.
+    Any other search walks every subset.  ``budget`` counts the one-bit
+    extensions the walk tests (for canonicity, on the tree of orbits), a
+    node's before any of them is tested.
     """
     if not 1 <= i <= d:
         raise ValueError("need 1 <= i <= d")
@@ -804,11 +816,11 @@ def min_kernel_support(
     packed = _packed_rows(rows)
     gens = set(I.generators)
     words = 4 * -(-nrows // 8) * (factorial(I.n) - 1) * (nrows + 1)
-    walked = I.n <= 5 and words <= budget and all(
+    symmetric = I.n <= 5 and words <= budget and all(
         {tuple(g[s] for s in sigma) for g in gens} == gens
         for sigma in permutations(range(I.n))
     )
-    tables = _symmetry_tables(I.n, d, I.standard_indices(d)) if walked else None
+    tables = _symmetry_tables(I.n, d, I.standard_indices(d)) if symmetric else None
     tested = 0
 
     def charge(masks: int) -> None:
@@ -819,28 +831,13 @@ def min_kernel_support(
                 f"minimal-support search exceeded {budget} masks tested"
             )
 
-    def dependent(x: int) -> bool:
-        return not x & 1 and not _mask_rows_independent(packed, rows, x >> 1, ncols)
-
-    def below(held, depth: int, size: int) -> bool:
-        # whether a dependent orbit minimum of popcount size lies below held
-        charge(sum((p & -p or 1 << nrows).bit_length() - 1 for p in held[0]))
-        minima, (kids, bases) = _grow_level(held, depth + 1 < size, nrows, tables, packed)
-        if depth + 1 == size:
-            return any(map(dependent, minima))
-        return any(  # a kept child's parent is the child less its lowest bit
-            below([list(h) for h in zip(*siblings)], depth + 1, size)
-            for _, siblings in groupby(zip(kids, bases), lambda kb: kb[0] & kb[0] - 1)
-        )
-
-    if walked:
-        return next((k for k in range(1, bound + 1) if below(([0], [0]), 0, k)), None)
-    for size in range(1, bound + 1):
-        for x in _gosper_level(nrows, size, None):
-            charge(1)
-            if dependent(x):
-                return size
-    return None
+    walk = _orderly_walk(nrows, bound, tables, packed, charge)
+    found = None
+    for x in walk:
+        if not x & 1 and not _mask_rows_independent(packed, rows, x >> 1, ncols):
+            found = (x >> 1).bit_count()
+            walk.send(found - 1)
+    return found
 
 
 def verify_thm37(

@@ -209,23 +209,35 @@ def support_search_cases():
     return cases
 
 
-def test_min_kernel_support_matches_brute_force():
+def test_min_kernel_support_matches_brute_force(monkeypatch):
     # every power and every bound up to 4 (the whole piece when smaller), on
     # the zero ideal and seeded support ideals, against column subsets of
-    # the contraction matrix itself
-    for I, d in support_search_cases():
-        top = min(I.hf(d), 4)
-        for i in range(1, d + 1):
-            want = brute_min_support(I, d, i, top)
-            for bound in range(1, top + 1):
-                expected = want if want is not None and want <= bound else None
-                assert min_kernel_support(I, d, i, bound) == expected, (I, d, i, bound)
+    # the contraction matrix itself; and the complete intersection's girth
+    # 4 at i = 2 below a bound of 5, found with the depth lowered.  Then
+    # again without symmetry tables, so the symmetric ideals walk every
+    # subset too.
+    from lefschetz_props import harness
+
+    ci = monomial_complete_intersection(3, 4)
+    assert brute_min_support(ci, 4, 2, 5) == 4
+    cases = support_search_cases()
+    for symmetry in (True, False):
+        if not symmetry:
+            monkeypatch.setattr(harness, "_symmetry_tables", lambda *key: None)
+        assert min_kernel_support(ci, 4, 2, 5) == 4
+        for I, d in cases:
+            top = min(I.hf(d), 4)
+            for i in range(1, d + 1):
+                want = brute_min_support(I, d, i, top)
+                for bound in range(1, top + 1):
+                    expected = want if want is not None and want <= bound else None
+                    assert min_kernel_support(I, d, i, bound) == expected, (I, d, i, bound)
 
 
 def test_min_support_walks_the_orderly_tree_only_for_a_symmetric_ideal(monkeypatch):
     # an ideal that every permutation of the variables fixes (here the
     # complete intersection) is searched one orbit at a time on the orderly
-    # tree, which tests canonicity; any other ideal streams every subset and
+    # tree, which tests canonicity; any other ideal walks every subset and
     # never does; both agree with the brute-force oracle
     from lefschetz_props import harness
 
@@ -247,11 +259,12 @@ def test_min_support_walks_the_orderly_tree_only_for_a_symmetric_ideal(monkeypat
         assert bool(tested) == walked
 
 
-def test_min_support_budget_stops_the_orderly_walk_inside_a_level(monkeypatch):
-    # the budget counts every canonicity test of the depth-first orderly
-    # walk before the test is made: one test short of the whole search, the
-    # walk stops inside its pass over popcount 6, after every test of the
-    # passes before it, and never makes more tests than the budget
+def test_min_support_budget_stops_the_orderly_walk_before_a_sibling_group(monkeypatch):
+    # the budget counts every canonicity test of the orderly walk, a node's
+    # children at a time before any of them is tested: a budget of exactly
+    # the tests the search makes finds the answer with that many tests; one
+    # test short, the walk stops before the last node's children, at most
+    # the 21 rows of degree 5 short of the whole search
     from lefschetz_props import harness
 
     tested = []
@@ -263,9 +276,6 @@ def test_min_support_budget_stops_the_orderly_walk_inside_a_level(monkeypatch):
 
     monkeypatch.setattr(harness, "_is_canonical", spy)
     zero = MonomialIdeal(3, [])
-    assert min_kernel_support(zero, 5, 1, bound=5) is None
-    before = len(tested)
-    tested.clear()
     assert min_kernel_support(zero, 5, 1, bound=6) == 6
     needed = len(tested)
     tested.clear()
@@ -274,7 +284,7 @@ def test_min_support_budget_stops_the_orderly_walk_inside_a_level(monkeypatch):
     tested.clear()
     with pytest.raises(BudgetExceededError):
         min_kernel_support(zero, 5, 1, bound=6, budget=needed - 1)
-    assert before < len(tested) < needed
+    assert needed - 21 <= len(tested) < needed
 
 def test_rank_duality_on_brenner_kaid():
     bk = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])

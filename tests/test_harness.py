@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -202,12 +203,12 @@ def orbit_minima(n, d):
 
 def _scan_masks(spec, rows):
     """(mask, certified) for each mask of the window in the order a
-    campaign scan walks them, with the critical map's packed rows."""
+    campaign scan decides them (preorder of the orderly walk from popcount
+    0), with the critical map's packed rows."""
     from lefschetz_props import harness
 
-    for level, _ in harness._window_levels(spec, rows):
-        for x in level:
-            yield x >> 1, x & 1 == 1
+    for x in harness._scan_order(spec, rows, 1, "wlp", {}):
+        yield x >> 1, x & 1 == 1
 
 
 @pytest.mark.parametrize(
@@ -225,15 +226,21 @@ def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
     )
     spec = SearchSpec(n, d, lo, hi, symmetry)
     assert list(iter_support_masks(spec)) == expected
-    # a scan's certified masks are the same masks in the same order
+    # a scan decides the same masks once each: in preorder from popcount 0,
+    # in the same order from higher
     rows = _support_rows(n, d, 1)[0]
-    assert [mask for mask, _ in _scan_masks(spec, rows)] == expected
+    scanned = [mask for mask, _ in _scan_masks(spec, rows)]
+    assert sorted(scanned, key=lambda mask: (mask.bit_count(), mask)) == expected
+    if lo:
+        assert scanned == expected
 
 
 @pytest.mark.parametrize("n, d, hi", [(3, 5, 11), (4, 4, 5), (5, 3, 4)])
 def test_orderly_walk_matches_the_gosper_stream(monkeypatch, n, d, hi):
-    # a window from popcount 0 is walked orderly, one from popcount 1 by
-    # Gosper's hack; both must give the same orbit minima in the same order
+    # the orderly walk from the empty mask and the Gosper stream give the
+    # same orbit minima, each once: the walk in preorder (popcount at most
+    # one up from one mask to the next), the stream by popcount, then
+    # ascending; the walk makes fewer canonicity tests
     from lefschetz_props import harness
 
     tests = []
@@ -244,11 +251,35 @@ def test_orderly_walk_matches_the_gosper_stream(monkeypatch, n, d, hi):
         return original(mask, tables)
 
     monkeypatch.setattr(harness, "_is_canonical", counting)
-    orderly = list(iter_support_masks(SearchSpec(n, d, 0, hi)))
-    orderly_tests = len(tests)
-    gosper = list(iter_support_masks(SearchSpec(n, d, 1, hi)))
-    assert orderly == [0] + gosper
-    assert 0 < orderly_tests < len(tests) - orderly_tests
+    spec = SearchSpec(n, d, 0, hi)
+    m, tables = harness._window_tables(spec)
+    walked = [x >> 1 for x in harness._orderly_walk(m, hi, tables)]
+    walk_tests = len(tests)
+    gosper = list(iter_support_masks(spec))
+    assert sorted(walked, key=lambda mask: (mask.bit_count(), mask)) == gosper
+    sizes = [mask.bit_count() for mask in walked]
+    assert all(b <= a + 1 for a, b in zip(sizes, sizes[1:]))
+    assert 0 < walk_tests < len(tests) - walk_tests
+
+
+def test_below_bound_scan_holds_one_path():
+    # the (3, 5) below-bound scan walks its 38,918 orbits depth first and
+    # holds only the path it is on, so its allocations peak under 128 KiB
+    # (a scan that held whole popcount levels peaked near 900 KiB)
+    import tracemalloc
+
+    from lefschetz_props import harness
+
+    spec = SearchSpec(3, 5, 0, theorem1_bound(3, 5) - 1)
+    harness._scan_expected_pass(replace(spec, budget_ideals=1), "wlp", {})  # cached tables
+    tracemalloc.start()
+    try:
+        examined, _, failures, partial = harness._scan_expected_pass(spec, "wlp", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert examined == 38918 and not failures and not partial
+    assert peak < 128 * 1024, peak
 
 
 def test_spec_validation():
@@ -303,7 +334,7 @@ def test_entry_budget_bounds_the_ideals_built(forks, monkeypatch):
     assert r.examined == 100 and not forks
     for threads in (2, 3):
         for budgets, examined in (
-            ({"budget_entries": 10**6}, 3210), ({"budget_ideals": 5000}, 5000), ({}, None)
+            ({"budget_entries": 10**6}, 2212), ({"budget_ideals": 5000}, 5000), ({}, None)
         ):
             decided[:] = []
             with _deadline(60):
@@ -316,8 +347,8 @@ def test_entry_budget_bounds_the_ideals_built(forks, monkeypatch):
 def test_ideal_budget_bounds_the_enumeration(monkeypatch):
     from lefschetz_props import harness
 
-    # every canonicity test of the walk that runs (orderly here, from
-    # popcount 0), which builds at most one popcount level past the limit
+    # every canonicity test of the orderly walk from popcount 0, which is
+    # lazy: it tests only the children of the masks the scan has reached
     calls = []
     original = harness._is_canonical
 
@@ -797,19 +828,20 @@ def test_threads_match_serial():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Split every scan with threads > 1 as soon as a level holds one orbit
-    maximum per worker, on three usable CPUs; records the workers forked
+    """Split every scan with threads > 1 at popcount 1 and send its masks
+    back in chunks of 100, on three usable CPUs; records the workers forked
     per scan."""
     from lefschetz_props import harness
 
     started = []
     fork = harness._fork_workers
 
-    def spy(shares, *args):
+    def spy(shares):
         started.append(len(shares))
-        return fork(shares, *args)
+        return fork(shares)
 
     monkeypatch.setattr(harness, "SPLIT_HELD", 1)
+    monkeypatch.setattr(harness, "SPLIT_CHUNK", 100)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(harness, "_fork_workers", spy)
     return started
@@ -880,44 +912,56 @@ def _thm1_3_5_costs() -> tuple:
     )
 
 
-def test_split_scan_ideal_budget_on_and_off_a_level_boundary(forks):
+def _tops(masks) -> list:
+    """The positions in scan order of the masks of popcount at most 1: the
+    parent's top of a scan split at popcount 1 (the forks fixture)."""
+    return [k for k, (size, _) in enumerate(masks) if size <= 1]
+
+
+def test_split_scan_ideal_budget_in_the_top_and_in_a_dealt_subtree(forks):
+    # the parent walks the empty mask and the four popcount-1 nodes, and
+    # reads each node's subtree back from a worker, in chunks of 100
     masks = _thm1_3_5_costs()
-    boundary = sum(1 for size, _ in masks if size <= 7)
-    assert masks[boundary][0] == 8 and boundary % 256
-    # on a level boundary, off it, and inside the last level
-    for budget in (boundary, boundary + 100, len(masks) - 100):
+    tops = _tops(masks)
+    assert tops[:2] == [0, 1] and len(tops) == 5 and tops[2] > 1000
+    # on a node of the top after the fork, on the last mask of a subtree,
+    # on the last mask of a chunk and the first of the next, and inside
+    # the last subtree
+    for budget in (tops[2] + 1, tops[2], tops[1] + 1 + 500, tops[1] + 2 + 500,
+                   len(masks) - 100):
         rep = _assert_split_matches_serial(forks, verify_thm1, 3, 5, budget_ideals=budget)
         assert rep["partial"] and rep["examined"] == budget
 
 
-def test_split_scan_entry_budget_mid_level_and_across_levels(forks):
+def test_split_scan_entry_budget_across_chunks_subtrees_and_the_top(forks):
     masks = _thm1_3_5_costs()
     total = [0]
     for _, cost in masks:
         total.append(total[-1] + cost)
-    boundary = sum(1 for size, _ in masks if size <= 7)
-    mid = sum(1 for size, _ in masks if size <= 8) + 1000
+    tops = _tops(masks)
     # the scan stops right after the mask that goes over the budget, the
-    # over-th one: mid-level; the last of a level; the first of the next
-    for over in (mid, boundary, boundary + 1):
+    # over-th one: the last of a chunk, the first of the next, a node of
+    # the parent's top, and the first mask of that node's subtree
+    for over in (tops[1] + 1 + 300, tops[1] + 2 + 300, tops[3] + 1, tops[3] + 2):
         rep = _assert_split_matches_serial(
             forks, verify_thm1, 3, 5, budget_entries=total[over] - 1
         )
         assert rep["partial"] and rep["examined"] == over
         assert rep["details"]["matrix_entry_cost"] == total[over]
-    assert mid == 19022
+    assert masks[tops[3] + 1][0] == 2
 
 
 def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
     from lefschetz_props import harness
 
-    # Before the split every level is decided in-process: going over the
-    # budget on a mask stops the scan right after it, with no later mask
-    # decided.
+    # Split at popcount 4 (C(18, 4) = 3060 masks, at least 512 per worker):
+    # the parent walks down to the first node of popcount 4, the fifth mask
+    # in preorder, before it forks.  Going over the budget on a mask stops
+    # the scan right after it, with no later mask decided; stopping on
+    # that node forks nothing, stopping on the mask after it forks.
     monkeypatch.setattr(harness, "SPLIT_HELD", 512)
     masks = _thm1_3_5_costs()
-    assert 5 * 256 < sum(1 for size, _ in masks if size <= 5)
-    budget = sum(cost for _, cost in masks[:4 * 256 + 1]) - 1
+    assert [size for size, _ in masks[:6]] == [0, 1, 2, 3, 4, 5]
     decided = []
     decide = harness._decide_mask
 
@@ -926,11 +970,15 @@ def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
         return decide(n, d, mask, key, args, certified)
 
     monkeypatch.setattr(harness, "_decide_mask", counting)
-    serial = _without_threads(verify_thm1(3, 5, budget_entries=budget))
-    assert serial["partial"] and serial["examined"] == len(decided) == 4 * 256 + 1
-    for threads in (2, 3):
-        assert _without_threads(verify_thm1(3, 5, threads=threads, budget_entries=budget)) == serial
-    assert not forks  # the scan stops before its first wide level
+    for over, forked in ((5, []), (6, [2, 3])):
+        budget = sum(cost for _, cost in masks[:over]) - 1
+        del decided[:], forks[:]
+        serial = _without_threads(verify_thm1(3, 5, budget_entries=budget))
+        assert serial["partial"] and serial["examined"] == len(decided) == over
+        for threads in (2, 3):
+            split = verify_thm1(3, 5, threads=threads, budget_entries=budget)
+            assert _without_threads(split) == serial
+        assert forks == forked
 
 
 def test_split_scan_reports_every_failure_in_order(forks):
@@ -941,13 +989,19 @@ def test_split_scan_reports_every_failure_in_order(forks):
         examined, cost, failures, partial = harness._scan_expected_pass(spec, "wlp", {})
         return examined, cost, [(mask, rep.to_dict()) for mask, rep in failures], partial
 
+    def ordered(masks):
+        return sorted(masks, key=lambda mask: (mask.bit_count(), mask))
+
     # The whole (4, 3) mask space, 357 failures in 3,044 masks; stopped by
     # an entry budget on its 513th mask; and stopped on a failing mask,
-    # whose failure is reported.
-    order = list(iter_support_masks(SearchSpec(4, 3, 0, 16)))
+    # whose failure is reported.  Failures are listed by popcount, then
+    # mask, whatever the scan order.
+    rows = _support_rows(4, 3, 1)[0]
+    order = [mask for mask, _ in _scan_masks(SearchSpec(4, 3, 0, 16), rows)]
     whole = scan(1)
     assert whole[0] == len(order) == 3044 and len(whole[2]) == 357
     failed = {mask for mask, _ in whole[2]}
+    assert [mask for mask, _ in whole[2]] == ordered(failed)
     stop = next(k for k, mask in enumerate(order) if k > 2 * 256 and mask in failed)
     runs = [
         ({}, len(order), False),
@@ -958,7 +1012,8 @@ def test_split_scan_reports_every_failure_in_order(forks):
         serial = scan(1, **budgets)
         assert serial[2] and serial == scan(2, **budgets) == scan(3, **budgets)
         assert serial[0] == examined and serial[3] == partial
-    assert serial[2][-1][0] == order[stop]
+        assert [mask for mask, _ in serial[2]] == ordered(failed & set(order[:examined]))
+    assert order[stop] in {mask for mask, _ in serial[2]}
     assert forks == [2, 3] * 3
 
 
@@ -1022,27 +1077,57 @@ def _deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_split_workers_walk_at_most_two_chunks_past_a_stop(forks, monkeypatch):
+    # a worker sends a chunk only once the parent has read the one before,
+    # so when a budget stops the scan each of the two workers has walked at
+    # most two chunks (of 100 masks here) past the last one the parent read
+    import multiprocessing
+
+    from lefschetz_props import harness
+
+    walked = multiprocessing.Value("i", 0)  # shared with the forked workers
+    read = []
+    deal, reply = harness._dealt_subtrees, harness._reply
+
+    def counting_deal(*args):
+        for chunk in deal(*args):
+            with walked.get_lock():
+                walked.value += 1
+            yield chunk
+
+    def counting_reply(*args):
+        read.append(args)
+        return reply(*args)
+
+    monkeypatch.setattr(harness, "_dealt_subtrees", counting_deal)
+    monkeypatch.setattr(harness, "_reply", counting_reply)
+    with _deadline(60):
+        rep = verify_thm1(3, 5, threads=2, budget_ideals=2000)
+    assert rep.partial and forks == [2] and len(read) > 10
+    assert len(read) <= walked.value <= len(read) + 2 * 2
+
+
 def test_split_scan_leaves_no_process(forks, monkeypatch):
     import multiprocessing
 
     from lefschetz_props import harness
 
     # a finished scan, and one stopped by a budget while the workers walk
-    # the level after the stop
+    # past the stop
     with _deadline(60):
         assert verify_thm1(3, 4, threads=2).confirmed
         assert verify_thm1(3, 5, threads=2, budget_entries=10**6).partial
     assert forks == [2, 2] and not multiprocessing.active_children()
     parent = os.getpid()
-    grow = harness._grow_level
+    walk = harness._orderly_walk
 
     def boom(*args):
         if os.getpid() != parent:
             raise RuntimeError("boom")
-        return grow(*args)
+        return walk(*args)
 
     # a worker's walk raises, or kills the worker
-    monkeypatch.setattr(harness, "_grow_level", boom)
+    monkeypatch.setattr(harness, "_orderly_walk", boom)
     with _deadline(60), pytest.raises(RuntimeError, match="boom"):
         verify_thm1(3, 4, threads=2)
     assert not multiprocessing.active_children()
@@ -1050,9 +1135,9 @@ def test_split_scan_leaves_no_process(forks, monkeypatch):
     def die(*args):
         if os.getpid() != parent:
             os._exit(3)
-        return grow(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(harness, "_grow_level", die)
+    monkeypatch.setattr(harness, "_orderly_walk", die)
     with _deadline(60), pytest.raises(RuntimeError, match="exited with code 3"):
         verify_thm1(3, 4, threads=2)
     assert not multiprocessing.active_children()
