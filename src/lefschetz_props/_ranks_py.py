@@ -78,17 +78,15 @@ def rank_mod(rows, ncols: int, p: int) -> int:
     return r
 
 
+def _packed_rows(rows) -> list[int]:
+    """Each integer row packed mod 2 into one int (bit c: column c's parity)."""
+    return [sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows]
+
+
 def rank_gf2(rows) -> int:
-    """Rank of the integer matrix reduced modulo 2: each row is packed into
-    one int (bit c is the parity of column c) for ``rank_gf2_bits``."""
-    packed = []
-    for row in rows:
-        v = 0
-        for c, e in enumerate(row):
-            if e & 1:
-                v |= 1 << c
-        packed.append(v)
-    return rank_gf2_bits(packed)
+    """Rank of the integer matrix reduced modulo 2: the rows packed
+    (``_packed_rows``) for ``rank_gf2_bits``."""
+    return rank_gf2_bits(_packed_rows(rows))
 
 
 def rank_gf2_bits(vectors) -> int:

@@ -223,6 +223,9 @@ def _cmd_check(args) -> int:
         if not isinstance(I, MonomialIdeal):
             raise UsageError("the shortcut applies to monomial ideals; "
                              "pass --method full for an ideal of forms")
+        if args.mode == "randomized":
+            raise UsageError("the shortcut is exact; "
+                             "pass --method full for --mode randomized")
         rep = args.shortcut(I, *powers)
     else:
         rep = args.full(I, *powers, args.mode, seed=args.seed,
@@ -249,6 +252,9 @@ def _cmd_dual(args) -> int:
             if len(g) != 1 or g[0][1] != 1:
                 raise UsageError("--support expects coefficient-one monomials")
             support.append(tuple(g[0][0].get(t, 0) for t in range(n)))
+            if support[-1] in support[:-1]:
+                raise UsageError("--support repeats the monomial "
+                                 + format_monomial(support[-1], "y"))
     else:
         raise UsageError("pass --f EXPR or --support MONOMIALS")
     I = dual_ideal_from_support(support, n, args.d)

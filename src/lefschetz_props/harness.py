@@ -43,7 +43,9 @@ after the mask that uses one up.  With more than one thread the walk is
 split at a popcount: the parent walks the top of the tree and deals the
 nodes there round-robin to forked workers, which walk their subtrees (each
 orbit maximum has one parent, so they are disjoint) and send them back in
-chunks.  The parent decides every mask itself, in the order it would
+chunks down a one-way pipe.  Nothing goes back: a worker whose pipe is
+full waits in its send, so it walks ahead of the parent at most what its
+pipe holds.  The parent decides every mask itself, in the order it would
 without workers.  Failures are listed by popcount, then mask, so no report
 depends on the number of threads, and no complete one on the scan order.
 
@@ -62,10 +64,11 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, islice, permutations
 from math import comb, factorial
 from typing import NamedTuple
 
+from ._ranks_py import _packed_rows
 from .combinatorics import basis_index, basis_size, monomial_basis
 from .duality import ell_power_contract, extremal_dual, kernel_witness
 from .errors import BudgetExceededError, CapExceededError
@@ -90,7 +93,6 @@ from .lefschetz import (
     _lemma_pair,
     _lemma_power,
     _mask_rows_independent,
-    _packed_rows,
     _support_rows,
     check_power,  # unused here; campaign_bench wraps harness.check_power
     check_power_shortcut,
@@ -473,10 +475,12 @@ def _split_walk(spec, m, tables, rows, split, workers, key, args):
     walks the top of the tree down to popcount ``split`` and forks the
     workers at its first node there.  The nodes of that popcount are dealt
     round-robin in preorder (``_dealt_subtrees``), and after each one the
-    parent reads its subtree from the worker that walked it.  The parent
-    ends and joins its workers when the scan stops or the walk ends."""
+    parent reads its subtree, up to the -1 that ends it, from the stream of
+    the worker that walked it.  Nothing goes from the parent to a worker: a
+    worker walks ahead of the parent as far as its pipe holds
+    (``_split_worker``).  The parent ends and joins its workers when the
+    scan stops or the walk ends."""
     crew = []
-    chunks = [iter(())] * workers  # the rest of the chunk last read from each
     dealt = 0
     try:
         for x in _orderly_walk(m, split, tables, rows):
@@ -488,19 +492,12 @@ def _split_walk(spec, m, tables, rows, split, workers, key, args):
                     _dealt_subtrees(spec, m, tables, rows, split, w, workers, key, args)
                     for w in range(workers)
                 ]))
-            w = dealt % workers
+                streams = [chain.from_iterable(_received(*worker)) for worker in crew]
+            for x in streams[dealt % workers]:
+                if x < 0:
+                    break
+                yield x
             dealt += 1
-            while True:  # the node's subtree, up to its -1
-                for x in chunks[w]:
-                    if x < 0:
-                        break
-                    yield x
-                else:  # the chunk ran out first: read the next one
-                    process, conn = crew[w]
-                    chunks[w] = iter(_reply(process, conn))
-                    conn.send(None)  # a tick: walk the next chunk
-                    continue
-                break
     finally:
         for process, conn in crew:
             process.terminate()
@@ -510,73 +507,63 @@ def _split_walk(spec, m, tables, rows, split, workers, key, args):
 
 
 def _dealt_subtrees(spec, m, tables, rows, split, w, workers, key, args):
-    """Worker w's part of a split walk (``_split_walk``): the subtrees of
-    every ``workers``-th node of popcount ``split``, from the w-th, each in
-    preorder less its node and followed by -1, in chunks of ``SPLIT_CHUNK``
-    items.  A mask inside the lemma gate that the walk left uncertified
-    ranks its rows here (``support_rows_independent``), so the ranking is
-    split too."""
+    """Worker w's part of a split walk (``_split_walk``), as one stream: the
+    subtrees of every ``workers``-th node of popcount ``split``, from the
+    w-th, each in preorder less its node and followed by -1.  A mask inside
+    the lemma gate that the walk left uncertified ranks its rows here
+    (``support_rows_independent``), so the ranking is split too."""
     n, d = spec.n, spec.d
     i, source, *_ = _mask_decider(n, d, key, args.get("i"))
     walk = _orderly_walk(m, spec.hf_max, tables, rows)
     skip = w
     mine = False
-    chunk = []
     for x in walk:
         size = (x >> 1).bit_count()
         if size > split:
             if not x & 1 and size <= source and support_rows_independent(n, d, i, x >> 1):
                 x |= 1
-            chunk.append(x)
-        else:
-            if mine:
-                chunk.append(-1)  # the end of a subtree
-            mine = False
-            if size == split:
-                if skip:
-                    skip -= 1
-                    walk.send(spec.hf_max)  # another worker's: skip its subtree
-                else:
-                    skip = workers - 1
-                    mine = True
-        if len(chunk) == SPLIT_CHUNK:
-            yield chunk
-            chunk = []
+            yield x
+            continue
+        if mine:
+            yield -1  # the end of a subtree
+        mine = size == split and not skip
+        if mine:
+            skip = workers - 1
+        elif size == split:
+            skip -= 1
+            walk.send(spec.hf_max)  # another worker's: skip its subtree
     if mine:
-        chunk.append(-1)
-    if chunk:
-        yield chunk
+        yield -1
 
 
-def _fork_workers(shares: list):
-    """Fork one ``_split_worker`` per share, yielding each as a (process,
-    connection) pair once it runs.  Workers are forked (pinned, since the
-    default start method on Linux changes in Python 3.14), so they start
-    without re-importing the package, with the walk's tables in memory."""
+def _fork_workers(streams: list):
+    """Fork one ``_split_worker`` per stream, yielding each as a (process,
+    connection) pair once it runs, the connection the read end of its
+    one-way pipe.  Workers are forked (pinned, since the default start
+    method on Linux changes in Python 3.14), so they start without
+    re-importing the package, with the walk's tables in memory."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    for chunks in shares:
-        conn, child_conn = context.Pipe()
+    for stream in streams:
+        conn, child_conn = context.Pipe(duplex=False)
         process = context.Process(
-            target=_split_worker, args=(child_conn, chunks), daemon=True
+            target=_split_worker, args=(child_conn, stream), daemon=True
         )
         process.start()
         child_conn.close()
         yield process, conn
 
 
-def _split_worker(conn, chunks) -> None:
-    """Send each chunk of a share (``_dealt_subtrees``) once the parent has
-    read the one before, so a worker walks at most two chunks past the last
-    one the parent read from it: one sent, one waiting.  Sends the
-    exception it raised instead, its traceback as a note."""
+def _split_worker(conn, stream) -> None:
+    """Send a worker's stream (``_dealt_subtrees``) down its pipe in lists
+    of ``SPLIT_CHUNK`` items.  A send blocks while the pipe is full, so a
+    worker walks past the last chunk the parent read at most the chunks
+    its pipe holds and the one it is sending.  Sends the exception it
+    raised instead, its traceback as a note."""
     try:
-        for k, chunk in enumerate(chunks):
-            if k:
-                conn.recv()  # the tick for the chunk before
+        while chunk := list(islice(stream, SPLIT_CHUNK)):
             conn.send(chunk)
-        conn.recv()  # the parent ticks the last chunk too
     except Exception as exc:
         if hasattr(exc, "add_note"):
             import traceback
@@ -585,17 +572,18 @@ def _split_worker(conn, chunks) -> None:
         conn.send(exc)
 
 
-def _reply(process, conn):
-    """A worker's reply; raises the exception it sent, or if it died (only
-    the worker holds the other end of its connection)."""
-    try:
-        reply = conn.recv()
-    except EOFError:
-        process.join()
-        raise RuntimeError(f"campaign worker exited with code {process.exitcode}") from None
-    if isinstance(reply, Exception):
-        raise reply
-    return reply
+def _received(process, conn):
+    """The chunks a worker sends, in order; raises the exception it sent,
+    or if it died (only the worker holds the write end of its pipe)."""
+    while True:
+        try:
+            chunk = conn.recv()
+        except EOFError:
+            process.join()
+            raise RuntimeError(f"campaign worker exited with code {process.exitcode}") from None
+        if isinstance(chunk, Exception):
+            raise chunk
+        yield chunk
 
 
 def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = False):

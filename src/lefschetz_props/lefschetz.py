@@ -51,7 +51,7 @@ from math import lcm
 from . import _kernels
 from .combinatorics import basis_index, basis_size, monomial_basis, multinomial
 from .exactlinalg import ExactMatrix, integer_rows
-from ._ranks_py import rank_gf2_bits
+from ._ranks_py import _packed_rows, rank_gf2_bits
 from .ideals import (
     FormIdeal,
     MonomialIdeal,
@@ -169,11 +169,6 @@ def _support_rows(n: int, d: int, i: int) -> tuple[tuple, tuple]:
     rows = _build_monomial_rows(MonomialIdeal(n, []), ones_form(n), i, d - i)[0]
     mixed = [rows[g] for g in support_positions(n, d)]
     return tuple(_packed_rows(mixed)), tuple(tuple(row) for row in mixed)
-
-
-def _packed_rows(rows) -> list[int]:
-    """Each integer row packed mod 2 into one int (bit c: column c's parity)."""
-    return [sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows]
 
 
 def _mask_rows_independent(packed, rows, mask: int, ncols: int) -> bool:

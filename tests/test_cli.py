@@ -116,6 +116,14 @@ def test_dual_from_support(capsys):
     validate(payload)
 
 
+def test_dual_refuses_a_repeated_support_monomial(capsys):
+    # the support is a set: a repeat would be echoed twice beside hf_d 1
+    for support in ("y1*y2,y1*y2", "y1*y2,y2*y3,y2*y1"):
+        assert run(["dual", "--n", "3", "--d", "2", "--support", support]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "repeats the monomial y1*y2" in captured.err
+
+
 def test_minsupport(capsys):
     code, payload = invoke_json(
         capsys, "minsupport", "--n", "3", "--d", "4", "--i", "2", "--bound", "4"
@@ -356,6 +364,14 @@ def test_usage_errors(capsys):
     assert run(["power", "--gens", forms, "--i", "1"]) == 2
     assert run(["slp", "--gens", forms, "--method", "shortcut"]) == 2
     assert "--method full" in capsys.readouterr().err
+    # the shortcut is exact, so it refuses --mode randomized, also as the
+    # default method of power
+    for argv in (["slp", "--gens", "x1^2,x2^2", "--method", "shortcut"],
+                 ["power", "--gens", "x1^2,x2^2", "--i", "1"]):
+        assert run([*argv, "--mode", "randomized"]) == 2
+        assert "the shortcut is exact" in capsys.readouterr().err
+        assert run([*argv, "--mode", "exact"]) == 0
+        capsys.readouterr()
     # a negative socle cap is refused, not a cap that is reached
     assert run(["socle", "--gens", "x1^2,x2^2,x3^2", "--cap", "-3"]) == 2
     assert "non-negative" in capsys.readouterr().err

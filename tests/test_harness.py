@@ -1077,34 +1077,108 @@ def _deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_split_workers_walk_at_most_two_chunks_past_a_stop(forks, monkeypatch):
-    # a worker sends a chunk only once the parent has read the one before,
-    # so when a budget stops the scan each of the two workers has walked at
-    # most two chunks (of 100 masks here) past the last one the parent read
+def _watch_split_pipes(monkeypatch, stall_at, fail_at=None):
+    """Spy on a split scan with two workers: the items each worker walks
+    (counted in the forked worker), the chunks the parent reads from it,
+    its pipe's capacity and the arguments of its stream.  On its
+    ``stall_at``-th decide the parent waits until the workers stop walking
+    and worker 0's pipe holds more than half its capacity.  With
+    ``fail_at``, worker 0 raises once it has walked that many items."""
+    import fcntl
     import multiprocessing
+    import struct
+    import termios
+    import time
+    from types import SimpleNamespace
 
     from lefschetz_props import harness
 
-    walked = multiprocessing.Value("i", 0)  # shared with the forked workers
-    read = []
-    deal, reply = harness._dealt_subtrees, harness._reply
+    spy = SimpleNamespace(walked=multiprocessing.RawArray("q", 2), read=[0, 0],
+                          capacity=[], streams=[])
+    deal, received, decide = harness._dealt_subtrees, harness._received, harness._decide_mask
+    pipes, decided = [], []
 
-    def counting_deal(*args):
-        for chunk in deal(*args):
-            with walked.get_lock():
-                walked.value += 1
+    def walk(w, stream):
+        for x in stream:
+            if w == 0 and spy.walked[0] == fail_at:
+                raise RuntimeError("boom")
+            spy.walked[w] += 1
+            yield x
+
+    def read(w, chunks):
+        for chunk in chunks:
+            spy.read[w] += 1
             yield chunk
 
-    def counting_reply(*args):
-        read.append(args)
-        return reply(*args)
+    def counting_deal(*args):
+        spy.streams.append(args)
+        return walk(args[5], deal(*args))
+
+    def counting_received(process, conn):
+        pipes.append(conn)
+        spy.capacity.append(fcntl.fcntl(conn.fileno(), fcntl.F_GETPIPE_SZ))
+        return read(len(pipes) - 1, received(process, conn))
+
+    def held(conn):
+        return struct.unpack("i", fcntl.ioctl(conn, termios.FIONREAD, bytes(4)))[0]
+
+    def stalling(*args):
+        decided.append(None)
+        if len(decided) == stall_at:
+            before = None
+            while before != spy.walked[:] or held(pipes[0]) <= spy.capacity[0] // 2:
+                before = spy.walked[:]
+                time.sleep(0.25)
+        return decide(*args)
 
     monkeypatch.setattr(harness, "_dealt_subtrees", counting_deal)
-    monkeypatch.setattr(harness, "_reply", counting_reply)
+    monkeypatch.setattr(harness, "_received", counting_received)
+    monkeypatch.setattr(harness, "_decide_mask", stalling)
+    return spy
+
+
+def test_split_workers_walk_at_most_a_pipe_past_a_stop(forks, monkeypatch):
+    # Nothing goes from the parent to a worker; a worker's send blocks
+    # while its pipe is full.  So when a budget stops the scan, each worker
+    # has walked at most the chunks the parent read, the full chunks its
+    # pipe holds, and one more (the one it was sending, or its short last
+    # chunk).  (4, 4) split at popcount 1 deals worker 0 a first subtree of
+    # 146,801 masks; the parent stops inside it, after stalling until the
+    # workers stop walking and worker 0's pipe is over half full, so a
+    # worker that buffered its stream without bound would walk all of it.
+    import pickle
+
+    from lefschetz_props import harness
+
+    deal = harness._dealt_subtrees
+    spy = _watch_split_pipes(monkeypatch, stall_at=5000)
     with _deadline(60):
-        rep = verify_thm1(3, 5, threads=2, budget_ideals=2000)
-    assert rep.partial and forks == [2] and len(read) > 10
-    assert len(read) <= walked.value <= len(read) + 2 * 2
+        rep = verify_thm1(4, 4, threads=2, budget_ideals=6000)
+    assert rep.partial and rep.examined == 6000 and forks == [2]
+    size = harness.SPLIT_CHUNK
+    for w, args in enumerate(spy.streams):
+        stream = list(deal(*args))
+        chunks = [stream[k:k + size] for k in range(0, len(stream), size)]
+        smallest = min(len(pickle.dumps(chunk)) for chunk in chunks if len(chunk) == size)
+        bound = spy.read[w] + spy.capacity[w] // smallest + 1
+        walked = -(-spy.walked[w] // size)
+        assert spy.read[w] <= walked <= bound, (w, spy.read[w], walked, bound)
+        if not w:
+            assert spy.read[0] > 50 and len(chunks) > 2 * bound
+
+
+def test_split_worker_raising_after_its_pipe_filled_is_reraised(forks, monkeypatch):
+    # worker 0 fills its pipe while the parent stalls, then raises after
+    # 50,000 masks; the parent reads up to there, raises the worker's
+    # exception and leaves no process
+    import multiprocessing
+
+    spy = _watch_split_pipes(monkeypatch, stall_at=5000, fail_at=50_000)
+    with _deadline(60), pytest.raises(RuntimeError, match="boom") as raised:
+        verify_thm1(4, 4, threads=2)
+    assert spy.walked[0] == 50_000
+    assert "in a campaign worker" in "".join(raised.value.__notes__)
+    assert not multiprocessing.active_children()
 
 
 def test_split_scan_leaves_no_process(forks, monkeypatch):
