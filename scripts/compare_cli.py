@@ -162,11 +162,17 @@ COMMANDS = [
     # a split scan stopped deep inside a worker's stream: worker 0's first
     # subtree holds 146,801 masks, far more than its pipe
     ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2", "--budget-ideals", "120000"],
+    # crosschecks below d = 2, where no shortcut gate holds
+    ["crosscheck", "--n", "3", "--d", "0"],
+    ["crosscheck", "--n", "3", "--d", "1"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a
 # tuple of the argv above, mapped to the reason.
-DECLARED: dict[tuple[str, ...], str] = {}
+DECLARED: dict[tuple[str, ...], str] = {
+    ("crosscheck", "--n", "3", "--d", "0"): "d < 2 is refused, exit 2",
+    ("crosscheck", "--n", "3", "--d", "1"): "d < 2 is refused, exit 2",
+}
 
 
 def run(checkout: Path, argv: list[str], cwd: str) -> tuple[int, bytes]:

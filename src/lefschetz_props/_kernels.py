@@ -3,11 +3,10 @@
 A rank modulo a prime is a lower bound for the exact rank (a minor that is
 nonzero mod p is nonzero).  So a rank mod 2 or mod the word prime that
 reaches min(dims) is the exact rank, and only the matrices that neither
-certifies run exact Bareiss elimination.  A caller that has the GF(2) rank
-from elsewhere (the parity columns that ``lefschetz``'s monomial row
-builder packs, or the packed rows of a campaign's critical map) enters the
-policy after that step, through ``rank_rows_after_gf2``, so no step runs
-twice on one matrix.
+certifies run exact Bareiss elimination.  Every caller hands the policy
+integer rows together with the parity it packed while filling them (rows
+or columns mod 2, one int each: the GF(2) rank is the same), so no caller
+packs its rows twice and no step runs twice on one matrix.
 """
 
 from __future__ import annotations
@@ -28,21 +27,17 @@ def rank_mod_rows(rows, ncols: int, p: int = WORD_PRIME) -> int:
     return _ranks_py.rank_mod(rows, ncols, p)
 
 
-def rank_rows(rows, ncols: int) -> int:
-    """Exact rank of integer rows: min(dims) when GF(2) or the word prime
-    certifies it, otherwise the exact Bareiss rank."""
+def certifies_maximal(rows, ncols: int, parity) -> bool:
+    """Whether the GF(2) rank of ``parity`` (the matrix's rows or columns,
+    each packed mod 2 into one int), else the rank mod the word prime,
+    reaches min(dims)."""
     m = min(len(rows), ncols)
-    if m == 0:
-        return 0
-    if _ranks_py.rank_gf2(rows) == m:
-        return m
-    return rank_rows_after_gf2(rows, ncols)
+    return _ranks_py.rank_gf2_bits(parity) == m or rank_mod_rows(rows, ncols) == m
 
 
-def rank_rows_after_gf2(rows, ncols: int) -> int:
-    """The policy past its GF(2) step: min(dims) when the word prime
-    certifies it, otherwise the exact Bareiss rank."""
-    m = min(len(rows), ncols)
-    if rank_mod_rows(rows, ncols) == m:
-        return m
+def rank_rows(rows, ncols: int, parity) -> int:
+    """Exact rank of integer rows: min(dims) when ``certifies_maximal``,
+    otherwise the exact Bareiss rank."""
+    if certifies_maximal(rows, ncols, parity):
+        return min(len(rows), ncols)
     return rank_int_rows(rows, ncols)

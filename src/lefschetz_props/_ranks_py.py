@@ -83,12 +83,6 @@ def _packed_rows(rows) -> list[int]:
     return [sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows]
 
 
-def rank_gf2(rows) -> int:
-    """Rank of the integer matrix reduced modulo 2: the rows packed
-    (``_packed_rows``) for ``rank_gf2_bits``."""
-    return rank_gf2_bits(_packed_rows(rows))
-
-
 def rank_gf2_bits(vectors) -> int:
     """Rank over GF(2) of vectors packed as ints, reduced by XOR against a
     basis keyed by leading bit."""

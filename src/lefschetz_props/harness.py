@@ -541,29 +541,40 @@ def _fork_workers(streams: list):
     connection) pair once it runs, the connection the read end of its
     one-way pipe.  Workers are forked (pinned, since the default start
     method on Linux changes in Python 3.14), so they start without
-    re-importing the package, with the walk's tables in memory."""
+    re-importing the package, with the walk's tables in memory.  Each
+    worker gets the read ends opened so far, its own among them, to close:
+    then only the parent holds them."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
+    read_ends = []
     for stream in streams:
         conn, child_conn = context.Pipe(duplex=False)
+        read_ends.append(conn)
         process = context.Process(
-            target=_split_worker, args=(child_conn, stream), daemon=True
+            target=_split_worker, args=(child_conn, stream, tuple(read_ends)),
+            daemon=True,
         )
         process.start()
         child_conn.close()
         yield process, conn
 
 
-def _split_worker(conn, stream) -> None:
+def _split_worker(conn, stream, read_ends) -> None:
     """Send a worker's stream (``_dealt_subtrees``) down its pipe in lists
-    of ``SPLIT_CHUNK`` items.  A send blocks while the pipe is full, so a
-    worker walks past the last chunk the parent read at most the chunks
-    its pipe holds and the one it is sending.  Sends the exception it
-    raised instead, its traceback as a note."""
+    of ``SPLIT_CHUNK`` items, after closing the ``read_ends`` it inherited.
+    A send blocks while the pipe is full, so a worker walks past the last
+    chunk the parent read at most the chunks its pipe holds and the one it
+    is sending.  A send fails once the parent is gone, and that ends the
+    worker quietly.  Sends the exception it raised instead, its traceback
+    as a note."""
+    for end in read_ends:
+        end.close()
     try:
         while chunk := list(islice(stream, SPLIT_CHUNK)):
             conn.send(chunk)
+    except BrokenPipeError:
+        pass
     except Exception as exc:
         if hasattr(exc, "add_note"):
             import traceback
@@ -877,8 +888,11 @@ def crosscheck_lemmas(
     ideals than the default ideal budget (every mask, with no sample or one
     at least as large as the mask space, or an explicit sample) is refused
     with ``BudgetExceededError`` before any mask is drawn.  A sample below one
-    would examine no ideal and confirm nothing, so it is a ``ValueError``.
+    would examine no ideal and confirm nothing, and below d = 2 no shortcut
+    gate holds, so either is a ``ValueError``.
     """
+    if d < 2:
+        raise ValueError("need d >= 2")
     if sample is not None and sample < 1:
         raise ValueError(f"crosscheck sample must be at least 1, got {sample}")
     t0 = time.perf_counter()

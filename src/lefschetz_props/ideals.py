@@ -33,7 +33,6 @@ from math import gcd, lcm
 from operator import add
 
 from . import _kernels
-from ._ranks_py import rank_gf2_bits
 from .combinatorics import (
     Monomial,
     basis_index,
@@ -484,9 +483,9 @@ def _build_form_piece(I: FormIdeal, k: int, order: str) -> _FormPiece:
     """The degree-k span of the monomial-times-generator products, each
     generator scaled to integer coefficients once.  Rows are packed mod 2 as
     they are filled; when there are at least as many rows as columns and
-    GF(2) or the word prime finds full column rank, the span is all of S_k
-    and no elimination runs (a modular rank is a lower bound, so it only
-    certifies that).  Otherwise ``integer_rref`` reduces the rows."""
+    the rank policy certifies full column rank
+    (``_kernels.certifies_maximal``), the span is all of S_k and no
+    elimination runs.  Otherwise ``integer_rref`` reduces the rows."""
     cols, col_index = ordered_basis(I.n, k, order)
     ncols = len(cols)
     rows: list[list[int]] = []
@@ -506,9 +505,7 @@ def _build_form_piece(I: FormIdeal, k: int, order: str) -> _FormPiece:
                     bits |= 1 << pos
             rows.append(row)
             parity.append(bits)
-    if len(rows) >= ncols and (
-        rank_gf2_bits(parity) == ncols or _kernels.rank_mod_rows(rows, ncols) == ncols
-    ):
+    if len(rows) >= ncols and _kernels.certifies_maximal(rows, ncols, parity):
         rows = [[int(c == r) for c in range(ncols)] for r in range(ncols)]
         pivots = tuple(range(ncols))
     else:

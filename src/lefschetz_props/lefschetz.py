@@ -2,14 +2,15 @@
 
 Every matrix is read from one cached table of the full ring, ``_columns``,
 which sends a source monomial and an offset exponent c of degree i to the
-target index, together with the coefficients of ell^i (``_weights``): a
-monomial quotient keeps the rows and columns of its standard monomials, and
-a form quotient reduces each column modulo the ideal's degrevlex span.  A
-form column is expanded with integer weights and reduced fraction-free, so
-it comes out as integers over a positive scale; the deciders rank the
-integer columns (scaling a column keeps the rank), and only
-``mult_map_matrix`` divides the scales back out.  A rank does not depend on
-the basis, so no decider takes a term order.
+target index, together with the coefficients of ell^i over their common
+denominator (``_integer_weights``): a monomial quotient keeps the rows and
+columns of its standard monomials, and a form quotient reduces each column
+modulo the ideal's degrevlex span.  A form column is expanded with the
+integer weights and reduced fraction-free, so it comes out as integers over
+a positive scale; the deciders rank the integer rows (scaling a column, or
+the whole matrix, keeps the rank), and only ``mult_map_matrix`` divides the
+scales back out.  A rank does not depend on the basis, so no decider takes
+a term order.
 
 Monomial quotients are decided with the all-ones linear form, which suffices
 for monomial algebras; form quotients use seeded random trial forms, with the
@@ -28,16 +29,16 @@ later R_k onto R_{k+i} (Migliore-Miro-Roig-Nagel, Trans. AMS 2011,
 Prop. 2.1), so such a pair is recorded with rank HF(k+i).
 
 Both row builders pack each integer column mod 2 into one int as they fill
-the rows, so every integral map (each form map, and each monomial map with
-integer weights) gets its GF(2) rank, the policy's first step, without
-packing its rows again; rows that GF(2) does not certify enter the policy
-after that step.  A support ideal holds its Hilbert function as one tuple,
-so the dimensions of a pair are two lookups.  A campaign that needs only
-the verdict of the map from S_{d-i} to S_d skips the ideal:
-``support_rows_independent`` picks that map's rows for the monomials of a
-support mask out of one cached per-(n, d, i) table (``_support_rows``, the
-zero ideal's rows from the same builder), packed mod 2 and as integers, and
-runs them through ``_mask_rows_independent``, as ``min_kernel_support`` does.
+the rows, and every map enters the rank policy (``_kernels.rank_rows``)
+with its integer rows and those parity columns, so its GF(2) rank, the
+policy's first step, never packs its rows again.  A support ideal holds
+its Hilbert function as one tuple, so the dimensions of a pair are two
+lookups.  A campaign that needs only the verdict of the map from S_{d-i}
+to S_d skips the ideal: ``support_rows_independent`` picks that map's rows
+for the monomials of a support mask out of one cached per-(n, d, i) table
+(``_support_rows``, the zero ideal's rows from the same builder), packed
+mod 2 and as integers, and runs them through ``_mask_rows_independent``,
+as ``min_kernel_support`` does.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from math import lcm
 
 from . import _kernels
 from .combinatorics import basis_index, basis_size, monomial_basis, multinomial
-from .exactlinalg import ExactMatrix, integer_rows
-from ._ranks_py import _packed_rows, rank_gf2_bits
+from .exactlinalg import ExactMatrix
+from ._ranks_py import _packed_rows
 from .ideals import (
     FormIdeal,
     MonomialIdeal,
@@ -73,6 +74,9 @@ class LinearForm:
     coefficients: tuple
 
     def __post_init__(self):
+        for a in self.coefficients:
+            if not isinstance(a, (int, Fraction)):
+                raise TypeError(f"coefficient {a!r} is not an int or Fraction")
         if not self.coefficients or all(c == 0 for c in self.coefficients):
             raise ValueError("linear form must be nonzero")
 
@@ -111,40 +115,37 @@ def _columns(n: int, j: int, i: int) -> tuple:
 
 
 @lru_cache(maxsize=128)
-def _weights(n: int, i: int, coefficients: tuple) -> tuple[tuple, bool]:
+def _integer_weights(n: int, i: int, coefficients: tuple) -> tuple[tuple[int, ...], int]:
     """Coefficients of the i-th power of the linear form, one per offset of
     monomial_basis(n, i): multinomial(i; c) times the product of the
-    coefficients to the powers c; and whether every one is an integer.  Ints
-    when every weight is integral, else Fractions, with a zero weight kept
-    as int 0 (the entry nothing reaches).  Integer coefficients are
-    multiplied as ints, without a Fraction.  The cache is keyed on the form
-    and the randomized deciders draw fresh forms per seed, so it keeps only
-    the recent entries; one check reuses a form's weights for every degree."""
-    coefficients = [a if isinstance(a, int) else Fraction(a) for a in coefficients]
+    coefficients to the powers c, over one common denominator D, the LCM of
+    theirs: (the integers weight*D, D).  Integer coefficients are multiplied
+    as ints, without a Fraction.  The cache is keyed on the form and the
+    randomized deciders draw fresh forms per seed, so it keeps only the
+    recent entries; one check reuses a form's weights for every degree."""
     weights = []
     for c in monomial_basis(n, i):
         w = multinomial(i, c)
         for a, e in zip(coefficients, c):
             w *= a ** e
         weights.append(w)
-    if all(w.denominator == 1 for w in weights):
-        return tuple(int(w) for w in weights), True
-    return tuple(w if w else 0 for w in weights), False
+    denom = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (denom // w.denominator) for w in weights), denom
 
 
 def _build_monomial_rows(I: MonomialIdeal, ell: LinearForm, i: int, j: int):
-    """Rows of the quotient multiplication map; returns (rows, nrows, ncols,
-    parity).  In the same pass each column is packed mod 2 into one int, bit
-    r the parity of row r, and ``parity`` lists them; it is None when a
-    weight of ell^i is not an integer."""
+    """Rows of the quotient multiplication map, scaled to integers by the
+    common denominator of the weights of ell^i (``_integer_weights``), which
+    leaves the rank unchanged; returns (rows, nrows, ncols, parity).  In the
+    same pass each column is packed mod 2 into one int, bit r the parity of
+    row r, and ``parity`` lists them."""
     src = I.standard_indices(j)
     tgt = I.standard_indices(j + i)
     rowmap = [-1] * basis_size(I.n, j + i)
     for r, gi in enumerate(tgt):
         rowmap[gi] = r
     cols = _columns(I.n, j, i)
-    weights, integral = _weights(I.n, i, tuple(ell.coefficients))
-    odd = weights if integral else (0,) * len(weights)
+    weights = _integer_weights(I.n, i, tuple(ell.coefficients))[0]
     rows = [[0] * len(src) for _ in tgt]
     parity = []
     for ci, gi in enumerate(src):
@@ -153,10 +154,10 @@ def _build_monomial_rows(I: MonomialIdeal, ell: LinearForm, i: int, j: int):
             rr = rowmap[tg]
             if rr >= 0:
                 rows[rr][ci] = weights[c]
-                if odd[c] & 1:
+                if weights[c] & 1:
                     bits |= 1 << rr
         parity.append(bits)
-    return rows, len(tgt), len(src), parity if integral else None
+    return rows, len(tgt), len(src), parity
 
 
 @lru_cache(maxsize=None)
@@ -174,13 +175,10 @@ def _support_rows(n: int, d: int, i: int) -> tuple[tuple, tuple]:
 def _mask_rows_independent(packed, rows, mask: int, ncols: int) -> bool:
     """Whether the rows that the set bits of the mask pick are linearly
     independent over Q, given as ``packed`` mod 2 (``_packed_rows``) and as
-    integer ``rows``: a full GF(2) rank certifies it; otherwise the integer
-    rows enter the rank policy after its GF(2) step."""
+    integer ``rows``, by the rank policy (``_kernels.rank_rows``)."""
     picked = [p for p in range(mask.bit_length()) if mask >> p & 1]
-    if rank_gf2_bits([packed[p] for p in picked]) == len(picked):
-        return True
-    exact = _kernels.rank_rows_after_gf2([rows[p] for p in picked], ncols)
-    return exact == len(picked)
+    parity = [packed[p] for p in picked]
+    return _kernels.rank_rows([rows[p] for p in picked], ncols, parity) == len(picked)
 
 
 def support_rows_independent(n: int, d: int, i: int, mask: int) -> bool:
@@ -190,16 +188,6 @@ def support_rows_independent(n: int, d: int, i: int, mask: int) -> bool:
     the mask, whose degree-d standard monomials are the mask's."""
     packed, rows = _support_rows(n, d, i)
     return _mask_rows_independent(packed, rows, mask, basis_size(n, d - i))
-
-
-def _integer_weights(n: int, i: int, coefficients: tuple) -> tuple[tuple[int, ...], int]:
-    """The weights of ``_weights`` over one common denominator D, the LCM of
-    theirs: (the integers w*D, D)."""
-    weights, integral = _weights(n, i, coefficients)
-    if integral:
-        return weights, 1
-    denom = lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (denom // w.denominator) for w in weights), denom
 
 
 def _form_columns(I: FormIdeal, ell: LinearForm, i: int, j: int):
@@ -262,6 +250,9 @@ def mult_map_matrix(I, ell: LinearForm | None, i: int, j: int) -> ExactMatrix:
     ell = _checked_form(I, ell, i, j)
     if isinstance(I, MonomialIdeal):
         rows, nrows, ncols, _ = _build_monomial_rows(I, ell, i, j)
+        denom = _integer_weights(I.n, i, tuple(ell.coefficients))[1]
+        if denom > 1:
+            rows = [[Fraction(e, denom) if e else 0 for e in row] for row in rows]
         return ExactMatrix(nrows, ncols, rows)
     columns, scales, nrows = _form_columns(I, ell, i, j)
     rows = [
@@ -273,21 +264,11 @@ def mult_map_matrix(I, ell: LinearForm | None, i: int, j: int) -> ExactMatrix:
 
 
 def _pair_rank(I, ell: LinearForm, i: int, j: int) -> tuple[int, int, int]:
-    """(exact rank, rows, columns) of multiplication by ell^i from degree j.
-
-    An integral map, which is every form map and every monomial map whose
-    ell^i weights are integers, takes the GF(2) rank of the parity columns
-    its row builder packed; when that reaches min(dims) it is the rank, and
-    otherwise the rows enter the rank policy after its GF(2) step.  The
-    rows of a monomial map with fractional weights, scaled to integers, run
-    the whole policy."""
+    """(exact rank, rows, columns) of multiplication by ell^i from degree j:
+    the builder's integer rows and parity columns through the rank policy
+    (``_kernels.rank_rows``)."""
     rows, nrows, ncols, parity = _build_rows(I, ell, i, j)
-    if parity is None:
-        return _kernels.rank_rows(integer_rows(rows), ncols), nrows, ncols
-    m = min(nrows, ncols)
-    if rank_gf2_bits(parity) == m:
-        return m, nrows, ncols
-    return _kernels.rank_rows_after_gf2(rows, ncols), nrows, ncols
+    return _kernels.rank_rows(rows, ncols, parity), nrows, ncols
 
 
 def has_maximal_rank(I, ell: LinearForm | None, i: int, j: int) -> tuple[bool, int]:

@@ -181,6 +181,14 @@ def test_crosscheck_empty_sample_is_a_usage_error(capsys):
         assert "at least 1" in captured.err
 
 
+def test_crosscheck_below_degree_two_is_a_usage_error(capsys):
+    for d in ("0", "1"):
+        code = run(["crosscheck", "--n", "3", "--d", d])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "need d >= 2" in captured.err
+
+
 def test_hf_and_socle(capsys):
     code, payload = invoke_json(capsys, "hf", "--gens", BK)
     assert code == 0

@@ -504,6 +504,21 @@ def test_crosscheck_full_small_grids():
     assert r.details["agreements"] == r.details["comparisons"]
 
 
+def test_crosscheck_refuses_degrees_below_two(monkeypatch):
+    # no shortcut gate holds below d = 2: refused before any mask is built
+    from lefschetz_props import harness
+
+    def no_mask(*args):
+        raise AssertionError("a mask was built")
+
+    monkeypatch.setattr(harness, "ideal_from_mask", no_mask)
+    for d in (0, 1):
+        with pytest.raises(ValueError, match="need d >= 2"):
+            crosscheck_lemmas(3, d)
+        with pytest.raises(ValueError, match="need d >= 2"):
+            crosscheck_lemmas(3, d, sample=4)
+
+
 def test_crosscheck_sampling_deterministic():
     a = crosscheck_lemmas(3, 4, sample=20, seed=5)
     b = crosscheck_lemmas(3, 4, sample=20, seed=5)
@@ -1216,6 +1231,78 @@ def test_split_scan_leaves_no_process(forks, monkeypatch):
         verify_thm1(3, 4, threads=2)
     assert not multiprocessing.active_children()
     assert forks == [2, 2, 2, 2]
+
+
+# Starts a split scan of verify_thm1(4, 4) with two workers, prints their
+# PIDs once both run, and then stalls before its next decide, so the
+# workers fill their pipes and block in a send.
+_STALLED_SPLIT_SCAN = """
+import time
+from lefschetz_props import harness
+
+harness.SPLIT_HELD = 1
+harness.SPLIT_CHUNK = 100
+harness.os.sched_getaffinity = lambda pid: {0, 1, 2}
+fork, decide = harness._fork_workers, harness._decide_mask
+pids = []
+
+def forked(streams):
+    for process, conn in fork(streams):
+        pids.append(process.pid)
+        yield process, conn
+    print(*pids, flush=True)
+
+def stalled(*args):
+    if len(pids) == 2:
+        time.sleep(300)
+    return decide(*args)
+
+harness._fork_workers = forked
+harness._decide_mask = stalled
+harness.verify_thm1(4, 4, threads=2)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether the process exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def test_split_workers_exit_when_their_parent_is_killed():
+    # only the parent holds the read ends of the workers' pipes, so once
+    # it is killed each worker's next send fails and the worker exits
+    import time
+
+    import lefschetz_props
+
+    src = Path(lefschetz_props.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    scan = subprocess.Popen(
+        [sys.executable, "-c", _STALLED_SPLIT_SCAN], env=env,
+        stdout=subprocess.PIPE, text=True,
+    )
+    pids = []
+    try:
+        with _deadline(60):
+            pids = [int(pid) for pid in scan.stdout.readline().split()]
+        assert len(pids) == 2
+        time.sleep(1)
+        scan.kill()
+        scan.wait()
+        gone = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < gone:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        scan.kill()
+        scan.wait()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+        scan.stdout.close()
 
 
 def test_wiebe_small_sample():

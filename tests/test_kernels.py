@@ -14,6 +14,16 @@ from lefschetz_props.exactlinalg import integer_rows
 PRIMES = (2, 3, 97, _kernels.WORD_PRIME, 2**61 - 1)
 
 
+def gf2(rows):
+    """GF(2) rank of integer rows, packed by ``_packed_rows``."""
+    return _ranks_py.rank_gf2_bits(_ranks_py._packed_rows(rows))
+
+
+def policy(rows, ncols):
+    """The rank policy on integer rows with their own packed parity."""
+    return _kernels.rank_rows(rows, ncols, _ranks_py._packed_rows(rows))
+
+
 def inverse_rank_mod(rows, ncols, p):
     """Rank mod p by elimination with modular inverses (the slow twin)."""
     nrows = len(rows)
@@ -86,32 +96,32 @@ def test_gf2_rank_is_a_lower_bound_and_the_parity_rank():
     )
     for seed, entry in enumerate(entries):
         for rows, ncols in seeded_matrices(seed + 10, 150, 10, entry):
-            g = _ranks_py.rank_gf2(rows)
+            g = gf2(rows)
             assert g <= _ranks_py.rank_i64(rows, ncols)
             assert g == inverse_rank_mod(rows, ncols, 2)
 
 
 def test_gf2_rank_edge_shapes():
-    assert _ranks_py.rank_gf2([]) == 0
-    assert _ranks_py.rank_gf2([[], []]) == 0
-    assert _ranks_py.rank_gf2([[2, 4], [6, -8]]) == 0
-    assert _ranks_py.rank_gf2([[1, 1], [1, 1], [-1, 3]]) == 1
-    assert _ranks_py.rank_gf2([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == 2
+    assert gf2([]) == 0
+    assert gf2([[], []]) == 0
+    assert gf2([[2, 4], [6, -8]]) == 0
+    assert gf2([[1, 1], [1, 1], [-1, 3]]) == 1
+    assert gf2([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == 2
 
 
 def test_policy_on_huge_entries():
     rows = [[2**70, 1], [1, 1]]
-    assert _kernels.rank_rows(rows, 2) == 2
-    assert _kernels.rank_rows([[2**70, 2], [2**69, 1]], 2) == 1
+    assert policy(rows, 2) == 2
+    assert policy([[2**70, 2], [2**69, 1]], 2) == 1
 
 
 def test_policy_on_intermediate_growth():
     # 25x25 with entries up to 99: Bareiss minors far exceed 64 bits mid-way
     rng = random.Random(4)
     rows = [[rng.randint(-99, 99) for _ in range(25)] for _ in range(25)]
-    assert _kernels.rank_rows(rows, 25) == _ranks_py.rank_i64(rows, 25) == 25
+    assert policy(rows, 25) == _ranks_py.rank_i64(rows, 25) == 25
     singular = rows[:24] + [[a + b for a, b in zip(rows[0], rows[1])]]
-    assert _kernels.rank_rows(singular, 25) == _ranks_py.rank_i64(singular, 25) == 24
+    assert policy(singular, 25) == _ranks_py.rank_i64(singular, 25) == 24
 
 
 def test_policy_matches_exact_rank_on_integer_rows_of_rationals():
@@ -126,7 +136,7 @@ def test_policy_matches_exact_rank_on_integer_rows_of_rationals():
         if rng.random() < 0.5 and nrows > 1:
             rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
         ints = integer_rows(rows)
-        assert _kernels.rank_rows(ints, ncols) == _ranks_py.rank_i64(ints, ncols)
+        assert policy(ints, ncols) == _ranks_py.rank_i64(ints, ncols)
 
 
 def test_policy_matches_exact_rank_on_deficient_matrices():
@@ -136,9 +146,9 @@ def test_policy_matches_exact_rank_on_deficient_matrices():
         ncols = rng.randint(2, 8)
         rows = [[2 * rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rng.randint(2, 8))]
         rows.append(list(rows[0]))
-        assert _kernels.rank_rows(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
-    assert _kernels.rank_rows([], 4) == 0
-    assert _kernels.rank_rows([[], []], 0) == 0
+        assert policy(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
+    assert policy([], 4) == 0
+    assert policy([[], []], 0) == 0
 
 
 def test_policy_reaches_the_kernels_through_module_attributes(monkeypatch):
@@ -155,32 +165,54 @@ def test_policy_reaches_the_kernels_through_module_attributes(monkeypatch):
 
     for name in ("rank_mod_rows", "rank_int_rows"):
         monkeypatch.setattr(_kernels, name, spy(name, getattr(_kernels, name)))
-    assert _kernels.rank_rows([[1, 0], [0, 1]], 2) == 2 and calls == []
-    assert _kernels.rank_rows([[2, 0], [0, 2]], 2) == 2
+    assert policy([[1, 0], [0, 1]], 2) == 2 and calls == []
+    assert policy([[2, 0], [0, 2]], 2) == 2
     assert calls == ["rank_mod_rows"]
-    assert _kernels.rank_rows([[2, 4], [1, 2]], 2) == 1
+    assert policy([[2, 4], [1, 2]], 2) == 1
     assert calls == ["rank_mod_rows", "rank_mod_rows", "rank_int_rows"]
+    # the certificate alone never runs Bareiss
+    calls.clear()
+    assert _kernels.certifies_maximal([[2, 0], [0, 2]], 2, [0, 0])
+    assert not _kernels.certifies_maximal([[2, 4], [1, 2]], 2, [0, 1])
+    assert calls == ["rank_mod_rows", "rank_mod_rows"]
 
 
-def test_policy_after_gf2_skips_the_gf2_step(monkeypatch):
-    # the rest of the policy (word prime, then Bareiss) never reruns GF(2)
-    # and gives the exact rank on its own
-    def no_gf2(rows):
-        raise AssertionError("GF(2) step rerun")
+def test_policy_ranks_the_given_parity_and_never_packs(monkeypatch):
+    # the policy's GF(2) step ranks the parity its caller packed, rows or
+    # columns, once and never packs the rows itself; past that step (a
+    # parity of zeros certifies nothing) the word prime, then Bareiss, give
+    # the exact rank on their own
+    def no_packing(rows):
+        raise AssertionError("rows packed by the policy")
 
-    monkeypatch.setattr(_ranks_py, "rank_gf2", no_gf2)
+    ranked = []
+    bits = _ranks_py.rank_gf2_bits
+
+    def gf2_bits(parity):
+        ranked.append(parity)
+        return bits(parity)
+
+    packed_rows = _ranks_py._packed_rows
+    monkeypatch.setattr(_ranks_py, "_packed_rows", no_packing)
+    monkeypatch.setattr(_ranks_py, "rank_gf2_bits", gf2_bits)
     for rows, ncols in seeded_matrices(31, 150, 8, lambda rng: rng.choice((0, 0, 1, 2, -3))):
-        assert _kernels.rank_rows_after_gf2(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
-    assert _kernels.rank_rows_after_gf2([], 3) == 0
-    assert _kernels.rank_rows_after_gf2([[2, 4], [1, 2]], 2) == 1
+        exact = _ranks_py.rank_i64(rows, ncols)
+        columns = [sum(1 << r for r, row in enumerate(rows) if row[c] & 1) for c in range(ncols)]
+        for parity in (packed_rows(rows), columns, [0] * len(rows)):
+            ranked.clear()
+            assert _kernels.rank_rows(rows, ncols, parity) == exact
+            assert len(ranked) == 1 and ranked[0] is parity
+    assert _kernels.rank_rows([], 3, []) == 0
+    assert _kernels.rank_rows([[2, 4], [1, 2]], 2, [0, 0]) == 1
 
 
 def test_gf2_bits_is_the_packed_gf2_rank():
     for rows, ncols in seeded_matrices(32, 150, 9, lambda rng: rng.randint(-3, 3)):
         packed = [sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows]
         columns = [sum(1 << r for r, row in enumerate(rows) if row[c] & 1) for c in range(ncols)]
-        assert _ranks_py.rank_gf2_bits(packed) == _ranks_py.rank_gf2(rows)
-        assert _ranks_py.rank_gf2_bits(columns) == _ranks_py.rank_gf2(rows)
+        assert packed == _ranks_py._packed_rows(rows)
+        assert _ranks_py.rank_gf2_bits(packed) == inverse_rank_mod(rows, ncols, 2)
+        assert _ranks_py.rank_gf2_bits(columns) == inverse_rank_mod(rows, ncols, 2)
     assert _ranks_py.rank_gf2_bits([]) == 0
     assert _ranks_py.rank_gf2_bits([0, 0b11, 0b11, 0b110]) == 2
 
@@ -192,15 +224,15 @@ def test_dispatcher_matches_pure():
         ncols = rng.randint(1, 8)
         rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
         assert _kernels.rank_int_rows(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
-        assert _kernels.rank_rows(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
+        assert policy(rows, ncols) == _ranks_py.rank_i64(rows, ncols)
 
 
 def test_pure_kernel_does_not_mutate_input():
     rows = [[1, 2], [3, 4]]
     _ranks_py.rank_i64(rows, 2)
     _ranks_py.rank_mod(rows, 2, 97)
-    _ranks_py.rank_gf2(rows)
-    _kernels.rank_rows(rows, 2)
+    gf2(rows)
+    policy(rows, 2)
     assert rows == [[1, 2], [3, 4]]
 
 

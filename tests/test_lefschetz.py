@@ -65,6 +65,40 @@ def test_mult_map_respects_custom_form():
     assert rank(M) == 3
 
 
+def test_linear_form_takes_only_ints_and_fractions():
+    # a float would be scaled by the denominator of its binary expansion
+    for coefficients in ((0.1, 1, 1), (1, 2.0, 3), (1, "2", 3)):
+        with pytest.raises(TypeError):
+            LinearForm(coefficients)
+    assert LinearForm((Fraction(1, 10), 1, -2)).n == 3
+
+
+def test_fractional_forms_rank_like_plain_bareiss(monkeypatch):
+    # a monomial map of a Fraction form is ranked on its rows scaled by the
+    # common denominator of the weights: the decided rank equals plain
+    # Bareiss on the rational matrix, on seeded support ideals and on BK,
+    # deficient maps included, which run Bareiss on the scaled rows
+    exact = spy(monkeypatch, _kernels, "rank_int_rows")
+    forms = [LinearForm((Fraction(1, 2), 2, 3)), LinearForm((Fraction(2, 3), Fraction(-5, 4), 1))]
+    rng = random.Random(23)
+    ideals = [BK] + [ideal_from_mask(3, 4, rng.getrandbits(12)) for _ in range(30)]
+    bareiss = 0
+    for I in ideals:
+        e = socle_degree(I)
+        for ell in forms:
+            for i in range(1, e + 1):
+                for j in range(e - i + 1):
+                    M = mult_map_matrix(I, ell, i, j)
+                    want = rank(M)
+                    before = len(exact)
+                    got = has_maximal_rank(I, ell, i, j)
+                    assert got == (want == min(M.rows, M.cols), want), (I, ell, i, j)
+                    if len(exact) > before:
+                        assert lefschetz._integer_weights(3, i, ell.coefficients)[1] > 1
+                        bareiss += 1
+    assert bareiss > 0
+
+
 def test_has_maximal_rank_on_complete_intersections():
     for n, d in [(3, 2), (3, 3), (4, 2)]:
         ci = monomial_complete_intersection(n, d)
@@ -208,35 +242,69 @@ def test_onto_propagation_skips_pairs_and_keeps_records(monkeypatch):
                 scans_against_twin(I, mode, seed=seed)
 
 
+def policy_calls(monkeypatch):
+    """Spy on the three steps of the rank policy: the first argument of
+    every call to rank_gf2_bits ("gf2"), rank_mod_rows ("mod") and
+    rank_int_rows ("exact"), one list each."""
+    calls = {}
+    for key, module, name in (
+        ("gf2", _ranks_py, "rank_gf2_bits"),
+        ("mod", _kernels, "rank_mod_rows"),
+        ("exact", _kernels, "rank_int_rows"),
+    ):
+        inner = getattr(module, name)
+
+        def wrapped(first, *rest, inner=inner, seen=calls.setdefault(key, [])):
+            seen.append(first)
+            return inner(first, *rest)
+
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def assert_policy_on_built_maps(built, calls):
+    """Each built map's own parity list went to GF(2) once, in build order;
+    the word prime ran on exactly the rows whose parity rank falls short,
+    and Bareiss on exactly those whose word-prime rank falls short too.
+    Calls on anything else (form pieces, the twin's matrices) are left
+    out.  Returns the maps that reached the word prime."""
+    parities = {id(b[3]) for b in built}
+    row_ids = {id(b[0]) for b in built}
+    gf2 = [id(p) for p in calls["gf2"] if id(p) in parities]
+    mod = [id(r) for r in calls["mod"] if id(r) in row_ids]
+    exact = [id(r) for r in calls["exact"] if id(r) in row_ids]
+    assert gf2 == [id(b[3]) for b in built]
+    short = [b for b in built if _ranks_py.rank_gf2_bits(b[3]) < min(b[1], b[2])]
+    assert 0 < len(short) < len(built)
+    assert mod == [id(b[0]) for b in short]
+    prime = _kernels.WORD_PRIME
+    assert exact == [
+        id(b[0]) for b in short if _ranks_py.rank_mod(b[0], b[2], prime) < min(b[1], b[2])
+    ]
+    return short
+
+
 def test_box_certificate_runs_no_step_twice(monkeypatch):
-    # an integral monomial map takes its GF(2) rank from the parity columns
-    # its row builder packed: GF(2) never runs on its rows, and the rest of
-    # the policy runs on exactly the rows whose parity rank falls short, on
-    # support ideals and other monomial ideals alike
+    # every monomial map, a fractional form's too, takes its GF(2) rank from
+    # the parity columns its row builder packed: no other GF(2) step runs,
+    # and the rest of the policy runs on exactly the rows whose parity rank
+    # falls short, on support ideals and other monomial ideals alike
     built = spy(monkeypatch, lefschetz, "_build_rows")
-    gf2_rows = spy(monkeypatch, _ranks_py, "rank_gf2")
-    ranked = []
-    rest = _kernels.rank_rows_after_gf2
-
-    def after_gf2(rows, ncols):
-        ranked.append(rows)
-        return rest(rows, ncols)
-
-    monkeypatch.setattr(_kernels, "rank_rows_after_gf2", after_gf2)
+    calls = policy_calls(monkeypatch)
+    half = LinearForm((Fraction(1, 2), 2, 3))
     supports = [ideal_from_mask(3, 4, mask) for mask in range(1 << 12)]
     for ideals in (supports, [BK]):
         built.clear()
-        ranked.clear()
+        for seen in calls.values():
+            seen.clear()
         for I in ideals:
             check_slp(I)
             check_power_shortcut(I, 1)
             check_slp(I, "randomized", seed=9)
-        short = [
-            rows for rows, nrows, ncols, parity in built
-            if _ranks_py.rank_gf2_bits(parity) < min(nrows, ncols)
-        ]
-        assert gf2_rows == [] and 0 < len(short) < len(built)
-        assert [id(rows) for rows in ranked] == [id(rows) for rows in short]
+            has_maximal_rank(I, half, 1, 2)
+        gf2 = len(calls["gf2"])
+        assert_policy_on_built_maps(built, calls)
+        assert gf2 == len(built)
 
 
 def test_check_wlp_rejects_non_artinian():
@@ -424,23 +492,11 @@ def test_form_mult_map_matches_fraction_twin():
 
 
 def test_form_maps_rank_their_packed_parity(monkeypatch):
-    # every form map is integral: its builder packs each integer column mod
-    # 2, GF(2) never runs on its rows, integer_rows is never called, and the
-    # rest of the policy runs on exactly the rows whose parity falls short
+    # every form map is built on integers: its builder packs each integer
+    # column mod 2, GF(2) runs once on that parity list, and the rest of the
+    # policy runs on exactly the rows whose parity falls short
     built = spy(monkeypatch, lefschetz, "_build_rows")
-    gf2_rows = spy(monkeypatch, _ranks_py, "rank_gf2")
-    ranked = []
-    rest = _kernels.rank_rows_after_gf2
-
-    def after_gf2(rows, ncols):
-        ranked.append(rows)
-        return rest(rows, ncols)
-
-    def no_scaling(rows):
-        raise AssertionError("integer_rows ran on a form map")
-
-    monkeypatch.setattr(_kernels, "rank_rows_after_gf2", after_gf2)
-    monkeypatch.setattr(lefschetz, "integer_rows", no_scaling)
+    calls = policy_calls(monkeypatch)
     rng = random.Random(5)
     ideals = [FORMS, RATIONAL_FORMS] + [random_form_ideal(3, 3, rng) for _ in range(6)]
     for I in ideals:
@@ -451,12 +507,7 @@ def test_form_maps_rank_their_packed_parity(monkeypatch):
         assert parity == [
             sum(1 << r for r in range(nrows) if rows[r][c] & 1) for c in range(ncols)
         ]
-    short = [
-        rows for rows, nrows, ncols, parity in built
-        if _ranks_py.rank_gf2_bits(parity) < min(nrows, ncols)
-    ]
-    assert gf2_rows == [] and 0 < len(short) < len(built)
-    assert [id(rows) for rows in ranked] == [id(rows) for rows in short]
+    assert_policy_on_built_maps(built, calls)
 
 
 def test_randomized_mode_needs_a_trial():
@@ -520,9 +571,9 @@ def test_weights_cache_stays_bounded_over_seeds():
     # form would keep growing with the seeds one process runs
     from lefschetz_props.harness import wiebe_initial_ideal_check
 
-    lefschetz._weights.cache_clear()
+    lefschetz._integer_weights.cache_clear()
     for seed in (1, 2, 3):
         assert wiebe_initial_ideal_check(3, (2, 3), 40, seed).confirmed
-    info = lefschetz._weights.cache_info()
+    info = lefschetz._integer_weights.cache_info()
     assert info.maxsize is not None
     assert info.misses > info.maxsize >= info.currsize

@@ -126,13 +126,26 @@ def test_mult_map_rows_match_the_mask_rowmap_twin(n, d, count, seed):
             for j in range(socle_degree(O) + 1):
                 for ell in forms:
                     expected = mask_rowmap_rows(O, ell, i, j)
-                    parity = None if ell is rational else odd_columns(expected, O.hf(j))
+                    denom = weight_denominator(n, ell, i)
+                    scaled = [[int(e * denom) for e in row] for row in expected]
+                    parity = odd_columns(scaled, O.hf(j))
                     for I in (S, O):
                         rows = mult_map_matrix(I, ell, i, j).to_lists()
                         assert rows == expected, (mask, i, j, ell)
                         assert types(rows) == types(expected)
-                        built = _build_monomial_rows(I, ell, i, j)[3]
-                        assert built == parity, (mask, i, j, ell)
+                        built = _build_monomial_rows(I, ell, i, j)
+                        assert (built[0], built[3]) == (scaled, parity), (mask, i, j, ell)
+
+
+def weight_denominator(n, ell, i):
+    """The LCM of the denominators of the weights of ell^i, computed as the
+    twin computes the weights: the builder scales its rows by it."""
+    return math.lcm(*(
+        (math.factorial(i) * math.prod(
+            Fraction(a) ** e / math.factorial(e) for a, e in zip(ell.coefficients, c)
+        )).denominator
+        for c in monomial_basis(n, i)
+    ))
 
 
 def types(rows):
