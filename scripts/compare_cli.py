@@ -165,13 +165,19 @@ COMMANDS = [
     # crosschecks below d = 2, where no shortcut gate holds
     ["crosscheck", "--n", "3", "--d", "0"],
     ["crosscheck", "--n", "3", "--d", "1"],
+    # budgets that the sweep below the bound leaves exactly used up, so the
+    # witness search at the bound stops on its first mask
+    ["verify-thm1", "--n", "3", "--d", "5", "--budget-ideals", "38918"],
+    ["verify-thm1", "--n", "3", "--d", "5", "--budget-entries", "15188379"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a
 # tuple of the argv above, mapped to the reason.
 DECLARED: dict[tuple[str, ...], str] = {
-    ("crosscheck", "--n", "3", "--d", "0"): "d < 2 is refused, exit 2",
-    ("crosscheck", "--n", "3", "--d", "1"): "d < 2 is refused, exit 2",
+    ("verify-thm1", "--n", "3", "--d", "5", "--budget-ideals", "38918"):
+        "the witness search gets the ideal budget the sweep left: partial, exit 3",
+    ("verify-thm1", "--n", "3", "--d", "5", "--budget-entries", "15188379"):
+        "the witness search gets the entry budget the sweep left: partial, exit 3",
 }
 
 

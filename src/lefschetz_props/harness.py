@@ -16,8 +16,12 @@ symmetry), in preorder, holding only the path it is on.  Windows that
 start higher (the at-bound and searched-witness windows, which stop at
 their first failure) stream every mask of each popcount, ascending.
 
-A campaign decides each visited mask from its one critical map and builds
-no ideal or report for a mask that passes.  Inside the lemma gate
+A campaign runs one check, a value built once per (n, d, key, i)
+(``_mask_decider``) that every scan function takes: the key that
+``_run_check(I, check)`` dispatches on, the critical map's power, gate and
+rows, and what the cost reads.  It decides each visited mask from that
+critical map (``_decide_mask(check, mask, certified)``) and builds no
+ideal or report for a mask that passes.  Inside the lemma gate
 HF(d-i) = dim S_{d-i} >= HF(d) (i = 1 for the WLP, the shortcut's power,
 d-1 for the SLP) the check passes exactly when ell^i maps R_{d-i} onto R_d,
 that is, when the rows of that map for the mask's monomials are
@@ -32,22 +36,28 @@ Q), and every streamed mask.  Only a mask that fails, or lies outside the
 gate, becomes a ``SupportIdeal`` (its standard monomials one bitmask over
 the box [0, d)^n, so its Hilbert function and matrices equal those of the
 same MonomialIdeal) and goes through the full check, whose report is
-recorded.  The matrix entry cost a budget counts is HF(j) HF(j+1) summed
-over the pairs the full check would list, not over the one map that is
-ranked, so it is the same either way; a passing mask's cost needs only the
-Hilbert function above d.  Everything a decide reads that depends only on
-the campaign, not on the mask, is one cached lookup.
+recorded with that ideal.  The matrix entry cost a budget counts is
+HF(j) HF(j+1) summed over the pairs the full check would list, not over
+the one map that is ranked, so it is the same either way; a passing mask's
+cost needs only the Hilbert function above d.
 
-One loop scans every window, mask by mask; its budgets stop it right
-after the mask that uses one up.  With more than one thread the walk is
-split at a popcount: the parent walks the top of the tree and deals the
-nodes there round-robin to forked workers, which walk their subtrees (each
-orbit maximum has one parent, so they are disjoint) and send them back in
-chunks down a one-way pipe.  Nothing goes back: a worker whose pipe is
-full waits in its send, so it walks ahead of the parent at most what its
-pipe holds.  The parent decides every mask itself, in the order it would
-without workers.  Failures are listed by popcount, then mask, so no report
-depends on the number of threads, and no complete one on the scan order.
+One loop scans every window, mask by mask (``_scan_expected_pass(report,
+spec, check)``): a window from popcount 0 is a sweep that records every
+failure, one from higher a witness search that stops at its first.  Its
+budgets stop it right after the mask that uses one up.  ``verify_thm1``
+and ``verify_thm2`` declare a bound, a check and whether the bound is
+sharp; one driver (``_verify_bound``) sweeps below the bound, then builds
+or searches for the witness with what the sweep left of each budget.
+
+With more than one thread the sweep's walk is split at a popcount: the
+parent walks the top of the tree and deals the nodes there round-robin to
+forked workers, which walk their subtrees (each orbit maximum has one
+parent, so they are disjoint) and send them back in chunks down a one-way
+pipe.  Nothing goes back: a worker whose pipe is full waits in its send,
+so it walks ahead of the parent at most what its pipe holds.  The parent
+decides every mask itself, in the order it would without workers.
+Failures are listed by popcount, then mask, so no report depends on the
+number of threads, and no complete one on the scan order.
 
 ``min_kernel_support`` (behind ``verify_thm37``) walks the same tree, with
 branch and bound, over the rows of ell^i: S_{d-i} -> S_d on an ideal's
@@ -100,7 +110,6 @@ from .lefschetz import (
     check_slp_shortcut,
     check_wlp,
     ones_form,
-    support_rows_independent,
 )
 from .reporting import VerificationReport
 
@@ -368,31 +377,35 @@ def _report_cost(rep) -> int:
     return sum(p.dim_source * p.dim_target for p in rep.pairs)
 
 
-def _run_check(I, key: str, args: dict):
-    if key == "wlp":
+def _run_check(I, check: _Check):
+    if check.key == "wlp":
         return check_wlp(I, "exact", early_stop=True)
-    if key == "slp_shortcut":
+    if check.key == "slp_shortcut":
         return check_slp_shortcut(I)
-    if key == "power_shortcut":
-        return check_power_shortcut(I, args["i"])
-    raise ValueError(f"unknown check {key!r}")
+    return check_power_shortcut(I, check.power)
 
 
-class _MaskDecider(NamedTuple):
-    """What ``_decide_mask`` reads for one (n, d, check key, power)."""
+class _Check(NamedTuple):
+    """One campaign check (``_mask_decider``): the key that ``_run_check``
+    dispatches on, and what ``_decide_mask`` and the orderly walk read of
+    its critical map ell^i: S_{d-i} -> S_d."""
 
-    power: int                 # i of the critical map ell^i: S_{d-i} -> S_d
+    key: str                   # "wlp", "slp_shortcut" or "power_shortcut"
+    power: int                 # i of the critical map; a power shortcut's own
     source: int                # dim S_{d-i}
     free: int | None           # WLP cost of the pairs below d-1; None: shortcut
     box: _BoxTables            # ``_box_tables(n, d)``
     above: tuple[int, ...]     # the box positions of each degree above d
+    packed: tuple[int, ...]    # the map's rows, packed mod 2 (``_support_rows``)
+    rows: tuple[tuple, ...]    # and as integers
 
 
 @lru_cache(maxsize=None)
-def _mask_decider(n: int, d: int, key: str, i: int | None) -> _MaskDecider:
-    """The per-(n, d, key, i) part of ``_decide_mask``.  The critical map's
-    power is that of its lemma gate (``_lemma_power``): 1 for the WLP, the
-    shortcut's i, d-1 for the SLP (i None).  Campaigns only pass powers
+def _mask_decider(n: int, d: int, key: str, i: int | None) -> _Check:
+    """The check ``key`` of the (n, d) campaigns, with the power i of a
+    power shortcut (None for the other keys).  The critical map's power is
+    that of its lemma gate (``_lemma_power``): 1 for the WLP, the
+    shortcut's i, d-1 for the SLP.  Campaigns only pass powers
     1 <= i <= d-1.  Below degree d a support ideal is all of S, so
     HF(d-i) = dim S_{d-i}, and a mask is inside the gate exactly when its
     popcount is at most that.  The WLP pairs j < d-1 cost dim S_j
@@ -404,34 +417,35 @@ def _mask_decider(n: int, d: int, key: str, i: int | None) -> _MaskDecider:
     if key == "wlp":
         free = sum(basis_size(n, j) * basis_size(n, j + 1) for j in range(d - 1))
     box = _box_tables(n, d)
-    return _MaskDecider(i, basis_size(n, d - i), free, box, box.degree[d + 1:])
+    return _Check(
+        key, i, basis_size(n, d - i), free, box, box.degree[d + 1:], *_support_rows(n, d, i)
+    )
 
 
-def _decide_mask(
-    n: int, d: int, mask: int, key: str, args: dict, certified: bool = False
-) -> int | None:
-    """The matrix entry cost ``_run_check`` reports for a mask that passes,
-    decided from the one critical map without building an ideal or a
-    report; None when the mask is outside the gate or fails, and only the
-    full check may report it.
+def _decide_mask(check: _Check, mask: int, certified: int) -> int | None:
+    """The matrix entry cost ``_run_check(I, check)`` reports for a mask
+    that passes, decided from the check's one critical map without building
+    an ideal or a report; None when the mask is outside the gate or fails,
+    and only the full check may report it.
 
-    Every key's gate is the lemma gate of its power (``_mask_decider``):
+    Every check's gate is the lemma gate of its power (``_mask_decider``):
     HF(d-i) = dim S_{d-i} >= HF(d) = popcount.  Inside it the map ell^i
     from R_{d-i} = S_{d-i} to R_d must be onto, which is independence of
     the rows of the mask's monomials; for the WLP the pairs below it are
     free and every pair after an onto one is onto
     (``lefschetz._scan_pairs``).  A mask ``certified`` by the orderly walk
-    (``_orderly_walk``) has independent rows; any other mask ranks them
-    (``support_rows_independent``).  The cost sums HF(j) HF(j+1) over the
-    pairs the full check lists without building the quotient: for the WLP
-    a per-(n, d) constant for the pairs below d-1, then dim S_{d-1} HF(d),
-    then the degrees above d, each one popcount of the mask's standard
-    monomials over the box (``ideals._support_std``), up to the first zero
-    (every later one is zero too, since R_{k+1} = R_1 R_k); for a shortcut
-    the lemma pair alone, dim S_{d-i} HF(d)."""
-    i, source, free, box, above = _mask_decider(n, d, key, args.get("i"))
+    (``_orderly_walk``) has independent rows; any other mask ranks the
+    check's rows that it picks (``_mask_rows_independent``).  The cost sums
+    HF(j) HF(j+1) over the pairs the full check lists without building the
+    quotient: for the WLP a per-(n, d) constant for the pairs below d-1,
+    then dim S_{d-1} HF(d), then the degrees above d, each one popcount of
+    the mask's standard monomials over the box (``ideals._support_std``),
+    up to the first zero (every later one is zero too, since
+    R_{k+1} = R_1 R_k); for a shortcut the lemma pair alone,
+    dim S_{d-i} HF(d)."""
+    _, _, source, free, box, above, packed, rows = check
     size = mask.bit_count()
-    if size > source or not (certified or support_rows_independent(n, d, i, mask)):
+    if size > source or not (certified or _mask_rows_independent(packed, rows, mask, source)):
         return None
     if free is None:
         return source * size
@@ -453,24 +467,27 @@ def _usable_cpus() -> int | None:
     return os.cpu_count()
 
 
-def _scan_order(spec: SearchSpec, rows, workers: int, key: str, args: dict):
+def _scan_order(spec: SearchSpec, check: _Check):
     """The masks of the window in the order a scan decides them, each as
-    mask << 1 | certified by the critical map's ``rows``: the orderly walk
-    in preorder from popcount 0 (every campaign's below-bound window), and
-    by popcount, then ascending, from higher (``iter_support_masks``).
-    With more than one worker, the walk is split at the first popcount
-    with at least ``SPLIT_HELD`` masks per worker, if it reaches one."""
+    mask << 1 | certified by the check's critical map: the orderly walk in
+    preorder from popcount 0 (a campaign's sweep below its bound), and by
+    popcount, then ascending, from higher (``iter_support_masks``; a
+    witness search).  With ``spec.threads`` > 1, the walk is split across
+    that many forked workers, at most one per usable CPU, at the first
+    popcount with at least ``SPLIT_HELD`` masks per worker, if it reaches
+    one."""
     if spec.hf_min:
         return (mask << 1 for mask in iter_support_masks(spec))
     m, tables = _window_tables(spec)
+    workers = min(spec.threads, _usable_cpus() or 1)
     if workers > 1:
         for split in range(spec.hf_max):
             if comb(m, split) >= SPLIT_HELD * workers:
-                return _split_walk(spec, m, tables, rows, split, workers, key, args)
-    return _orderly_walk(m, spec.hf_max, tables, rows)
+                return _split_walk(spec, m, tables, check, split, workers)
+    return _orderly_walk(m, spec.hf_max, tables, check.packed)
 
 
-def _split_walk(spec, m, tables, rows, split, workers, key, args):
+def _split_walk(spec, m, tables, check, split, workers):
     """The walk of ``_scan_order`` split across forked workers.  The parent
     walks the top of the tree down to popcount ``split`` and forks the
     workers at its first node there.  The nodes of that popcount are dealt
@@ -483,13 +500,13 @@ def _split_walk(spec, m, tables, rows, split, workers, key, args):
     crew = []
     dealt = 0
     try:
-        for x in _orderly_walk(m, split, tables, rows):
+        for x in _orderly_walk(m, split, tables, check.packed):
             yield x
             if (x >> 1).bit_count() < split:
                 continue
             if not crew:
                 crew.extend(_fork_workers([
-                    _dealt_subtrees(spec, m, tables, rows, split, w, workers, key, args)
+                    _dealt_subtrees(spec, m, tables, check, split, w, workers)
                     for w in range(workers)
                 ]))
                 streams = [chain.from_iterable(_received(*worker)) for worker in crew]
@@ -506,21 +523,23 @@ def _split_walk(spec, m, tables, rows, split, workers, key, args):
             conn.close()
 
 
-def _dealt_subtrees(spec, m, tables, rows, split, w, workers, key, args):
+def _dealt_subtrees(spec, m, tables, check, split, w, workers):
     """Worker w's part of a split walk (``_split_walk``), as one stream: the
     subtrees of every ``workers``-th node of popcount ``split``, from the
     w-th, each in preorder less its node and followed by -1.  A mask inside
-    the lemma gate that the walk left uncertified ranks its rows here
-    (``support_rows_independent``), so the ranking is split too."""
-    n, d = spec.n, spec.d
-    i, source, *_ = _mask_decider(n, d, key, args.get("i"))
-    walk = _orderly_walk(m, spec.hf_max, tables, rows)
+    the lemma gate that the walk left uncertified ranks the check's rows
+    that it picks here (``_mask_rows_independent``), so the ranking is
+    split too."""
+    source, packed, rows = check.source, check.packed, check.rows
+    walk = _orderly_walk(m, spec.hf_max, tables, packed)
     skip = w
     mine = False
     for x in walk:
         size = (x >> 1).bit_count()
         if size > split:
-            if not x & 1 and size <= source and support_rows_independent(n, d, i, x >> 1):
+            if not x & 1 and size <= source and _mask_rows_independent(
+                packed, rows, x >> 1, source
+            ):
                 x |= 1
             yield x
             continue
@@ -597,61 +616,54 @@ def _received(process, conn):
         yield chunk
 
 
-def _scan_expected_pass(spec: SearchSpec, key: str, args: dict, first: bool = False):
-    """Run a check over the window in scan order (``_scan_order``),
-    collecting failures.
+def _scan_expected_pass(report, spec: SearchSpec, check: _Check) -> int:
+    """Run the check over the window in scan order (``_scan_order``) into
+    the report, and return the window's matrix entry cost.
 
-    Returns (examined, cost, failures, partial).  The budgets count mask by
-    mask: the scan stops, partial, right after the mask whose cost takes
-    the total over the entry budget, that mask counted, or once the ideal
-    budget is used up with masks left.  With ``first`` it stops at the
-    first failing ideal.  A mask the critical map leaves undecided
-    (``_decide_mask``) goes through the full check.  Failures are sorted by
-    (popcount, mask).  A scan with ``spec.threads`` > 1 (never a ``first``
-    one) splits its walk across that many forked workers, at most one per
-    usable CPU; the parent decides every mask in the same order."""
+    A window from popcount 0 is a sweep: each failure is a counterexample,
+    recorded in ``report.failures``, by (popcount, mask).  A window from
+    higher is a witness search: it stops at its first failure, a minimal-HF
+    one, recorded in ``report.witnesses``.  A failure is recorded from the
+    ``SupportIdeal`` it was checked on.  The budgets count mask by mask:
+    the scan stops, partial, right after the mask whose cost takes the
+    total over the entry budget, that mask counted, or once the ideal
+    budget is used up with masks left.  A mask the critical map leaves
+    undecided (``_decide_mask``) goes through the full check
+    (``_run_check``).  Adds the masks examined to ``report.examined`` and
+    sets ``report.partial``.  A split sweep's parent decides every mask in
+    the order it would without workers."""
     n, d = spec.n, spec.d
     ideals, entries = spec.budget_ideals, spec.budget_entries
-    rows = _support_rows(n, d, _mask_decider(n, d, key, args.get("i")).power)[0]
-    workers = 1 if first else min(spec.threads, _usable_cpus() or 1)
+    search = spec.hf_min > 0
     examined = cost = 0
     failures = []
     partial = False
-    with closing(_scan_order(spec, rows, workers, key, args)) as masks:
+    with closing(_scan_order(spec, check)) as masks:
         for x in masks:
             if examined == ideals:
                 partial = True
                 break
             mask = x >> 1
-            spent = _decide_mask(n, d, mask, key, args, x & 1)
+            spent = _decide_mask(check, mask, x & 1)
             if spent is None:
-                rep = _run_check(ideal_from_mask(n, d, mask), key, args)
+                I = ideal_from_mask(n, d, mask)
+                rep = _run_check(I, check)
                 spent = _report_cost(rep)
                 if not rep.verdict:
-                    failures.append((mask, rep))
+                    failures.append((mask, I, rep))
             examined += 1
             cost += spent
-            if first and failures:
+            if search and failures:
                 break
             if cost > entries:
                 partial = True
                 break
     failures.sort(key=lambda failure: (failure[0].bit_count(), failure[0]))
-    return examined, cost, failures, partial
-
-
-def _scan_window(report, spec: SearchSpec, key: str, args: dict, first: bool = False):
-    """Scan the window into the report: adds the ideals examined, sets
-    partial and records each failure, which is a counterexample below the
-    bound or, with ``first``, the witness (the window's first failure, so a
-    minimal-HF one).  Returns (matrix entry cost, partial)."""
-    examined, cost, failures, partial = _scan_expected_pass(spec, key, args, first)
+    records = report.witnesses if search else report.failures
+    records.extend(_witness_record(n, d, I, rep) for _, I, rep in failures)
     report.examined += examined
     report.partial = partial
-    for mask, rep in failures:
-        record = _witness_record(spec.n, spec.d, ideal_from_mask(spec.n, spec.d, mask), rep)
-        (report.witnesses if first else report.failures).append(record)
-    return cost, partial
+    return cost
 
 
 def _witness_record(n: int, d: int, I: MonomialIdeal, rep) -> dict:
@@ -668,6 +680,62 @@ def _witness_record(n: int, d: int, I: MonomialIdeal, rep) -> dict:
 # campaigns
 
 
+def _verify_bound(
+    campaign: str, params: dict, spec: SearchSpec, bound: int, check: _Check, sharp: bool
+) -> VerificationReport:
+    """A bound's campaign: every ideal with HF(d) below ``bound`` passes the
+    check, and one at the bound fails it.
+
+    ``spec`` gives the campaign's (n, d), symmetry, threads and budgets,
+    at the HF window [0, 0], and ``params`` the report's parameters past
+    those.  The sweep scans HF 0 .. bound-1.  A shortcut check whose
+    critical power i is at least 2 then builds its witness: the
+    support-complement ideal of the extremal dual element
+    (``extremal_dual``), which must fail at HF exactly the bound.  Any
+    other check searches for the first failure from the bound: at it for a
+    ``sharp`` bound, up to the top for the bound d+1 of the power i = 1,
+    which need not be attained.  The search gets what the sweep left of
+    each budget, so the budgets cover the whole campaign;
+    ``matrix_entry_cost`` is the sweep's."""
+    t0 = time.perf_counter()
+    n, d = spec.n, spec.d
+    top = basis_size(n, d) - n
+    attainable = bound <= top
+    params = {"n": n, "d": d, "symmetry": spec.symmetry, "threads": spec.threads, **params}
+    report = VerificationReport(campaign, params, False, expected_bound=bound)
+    below = replace(spec, hf_max=min(bound - 1, top))
+    cost = _scan_expected_pass(report, below, check)
+    witness_hf = None
+    if check.key != "wlp" and check.power >= 2:
+        f, ideal = extremal_dual(n, d, check.power)
+        rep = _run_check(ideal, check)
+        witness = _witness_record(n, d, ideal, rep)
+        witness["dual_element"] = str(f)
+        witness["achieves_bound"] = not rep.verdict and ideal.hf(d) == bound
+        report.witnesses.append(witness)
+        if witness["achieves_bound"]:
+            witness_hf = bound
+    elif attainable and not report.partial:
+        search = replace(
+            below, hf_min=bound, hf_max=bound if sharp else top,
+            budget_ideals=spec.budget_ideals - report.examined,
+            budget_entries=spec.budget_entries - cost,
+        )
+        _scan_expected_pass(report, search, check)
+        if report.witnesses:
+            witness_hf = report.witnesses[0]["hf_d"]
+    failing = [w["hf_d"] for w in report.failures]
+    report.min_failing_hf = min(failing, default=witness_hf)
+    report.confirmed = (
+        not failing
+        and not report.partial
+        and (witness_hf is not None or not (sharp and attainable))
+    )
+    report.details = {"bound_attainable": attainable, "matrix_entry_cost": cost}
+    report.elapsed_seconds = time.perf_counter() - t0
+    return report
+
+
 def verify_thm1(
     n: int,
     d: int,
@@ -677,35 +745,11 @@ def verify_thm1(
     budget_ideals: int = DEFAULT_BUDGET_IDEALS,
     budget_entries: int = DEFAULT_BUDGET_ENTRIES,
 ) -> VerificationReport:
-    """Confirm the WLP bound: no failures below it, a witness at it."""
-    t0 = time.perf_counter()
+    """Confirm the WLP bound: no failures below it, a witness at it.  The
+    budgets cover the whole campaign."""
     bound = theorem1_bound(n, d)
-    top = basis_size(n, d) - n
-    params = {"n": n, "d": d, "symmetry": symmetry, "threads": threads}
-    report = VerificationReport("thm1", params, False, expected_bound=bound)
-    below = SearchSpec(
-        n, d, 0, min(bound - 1, top), symmetry, threads, budget_ideals, budget_entries
-    )
-    cost, partial = _scan_window(report, below, "wlp", {})
-    witness_possible = bound <= top
-    if witness_possible and not partial:
-        at = replace(below, hf_min=bound, hf_max=bound)
-        _, partial = _scan_window(report, at, "wlp", {}, first=True)
-    if report.failures:
-        report.min_failing_hf = min(w["hf_d"] for w in report.failures)
-    elif report.witnesses:
-        report.min_failing_hf = bound
-    report.confirmed = (
-        not report.failures
-        and not partial
-        and (len(report.witnesses) > 0 or not witness_possible)
-    )
-    report.details = {
-        "bound_attainable": witness_possible,
-        "matrix_entry_cost": cost,
-    }
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+    spec = SearchSpec(n, d, 0, 0, symmetry, threads, budget_ideals, budget_entries)
+    return _verify_bound("thm1", {}, spec, bound, _mask_decider(n, d, "wlp", None), True)
 
 
 def verify_thm2(
@@ -722,63 +766,19 @@ def verify_thm2(
 
     Below the bound every ideal must pass; at the bound the witness is the
     constructed support-complement ideal of the extremal dual element for
-    i >= 2 (and for the SLP case with d >= 3), and is searched for otherwise.
+    i >= 2 (and for the SLP case with d >= 3), and is searched for
+    otherwise: at the bound for the SLP with d = 2, and from it upward for
+    i = 1, whose bound need not be attained.  The budgets cover the whole
+    campaign.
     """
-    t0 = time.perf_counter()
-    top = basis_size(n, d) - n
     if i is None:
-        bound = theorem2_bound(d)
-        campaign = "thm2"
-        key, args = "slp_shortcut", {}
+        campaign, params, bound, key = "thm2", {}, theorem2_bound(d), "slp_shortcut"
+    elif 1 <= i <= d - 1:
+        campaign, params, bound, key = "thm2-power", {"i": i}, d - i + 2, "power_shortcut"
     else:
-        if not 1 <= i <= d - 1:
-            raise ValueError("power must satisfy 1 <= i <= d-1")
-        bound = d - i + 2
-        campaign = "thm2-power"
-        key, args = "power_shortcut", {"i": i}
-    params = {"n": n, "d": d, "symmetry": symmetry, "threads": threads}
-    if i is not None:
-        params["i"] = i
-    report = VerificationReport(campaign, params, False, expected_bound=bound)
-    below = SearchSpec(
-        n, d, 0, min(bound - 1, top), symmetry, threads, budget_ideals, budget_entries
-    )
-    cost, partial = _scan_window(report, below, key, args)
-    witness = None
-    constructed = (i is not None and i >= 2) or (i is None and d >= 3)
-    if constructed:
-        power = (d - 1) if i is None else i
-        f, ideal = extremal_dual(n, d, power)
-        rep = _run_check(ideal, key, args)
-        witness = _witness_record(n, d, ideal, rep)
-        witness["dual_element"] = str(f)
-        ok = (not rep.verdict) and ideal.hf(d) == bound
-        witness["achieves_bound"] = ok
-        report.witnesses.append(witness)
-        if ok:
-            report.min_failing_hf = bound
-        witness = witness if ok else None
-    elif bound <= top and not partial:
-        # searched witness: d = 2 SLP case and the i = 1 power case, where
-        # the bound need not be attained; record the observed minimum, which
-        # is the HF of the first failure over [bound, top].
-        at = replace(below, hf_min=bound, hf_max=top)
-        _, partial = _scan_window(report, at, key, args, first=True)
-        if report.witnesses:
-            witness = report.witnesses[0]
-            report.min_failing_hf = witness["hf_d"]
-    if report.failures:
-        report.min_failing_hf = min(w["hf_d"] for w in report.failures)
-    sharp_required = constructed or (i is None and d == 2 and bound <= top)
-    report.confirmed = (
-        not report.failures
-        and not partial
-        and (witness is not None or not sharp_required)
-        and (report.min_failing_hf is None or report.min_failing_hf >= bound)
-    )
-    report.details = {"matrix_entry_cost": cost, "bound_attainable": bound <= top}
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+        raise ValueError("power must satisfy 1 <= i <= d-1")
+    spec = SearchSpec(n, d, 0, 0, symmetry, threads, budget_ideals, budget_entries)
+    return _verify_bound(campaign, params, spec, bound, _mask_decider(n, d, key, i), i != 1)
 
 
 def min_kernel_support(

@@ -322,8 +322,11 @@ class SupportIdeal(MonomialIdeal):
     box [0, d)^n: the pure powers put every standard monomial inside the
     box, and a box position is standard iff no generator divides it, so
     ``std`` is the full box minus the box multiples of the mixed generators
-    (``support_quotient``; campaigns read only the degrees above d off the
-    same tables, without an ideal, in ``harness._decide_mask``).
+    (``support_quotient``; a campaign reads only the degrees above d off
+    the same tables, without an ideal, in ``harness._decide_mask(check,
+    mask, certified)``, and builds a support ideal only for a mask that
+    fails there, whose report ``harness._scan_expected_pass(report, spec,
+    check)`` records from that ideal).
     Two equal-degree monomials in the box compare like their last differing
     exponents (base-d digits), so box order within one degree is the colex
     order of monomial_basis, and standard_indices and every matrix built

@@ -34,9 +34,9 @@ with its integer rows and those parity columns, so its GF(2) rank, the
 policy's first step, never packs its rows again.  A support ideal holds
 its Hilbert function as one tuple, so the dimensions of a pair are two
 lookups.  A campaign that needs only the verdict of the map from S_{d-i}
-to S_d skips the ideal: ``support_rows_independent`` picks that map's rows
-for the monomials of a support mask out of one cached per-(n, d, i) table
-(``_support_rows``, the zero ideal's rows from the same builder), packed
+to S_d skips the ideal: it picks that map's rows for the monomials of a
+support mask out of one cached per-(n, d, i) table (``_support_rows``, the
+zero ideal's rows from the same builder, which its check holds), packed
 mod 2 and as integers, and runs them through ``_mask_rows_independent``,
 as ``min_kernel_support`` does.
 """
@@ -179,15 +179,6 @@ def _mask_rows_independent(packed, rows, mask: int, ncols: int) -> bool:
     picked = [p for p in range(mask.bit_length()) if mask >> p & 1]
     parity = [packed[p] for p in picked]
     return _kernels.rank_rows([rows[p] for p in picked], ncols, parity) == len(picked)
-
-
-def support_rows_independent(n: int, d: int, i: int, mask: int) -> bool:
-    """Whether the rows of ``_support_rows(n, d, i)`` picked by the mask are
-    linearly independent over Q (``_mask_rows_independent``), that is,
-    whether ell^i maps R_{d-i} = S_{d-i} onto R_d for the support ideal of
-    the mask, whose degree-d standard monomials are the mask's."""
-    packed, rows = _support_rows(n, d, i)
-    return _mask_rows_independent(packed, rows, mask, basis_size(n, d - i))
 
 
 def _form_columns(I: FormIdeal, ell: LinearForm, i: int, j: int):

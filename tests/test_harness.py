@@ -1,5 +1,6 @@
 """Enumeration, symmetry reduction, and campaign behavior."""
 
+import json
 import os
 import random
 import signal
@@ -201,13 +202,20 @@ def orbit_minima(n, d):
     return m, minima
 
 
-def _scan_masks(spec, rows):
-    """(mask, certified) for each mask of the window in the order a
-    campaign scan decides them (preorder of the orderly walk from popcount
-    0), with the critical map's packed rows."""
+def _check(n, d, key="wlp", i=None):
+    """The campaign check of a key, with the power of a power shortcut."""
     from lefschetz_props import harness
 
-    for x in harness._scan_order(spec, rows, 1, "wlp", {}):
+    return harness._mask_decider(n, d, key, i)
+
+
+def _scan_masks(spec, check):
+    """(mask, certified) for each mask of the window in the order a
+    campaign scan decides them (preorder of the orderly walk from popcount
+    0), certified by the check's critical map."""
+    from lefschetz_props import harness
+
+    for x in harness._scan_order(spec, check):
         yield x >> 1, x & 1 == 1
 
 
@@ -228,8 +236,7 @@ def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
     assert list(iter_support_masks(spec)) == expected
     # a scan decides the same masks once each: in preorder from popcount 0,
     # in the same order from higher
-    rows = _support_rows(n, d, 1)[0]
-    scanned = [mask for mask, _ in _scan_masks(spec, rows)]
+    scanned = [mask for mask, _ in _scan_masks(spec, _check(n, d))]
     assert sorted(scanned, key=lambda mask: (mask.bit_count(), mask)) == expected
     if lo:
         assert scanned == expected
@@ -271,14 +278,18 @@ def test_below_bound_scan_holds_one_path():
     from lefschetz_props import harness
 
     spec = SearchSpec(3, 5, 0, theorem1_bound(3, 5) - 1)
-    harness._scan_expected_pass(replace(spec, budget_ideals=1), "wlp", {})  # cached tables
+    check = _check(3, 5)
+    harness._scan_expected_pass(  # cached tables
+        VerificationReport("thm1", {}, False), replace(spec, budget_ideals=1), check
+    )
+    report = VerificationReport("thm1", {}, False)
     tracemalloc.start()
     try:
-        examined, _, failures, partial = harness._scan_expected_pass(spec, "wlp", {})
+        harness._scan_expected_pass(report, spec, check)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert examined == 38918 and not failures and not partial
+    assert report.examined == 38918 and not report.failures and not report.partial
     assert peak < 128 * 1024, peak
 
 
@@ -321,10 +332,10 @@ def test_entry_budget_bounds_the_ideals_built(forks, monkeypatch):
     decide = harness._decide_mask
     parent = os.getpid()
 
-    def counting(n, d, mask, key, args, certified=False):
+    def counting(check, mask, certified):
         assert os.getpid() == parent, "a campaign worker decided a mask"
         decided.append(mask)
-        return decide(n, d, mask, key, args, certified)
+        return decide(check, mask, certified)
 
     monkeypatch.setattr(harness, "_decide_mask", counting)
     for budgets in ({"budget_entries": 10}, {"budget_entries": 10**5}, {"budget_ideals": 100}):
@@ -360,6 +371,24 @@ def test_ideal_budget_bounds_the_enumeration(monkeypatch):
     r = verify_thm1(3, 5, budget_ideals=5)
     assert r.partial and r.examined == 5
     assert 0 < len(calls) < 500  # not the 2^18 masks of the mixed space
+
+
+def test_budgets_cover_the_witness_search():
+    # verify_thm1(3, 5) sweeps 38,918 orbits at a matrix entry cost of
+    # 15,188,379 and finds its witness on the fifth mask of the search at
+    # the bound; the search gets only what the sweep left of each budget
+    full = verify_thm1(3, 5)
+    cost = full.details["matrix_entry_cost"]
+    assert full.confirmed and full.examined == 38923 and cost == 15_188_379
+    assert verify_thm1(3, 5, budget_ideals=38923).to_dict(False) == full.to_dict(False)
+    for budgets, examined in (
+        ({"budget_ideals": 38918}, 38918),
+        ({"budget_ideals": 38920}, 38920),
+        ({"budget_entries": cost}, 38919),
+    ):
+        r = verify_thm1(3, 5, **budgets)
+        assert r.partial and not r.confirmed and not r.witnesses, budgets
+        assert r.examined == examined and r.details["matrix_entry_cost"] == cost, budgets
 
 
 def test_partial_report_independent_of_threads():
@@ -420,6 +449,26 @@ def test_verify_thm2_power_remark_strict_for_i_one():
     assert r.min_failing_hf == 10 > 5
 
 
+def test_a_sharp_bound_searches_its_witness_at_the_bound(monkeypatch):
+    # the SLP bound 4 for d = 2 is sharp, so its witness is searched at HF 4
+    # only: with every popcount-4 mask made to pass, verify_thm2(5, 2) has
+    # no witness and does not confirm, though ideals of HF 5 fail
+    from lefschetz_props import harness
+
+    assert verify_thm2(5, 2).min_failing_hf == 4
+    decide = harness._decide_mask
+
+    def passing(check, mask, certified):
+        if mask.bit_count() == 4:
+            return check.source * 4
+        return decide(check, mask, certified)
+
+    monkeypatch.setattr(harness, "_decide_mask", passing)
+    r = verify_thm2(5, 2)
+    assert not r.confirmed and not r.partial and not r.failures and not r.witnesses
+    assert r.min_failing_hf is None
+
+
 def test_verify_thm2_vacuous_cases():
     # (3, 2): bound 4 exceeds the attainable maximum 3, so no SLP failure
     # exists at all and sharpness is vacuous
@@ -437,11 +486,11 @@ def test_a_failure_below_the_bound_sets_the_minimal_failing_hf(monkeypatch):
     decide, run_check = harness._decide_mask, harness._run_check
     failing = []
 
-    def decide_mask(n, d, mask, key, args, certified=False):
-        return None if mask == 3 else decide(n, d, mask, key, args, certified)
+    def decide_mask(check, mask, certified):
+        return None if mask == 3 else decide(check, mask, certified)
 
-    def fail_mask_3(I, key, args):
-        rep = run_check(I, key, args)
+    def fail_mask_3(I, check):
+        rep = run_check(I, check)
         if I in failing:
             rep.verdict = False
         return rep
@@ -670,14 +719,15 @@ def test_critical_map_decide_matches_the_full_check(n, d, sample, keys):
 
     for key, args in keys:
         power = {"wlp": 1, "slp_shortcut": None}.get(key, args.get("i"))
+        check = _check(n, d, key, args.get("i"))
         decided = 0
         for mask in _masks(n, d, sample, seed=n * 10 + d):
-            cost = harness._decide_mask(n, d, mask, key, args)
+            cost = harness._decide_mask(check, mask, False)
             I = ideal_from_mask(n, d, mask)
             if _lemma_pair(I, power) is None:
                 assert cost is None, (n, d, mask, key, args)
                 continue
-            rep = harness._run_check(I, key, args)
+            rep = harness._run_check(I, check)
             assert (cost is not None) == rep.verdict, (n, d, mask, key, args)
             if cost is not None:
                 decided += 1
@@ -686,12 +736,13 @@ def test_critical_map_decide_matches_the_full_check(n, d, sample, keys):
 
 
 def _key_window(n, d, key, args):
-    """The critical map's power and packed rows for a check key, and every
-    orbit minimum with the orderly walk's certificate."""
+    """The check of a key, the critical map's power and packed rows, and
+    every orbit minimum with the orderly walk's certificate."""
     i = {"wlp": 1, "slp_shortcut": d - 1}.get(key, args.get("i"))
-    packed = _support_rows(n, d, i)[0]
+    check = _check(n, d, key, args.get("i"))
+    assert check.power == i and check.packed == _support_rows(n, d, i)[0]
     top = len(monomial_basis(n, d)) - n
-    return i, packed, _scan_masks(SearchSpec(n, d, 0, top), packed)
+    return check, i, check.packed, _scan_masks(SearchSpec(n, d, 0, top), check)
 
 
 KEYS_BY_CASE = [
@@ -710,18 +761,18 @@ def test_certified_masks_pass_the_full_check_at_their_fast_cost(n, d, key, args)
     # the decide's cost, certified or not, is that full report's cost
     from lefschetz_props import harness
 
-    i, packed, window = _key_window(n, d, key, args)
+    check, i, packed, window = _key_window(n, d, key, args)
     certified_count = 0
     for mask, certified in window:
         picked = [packed[p] for p in range(len(packed)) if mask >> p & 1]
         assert certified == (rank_gf2_bits(picked) == len(picked)), mask
         certified_count += certified
-        cost = harness._decide_mask(n, d, mask, key, args, certified)
+        cost = harness._decide_mask(check, mask, certified)
         I = ideal_from_mask(n, d, mask)
         if _lemma_pair(I, None if key == "slp_shortcut" else i) is None:
             assert cost is None and not certified, mask
             continue
-        rep = harness._run_check(I, key, args)
+        rep = harness._run_check(I, check)
         assert rep.verdict or not certified, mask
         assert (cost is not None) == rep.verdict, mask
         if cost is not None:
@@ -733,31 +784,32 @@ def test_fast_wlp_cost_matches_the_quotient_on_every_3_5_mask():
     from lefschetz_props import harness
 
     below = SearchSpec(3, 5, 0, theorem1_bound(3, 5) - 1)
-    pairs = list(_scan_masks(below, _support_rows(3, 5, 1)[0]))
+    check = _check(3, 5)
+    pairs = list(_scan_masks(below, check))
     assert len(pairs) == 38918
     for mask, certified in pairs:
         _, hfs = support_quotient(3, 5, mask)
         expected = sum(a * b for a, b in zip(hfs, hfs[1:]))
-        assert harness._decide_mask(3, 5, mask, "wlp", {}, certified) == expected, mask
+        assert harness._decide_mask(check, mask, certified) == expected, mask
 
 
 def test_a_certified_mask_never_ranks_its_rows(monkeypatch):
     from lefschetz_props import harness
 
     certified_masks, ranked = [], []
-    decide, independent = harness._decide_mask, harness.support_rows_independent
+    decide, independent = harness._decide_mask, harness._mask_rows_independent
 
-    def decide_mask(n, d, mask, key, args, certified=False):
+    def decide_mask(check, mask, certified):
         if certified:
-            certified_masks.append((d, mask))
-        return decide(n, d, mask, key, args, certified)
+            certified_masks.append(mask)
+        return decide(check, mask, certified)
 
-    def rows_independent(n, d, i, mask):
-        ranked.append((d, mask))
-        return independent(n, d, i, mask)
+    def rows_independent(packed, rows, mask, ncols):
+        ranked.append(mask)
+        return independent(packed, rows, mask, ncols)
 
     monkeypatch.setattr(harness, "_decide_mask", decide_mask)
-    monkeypatch.setattr(harness, "support_rows_independent", rows_independent)
+    monkeypatch.setattr(harness, "_mask_rows_independent", rows_independent)
     for campaign in (lambda: verify_thm1(4, 3), lambda: verify_thm2(4, 3, 2)):
         certified_masks[:], ranked[:] = [], []
         assert campaign().confirmed
@@ -920,10 +972,10 @@ def _thm1_3_5_costs() -> tuple:
     from lefschetz_props import harness
 
     spec = SearchSpec(3, 5, 0, theorem1_bound(3, 5) - 1)
-    rows = _support_rows(3, 5, 1)[0]
+    check = _check(3, 5)
     return tuple(
-        (mask.bit_count(), harness._decide_mask(3, 5, mask, "wlp", {}, certified))
-        for mask, certified in _scan_masks(spec, rows)
+        (mask.bit_count(), harness._decide_mask(check, mask, certified))
+        for mask, certified in _scan_masks(spec, check)
     )
 
 
@@ -980,9 +1032,9 @@ def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
     decided = []
     decide = harness._decide_mask
 
-    def counting(n, d, mask, key, args, certified=False):
+    def counting(check, mask, certified):
         decided.append(mask)
-        return decide(n, d, mask, key, args, certified)
+        return decide(check, mask, certified)
 
     monkeypatch.setattr(harness, "_decide_mask", counting)
     for over, forked in ((5, []), (6, [2, 3])):
@@ -999,10 +1051,16 @@ def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
 def test_split_scan_reports_every_failure_in_order(forks):
     from lefschetz_props import harness
 
+    check = _check(4, 3)
+    order = [mask for mask, _ in _scan_masks(SearchSpec(4, 3, 0, 16), check)]
+    mask_of = {tuple(ideal_from_mask(4, 3, mask).generator_strings()): mask for mask in order}
+
     def scan(threads, **budgets):
         spec = SearchSpec(4, 3, 0, 16, threads=threads, **budgets)
-        examined, cost, failures, partial = harness._scan_expected_pass(spec, "wlp", {})
-        return examined, cost, [(mask, rep.to_dict()) for mask, rep in failures], partial
+        report = VerificationReport("thm1", {}, False)
+        cost = harness._scan_expected_pass(report, spec, check)
+        failures = [(mask_of[tuple(w["generators"])], w) for w in report.failures]
+        return report.examined, cost, failures, report.partial
 
     def ordered(masks):
         return sorted(masks, key=lambda mask: (mask.bit_count(), mask))
@@ -1011,8 +1069,6 @@ def test_split_scan_reports_every_failure_in_order(forks):
     # an entry budget on its 513th mask; and stopped on a failing mask,
     # whose failure is reported.  Failures are listed by popcount, then
     # mask, whatever the scan order.
-    rows = _support_rows(4, 3, 1)[0]
-    order = [mask for mask, _ in _scan_masks(SearchSpec(4, 3, 0, 16), rows)]
     whole = scan(1)
     assert whole[0] == len(order) == 3044 and len(whole[2]) == 357
     failed = {mask for mask, _ in whole[2]}
@@ -1055,18 +1111,23 @@ def test_first_failure_window_tests_no_mask_past_its_witness(monkeypatch):
         tested.append(mask)
         return canonical(mask, tables)
 
-    def recording(spec, key, args, first=False):
-        start = len(tested)
-        result = scan(spec, key, args, first)
-        if first:
-            scans.append((spec, tested[start:], result))
-        return result
+    def recording(report, spec, check):
+        start, examined = len(tested), report.examined
+        cost = scan(report, spec, check)
+        if spec.hf_min:
+            scans.append((spec, tested[start:], report.examined - examined,
+                          report.witnesses[:], report.partial))
+        return cost
 
     monkeypatch.setattr(harness, "_is_canonical", counting)
     monkeypatch.setattr(harness, "_scan_expected_pass", recording)
     assert verify_thm1(3, 5, threads=2).confirmed
-    [(at, window, (examined, _, [(witness, _)], partial))] = scans
+    [(at, window, examined, [record], partial)] = scans
     assert (at.hf_min, at.hf_max, at.threads) == (12, 12, 2) and not partial
+    witness = next(
+        mask for mask in window
+        if ideal_from_mask(3, 5, mask).generator_strings() == record["generators"]
+    )
     level = [mask for mask in range(1 << 18) if mask.bit_count() == 12]
     assert len(level) == 18564
     assert window == level[:len(window)]
@@ -1328,3 +1389,23 @@ def test_wiebe_rejects_bad_arguments_before_drawing(monkeypatch, kwargs):
     args = {"n": 3, "degrees": (2, 3), "samples": 4, "seed": 1, "trials": 3}
     with pytest.raises(ValueError):
         wiebe_initial_ideal_check(**{**args, **kwargs})
+
+
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "campaign_bench" / "reference.json"
+
+
+@pytest.mark.parametrize("entry, seed, campaign, kwargs", [
+    ("thm1-3-5", "any", verify_thm1, {"n": 3, "d": 5, "threads": 1}),
+    ("thm1-3-5", "any", verify_thm1, {"n": 3, "d": 5, "threads": 2}),
+    ("crosscheck-3-4", "0", crosscheck_lemmas, {"n": 3, "d": 4, "sample": 2048, "seed": 0}),
+    ("crosscheck-3-4", "63", crosscheck_lemmas, {"n": 3, "d": 4, "sample": 2048, "seed": 63}),
+    ("wiebe-forms", "any", wiebe_initial_ideal_check,
+     {"n": 3, "degrees": (2, 3), "samples": 100, "seed": 1}),
+], ids=["thm1-3-5", "thm1-3-5-par", "crosscheck-3-4-seed-0", "crosscheck-3-4-seed-63",
+        "wiebe-forms"])
+def test_benchmark_calls_keep_their_recorded_verdicts(entry, seed, campaign, kwargs):
+    # the benchmark's calls against the verdicts it records, so a changed
+    # report fails here before the benchmark runs
+    expected = json.loads(BENCH_REFERENCE.read_text())[entry][seed]
+    got = json.loads(json.dumps(campaign(**kwargs).to_dict(include_timing=False)))
+    assert {field: got[field] for field in expected} == expected
