@@ -165,7 +165,7 @@ def _config_value(key: str, value: str):
 def _apply_config(args) -> None:
     """Fill each flag left unset from the config file.  A key goes to the
     subcommand's own flag: ``budget`` is the ideal budget of verify-thm1/2
-    and the mask budget of verify-thm37.  A key the subcommand has no flag
+    and the row-set budget of verify-thm37.  A key the subcommand has no flag
     for, or a value that does not parse, is a usage error at its line."""
     if not getattr(args, "config", None):
         return

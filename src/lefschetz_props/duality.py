@@ -8,7 +8,9 @@ expands through multinomials.  All coefficients are exact rationals.
 is the transpose of multiplication by ell^i into degree d up to invertible
 factorial scalings; so the smallest support of a dual element it kills is
 the girth of the rows of that multiplication map, which
-``harness.min_kernel_support`` searches on the campaigns' orderly tree.
+``harness.min_kernel_support`` finds by ranking only the row sets that
+touch each of their columns at least twice, the only ones that can be
+dependent.
 """
 
 from __future__ import annotations

@@ -59,10 +59,10 @@ decides every mask itself, in the order it would without workers.
 Failures are listed by popcount, then mask, so no report depends on the
 number of threads, and no complete one on the scan order.
 
-``min_kernel_support`` (behind ``verify_thm37``) walks the same tree, with
-branch and bound, over the rows of ell^i: S_{d-i} -> S_d on an ideal's
-degree-d standard monomials, and tests its uncertified masks as a
-campaign does.
+``min_kernel_support`` (behind ``verify_thm37``) finds the girth of the
+rows of ell^i: S_{d-i} -> S_d on an ideal's degree-d standard monomials
+by a search of its own, which ranks only the row sets that can be
+dependent.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ import time
 from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, islice, permutations
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from ._ranks_py import _packed_rows
@@ -177,15 +177,15 @@ class _SymmetryTables(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _symmetry_tables(n: int, d: int, positions: tuple[int, ...]) -> _SymmetryTables:
-    """Byte lookup tables (``byte_or_tables``) of the images of a mask over
-    the degree-d monomials at ``positions`` (a campaign's are the
-    ``support_positions``) under the P permutations of the variables that
-    move one of its m bits, packed into one int.  Mask bit b goes to lane
-    k's bit sigma_k(b), so the packed images of a mask are the OR of the
-    entries of its bytes.  The support tables hold 256 ceil(m/8) ints of
+def _symmetry_tables(n: int, d: int) -> _SymmetryTables:
+    """Byte lookup tables (``byte_or_tables``) of the images of a support
+    mask over the m ``support_positions`` under the P permutations of the
+    variables that move one of its bits, packed into one int.  Mask bit b
+    goes to lane k's bit sigma_k(b), so the packed images of a mask are the
+    OR of the entries of its bytes.  They hold 256 ceil(m/8) ints of
     P(m+1) bits: at (4, 4) 1,024 ints of 736 bits, at (6, 3) 1,792 ints of
     36,669 bits (8 MiB)."""
+    positions = support_positions(n, d)
     basis = monomial_basis(n, d)
     index = basis_index(n, d)
     bit_of = {g: p for p, g in enumerate(positions)}
@@ -240,7 +240,7 @@ def _is_canonical(mask: int, tables: _SymmetryTables) -> int | None:
     return top
 
 
-def _orderly_walk(m: int, depth: int, tables, rows=None, charge=None):
+def _orderly_walk(m: int, depth: int, tables, rows=None):
     """Every orbit of masks over m bits up to popcount ``depth``, one node
     of the orderly tree each (Read, Ann. Discrete Math. 1978; McKay,
     J. Algorithms 1998), in preorder, yielded as minimum << 1 | certified.
@@ -251,11 +251,8 @@ def _orderly_walk(m: int, depth: int, tables, rows=None, charge=None):
     extensions by one bit below its lowest set bit whose complement passes
     ``_is_canonical``, whose one pass also gives the child's orbit minimum.
     They are walked largest new bit first, each with its subtree, so the
-    walk holds one path: at most m pending siblings per depth.
-    ``charge``, if given, is called with the number of extensions of a
-    node before any is tested.  Sending a limit right after a node
-    (``send`` returns None) skips that node's subtree and walks no deeper
-    than the limit from then on.
+    walk holds one path: at most m pending siblings per depth.  Sending a
+    value right after a node (``send`` returns None) skips its subtree.
 
     ``rows`` holds one packed GF(2) row per mask bit
     (``lefschetz._support_rows``); without it nothing is certified.  Each
@@ -284,14 +281,7 @@ def _orderly_walk(m: int, depth: int, tables, rows=None, charge=None):
             x = ~x
             parent = maxima.pop()
             basis = bases.pop()
-        limit = yield x
-        if limit is not None:
-            depth = limit
-            # the popcounts on the stack rise from the bottom
-            while stack and (max(stack[-1], ~stack[-1]) >> 1).bit_count() > depth:
-                if stack.pop() < 0:
-                    maxima.pop()
-                    bases.pop()
+        if (yield x) is not None:
             yield
             continue
         if parent is None:
@@ -300,8 +290,6 @@ def _orderly_walk(m: int, depth: int, tables, rows=None, charge=None):
         low = (parent & -parent or 1 << m).bit_length() - 1
         if size >= depth or not low:
             continue
-        if charge:
-            charge(low)
         inner = size + 1 < depth
         for b in range(low):
             child = parent | 1 << b
@@ -332,9 +320,8 @@ def _orderly_walk(m: int, depth: int, tables, rows=None, charge=None):
 
 def _window_tables(spec: SearchSpec):
     """The window's mask width m and its symmetry tables (None without)."""
-    positions = support_positions(spec.n, spec.d)
-    tables = _symmetry_tables(spec.n, spec.d, positions) if spec.symmetry else None
-    return len(positions), tables
+    tables = _symmetry_tables(spec.n, spec.d) if spec.symmetry else None
+    return len(support_positions(spec.n, spec.d)), tables
 
 
 def iter_support_masks(spec: SearchSpec):
@@ -550,7 +537,7 @@ def _dealt_subtrees(spec, m, tables, check, split, w, workers):
             skip = workers - 1
         elif size == split:
             skip -= 1
-            walk.send(spec.hf_max)  # another worker's: skip its subtree
+            walk.send(True)  # another worker's: skip its subtree
     if mine:
         yield -1
 
@@ -793,49 +780,61 @@ def min_kernel_support(
 
     x^c o y^a = (a!/(a-c)!) y^(a-c), so the contraction matrix is the
     transpose of multiplication by ell^i into degree d with row a scaled by
-    a! and column b by 1/b!, and the answer is the smallest popcount of a
-    mask of dependent rows of that map.  One branch-and-bound pass over the
-    orderly tree (``_orderly_walk``) finds it: dependence is closed upward,
-    so a dependent mask ends its subtree and lowers the depth of the rest
-    of the walk to its popcount - 1.  On an ideal that every permutation of
-    the variables fixes, the tree has one mask per orbit if n <= 5 and its
-    tables (4 ceil(m/8) (n!-1)(m+1) words for m rows) fit in ``budget``: at
-    six and seven variables measured searches ran faster without them.
-    Any other search walks every subset.  ``budget`` counts the one-bit
-    extensions the walk tests (for canonicity, on the tree of orbits), a
-    node's before any of them is tested.
+    a! and column b by 1/b!, and the answer is the girth of that map's rows,
+    the fewest dependent ones.  Their support touches each of its columns
+    at least twice (a stopping set; Di et al., IEEE Trans. Inf. Theory
+    2002) and is connected through shared columns.  So the search grows
+    each row set from its smallest row (after Rosnes and Ytrehus, IEEE
+    Trans. Inf. Theory 2009): while a column is touched once, by each row
+    that touches the one with the fewest such rows; else it ranks the
+    stopping set (``_mask_rows_independent``), which lowers the bound to
+    its size - 1 if dependent and grows by each row that shares one of its
+    columns if not.  Each branch excludes the rows its earlier siblings
+    took, so no set is reached twice.  ``budget`` counts the sets reached,
+    each before it is handled.
     """
+    if I.n < 1:
+        raise ValueError("need n >= 1")
     if not 1 <= i <= d:
         raise ValueError("need 1 <= i <= d")
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    rows, nrows, ncols, _ = _build_monomial_rows(I, ones_form(I.n), i, d - i)
-    if bound < 1 or bound > nrows:
+    nrows = len(I.standard_indices(d))
+    if not nrows:
+        raise ValueError(f"R_{d} is zero: every monomial of degree {d} is in the ideal")
+    if not 1 <= bound <= nrows:
         raise ValueError(f"bound must lie in 1..{nrows}")
+    rows, _, ncols, _ = _build_monomial_rows(I, ones_form(I.n), i, d - i)
     packed = _packed_rows(rows)
-    gens = set(I.generators)
-    words = 4 * -(-nrows // 8) * (factorial(I.n) - 1) * (nrows + 1)
-    symmetric = I.n <= 5 and words <= budget and all(
-        {tuple(g[s] for s in sigma) for g in gens} == gens
-        for sigma in permutations(range(I.n))
-    )
-    tables = _symmetry_tables(I.n, d, I.standard_indices(d)) if symmetric else None
-    tested = 0
-
-    def charge(masks: int) -> None:
-        nonlocal tested
-        tested += masks
-        if tested > budget:
-            raise BudgetExceededError(
-                f"minimal-support search exceeded {budget} masks tested"
-            )
-
-    walk = _orderly_walk(nrows, bound, tables, packed, charge)
+    touches = [sum(1 << c for c, e in enumerate(row) if e) for row in rows]
+    touched_by = [sum(1 << r for r, t in enumerate(touches) if t >> c & 1) for c in range(ncols)]
     found = None
-    for x in walk:
-        if not x & 1 and not _mask_rows_independent(packed, rows, x >> 1, ncols):
-            found = (x >> 1).bit_count()
-            walk.send(found - 1)
+    reached = 0
+    # a set: its rows, the columns they touch once and twice or more, and
+    # the rows no branch from it may take: its own and those below its anchor
+    stack = [(1 << a, touches[a], 0, (2 << a) - 1) for a in reversed(range(nrows))]
+    while stack:
+        taken, once, twice, excluded = stack.pop()
+        size = taken.bit_count()
+        if size > bound:
+            continue  # pushed before a dependent set lowered the bound
+        reached += 1
+        if reached > budget:
+            raise BudgetExceededError(f"minimal-support search exceeded {budget} row sets")
+        if not once and not _mask_rows_independent(packed, rows, taken, ncols):
+            found, bound = size, size - 1
+            continue
+        if size == bound:
+            continue
+        # grow by the free rows of the once-touched column with the fewest, or of any
+        free = [touched_by[c] & ~excluded for c in range(ncols) if (once or twice) >> c & 1]
+        branch = min(free, key=int.bit_count) if once else reduce(int.__or__, free, 0)
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            excluded |= low
+            t = touches[low.bit_length() - 1]
+            stack.append((taken | low, (once ^ t) & ~twice, twice | once & t, excluded))
     return found
 
 

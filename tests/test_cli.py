@@ -145,8 +145,9 @@ def test_minsupport_budget_exit(capsys):
 
 
 def test_support_searches_refuse_bad_arguments_before_searching(capsys, monkeypatch):
-    # usage errors (exit 2), not budget stops (exit 3): two variables, which
-    # the witness of verify-thm37 cannot have, and negative budgets
+    # usage errors (exit 2), not budget stops (exit 3), each naming its
+    # problem: two variables, which the witness of verify-thm37 cannot have,
+    # negative budgets, no variables, and a degree whose R_d is zero
     from lefschetz_props import harness
 
     def search(*args, **kwargs):
@@ -158,6 +159,12 @@ def test_support_searches_refuse_bad_arguments_before_searching(capsys, monkeypa
     assert run(["minsupport", "--n", "3", "--d", "4", "--i", "2", "--bound", "4",
                 "--budget", "-5"]) == 2
     assert "budget must be non-negative" in capsys.readouterr().err
+    for n in ("0", "-1"):
+        assert run(["minsupport", "--n", n, "--d", "4", "--i", "2", "--bound", "4"]) == 2
+        assert "need n >= 1" in capsys.readouterr().err
+    assert run(["minsupport", "--gens", "x1^2,x2^2,x3^2", "--d", "5", "--i", "1",
+                "--bound", "1"]) == 2
+    assert "R_5 is zero" in capsys.readouterr().err
 
 
 def test_crosscheck_all_masks_budget_exit(capsys):
@@ -281,12 +288,12 @@ def test_config_symmetry_switch(capsys, tmp_path):
 def test_config_budget_goes_to_each_subcommands_budget(capsys, tmp_path):
     conf = tmp_path / "budget.cfg"
     conf.write_text("budget = 5\n")
-    # the mask budget of the minimal-support search, as --budget 5 is
+    # the row-set budget of the minimal-support search, as --budget 5 is
     thm37 = ["verify-thm37", "--n", "3", "--d", "5", "--i", "2"]
     for extra in (["--config", str(conf)], ["--budget", "5"]):
         assert run(thm37 + extra) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "exceeded 5 masks" in captured.err
+        assert captured.out == "" and "exceeded 5 row sets" in captured.err
     # the ideal budget of a bound campaign, as --budget-ideals 5 is
     code, payload = invoke_json(
         capsys, "verify-thm1", "--n", "3", "--d", "4", "--config", str(conf), "--no-timestamp"

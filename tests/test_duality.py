@@ -153,7 +153,7 @@ def test_min_kernel_support_bound_validation():
         min_kernel_support(MonomialIdeal(3, []), 3, 2, bound=3, budget=-1)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
 def test_min_support_grid_matches_bound(d):
     # over the full dual space the minimum is d-i+2 (power below the degree)
     # and 2 at the degree itself
@@ -173,7 +173,9 @@ def test_min_support_grid_degree_six(i):
     assert min_kernel_support(zero, 6, i, bound=expected - 1) is None
 
 
-@pytest.mark.parametrize("n, d", [(3, 3), (3, 4), (4, 3)])
+@pytest.mark.parametrize(
+    "n, d", [(3, 3), (3, 4), (4, 3), (3, 5), (3, 6), (4, 4), (4, 5), (5, 3)]
+)
 def test_theorem1_bound_is_the_complete_intersection_girth(n, d):
     # cross-oracle: the Theorem 1 bound, written down from the paper, equals
     # the smallest dependent row set of multiplication by the all-ones form
@@ -200,7 +202,9 @@ def brute_min_support(I, d, i, bound):
 
 def support_search_cases():
     zero = MonomialIdeal(3, [])
-    cases = [(zero, d) for d in range(1, 6)]
+    # an ideal that no transposition of the variables fixes
+    asymmetric = ideal_from_mask(3, 4, 0b000011111111)
+    cases = [(zero, d) for d in range(1, 6)] + [(asymmetric, 4)]
     rng = random.Random(37)
     for n, d in ((3, 3), (3, 4), (4, 3)):
         for _ in range(4):
@@ -209,82 +213,68 @@ def support_search_cases():
     return cases
 
 
-def test_min_kernel_support_matches_brute_force(monkeypatch):
+def test_min_kernel_support_matches_brute_force():
     # every power and every bound up to 4 (the whole piece when smaller), on
-    # the zero ideal and seeded support ideals, against column subsets of
-    # the contraction matrix itself; and the complete intersection's girth
-    # 4 at i = 2 below a bound of 5, found with the depth lowered.  Then
-    # again without symmetry tables, so the symmetric ideals walk every
-    # subset too.
-    from lefschetz_props import harness
-
+    # the zero ideal, an asymmetric support ideal and seeded ones, against
+    # column subsets of the contraction matrix itself; and the complete
+    # intersection's girth 4 at i = 2 below a bound of 5, found with the
+    # bound lowered
     ci = monomial_complete_intersection(3, 4)
     assert brute_min_support(ci, 4, 2, 5) == 4
-    cases = support_search_cases()
-    for symmetry in (True, False):
-        if not symmetry:
-            monkeypatch.setattr(harness, "_symmetry_tables", lambda *key: None)
-        assert min_kernel_support(ci, 4, 2, 5) == 4
-        for I, d in cases:
-            top = min(I.hf(d), 4)
-            for i in range(1, d + 1):
-                want = brute_min_support(I, d, i, top)
-                for bound in range(1, top + 1):
-                    expected = want if want is not None and want <= bound else None
-                    assert min_kernel_support(I, d, i, bound) == expected, (I, d, i, bound)
+    assert min_kernel_support(ci, 4, 2, 5) == 4
+    for I, d in support_search_cases():
+        top = min(I.hf(d), 4)
+        for i in range(1, d + 1):
+            want = brute_min_support(I, d, i, top)
+            for bound in range(1, top + 1):
+                expected = want if want is not None and want <= bound else None
+                assert min_kernel_support(I, d, i, bound) == expected, (I, d, i, bound)
 
 
-def test_min_support_walks_the_orderly_tree_only_for_a_symmetric_ideal(monkeypatch):
-    # an ideal that every permutation of the variables fixes (here the
-    # complete intersection) is searched one orbit at a time on the orderly
-    # tree, which tests canonicity; any other ideal walks every subset and
-    # never does; both agree with the brute-force oracle
+def test_min_support_budget_stops_before_the_set_past_it(monkeypatch):
+    # the budget counts the row sets the search reaches, each before it is
+    # handled: a budget of exactly the sets reached finds the girth with
+    # the same stopping sets ranked, and one set short it raises; a search
+    # stopped by a budget of b has ranked a prefix of those stopping sets,
+    # at most b of them and at most one more than with b - 1
     from lefschetz_props import harness
 
-    tested = []
-    canonical = harness._is_canonical
+    ranked = []
+    independent = harness._mask_rows_independent
 
-    def spy(mask, tables):
-        tested.append(mask)
-        return canonical(mask, tables)
+    def spy(packed, rows, mask, ncols):
+        ranked.append(mask)
+        return independent(packed, rows, mask, ncols)
 
-    monkeypatch.setattr(harness, "_is_canonical", spy)
-    symmetric = monomial_complete_intersection(3, 4)
-    other = ideal_from_mask(3, 4, 0b000011111111)
-    for I, walked in ((symmetric, True), (other, False)):
-        tested.clear()
-        want = brute_min_support(I, 4, 2, 5)
-        assert want == 4
-        assert min_kernel_support(I, 4, 2, 5) == want
-        assert bool(tested) == walked
-
-
-def test_min_support_budget_stops_the_orderly_walk_before_a_sibling_group(monkeypatch):
-    # the budget counts every canonicity test of the orderly walk, a node's
-    # children at a time before any of them is tested: a budget of exactly
-    # the tests the search makes finds the answer with that many tests; one
-    # test short, the walk stops before the last node's children, at most
-    # the 21 rows of degree 5 short of the whole search
-    from lefschetz_props import harness
-
-    tested = []
-    canonical = harness._is_canonical
-
-    def spy(mask, tables):
-        tested.append(mask)
-        return canonical(mask, tables)
-
-    monkeypatch.setattr(harness, "_is_canonical", spy)
+    monkeypatch.setattr(harness, "_mask_rows_independent", spy)
     zero = MonomialIdeal(3, [])
-    assert min_kernel_support(zero, 5, 1, bound=6) == 6
-    needed = len(tested)
-    tested.clear()
-    assert min_kernel_support(zero, 5, 1, bound=6, budget=needed) == 6
-    assert len(tested) == needed
-    tested.clear()
-    with pytest.raises(BudgetExceededError):
-        min_kernel_support(zero, 5, 1, bound=6, budget=needed - 1)
-    assert needed - 21 <= len(tested) < needed
+    counts = {}
+    for d, i, bound, girth in ((1, 1, 2, 2), (5, 1, 6, 6), (5, 2, 5, 5)):
+        ranked.clear()
+        assert min_kernel_support(zero, d, i, bound) == girth
+        everything = list(ranked)
+        stopped = []  # what each budget that stops the search ranked
+        while True:
+            ranked.clear()
+            try:
+                found = min_kernel_support(zero, d, i, bound, budget=len(stopped))
+            except BudgetExceededError:
+                stopped.append(list(ranked))
+                continue
+            break
+        needed = len(stopped)  # the sets the search reaches
+        assert found == girth and ranked == everything and needed > len(everything)
+        assert len(set(everything)) == len(everything)  # no set reached twice
+        for budget, prefix in enumerate(stopped):
+            assert prefix == everything[:len(prefix)] and len(prefix) <= budget
+        counts[d, i] = [len(prefix) for prefix in stopped] + [len(everything)]
+        assert all(0 <= b - a <= 1 for a, b in zip(counts[d, i], counts[d, i][1:]))
+    # x1, x2, x3 on the one column of degree 0: the search reaches {x1},
+    # then a pair with x1, a stopping set that is dependent, then {x2} and
+    # {x3}; a budget of 1 stops before the pair is ranked
+    assert counts[1, 1] == [0, 0, 1, 1, 1]
+    assert counts[5, 2][-1] == 20
+
 
 def test_rank_duality_on_brenner_kaid():
     bk = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])

@@ -36,7 +36,6 @@ from lefschetz_props.ideals import (
     MonomialIdeal,
     hilbert_function,
     socle_degree,
-    support_positions,
     support_quotient,
 )
 from lefschetz_props.lefschetz import (
@@ -84,7 +83,7 @@ def test_symmetry_orbit_counts():
     # image read from its own lane of the packed tables
     from lefschetz_props.harness import _symmetry_tables
 
-    per_byte, ones, guards, full, width = _symmetry_tables(3, 3, support_positions(3, 3))
+    per_byte, ones, guards, full, width = _symmetry_tables(3, 3)
     assert (len(per_byte), full, width) == (1, 127, 8)  # 7 mixed monomials
     # every permutation of three variables but the identity, one lane each
     assert ones == sum(1 << 8 * k for k in range(5)) and guards == ones << 7
@@ -150,7 +149,7 @@ def test_packed_canonicity_matches_every_image_on_every_mask(n, d):
 
     maps = _moving_permutations(n, d)
     m = len(maps[0])
-    tables = _symmetry_tables(n, d, support_positions(n, d))
+    tables = _symmetry_tables(n, d)
     assert tables.ones.bit_count() == len(maps) and tables.width == m + 1
     images = [[0] * (1 << m) for _ in maps]
     for image, t in zip(images, maps):
@@ -172,7 +171,7 @@ def test_packed_canonicity_matches_every_image_on_a_sample(n, d, sample):
 
     maps = _moving_permutations(n, d)
     m = len(maps[0])
-    tables = _symmetry_tables(n, d, support_positions(n, d))
+    tables = _symmetry_tables(n, d)
     assert tables.ones.bit_count() == len(maps) and tables.width == m + 1
     rng = random.Random(n * 10 + d)
     accepted = 0
@@ -533,9 +532,8 @@ def test_verify_thm37_validates_before_searching(monkeypatch):
 
 
 def test_verify_thm37_streams_from_six_variables(monkeypatch):
-    # from six variables on the search streams its masks and builds no
-    # symmetry tables (n! - 1 lanes: at (8, 3) they would take gigabytes);
-    # each search answers in a fraction of a second
+    # the search builds no symmetry tables (n! - 1 lanes: at (8, 3) they
+    # would take gigabytes); each search answers in a fraction of a second
     from lefschetz_props import harness
 
     def tables(*args):
@@ -1132,7 +1130,7 @@ def test_first_failure_window_tests_no_mask_past_its_witness(monkeypatch):
     assert len(level) == 18564
     assert window == level[:len(window)]
     assert len(window) <= level.index(witness) + 2
-    tables = harness._symmetry_tables(3, 5, support_positions(3, 5))
+    tables = harness._symmetry_tables(3, 5)
     assert examined == sum(
         canonical(mask, tables) is not None for mask in level[:level.index(witness) + 1]
     )
