@@ -4,17 +4,20 @@ verification campaigns for the sharp Hilbert-function bounds.
 Enumeration is keyed on dual supports: an equigenerated artinian ideal in
 degree d is the complement of a subset T of the non-pure-power degree-d
 monomials (the pure powers are forced by artinianness), and HF(R, d) = |T|.
-Supports are bitmasks, optionally reduced to canonical representatives
+Supports are bitmasks, optionally reduced to one representative per orbit
 under variable permutations; both Lefschetz properties are
 permutation-invariant, so campaign conclusions are unchanged by the
-reduction.  A mask is canonical when no permutation image is smaller: one
-byte lookup per mask byte gives every image at once, packed into the lanes
-of one int, and one subtraction compares them all with the mask.  The
-below-bound window of a campaign starts at the empty mask and is walked
-depth first on the orderly tree (one node per orbit, or per subset without
-symmetry), in preorder, holding only the path it is on.  Windows that
-start higher (the at-bound and searched-witness windows, which stop at
-their first failure) stream every mask of each popcount, ascending.
+reduction.  A mask is the smallest of its orbit when no permutation image
+is smaller: one byte lookup per mask byte gives every image at once,
+packed into the lanes of one int, and one subtraction compares them all
+with the mask.  The below-bound window of a campaign starts at the empty
+mask and is walked depth first on the orderly tree (one node per orbit,
+its largest mask, or per subset without symmetry), in preorder, holding
+only the path it is on.  Windows that start higher (the at-bound and
+searched-witness windows, which stop at their first failure) stream the
+smallest mask of each orbit, by popcount, then ascending.  So a sweep
+records a failure under its orbit's largest mask, a witness search under
+its smallest.
 
 A campaign runs one check, a value built once per (n, d, key, i)
 (``_mask_decider``) that every scan function takes: the key that
@@ -172,19 +175,17 @@ class _SymmetryTables(NamedTuple):
     per_byte: tuple[tuple[int, ...], ...]  # byte k, value v -> packed images
     ones: int                              # bit 0 of every lane
     guards: int                            # bit m of every lane
-    full: int                              # the m bits of one lane
-    width: int                             # m + 1
 
 
 @lru_cache(maxsize=None)
 def _symmetry_tables(n: int, d: int) -> _SymmetryTables:
     """Byte lookup tables (``byte_or_tables``) of the images of a support
     mask over the m ``support_positions`` under the P permutations of the
-    variables that move one of its bits, packed into one int.  Mask bit b
-    goes to lane k's bit sigma_k(b), so the packed images of a mask are the
-    OR of the entries of its bytes.  They hold 256 ceil(m/8) ints of
-    P(m+1) bits: at (4, 4) 1,024 ints of 736 bits, at (6, 3) 1,792 ints of
-    36,669 bits (8 MiB)."""
+    variables that move one of its bits, packed into one int, for
+    ``_is_canonical``.  Mask bit b goes to lane k's bit sigma_k(b), so the
+    packed images of a mask are the OR of the entries of its bytes.  They
+    hold 256 ceil(m/8) ints of P(m+1) bits: at (4, 4) 1,024 ints of 736
+    bits, at (6, 3) 1,792 ints of 36,669 bits (8 MiB)."""
     positions = support_positions(n, d)
     basis = monomial_basis(n, d)
     index = basis_index(n, d)
@@ -202,90 +203,76 @@ def _symmetry_tables(n: int, d: int) -> _SymmetryTables:
             bit_images[b] |= 1 << lane * width + t
         lane += 1
     ones = sum(1 << k * width for k in range(lane))
-    return _SymmetryTables(
-        byte_or_tables(bit_images), ones, ones << m, (1 << m) - 1, width
-    )
+    return _SymmetryTables(byte_or_tables(bit_images), ones, ones << m)
 
 
-def _is_canonical(mask: int, tables: _SymmetryTables) -> int | None:
-    """The largest permutation image (``_symmetry_tables``) of the mask when
-    no image is smaller than the mask itself, that is, when the mask is the
-    smallest of its orbit; else None.
+def _is_canonical(mask: int, tables: _SymmetryTables) -> bool:
+    """Whether no permutation image (``_symmetry_tables``) of the mask is
+    smaller than the mask itself, that is, whether the mask is the smallest
+    of its orbit.
 
     One pass over the mask's bytes gives every image, and one subtraction
     compares them all with the mask (SWAR, Knuth, TAOCP 4A, 7.1.3): with
     every guard bit set, lane k of the packed images minus the mask in
     every lane is 2^m + image_k - mask, which stays in its lane and keeps
     its guard bit exactly when image_k >= mask.  So some image is smaller
-    exactly when a guard bit is cleared.  Only a mask that passes scans the
-    lanes for the largest image.
-
-    Images of a complement are the complements of the images, so the mask's
-    complement is then the largest of its orbit, and the complement of the
-    returned image is the smallest image of that complement."""
-    per_byte, ones, guards, full, width = tables
+    exactly when a guard bit is cleared.  Images of a complement are the
+    complements of the images, so a mask is the largest of its orbit
+    exactly when its complement passes."""
+    per_byte, ones, guards = tables
     images = 0
     rest = mask
     for table in per_byte:
         images |= table[rest & 255]
         rest >>= 8
-    if ((images | guards) - mask * ones) & guards != guards:
-        return None
-    top = mask
-    while images:
-        image = images & full
-        if image > top:
-            top = image
-        images >>= width
-    return top
+    return ((images | guards) - mask * ones) & guards == guards
 
 
-def _orderly_walk(m: int, depth: int, tables, rows=None):
+def _orderly_walk(m: int, depth: int, tables, rows):
     """Every orbit of masks over m bits up to popcount ``depth``, one node
     of the orderly tree each (Read, Ann. Discrete Math. 1978; McKay,
-    J. Algorithms 1998), in preorder, yielded as minimum << 1 | certified.
+    J. Algorithms 1998), in preorder, yielded as mask << 1 | certified.
     ``tables`` None is the trivial group: every subset is a node.
 
-    The nodes are the orbit maxima.  Removing the lowest bit of an orbit
-    maximum leaves an orbit maximum, so the children of a node p are its
-    extensions by one bit below its lowest set bit whose complement passes
-    ``_is_canonical``, whose one pass also gives the child's orbit minimum.
-    They are walked largest new bit first, each with its subtree, so the
-    walk holds one path: at most m pending siblings per depth.  Sending a
-    value right after a node (``send`` returns None) skips its subtree.
+    The nodes are the orbit maxima, and the walk yields them as they are.
+    Removing the lowest bit of an orbit maximum leaves an orbit maximum, so
+    the children of a node p are its extensions by one bit below its
+    lowest set bit whose complement passes ``_is_canonical``.  They are
+    walked largest new bit first, each with its subtree, so the walk holds
+    one path: at most m pending siblings per depth.  Sending a value right
+    after a node (``send`` returns None) skips its subtree.
 
     ``rows`` holds one packed GF(2) row per mask bit
-    (``lefschetz._support_rows``); without it nothing is certified.  Each
-    node on the path whose rows are independent mod 2 keeps a GF(2)
-    echelon basis of them as one int, the basis row with leading bit p in
-    bits p*w .. p*w + w-1 for rows of width w.  A child reduces the row of
-    its new bit against its parent's basis; a remainder that reaches an
-    empty slot certifies the child's rows independent mod 2, hence over Q,
-    and fills that slot of its basis.  A permutation of the variables
-    permutes the rows and the columns of multiplication by ell^i on any
-    ideal it fixes, so the certificate holds for the whole orbit.
+    (``lefschetz._support_rows``).  Each node on the path whose rows are
+    independent mod 2 keeps a GF(2) echelon basis of them as one int, the
+    basis row with leading bit p in bits p*w .. p*w + w-1 for rows of
+    width w.  A child reduces the row of its new bit against its parent's
+    basis; a remainder that reaches an empty slot certifies the child's
+    rows independent mod 2, hence over Q, and fills that slot of its
+    basis.  A permutation of the variables permutes the rows and the
+    columns of multiplication by ell^i on any ideal it fixes, so the
+    certificate holds for the whole orbit.
     """
     full = (1 << m) - 1
-    width = max(rows or (0,)).bit_length()
+    width = max(rows).bit_length()
     slot = (1 << width) - 1
     # Each pending node waits on the stack as its yield, or as the one's
-    # complement of it when it may have children, with its maximum and its
-    # basis on their own stacks.
-    stack = [~0 if rows is None else ~1]
-    maxima = [0]
-    bases = [None if rows is None else 0]
+    # complement of it when it may have children, with its basis on a stack
+    # of its own.
+    stack = [~1]
+    bases = [0]
     while stack:
         x = stack.pop()
-        parent = None
-        if x < 0:
+        expand = x < 0
+        if expand:
             x = ~x
-            parent = maxima.pop()
             basis = bases.pop()
         if (yield x) is not None:
             yield
             continue
-        if parent is None:
+        if not expand:
             continue
+        parent = x >> 1
         size = parent.bit_count()
         low = (parent & -parent or 1 << m).bit_length() - 1
         if size >= depth or not low:
@@ -293,13 +280,8 @@ def _orderly_walk(m: int, depth: int, tables, rows=None):
         inner = size + 1 < depth
         for b in range(low):
             child = parent | 1 << b
-            if tables is None:
-                minimum = child
-            else:
-                top = _is_canonical(full ^ child, tables)
-                if top is None:
-                    continue
-                minimum = full ^ top
+            if tables is not None and not _is_canonical(full ^ child, tables):
+                continue
             certified = 0
             v = 0 if basis is None else rows[b]
             while v:
@@ -309,10 +291,9 @@ def _orderly_walk(m: int, depth: int, tables, rows=None):
                     certified = 1
                     break
                 v ^= row
-            x = minimum << 1 | certified
+            x = child << 1 | certified
             if b and inner:
                 stack.append(~x)
-                maxima.append(child)
                 bases.append(basis | v << p * width if certified else None)
             else:
                 stack.append(x)
@@ -332,7 +313,7 @@ def iter_support_masks(spec: SearchSpec):
     for k in range(spec.hf_min, spec.hf_max + 1):
         mask = (1 << k) - 1
         while mask >> m == 0:
-            if tables is None or _is_canonical(mask, tables) is not None:
+            if tables is None or _is_canonical(mask, tables):
                 yield mask
             if not mask:
                 break
@@ -456,13 +437,13 @@ def _usable_cpus() -> int | None:
 
 def _scan_order(spec: SearchSpec, check: _Check):
     """The masks of the window in the order a scan decides them, each as
-    mask << 1 | certified by the check's critical map: the orderly walk in
-    preorder from popcount 0 (a campaign's sweep below its bound), and by
-    popcount, then ascending, from higher (``iter_support_masks``; a
-    witness search).  With ``spec.threads`` > 1, the walk is split across
-    that many forked workers, at most one per usable CPU, at the first
-    popcount with at least ``SPLIT_HELD`` masks per worker, if it reaches
-    one."""
+    mask << 1 | certified by the check's critical map: the orderly walk's
+    orbit maxima in preorder from popcount 0 (a campaign's sweep below its
+    bound), and the orbit minima by popcount, then ascending, from higher
+    (``iter_support_masks``; a witness search).  With ``spec.threads`` > 1,
+    the walk is split across that many forked workers, at most one per
+    usable CPU, at the first popcount with at least ``SPLIT_HELD`` masks per
+    worker, if it reaches one."""
     if spec.hf_min:
         return (mask << 1 for mask in iter_support_masks(spec))
     m, tables = _window_tables(spec)
@@ -608,13 +589,14 @@ def _scan_expected_pass(report, spec: SearchSpec, check: _Check) -> int:
     the report, and return the window's matrix entry cost.
 
     A window from popcount 0 is a sweep: each failure is a counterexample,
-    recorded in ``report.failures``, by (popcount, mask).  A window from
-    higher is a witness search: it stops at its first failure, a minimal-HF
-    one, recorded in ``report.witnesses``.  A failure is recorded from the
-    ``SupportIdeal`` it was checked on.  The budgets count mask by mask:
-    the scan stops, partial, right after the mask whose cost takes the
-    total over the entry budget, that mask counted, or once the ideal
-    budget is used up with masks left.  A mask the critical map leaves
+    recorded in ``report.failures`` under its orbit's largest mask, by
+    (popcount, mask).  A window from higher is a witness search: it stops
+    at its first failure, a minimal-HF one, recorded in
+    ``report.witnesses``.  A failure is recorded from the ``SupportIdeal``
+    it was checked on.  The budgets count mask by mask: the scan stops,
+    partial, right after the mask whose cost takes the total over the entry
+    budget, that mask counted, or once the ideal budget is used up with
+    masks left.  A mask the critical map leaves
     undecided (``_decide_mask``) goes through the full check
     (``_run_check``).  Adds the masks examined to ``report.examined`` and
     sets ``report.partial``.  A split sweep's parent decides every mask in
@@ -793,6 +775,11 @@ def min_kernel_support(
     took, so no set is reached twice.  ``budget`` counts the sets reached,
     each before it is handled.
     """
+    return _kernel_support_search(I, d, i, bound, budget)[0]
+
+
+def _kernel_support_search(I, d, i, bound, budget):
+    """``min_kernel_support``'s answer and the row sets its search reached."""
     if I.n < 1:
         raise ValueError("need n >= 1")
     if not 1 <= i <= d:
@@ -835,7 +822,7 @@ def min_kernel_support(
             excluded |= low
             t = touches[low.bit_length() - 1]
             stack.append((taken | low, (once ^ t) & ~twice, twice | once & t, excluded))
-    return found
+    return found, reached
 
 
 def verify_thm37(
@@ -847,7 +834,9 @@ def verify_thm37(
 ) -> VerificationReport:
     """Confirm that the minimal support of a degree-d dual element killed by
     the i-th power of the all-ones form is exactly d-i+2 over the full dual
-    space (1 <= i <= d-1), with the constructed witness achieving it."""
+    space (1 <= i <= d-1), with the constructed witness achieving it.
+    ``examined`` is the row sets the search reached, the unit ``budget``
+    counts."""
     t0 = time.perf_counter()
     if n < 3 or not 1 <= i <= d - 1:
         raise ValueError("need n >= 3 and 1 <= i <= d-1")
@@ -855,7 +844,7 @@ def verify_thm37(
     params = {"n": n, "d": d, "i": i, "budget": budget}
     report = VerificationReport("thm37", params, False, expected_bound=expected)
     zero = MonomialIdeal(n, [])
-    found = min_kernel_support(zero, d, i, bound=expected, budget=budget)
+    found, reached = _kernel_support_search(zero, d, i, expected, budget)
     f = kernel_witness(n, d, i)
     killed = ell_power_contract(f, i).is_zero()
     report.details = {
@@ -864,7 +853,7 @@ def verify_thm37(
         "witness_support_size": len(f.support),
         "witness_killed": killed,
     }
-    report.examined = basis_size(n, d)
+    report.examined = reached
     report.min_failing_hf = found
     report.confirmed = found == expected and killed and len(f.support) == expected
     report.elapsed_seconds = time.perf_counter() - t0

@@ -35,7 +35,8 @@ def _report(criterion: str, ok: bool, t0: float, detail: str = "") -> None:
 
 def test_criterion_1_theorem1_bounds():
     t0 = time.perf_counter()
-    expected = {(3, 3): 6, (3, 4): 10, (3, 5): 12, (4, 2): 4, (4, 3): 6}
+    expected = {(3, 3): 6, (3, 4): 10, (3, 5): 12, (4, 2): 4, (4, 3): 6,
+                (5, 3): 6, (6, 3): 6}
     ok = True
     details = []
     for (n, d), bound in expected.items():

@@ -83,8 +83,9 @@ def test_symmetry_orbit_counts():
     # image read from its own lane of the packed tables
     from lefschetz_props.harness import _symmetry_tables
 
-    per_byte, ones, guards, full, width = _symmetry_tables(3, 3)
-    assert (len(per_byte), full, width) == (1, 127, 8)  # 7 mixed monomials
+    per_byte, ones, guards = _symmetry_tables(3, 3)
+    full = 127  # 7 mixed monomials: one byte, lanes of 8 bits
+    assert len(per_byte) == 1
     # every permutation of three variables but the identity, one lane each
     assert ones == sum(1 << 8 * k for k in range(5)) and guards == ones << 7
     canonical = list(iter_support_masks(SearchSpec(3, 3, 0, 7, symmetry=True)))
@@ -136,21 +137,22 @@ def _image(mask, t):
 
 
 def _brute_canonical(mask, images):
-    """``_is_canonical`` from the mask's images, one per moving permutation."""
-    return None if min(images) < mask else max(images + [mask])
+    """``_is_canonical`` from the mask's images, one per moving permutation:
+    whether no image is smaller."""
+    return min(images) >= mask
 
 
 @pytest.mark.parametrize("n, d", [(3, 3), (3, 4), (4, 3)])
 def test_packed_canonicity_matches_every_image_on_every_mask(n, d):
     # the one-pass test against each permutation's image built bit by bit
-    # (each mask's from the mask without its lowest bit): the same
-    # None/accept verdict and the same largest image
+    # (each mask's from the mask without its lowest bit): the same verdict,
+    # a bool
     from lefschetz_props.harness import _is_canonical, _symmetry_tables
 
     maps = _moving_permutations(n, d)
     m = len(maps[0])
     tables = _symmetry_tables(n, d)
-    assert tables.ones.bit_count() == len(maps) and tables.width == m + 1
+    assert tables.ones.bit_count() == len(maps)
     images = [[0] * (1 << m) for _ in maps]
     for image, t in zip(images, maps):
         for mask in range(1, 1 << m):
@@ -158,8 +160,8 @@ def test_packed_canonicity_matches_every_image_on_every_mask(n, d):
     accepted = 0
     for mask in range(1 << m):
         got = _is_canonical(mask, tables)
-        assert got == _brute_canonical(mask, [image[mask] for image in images]), mask
-        accepted += got is not None
+        assert got is _brute_canonical(mask, [image[mask] for image in images]), mask
+        accepted += got
     assert 0 < accepted < 1 << m
 
 
@@ -172,33 +174,39 @@ def test_packed_canonicity_matches_every_image_on_a_sample(n, d, sample):
     maps = _moving_permutations(n, d)
     m = len(maps[0])
     tables = _symmetry_tables(n, d)
-    assert tables.ones.bit_count() == len(maps) and tables.width == m + 1
+    assert tables.ones.bit_count() == len(maps)
     rng = random.Random(n * 10 + d)
     accepted = 0
     for _ in range(sample):
         mask = rng.getrandbits(m) >> rng.randrange(m)
         for x in (mask, min(mask, *(_image(mask, t) for t in maps))):
             got = _is_canonical(x, tables)
-            assert got == _brute_canonical(x, [_image(x, t) for t in maps]), x
-            accepted += got is not None
+            assert got is _brute_canonical(x, [_image(x, t) for t in maps]), x
+            accepted += got
     assert sample <= accepted < 2 * sample
 
 
+def _orbit(mask, maps):
+    """The images of a mask under every permutation map, itself among them."""
+    bits = [p for p in range(len(maps[0])) if (mask >> p) & 1]
+    return {sum(1 << image[p] for p in bits) for image in maps}
+
+
 @lru_cache(maxsize=None)
-def orbit_minima(n, d):
-    """Smallest mask of every orbit under permuting the variables, from the
-    exponent vectors themselves (independent of the symmetry tables)."""
-    images = _permutation_maps(n, d)
-    m = len(images[0])
-    minima, seen = set(), set()
+def orbit_extremes(n, d):
+    """The largest mask of every orbit under permuting the variables, mapped
+    to its smallest, from the exponent vectors themselves (independent of
+    the symmetry tables)."""
+    maps = _permutation_maps(n, d)
+    m = len(maps[0])
+    extremes, seen = {}, set()
     for mask in range(1 << m):
         if mask in seen:
             continue
-        bits = [p for p in range(m) if (mask >> p) & 1]
-        orbit = {sum(1 << image[p] for p in bits) for image in images}
+        orbit = _orbit(mask, maps)
         seen |= orbit
-        minima.add(min(orbit))
-    return m, minima
+        extremes[max(orbit)] = min(orbit)
+    return m, extremes
 
 
 def _check(n, d, key="wlp", i=None):
@@ -225,28 +233,34 @@ def _scan_masks(spec, check):
 )
 @pytest.mark.parametrize("symmetry", [False, True])
 def test_support_masks_match_brute_force_filter(n, d, lo, hi, symmetry):
-    m, minima = orbit_minima(n, d)
-    expected = sorted(
-        (mask for mask in range(1 << m)
-         if lo <= mask.bit_count() <= hi and (not symmetry or mask in minima)),
-        key=lambda mask: (mask.bit_count(), mask),
-    )
+    m, extremes = orbit_extremes(n, d)
+
+    def window(representatives):
+        return sorted(
+            (mask for mask in range(1 << m)
+             if lo <= mask.bit_count() <= hi and (not symmetry or mask in representatives)),
+            key=lambda mask: (mask.bit_count(), mask),
+        )
+
+    expected = window(set(extremes.values()))
     spec = SearchSpec(n, d, lo, hi, symmetry)
     assert list(iter_support_masks(spec)) == expected
-    # a scan decides the same masks once each: in preorder from popcount 0,
-    # in the same order from higher
+    # a scan decides every orbit once: from popcount 0 as its largest mask,
+    # in preorder; from higher as the stream does
     scanned = [mask for mask, _ in _scan_masks(spec, _check(n, d))]
-    assert sorted(scanned, key=lambda mask: (mask.bit_count(), mask)) == expected
     if lo:
         assert scanned == expected
+    else:
+        assert sorted(scanned, key=lambda mask: (mask.bit_count(), mask)) == window(extremes)
 
 
 @pytest.mark.parametrize("n, d, hi", [(3, 5, 11), (4, 4, 5), (5, 3, 4)])
 def test_orderly_walk_matches_the_gosper_stream(monkeypatch, n, d, hi):
     # the orderly walk from the empty mask and the Gosper stream give the
-    # same orbit minima, each once: the walk in preorder (popcount at most
-    # one up from one mask to the next), the stream by popcount, then
-    # ascending; the walk makes fewer canonicity tests
+    # same orbits, each once: the walk its largest masks in preorder
+    # (popcount at most one up from one mask to the next), the stream its
+    # smallest by popcount, then ascending; the walk makes fewer canonicity
+    # tests
     from lefschetz_props import harness
 
     tests = []
@@ -259,10 +273,15 @@ def test_orderly_walk_matches_the_gosper_stream(monkeypatch, n, d, hi):
     monkeypatch.setattr(harness, "_is_canonical", counting)
     spec = SearchSpec(n, d, 0, hi)
     m, tables = harness._window_tables(spec)
-    walked = [x >> 1 for x in harness._orderly_walk(m, hi, tables)]
+    rows = _support_rows(n, d, 1)[0]
+    walked = [x >> 1 for x in harness._orderly_walk(m, hi, tables, rows)]
     walk_tests = len(tests)
     gosper = list(iter_support_masks(spec))
-    assert sorted(walked, key=lambda mask: (mask.bit_count(), mask)) == gosper
+    maps = _permutation_maps(n, d)
+    orbits = [_orbit(mask, maps) for mask in walked]
+    assert all(mask == max(orbit) for mask, orbit in zip(walked, orbits))
+    minima = [min(orbit) for orbit in orbits]
+    assert sorted(minima, key=lambda mask: (mask.bit_count(), mask)) == gosper
     sizes = [mask.bit_count() for mask in walked]
     assert all(b <= a + 1 for a, b in zip(sizes, sizes[1:]))
     assert 0 < walk_tests < len(tests) - walk_tests
@@ -478,28 +497,32 @@ def test_verify_thm2_vacuous_cases():
 
 
 def test_a_failure_below_the_bound_sets_the_minimal_failing_hf(monkeypatch):
-    # one HF-2 mask (3, the smallest mask of popcount 2, so its orbit's
-    # representative) is sent to the full check, which is made to fail it
+    # one HF-2 mask (the largest of mask 3's orbit, which the sweep walks)
+    # is sent to the full check, which is made to fail it; the failure is
+    # recorded under that mask
     from lefschetz_props import harness
 
     decide, run_check = harness._decide_mask, harness._run_check
-    failing = []
+    failing = {}  # mask -> ideal
 
     def decide_mask(check, mask, certified):
-        return None if mask == 3 else decide(check, mask, certified)
+        return None if mask in failing else decide(check, mask, certified)
 
-    def fail_mask_3(I, check):
+    def fail_it(I, check):
         rep = run_check(I, check)
-        if I in failing:
+        if I in failing.values():
             rep.verdict = False
         return rep
 
     monkeypatch.setattr(harness, "_decide_mask", decide_mask)
-    monkeypatch.setattr(harness, "_run_check", fail_mask_3)
+    monkeypatch.setattr(harness, "_run_check", fail_it)
     for campaign, args in ((verify_thm1, (3, 4)), (verify_thm2, (3, 5, 3))):
-        failing[:] = [ideal_from_mask(3, args[1], 3)]
+        top = max(_orbit(3, _permutation_maps(3, args[1])))
+        failing.clear()
+        failing[top] = ideal_from_mask(3, args[1], top)
         r = campaign(*args)
         assert [w["hf_d"] for w in r.failures] == [2]
+        assert r.failures[0]["generators"] == failing[top].generator_strings()
         assert r.min_failing_hf == 2 and not r.confirmed
 
 
@@ -515,6 +538,22 @@ def test_verify_thm37_small():
     assert r.details["witness_killed"]
     with pytest.raises(ValueError):
         verify_thm37(3, 3, 3)
+
+
+@pytest.mark.parametrize("n, d, i", [(3, 5, 1), (3, 7, 1), (4, 4, 2), (3, 6, 3)])
+def test_verify_thm37_examined_is_the_budget_its_search_used(n, d, i):
+    # examined counts the row sets the search reached, the unit its budget
+    # counts: that budget gives the same report, one less stops the search
+    full = verify_thm37(n, d, i)
+    assert full.confirmed and full.examined > 0
+    exact = verify_thm37(n, d, i, budget=full.examined)
+    expected = full.to_dict(include_timing=False)
+    got = exact.to_dict(include_timing=False)
+    assert got["params"].pop("budget") == full.examined
+    del expected["params"]["budget"]
+    assert got == expected
+    with pytest.raises(BudgetExceededError):
+        verify_thm37(n, d, i, budget=full.examined - 1)
 
 
 def test_verify_thm37_validates_before_searching(monkeypatch):
@@ -1132,7 +1171,7 @@ def test_first_failure_window_tests_no_mask_past_its_witness(monkeypatch):
     assert len(window) <= level.index(witness) + 2
     tables = harness._symmetry_tables(3, 5)
     assert examined == sum(
-        canonical(mask, tables) is not None for mask in level[:level.index(witness) + 1]
+        canonical(mask, tables) for mask in level[:level.index(witness) + 1]
     )
 
 
