@@ -52,13 +52,14 @@ and ``verify_thm2`` declare a bound, a check and whether the bound is
 sharp; one driver (``_verify_bound``) sweeps below the bound, then builds
 or searches for the witness with what the sweep left of each budget.
 
-With more than one thread the sweep's walk is split at a popcount: the
-parent walks the top of the tree and deals the nodes there round-robin to
-forked workers, which walk their subtrees (each orbit maximum has one
-parent, so they are disjoint) and send them back in chunks down a one-way
-pipe.  Nothing goes back: a worker whose pipe is full waits in its send,
-so it walks ahead of the parent at most what its pipe holds.  The parent
-decides every mask itself, in the order it would without workers.
+With more than one thread the sweep's walk is cut into segments, each
+ending with a node of the split popcount and its subtree, dealt round-robin
+to forked workers: each walks the whole tree less the others' subtrees
+(each orbit maximum has one parent, so they are disjoint) and sends its
+segments back in chunks down a one-way pipe.  Nothing goes back: a worker
+whose pipe is full waits in its send, so it walks ahead of the parent at
+most what its pipe holds.  The parent walks nothing; it decides every mask
+itself, in the order it would without workers.
 Failures are listed by popcount, then mask, so no report depends on the
 number of threads, and no complete one on the scan order.
 
@@ -77,8 +78,8 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, islice, permutations
-from math import comb
+from itertools import chain, cycle, islice, permutations
+from math import comb, factorial
 from typing import NamedTuple
 
 from ._ranks_py import _packed_rows
@@ -119,7 +120,7 @@ from .reporting import VerificationReport
 DEFAULT_BUDGET_IDEALS = 10**6
 DEFAULT_BUDGET_ENTRIES = 10**8
 DEFAULT_RANK_BUDGET = 10_000_000
-# Masks per worker at the popcount whose nodes a split scan deals out.
+# Orbits per worker at the popcount whose subtrees end a split scan's segments.
 SPLIT_HELD = 512
 # Masks per message from a worker of a split scan.
 SPLIT_CHUNK = 1024
@@ -442,47 +443,42 @@ def _scan_order(spec: SearchSpec, check: _Check):
     bound), and the orbit minima by popcount, then ascending, from higher
     (``iter_support_masks``; a witness search).  With ``spec.threads`` > 1,
     the walk is split across that many forked workers, at most one per
-    usable CPU, at the first popcount with at least ``SPLIT_HELD`` masks per
-    worker, if it reaches one."""
+    usable CPU, at the first popcount k >= 1 with at least ``SPLIT_HELD``
+    orbits per worker, if it reaches one.  The walk visits about C(m, k)/n!
+    orbits there with symmetry, C(m, k) without."""
     if spec.hf_min:
         return (mask << 1 for mask in iter_support_masks(spec))
     m, tables = _window_tables(spec)
     workers = min(spec.threads, _usable_cpus() or 1)
     if workers > 1:
-        for split in range(spec.hf_max):
-            if comb(m, split) >= SPLIT_HELD * workers:
-                return _split_walk(spec, m, tables, check, split, workers)
+        held = SPLIT_HELD * workers * (factorial(spec.n) if spec.symmetry else 1)
+        for split in range(1, spec.hf_max):
+            if comb(m, split) >= held:
+                return _split_walk([
+                    _dealt_subtrees(spec, m, tables, check, split, w, workers)
+                    for w in range(workers)
+                ])
     return _orderly_walk(m, spec.hf_max, tables, check.packed)
 
 
-def _split_walk(spec, m, tables, check, split, workers):
-    """The walk of ``_scan_order`` split across forked workers.  The parent
-    walks the top of the tree down to popcount ``split`` and forks the
-    workers at its first node there.  The nodes of that popcount are dealt
-    round-robin in preorder (``_dealt_subtrees``), and after each one the
-    parent reads its subtree, up to the -1 that ends it, from the stream of
-    the worker that walked it.  Nothing goes from the parent to a worker: a
+def _split_walk(streams):
+    """The walk of ``_scan_order`` split across forked workers, one per
+    stream (``_dealt_subtrees``), forked when this walk starts.  Its
+    preorder is cut into segments, and worker w walks every W-th one of the
+    W workers, from the w-th.  The parent walks nothing: it reads segment t
+    from worker t % W, up to the -1 that ends it, for t = 0, 1, ..., until
+    the -2 that ends the walk.  Nothing goes from the parent to a worker: a
     worker walks ahead of the parent as far as its pipe holds
     (``_split_worker``).  The parent ends and joins its workers when the
     scan stops or the walk ends."""
     crew = []
-    dealt = 0
     try:
-        for x in _orderly_walk(m, split, tables, check.packed):
-            yield x
-            if (x >> 1).bit_count() < split:
-                continue
-            if not crew:
-                crew.extend(_fork_workers([
-                    _dealt_subtrees(spec, m, tables, check, split, w, workers)
-                    for w in range(workers)
-                ]))
-                streams = [chain.from_iterable(_received(*worker)) for worker in crew]
-            for x in streams[dealt % workers]:
-                if x < 0:
-                    break
+        crew.extend(_fork_workers(streams))
+        for stream in cycle([chain.from_iterable(_received(*worker)) for worker in crew]):
+            while (x := next(stream)) >= 0:
                 yield x
-            dealt += 1
+            if x == -2:
+                return
     finally:
         for process, conn in crew:
             process.terminate()
@@ -492,35 +488,35 @@ def _split_walk(spec, m, tables, check, split, workers):
 
 
 def _dealt_subtrees(spec, m, tables, check, split, w, workers):
-    """Worker w's part of a split walk (``_split_walk``), as one stream: the
-    subtrees of every ``workers``-th node of popcount ``split``, from the
-    w-th, each in preorder less its node and followed by -1.  A mask inside
-    the lemma gate that the walk left uncertified ranks the check's rows
-    that it picks here (``_mask_rows_independent``), so the ranking is
-    split too."""
+    """Worker w's part of a split walk (``_split_walk``), as one stream.
+    The walk's preorder is cut into segments, each ending with a node of
+    popcount ``split`` and its subtree, the last one with the walk.  The
+    stream holds every ``workers``-th segment from the w-th, each followed
+    by -1, and ends with -2, which also ends the walk's last segment; the
+    worker skips the subtrees of the other segments.  A mask inside the
+    lemma gate that the walk left uncertified ranks the check's rows that
+    it picks here (``_mask_rows_independent``), so the ranking is split."""
     source, packed, rows = check.source, check.packed, check.rows
     walk = _orderly_walk(m, spec.hf_max, tables, packed)
-    skip = w
-    mine = False
+    t = 0  # the segment the walk is in
+    closing = False  # whether segment t has reached its node of popcount split
     for x in walk:
         size = (x >> 1).bit_count()
-        if size > split:
-            if not x & 1 and size <= source and _mask_rows_independent(
-                packed, rows, x >> 1, source
-            ):
-                x |= 1
-            yield x
+        if closing and size <= split:
+            if t % workers == w:
+                yield -1  # the end of a segment
+            t += 1
+        closing = size >= split
+        if t % workers != w:
+            if size == split:
+                walk.send(True)  # another worker's: skip its subtree
             continue
-        if mine:
-            yield -1  # the end of a subtree
-        mine = size == split and not skip
-        if mine:
-            skip = workers - 1
-        elif size == split:
-            skip -= 1
-            walk.send(True)  # another worker's: skip its subtree
-    if mine:
-        yield -1
+        if not x & 1 and size <= source and _mask_rows_independent(
+            packed, rows, x >> 1, source
+        ):
+            x |= 1
+        yield x
+    yield -2  # the end of the stream
 
 
 def _fork_workers(streams: list):

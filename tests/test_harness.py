@@ -342,8 +342,8 @@ def test_campaign_budget_yields_flagged_partial_report():
 def test_entry_budget_bounds_the_ideals_built(forks, monkeypatch):
     # a passing mask builds no ideal, so the decides are counted: a scan
     # stopped by either budget decides exactly the masks it examined, and
-    # decides them all in the parent, also once workers walk the (3, 5)
-    # window past its split
+    # decides them all in the parent, also when workers walk the (3, 5)
+    # window
     from lefschetz_props import harness
 
     decided = []
@@ -922,17 +922,9 @@ def test_classifier_one_directional_soundness():
         assert failing == [wlp_fails, slp_fails], (spec.n, spec.d)
 
 
-def test_threads_match_serial():
-    serial = verify_thm1(3, 3, threads=1)
-    parallel = verify_thm1(3, 3, threads=2)
-    assert serial.confirmed == parallel.confirmed
-    assert serial.examined == parallel.examined
-    assert serial.min_failing_hf == parallel.min_failing_hf
-
-
 @pytest.fixture
 def forks(monkeypatch):
-    """Split every scan with threads > 1 at popcount 1 and send its masks
+    """Split every sweep with threads > 1 at popcount 1 and send its masks
     back in chunks of 100, on three usable CPUs; records the workers forked
     per scan."""
     from lefschetz_props import harness
@@ -944,7 +936,7 @@ def forks(monkeypatch):
         started.append(len(shares))
         return fork(shares)
 
-    monkeypatch.setattr(harness, "SPLIT_HELD", 1)
+    monkeypatch.setattr(harness, "SPLIT_HELD", 0)
     monkeypatch.setattr(harness, "SPLIT_CHUNK", 100)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(harness, "_fork_workers", spy)
@@ -997,9 +989,82 @@ def _assert_split_matches_serial(forks, campaign, *args, **kwargs):
     (verify_thm2, (4, 4, 2), {}),
     (verify_thm2, (4, 4, 2), {"budget_entries": 5000}),
     (verify_thm2, (3, 5, 2), {}),
+    (verify_thm1, (5, 3), {}),
 ])
 def test_split_scan_reports_match_serial(forks, campaign, args, kwargs):
     _assert_split_matches_serial(forks, campaign, *args, **kwargs)
+
+
+@pytest.mark.parametrize("split", [1, 2, 5])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_dealt_segments_merge_into_the_walk(split, workers):
+    # Read in turn, segment t from stream t % W up to its -1, until a -2,
+    # the workers' streams give the walk in preorder, each mask inside the
+    # gate certified or ranked independent exactly when it passes.  The
+    # walk ends on the mask of bit 0, so split at popcount 2 or 5 the nodes
+    # after the last subtree of that popcount make a last segment.
+    from lefschetz_props import harness
+
+    spec = SearchSpec(3, 4, 0, 9, symmetry=False)
+    check = _check(3, 4)
+    m, tables = harness._window_tables(spec)
+    streams = [
+        harness._dealt_subtrees(spec, m, tables, check, split, w, workers)
+        for w in range(workers)
+    ]
+    merged, ends = [], []
+    for t in range(1 << m):
+        for x in streams[t % workers]:
+            if x < 0:
+                break
+            merged.append(x)
+        ends.append(x)
+        if x == -2:
+            break
+    walk = list(harness._orderly_walk(m, spec.hf_max, None, check.packed))
+    assert [x >> 1 for x in merged] == [x >> 1 for x in walk]
+    nodes = sum((x >> 1).bit_count() == split for x in walk)
+    last = (walk[-1] >> 1).bit_count() < split
+    assert walk[-1] >> 1 == 1 and last == (split > 1)
+    assert ends == [-1] * (nodes + last - 1) + [-2]
+    for x in merged:
+        passes = harness._decide_mask(check, x >> 1, 0) is not None
+        inside = (x >> 1).bit_count() <= check.source
+        assert x & 1 == (inside and passes), x >> 1
+    for stream in streams:
+        assert list(stream) in ([-2], [])
+
+
+def test_split_counts_orbits_and_its_parent_walks_nothing(monkeypatch):
+    # On two usable CPUs at the real SPLIT_HELD, a sweep splits at the
+    # first popcount k >= 1 where C(m, k) masks make 512 orbits per worker,
+    # C(m, k) >= 512 * 2 * n!: (3, 5) at k = 5 and (4, 4) at k = 4, while
+    # (5, 3) and (3, 4) reach none below their bound.  A split sweep's
+    # parent makes no walk of its own: the workers' walks run in the
+    # children, which this spy does not see.
+    from lefschetz_props import harness
+
+    forked, walks = [], []
+    fork, walk = harness._fork_workers, harness._orderly_walk
+
+    def forking(streams):
+        forked.append(len(streams))
+        return fork(streams)
+
+    def walking(m, depth, tables, rows):
+        walks.append(depth)
+        return walk(m, depth, tables, rows)
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "_fork_workers", forking)
+    monkeypatch.setattr(harness, "_orderly_walk", walking)
+    for n, d, splits in ((3, 5, True), (4, 4, True), (5, 3, False), (3, 4, False)):
+        serial = _without_threads(verify_thm1(n, d, threads=1))
+        del forked[:], walks[:]
+        with _deadline(60):
+            assert _without_threads(verify_thm1(n, d, threads=2)) == serial
+        assert forked == ([2] if splits else []), (n, d)
+        assert walks == ([] if splits else [theorem1_bound(n, d) - 1]), (n, d)
 
 
 @lru_cache(maxsize=None)
@@ -1017,20 +1082,22 @@ def _thm1_3_5_costs() -> tuple:
 
 
 def _tops(masks) -> list:
-    """The positions in scan order of the masks of popcount at most 1: the
-    parent's top of a scan split at popcount 1 (the forks fixture)."""
+    """The positions in scan order of the masks of popcount at most 1: in a
+    scan split at popcount 1 (the forks fixture), the empty mask and the
+    node of the first segment, then the first mask of each later one."""
     return [k for k, (size, _) in enumerate(masks) if size <= 1]
 
 
 def test_split_scan_ideal_budget_in_the_top_and_in_a_dealt_subtree(forks):
-    # the parent walks the empty mask and the four popcount-1 nodes, and
-    # reads each node's subtree back from a worker, in chunks of 100
+    # each of the four popcount-1 nodes makes a segment with its subtree,
+    # the first after the empty mask, and the parent reads each back from
+    # its worker, in chunks of 100
     masks = _thm1_3_5_costs()
     tops = _tops(masks)
     assert tops[:2] == [0, 1] and len(tops) == 5 and tops[2] > 1000
-    # on a node of the top after the fork, on the last mask of a subtree,
-    # on the last mask of a chunk and the first of the next, and inside
-    # the last subtree
+    # on the first mask of the second segment, on the last mask of the
+    # first, on the last mask of a chunk and the first of the next, and
+    # inside the last segment
     for budget in (tops[2] + 1, tops[2], tops[1] + 1 + 500, tops[1] + 2 + 500,
                    len(masks) - 100):
         rep = _assert_split_matches_serial(forks, verify_thm1, 3, 5, budget_ideals=budget)
@@ -1044,8 +1111,8 @@ def test_split_scan_entry_budget_across_chunks_subtrees_and_the_top(forks):
         total.append(total[-1] + cost)
     tops = _tops(masks)
     # the scan stops right after the mask that goes over the budget, the
-    # over-th one: the last of a chunk, the first of the next, a node of
-    # the parent's top, and the first mask of that node's subtree
+    # over-th one: the last of a chunk, the first of the next, the first
+    # mask of a segment, and the mask after it in its node's subtree
     for over in (tops[1] + 1 + 300, tops[1] + 2 + 300, tops[3] + 1, tops[3] + 2):
         rep = _assert_split_matches_serial(
             forks, verify_thm1, 3, 5, budget_entries=total[over] - 1
@@ -1058,11 +1125,11 @@ def test_split_scan_entry_budget_across_chunks_subtrees_and_the_top(forks):
 def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
     from lefschetz_props import harness
 
-    # Split at popcount 4 (C(18, 4) = 3060 masks, at least 512 per worker):
-    # the parent walks down to the first node of popcount 4, the fifth mask
-    # in preorder, before it forks.  Going over the budget on a mask stops
-    # the scan right after it, with no later mask decided; stopping on
-    # that node forks nothing, stopping on the mask after it forks.
+    # At 512 orbits per worker, (3, 5) splits at popcount 5 with two
+    # workers and at 6 with three, below the fifth and sixth masks in
+    # preorder, of popcounts 4 and 5.  A split scan forks when its sweep
+    # starts.  Going over the budget on a mask stops the scan right after
+    # it, with no later mask decided, with or without workers.
     monkeypatch.setattr(harness, "SPLIT_HELD", 512)
     masks = _thm1_3_5_costs()
     assert [size for size, _ in masks[:6]] == [0, 1, 2, 3, 4, 5]
@@ -1074,15 +1141,16 @@ def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
         return decide(check, mask, certified)
 
     monkeypatch.setattr(harness, "_decide_mask", counting)
-    for over, forked in ((5, []), (6, [2, 3])):
+    for over in (5, 6):
         budget = sum(cost for _, cost in masks[:over]) - 1
         del decided[:], forks[:]
         serial = _without_threads(verify_thm1(3, 5, budget_entries=budget))
         assert serial["partial"] and serial["examined"] == len(decided) == over
         for threads in (2, 3):
+            del decided[:]
             split = verify_thm1(3, 5, threads=threads, budget_entries=budget)
-            assert _without_threads(split) == serial
-        assert forks == forked
+            assert _without_threads(split) == serial and len(decided) == over
+        assert forks == [2, 3]
 
 
 def test_split_scan_reports_every_failure_in_order(forks):
@@ -1255,8 +1323,8 @@ def test_split_workers_walk_at_most_a_pipe_past_a_stop(forks, monkeypatch):
     # while its pipe is full.  So when a budget stops the scan, each worker
     # has walked at most the chunks the parent read, the full chunks its
     # pipe holds, and one more (the one it was sending, or its short last
-    # chunk).  (4, 4) split at popcount 1 deals worker 0 a first subtree of
-    # 146,801 masks; the parent stops inside it, after stalling until the
+    # chunk).  (4, 4) split at popcount 1 deals worker 0 a first segment of
+    # 146,803 masks; the parent stops inside it, after stalling until the
     # workers stop walking and worker 0's pipe is over half full, so a
     # worker that buffered its stream without bound would walk all of it.
     import pickle
