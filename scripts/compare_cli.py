@@ -179,6 +179,12 @@ COMMANDS = [
     # (split at popcount 4, stopped by the ideal budget)
     ["verify-thm1", "--n", "6", "--d", "3"],
     ["verify-thm1", "--n", "5", "--d", "4", "--threads", "2", "--budget-ideals", "20000"],
+    # per-pair ranks decided without a matrix: a map with a one-dimensional
+    # side (rank one), a power bounded through a composition of two known
+    # records, and shortcuts that read the full check's records
+    ["slp", "--gens", ASYMMETRIC, "--method", "full", "--format", "csv"],
+    ["slp", "--gens", "x1^3,x2^3,x3^3,x4^3", "--method", "full", "--format", "csv"],
+    ["crosscheck", "--n", "3", "--d", "4", "--sample", "512", "--seed", "7"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

@@ -22,6 +22,10 @@ fraction-free Gauss-Jordan, and vectors are reduced modulo a piece
 fraction-free, returning integers over a positive scale.  The normalized
 rational rows are derived only on demand.  Ideals are immutable after
 construction and their caches only grow, so concurrent readers are safe.
+That holds for a monomial ideal's record cache too (``_records``), which
+``lefschetz._scan_pairs`` fills in exact mode with the exact record of
+each map it decides, per form: a record depends only on the ideal, the
+form and the pair, so a second writer stores an equal one.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def ordered_basis(n: int, k: int, order: str) -> tuple[tuple[Monomial, ...], dic
 class MonomialIdeal:
     """Ideal generated by monomials; generators kept divisibility-minimal."""
 
-    __slots__ = ("n", "generators", "_masks", "_hf")
+    __slots__ = ("n", "generators", "_masks", "_hf", "_records")
 
     def __init__(self, n: int, generators):
         gens = []
@@ -109,6 +113,7 @@ class MonomialIdeal:
         self.generators = tuple(gens)
         self._masks: dict[int, int] = {}
         self._hf: dict[int, int] = {}
+        self._records: dict[tuple, dict] = {}
 
     @property
     def min_degree(self) -> int | None:
@@ -349,6 +354,7 @@ class SupportIdeal(MonomialIdeal):
         self.std, self._hfs = support_quotient(n, d, mask)
         self._box = box
         self._indices: dict[int, tuple[int, ...]] = {}
+        self._records: dict[tuple, dict] = {}
 
     @property
     def min_degree(self) -> int:

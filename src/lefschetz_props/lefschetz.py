@@ -28,6 +28,26 @@ for a map past an onto one: if ell^i maps R_j onto R_{j+i}, it maps every
 later R_k onto R_{k+i} (Migliore-Miro-Roig-Nagel, Trans. AMS 2011,
 Prop. 2.1), so such a pair is recorded with rank HF(k+i).
 
+An exact scan of a monomial ideal decides three more kinds of pair without
+a matrix (``_scan_pairs``), each with its exact rank:
+
+- a pair its exact scans decided before under the same form, read from the
+  ideal's record cache: a rank depends only on the ideal, the form and the
+  pair, so a shortcut after the full check re-ranks nothing;
+- a map with a one-dimensional side under a form with no zero coefficient,
+  of rank one: every coefficient of ell^i is nonzero and the divisors of a
+  standard monomial are standard, so the one row or column has a nonzero
+  entry;
+- a power ell^i = ell^(i-a) ell^a through R_{j+a} whose two factors are in
+  the cache: by Sylvester's inequality its rank is at least
+  r_1 + r_2 - HF(j+a), and a bound that reaches min(HF(j), HF(j+i)) is the
+  rank.
+
+Randomized scans and form ideals build every map: a randomized record is
+the best rank of several trial forms, and a form quotient's columns are
+reduced modulo the ideal's span, so their entries are not the coefficients
+of ell^i.
+
 Both row builders pack each integer column mod 2 into one int as they fill
 the rows, and every map enters the rank policy (``_kernels.rank_rows``)
 with its integer rows and those parity columns, so its GF(2) rank, the
@@ -264,8 +284,10 @@ def _pair_rank(I, ell: LinearForm, i: int, j: int) -> tuple[int, int, int]:
 
 def has_maximal_rank(I, ell: LinearForm | None, i: int, j: int) -> tuple[bool, int]:
     """Whether multiplication by ell^i from degree j has maximal rank; the
-    exact rank is returned alongside."""
-    rec = _pair_exact(I, _checked_form(I, ell, i, j), i, j)
+    exact rank is returned alongside.  The pair is scanned like any exact
+    pair (``_scan_pairs``)."""
+    ell = _checked_form(I, ell, i, j)
+    rec = _scan_pairs(I, [(i, j)], "exact", ell, [], False)[0][0]
     return rec.maximal, rec.rank
 
 
@@ -293,6 +315,35 @@ def _pair_exact(I, ell, i, j) -> PairRecord:
     return PairRecord(i, j, ncols, nrows, r, r == min(nrows, ncols))
 
 
+def _rank_one_record(nonzero: bool, i, j, hj, hji) -> PairRecord | None:
+    """The record of a monomial quotient's map with a one-dimensional side,
+    under a form with no zero coefficient (``nonzero``): rank one, since
+    every coefficient of ell^i is nonzero and a standard monomial's
+    divisors are standard, so the one source monomial divides every
+    standard target, and the one target has a standard divisor in the
+    source.  None when the rule does not apply."""
+    if nonzero and min(hj, hji) == 1:
+        return PairRecord(i, j, hj, hji, 1, True)
+    return None
+
+
+def _composed_record(known: dict, i, j, hj, hji) -> PairRecord | None:
+    """The record of ell^i from R_j read off two known records of the same
+    form: ell^i = ell^(i-a) ell^a through R_{j+a}, so by Sylvester's
+    inequality its rank is at least r_1 + r_2 - HF(j+a), and a bound that
+    reaches min(HF(j), HF(j+i)) is the rank.  None when no split
+    1 <= a < i has both records known and reaches it."""
+    low = min(hj, hji)
+    for a in range(1, i):
+        first = known.get((a, j))
+        if first is None:
+            continue
+        second = known.get((i - a, j + a))
+        if second is not None and first.rank + second.rank - first.dim_target >= low:
+            return PairRecord(i, j, hj, hji, low, True)
+    return None
+
+
 def _scan_pairs(
     I, pair_list, mode, ell, forms, early_stop
 ) -> tuple[list[PairRecord], tuple[int, int] | None]:
@@ -304,29 +355,62 @@ def _scan_pairs(
     from every later degree (in randomized mode the trial form that was
     onto stays onto), with its target dimension as rank.  This relies on
     each pair list ascending in j within one power i, as the WLP, SLP and
-    power lists do."""
+    power lists do.
+
+    An exact scan of a monomial ideal tries three more routes before it
+    builds a matrix, each giving the exact rank:
+
+    - the record cache: the ideal keeps every record its exact scans
+      decided, per form (``MonomialIdeal._records``), and a record already
+      there is read, not decided again; a rank depends only on the ideal,
+      the form and the pair;
+    - rank one (``_rank_one_record``): under a form with no zero
+      coefficient, a map with a one-dimensional side has rank one, since
+      every coefficient of ell^i is nonzero and the divisors of a standard
+      monomial are standard, so the one row or column has a nonzero entry;
+    - composition (``_composed_record``): ell^i from R_j is ell^(i-a)
+      after ell^a through R_{j+a}, so its rank is at least r_1 + r_2 -
+      HF(j+a) (Sylvester), and a bound that reaches min(HF(j), HF(j+i))
+      is the rank; the two records are read from the cache, which the
+      SLP's ascending powers fill first.
+
+    Randomized scans and form ideals neither read nor fill the cache and
+    take none of these routes: a randomized record is the best of several
+    trial forms, and a form quotient's entries are reduced modulo its
+    span, not the coefficients of ell^i."""
     d = I.min_degree
     hf = I.hf
     records: list[PairRecord] = []
     witness = None
     onto_powers: set[int] = set()
+    known = None
+    if mode == "exact" and isinstance(I, MonomialIdeal):
+        known = I._records.setdefault(ell.coefficients, {})
+        nonzero = all(ell.coefficients)
     for i, j in pair_list:
-        hj = hf(j)
-        hji = hf(j + i)
-        if hji == 0:
-            records.append(PairRecord(i, j, hj, 0, 0, True))
-            continue
-        if d is not None and j + i < d:
-            # full polynomial ring below the generators: injective
-            records.append(PairRecord(i, j, hj, hji, hj, True))
-            continue
-        if i in onto_powers:
-            records.append(PairRecord(i, j, hj, hji, hji, True))
-            continue
-        if mode == "randomized":
-            rec = _pair_via_forms(I, forms, i, j)
-        else:
-            rec = _pair_exact(I, ell, i, j)
+        rec = None if known is None else known.get((i, j))
+        if rec is None:
+            hj = hf(j)
+            hji = hf(j + i)
+            if hji == 0:
+                rec = PairRecord(i, j, hj, 0, 0, True)
+            elif d is not None and j + i < d:
+                # full polynomial ring below the generators: injective
+                rec = PairRecord(i, j, hj, hji, hj, True)
+            elif i in onto_powers:
+                rec = PairRecord(i, j, hj, hji, hji, True)
+            elif mode == "randomized":
+                rec = _pair_via_forms(I, forms, i, j)
+            elif known is None:
+                rec = _pair_exact(I, ell, i, j)
+            else:
+                rec = (
+                    _rank_one_record(nonzero, i, j, hj, hji)
+                    or _composed_record(known, i, j, hj, hji)
+                    or _pair_exact(I, ell, i, j)
+                )
+            if known is not None:
+                known[i, j] = rec
         records.append(rec)
         if rec.rank == rec.dim_target:
             onto_powers.add(i)

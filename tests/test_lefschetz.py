@@ -186,6 +186,7 @@ def scans_against_twin(I, mode, seed=1, trials=3):
         assert rep.pairs == twin, (I, mode, rep.property, rep.power)
         assert rep.witness == next(((p.i, p.j) for p in twin if not p.maximal), None)
         assert rep.verdict == (rep.witness is None)
+    return [rep for rep, _ in scans], memo
 
 
 def spy(monkeypatch, module, name):
@@ -209,21 +210,68 @@ def nonfree_pairs(I, pairs):
     return sum(1 for p in pairs if p.dim_target and p.dim_source and p.i + p.j >= d)
 
 
+def records_read_back(reports):
+    """Records of the reports that are the very objects an earlier report
+    of the same ideal holds: only the ideal's record cache hands a record
+    out twice, since every other route builds a new one."""
+    seen, read = set(), []
+    for rep in reports:
+        read += [p for p in rep.pairs if id(p) in seen]
+        seen.update(id(p) for p in rep.pairs)
+    return read
+
+
+ZERO_COEFFICIENT_FORMS = (LinearForm((0, 0, 1)), LinearForm((1, 0, 2)))
+
+
 def test_decider_ranks_match_plain_exact_rank(monkeypatch):
     # every recorded rank, whether built and certified mod 2 or mod the word
-    # prime, computed exactly, freed by degree or propagated from an earlier
-    # onto map of the same power, equals the plain Bareiss rank of the twin
+    # prime, computed exactly, freed by degree, propagated from an earlier
+    # onto map of the same power, read back from the ideal's record cache,
+    # given by the rank-one rule or bounded by a composition, equals the
+    # plain Bareiss rank of the twin; each matrix-free route decides pairs
+    # in exact mode, none in randomized mode, and the rank-one rule stays
+    # off under a form with a zero coefficient
     decided = spy(monkeypatch, lefschetz, "_pair_exact")
+    rank_one = spy(monkeypatch, lefschetz, "_rank_one_record")
+    composed = spy(monkeypatch, lefschetz, "_composed_record")
     ideals = [BK, monomial_complete_intersection(3, 3)]
     ideals += [ideal_from_mask(3, 4, mask) for mask in range(1 << 12)]
-    for (n, d), seed, count in (((3, 5), 5, 60), ((4, 3), 6, 60)):
+    for (n, d), seed, count in (((3, 5), 5, 60), ((4, 3), 6, 60), ((4, 4), 7, 20)):
         bits = basis_size(n, d) - n
         rng = random.Random(seed)
         ideals += [ideal_from_mask(n, d, rng.getrandbits(bits)) for _ in range(count)]
+    routes = {"cache": 0, "rank one": 0, "composed": 0}
     for I in ideals:
-        scans_against_twin(I, "exact")
+        rank_one.clear()
+        composed.clear()
+        reports, memo = scans_against_twin(I, "exact")
+        for route, recs in (
+            ("cache", records_read_back(reports)),
+            ("rank one", [r for r in rank_one if r is not None]),
+            ("composed", [r for r in composed if r is not None]),
+        ):
+            assert all(rec == memo[rec.i, rec.j] for rec in recs), (I, route)
+            routes[route] += len(recs)
+    assert all(routes.values()), routes
     assert any(rec.maximal for rec in decided)
     assert any(not rec.maximal for rec in decided)
+    rank_one.clear()
+    composed.clear()
+    few = ideals[:2] + ideals[2::64]
+    for I in few:
+        scans_against_twin(I, "randomized", seed=9)
+    assert rank_one == composed == []
+    zero_rank = 0
+    for I in (I for I in few if I.n == 3):
+        e = socle_degree(I)
+        for ell in ZERO_COEFFICIENT_FORMS:
+            for i in range(1, e + 1):
+                for j in range(e - i + 1):
+                    want = rank(mult_map_matrix(I, ell, i, j))
+                    assert has_maximal_rank(I, ell, i, j)[1] == want, (I, ell, i, j)
+                    zero_rank += want == 0 and I.hf(j + i) > 0
+    assert zero_rank > 0
 
 
 def test_onto_propagation_skips_pairs_and_keeps_records(monkeypatch):
@@ -240,6 +288,60 @@ def test_onto_propagation_skips_pairs_and_keeps_records(monkeypatch):
         for I in ideals:
             for seed in (1, 9):
                 scans_against_twin(I, mode, seed=seed)
+
+
+def test_shortcuts_read_the_records_of_the_full_check(monkeypatch):
+    # after the full SLP check of an ideal, every in-gate shortcut reads its
+    # lemma pair from the ideal's record cache and builds no matrix; its
+    # report equals the one a fresh ideal of the same mask gets
+    built = spy(monkeypatch, lefschetz, "_build_rows")
+    shortcuts = 0
+    for mask in range(1 << 12):
+        I = ideal_from_mask(3, 4, mask)
+        check_slp(I, "exact")
+        for power in (None, 1, 2, 3):
+            if lefschetz._lemma_pair(I, power) is None:
+                continue
+            built.clear()
+            rep = check_slp_shortcut(I) if power is None else check_power_shortcut(I, power)
+            assert built == [], (mask, power)
+            fresh = ideal_from_mask(3, 4, mask)
+            want = check_slp_shortcut(fresh) if power is None else check_power_shortcut(fresh, power)
+            assert rep.to_dict() == want.to_dict(), (mask, power)
+            shortcuts += 1
+    assert shortcuts > 0
+
+
+def test_randomized_scans_and_form_ideals_skip_the_record_cache(monkeypatch):
+    # a randomized record is the best of several trial forms: randomized
+    # scans neither fill nor read a monomial ideal's record cache, and the
+    # matrix-free rules never run on them; a form ideal keeps no records,
+    # and its maps with a one-dimensional side are built, exact or not
+    via_forms = spy(monkeypatch, lefschetz, "_pair_via_forms")
+    exact = spy(monkeypatch, lefschetz, "_pair_exact")
+    rank_one = spy(monkeypatch, lefschetz, "_rank_one_record")
+    composed = spy(monkeypatch, lefschetz, "_composed_record")
+    fresh_bk = MonomialIdeal(3, BK.generators)
+    for I in [fresh_bk] + [ideal_from_mask(3, 4, mask) for mask in (0, 77, 1234, 4095)]:
+        before = check_slp(I, "randomized", seed=9)
+        assert I._records == {}
+        decided = len(via_forms)
+        full = check_slp(I, "exact")
+        held = {form: dict(recs) for form, recs in I._records.items()}
+        for seen in (via_forms, rank_one, composed):
+            seen.clear()
+        after = check_slp(I, "randomized", seed=9)
+        assert len(via_forms) == decided and rank_one == composed == []
+        assert after == before
+        assert not {id(p) for p in after.pairs} & {id(p) for p in full.pairs}
+        assert I._records == held
+        via_forms.clear()
+    for mode, spied in (("exact", exact), ("randomized", via_forms)):
+        spied.clear()
+        check_slp(FORMS, mode, seed=9)
+        assert any(min(rec.dim_source, rec.dim_target) == 1 for rec in spied), mode
+    assert rank_one == composed == []
+    assert not hasattr(FORMS, "_records")
 
 
 def policy_calls(monkeypatch):
