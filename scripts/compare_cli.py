@@ -185,6 +185,14 @@ COMMANDS = [
     ["slp", "--gens", ASYMMETRIC, "--method", "full", "--format", "csv"],
     ["slp", "--gens", "x1^3,x2^3,x3^3,x4^3", "--method", "full", "--format", "csv"],
     ["crosscheck", "--n", "3", "--d", "4", "--sample", "512", "--seed", "7"],
+    # exact scans of form ideals through the record cache: powers bounded
+    # by composition (7 of 21 pairs of the cubic ideal, 2 of 6 of the
+    # rational one), and an ideal holding (x1 + x2 + x3)^2, whose map from
+    # R_0 has a one-dimensional source and rank 0 (exit 1)
+    ["slp", "--gens", CUBIC_FORMS, "--mode", "exact", "--method", "full", "--format", "csv"],
+    ["slp", "--gens", RATIONAL_FORMS, "--mode", "exact", "--method", "full", "--format", "csv"],
+    ["slp", "--gens", "x1^2,x2^2,x3^2,x1*x2+x1*x3+x2*x3", "--mode", "exact", "--method",
+     "full", "--format", "csv"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

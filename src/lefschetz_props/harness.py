@@ -1046,7 +1046,7 @@ def wiebe_initial_ideal_check(
         d = degrees[idx % len(degrees)]
         I = random_form_ideal(n, d, rng)
         e = socle_degree(I)
-        leads = initial_ideal_degreewise(I, "degrevlex", upto=e + 1)
+        leads = initial_ideal_degreewise(I, upto=e + 1)
         J = monomial_ideal_from_leads(leads, n)
         if hilbert_function(I, e + 1) != hilbert_function(J, e + 1):
             hf_mismatches.append(idx)

@@ -13,16 +13,20 @@ multiplication maps of ``lefschetz`` are built from it like those of any
 monomial ideal.
 Form ideals never go through a Groebner engine: for an ideal with minimal
 generator degree d, the degree-k piece is the explicit span of all
-monomial-times-generator products, reduced once per (degree, term order) and
-cached.  The whole form path runs on integers: each generator is scaled to
-integer coefficients, a piece whose GF(2) or word-prime rank already equals
-its column count is all of S_k and skips the elimination (a modular rank
-only ever certifies full rank), any other piece keeps the integer rows of
+monomial-times-generator products over the columns monomial_basis(n, k),
+reduced once per degree and cached.  That basis is descending degrevlex, so
+the pivots of a piece are the degrevlex leading monomials, the one term
+order of this package: a Hilbert function or a rank does not depend on the
+order, and Wiebe's transfer concerns the degrevlex initial ideal.  The whole
+form path runs on integers: each generator is scaled to integer
+coefficients, a piece whose GF(2) or word-prime rank already equals its
+column count is all of S_k and skips the elimination (a modular rank only
+ever certifies full rank), any other piece keeps the integer rows of
 fraction-free Gauss-Jordan, and vectors are reduced modulo a piece
 fraction-free, returning integers over a positive scale.  The normalized
 rational rows are derived only on demand.  Ideals are immutable after
 construction and their caches only grow, so concurrent readers are safe.
-That holds for a monomial ideal's record cache too (``_records``), which
+That holds for every ideal's record cache too (``_records``), which
 ``lefschetz._scan_pairs`` fills in exact mode with the exact record of
 each map it decides, per form: a record depends only on the ideal, the
 form and the pair, so a second writer stores an equal one.
@@ -47,8 +51,6 @@ from .combinatorics import (
 from .errors import CapExceededError, NotArtinianError
 from .exactlinalg import ExactMatrix, integer_rref, row_reduce
 
-TERM_ORDERS = ("degrevlex", "lex", "grlex")
-
 SOCLE_CAP_MARGIN = 8
 
 
@@ -68,23 +70,6 @@ def _parent_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
                 parents.append(idx_prev[m[:t] + (m[t] - 1,) + m[t + 1:]])
         table.append(tuple(parents))
     return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def ordered_basis(n: int, k: int, order: str) -> tuple[tuple[Monomial, ...], dict]:
-    """Degree-k monomials sorted descending by the term order, plus index map.
-
-    Only a total order within one degree is needed, so grlex coincides with
-    lex here, and degrevlex descending is exactly the canonical basis order.
-    """
-    if order not in TERM_ORDERS:
-        raise ValueError(f"unknown term order {order!r}")
-    base = monomial_basis(n, k)
-    if order == "degrevlex":
-        mons = base
-    else:  # lex / grlex agree within a fixed degree
-        mons = tuple(sorted(base, reverse=True))
-    return mons, {m: i for i, m in enumerate(mons)}
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +389,7 @@ class SupportIdeal(MonomialIdeal):
 class FormIdeal:
     """Ideal generated by homogeneous polynomials with exact coefficients."""
 
-    __slots__ = ("n", "generators", "_pieces")
+    __slots__ = ("n", "generators", "_pieces", "_records")
 
     def __init__(self, n: int, generators):
         gens = []
@@ -435,26 +420,26 @@ class FormIdeal:
         gens.sort(key=lambda g: g[0])
         self.n = n
         self.generators = tuple(gens)
-        self._pieces: dict[tuple[int, str], _FormPiece] = {}
+        self._pieces: dict[int, _FormPiece] = {}
+        self._records: dict[tuple, dict] = {}
 
     @property
     def min_degree(self) -> int:
         return self.generators[0][0]
 
-    def piece(self, k: int, order: str = "degrevlex") -> "_FormPiece":
-        key = (k, order)
-        cached = self._pieces.get(key)
+    def piece(self, k: int) -> "_FormPiece":
+        cached = self._pieces.get(k)
         if cached is None:
-            cached = _build_form_piece(self, k, order)
-            self._pieces[key] = cached
+            cached = _build_form_piece(self, k)
+            self._pieces[k] = cached
         return cached
 
     def hf(self, k: int) -> int:
-        """HF(S/I, k), the same under every term order: the degrevlex count."""
+        """HF(S/I, k): the standard monomials of the degree-k piece."""
         return len(self.piece(k).standard)
 
-    def standard_monomials(self, k: int, order: str = "degrevlex") -> tuple[Monomial, ...]:
-        return self.piece(k, order).standard
+    def standard_monomials(self, k: int) -> tuple[Monomial, ...]:
+        return self.piece(k).standard
 
     def generator_strings(self) -> list[str]:
         from .parsing import format_terms
@@ -467,16 +452,17 @@ class FormIdeal:
 
 @dataclass(frozen=True)
 class _FormPiece:
-    """Row-reduced degree-k span of a form ideal under one term order, kept
-    on integers: the reduced rows of ``integer_rref``, each with a positive
-    pivot and zeros in the other pivot columns, not divided by the pivot."""
+    """Row-reduced degree-k span of a form ideal, kept on integers: the
+    reduced rows of ``integer_rref``, each with a positive pivot and zeros
+    in the other pivot columns, not divided by the pivot.  The columns are
+    monomial_basis(n, k), descending degrevlex, so the pivots are the
+    degrevlex leading monomials and the other columns the standard ones."""
 
-    columns: tuple[Monomial, ...]      # descending by the term order
-    col_index: dict
+    columns: tuple[Monomial, ...]      # monomial_basis(n, k)
     rows: tuple[tuple[int, ...], ...]  # reduced integer rows over the columns
     pivots: tuple[int, ...]
     leads: tuple[Monomial, ...]        # pivot monomials = leading monomials
-    standard: tuple[Monomial, ...]     # canonical basis order
+    standard: tuple[Monomial, ...]     # the non-pivot monomials
     standard_columns: tuple[int, ...]  # their positions among the columns
 
     @property
@@ -488,14 +474,15 @@ class _FormPiece:
         return tuple(rref.row(i) for i in range(rref.rows))
 
 
-def _build_form_piece(I: FormIdeal, k: int, order: str) -> _FormPiece:
+def _build_form_piece(I: FormIdeal, k: int) -> _FormPiece:
     """The degree-k span of the monomial-times-generator products, each
     generator scaled to integer coefficients once.  Rows are packed mod 2 as
     they are filled; when there are at least as many rows as columns and
     the rank policy certifies full column rank
     (``_kernels.certifies_maximal``), the span is all of S_k and no
     elimination runs.  Otherwise ``integer_rref`` reduces the rows."""
-    cols, col_index = ordered_basis(I.n, k, order)
+    cols = monomial_basis(I.n, k)
+    col_index = basis_index(I.n, k)
     ncols = len(cols)
     rows: list[list[int]] = []
     parity: list[int] = []
@@ -520,12 +507,11 @@ def _build_form_piece(I: FormIdeal, k: int, order: str) -> _FormPiece:
     else:
         pivots = integer_rref(rows, ncols)
     pivot_set = set(pivots)
-    leads = tuple(cols[c] for c in pivots)
-    standard_set = {cols[c] for c in range(ncols) if c not in pivot_set}
-    standard = tuple(m for m in monomial_basis(I.n, k) if m in standard_set)
+    standard_columns = tuple(c for c in range(ncols) if c not in pivot_set)
     return _FormPiece(
-        cols, col_index, tuple(map(tuple, rows[:len(pivots)])), pivots, leads,
-        standard, tuple(col_index[m] for m in standard),
+        cols, tuple(map(tuple, rows[:len(pivots)])), pivots,
+        tuple(cols[c] for c in pivots), tuple(cols[c] for c in standard_columns),
+        standard_columns,
     )
 
 
@@ -617,13 +603,13 @@ def default_socle_cap(I) -> int:
     return I.n * (dmax - 1) + SOCLE_CAP_MARGIN
 
 
-def graded_piece(I, k: int, order: str = "degrevlex") -> GradedPiece:
+def graded_piece(I, k: int) -> GradedPiece:
     """Standard monomials (and, for form ideals, the reduced span) in degree k."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if isinstance(I, MonomialIdeal):
         return GradedPiece(k, I.standard_monomials(k))
-    piece = I.piece(k, order)
+    piece = I.piece(k)
     span = ExactMatrix(
         len(piece.rref_rows), len(piece.columns), [list(r) for r in piece.rref_rows]
     )
@@ -662,10 +648,8 @@ def socle_degree(I, cap: int | None = None) -> int:
     raise CapExceededError(f"no vanishing up to degree {cap + 1}")
 
 
-def initial_ideal_degreewise(
-    I: FormIdeal, order: str = "degrevlex", upto: int = 0
-) -> dict[int, tuple[Monomial, ...]]:
-    """Leading monomials of each graded span I_k for k <= upto.
+def initial_ideal_degreewise(I: FormIdeal, upto: int) -> dict[int, tuple[Monomial, ...]]:
+    """Degrevlex leading monomials of each graded span I_k for k <= upto.
 
     For artinian ideals with known minimal generator degree the degreewise
     spans are complete, so no Groebner computation is involved; by rank,
@@ -675,7 +659,7 @@ def initial_ideal_degreewise(
         raise ValueError("upto must reach the minimal generator degree")
     out: dict[int, tuple[Monomial, ...]] = {}
     for k in range(upto + 1):
-        out[k] = I.piece(k, order).leads if k >= I.min_degree else ()
+        out[k] = I.piece(k).leads if k >= I.min_degree else ()
     return out
 
 

@@ -9,8 +9,7 @@ modulo the ideal's degrevlex span.  A form column is expanded with the
 integer weights and reduced fraction-free, so it comes out as integers over
 a positive scale; the deciders rank the integer rows (scaling a column, or
 the whole matrix, keeps the rank), and only ``mult_map_matrix`` divides the
-scales back out.  A rank does not depend on the basis, so no decider takes
-a term order.
+scales back out.
 
 Monomial quotients are decided with the all-ones linear form, which suffices
 for monomial algebras; form quotients use seeded random trial forms, with the
@@ -28,25 +27,24 @@ for a map past an onto one: if ell^i maps R_j onto R_{j+i}, it maps every
 later R_k onto R_{k+i} (Migliore-Miro-Roig-Nagel, Trans. AMS 2011,
 Prop. 2.1), so such a pair is recorded with rank HF(k+i).
 
-An exact scan of a monomial ideal decides three more kinds of pair without
-a matrix (``_scan_pairs``), each with its exact rank:
+An exact scan of any ideal, monomial or form, decides two more kinds of
+pair without a matrix (``_scan_pairs``), each with its exact rank:
 
 - a pair its exact scans decided before under the same form, read from the
   ideal's record cache: a rank depends only on the ideal, the form and the
   pair, so a shortcut after the full check re-ranks nothing;
-- a map with a one-dimensional side under a form with no zero coefficient,
-  of rank one: every coefficient of ell^i is nonzero and the divisors of a
-  standard monomial are standard, so the one row or column has a nonzero
-  entry;
 - a power ell^i = ell^(i-a) ell^a through R_{j+a} whose two factors are in
   the cache: by Sylvester's inequality its rank is at least
   r_1 + r_2 - HF(j+a), and a bound that reaches min(HF(j), HF(j+i)) is the
   rank.
 
-Randomized scans and form ideals build every map: a randomized record is
-the best rank of several trial forms, and a form quotient's columns are
-reduced modulo the ideal's span, so their entries are not the coefficients
-of ell^i.
+On a monomial ideal it decides a third: a map with a one-dimensional side
+under a form with no zero coefficient has rank one, since every coefficient
+of ell^i is nonzero and the divisors of a standard monomial are standard,
+so the one row or column has a nonzero entry.  A form quotient's entries
+are reduced modulo its span, and ell^i itself can lie in a form ideal, so
+there that map is built.  Randomized scans build every map: a randomized
+record is the best rank of several trial forms.
 
 Both row builders pack each integer column mod 2 into one int as they fill
 the rows, and every map enters the rank policy (``_kernels.rank_rows``)
@@ -207,9 +205,8 @@ def _form_columns(I: FormIdeal, ell: LinearForm, i: int, j: int):
     weights of ell^i, reduced modulo the degree-(j+i) span
     (``reduce_mod_piece``) and projected onto the standard monomials.
     Returns (columns, scales, nrows): the exact column ci is columns[ci]
-    divided by the positive integer scales[ci].  The degrevlex pieces list
-    their columns in monomial_basis order, so ``_columns`` indexes them
-    directly."""
+    divided by the positive integer scales[ci].  A piece lists its columns
+    in monomial_basis order, so ``_columns`` indexes them directly."""
     pji = I.piece(j + i)
     src_index = basis_index(I.n, j)
     cols = _columns(I.n, j, i)
@@ -316,12 +313,15 @@ def _pair_exact(I, ell, i, j) -> PairRecord:
 
 
 def _rank_one_record(nonzero: bool, i, j, hj, hji) -> PairRecord | None:
-    """The record of a monomial quotient's map with a one-dimensional side,
-    under a form with no zero coefficient (``nonzero``): rank one, since
-    every coefficient of ell^i is nonzero and a standard monomial's
-    divisors are standard, so the one source monomial divides every
-    standard target, and the one target has a standard divisor in the
-    source.  None when the rule does not apply."""
+    """The record of a map with a one-dimensional side when ``nonzero``
+    says the rule holds: a monomial quotient under a form with no zero
+    coefficient, where the rank is one, since every coefficient of ell^i
+    is nonzero and a standard monomial's divisors are standard, so the one
+    source monomial divides every standard target, and the one target has
+    a standard divisor in the source.  It fails on form quotients: in
+    (x1^2, x2^2, x3^2, x1*x2 + x1*x3 + x2*x3), (x1 + x2 + x3)^2 lies in the
+    ideal, so the map from R_0 has rank 0.  None when the rule does not
+    apply."""
     if nonzero and min(hj, hji) == 1:
         return PairRecord(i, j, hj, hji, 1, True)
     return None
@@ -357,36 +357,36 @@ def _scan_pairs(
     each pair list ascending in j within one power i, as the WLP, SLP and
     power lists do.
 
-    An exact scan of a monomial ideal tries three more routes before it
-    builds a matrix, each giving the exact rank:
+    An exact scan of any ideal tries more routes before it builds a
+    matrix, each giving the exact rank:
 
     - the record cache: the ideal keeps every record its exact scans
-      decided, per form (``MonomialIdeal._records``), and a record already
-      there is read, not decided again; a rank depends only on the ideal,
-      the form and the pair;
-    - rank one (``_rank_one_record``): under a form with no zero
-      coefficient, a map with a one-dimensional side has rank one, since
-      every coefficient of ell^i is nonzero and the divisors of a standard
-      monomial are standard, so the one row or column has a nonzero entry;
+      decided, per form (``_records``), and a record already there is
+      read, not decided again; a rank depends only on the ideal, the form
+      and the pair;
+    - rank one (``_rank_one_record``), on a monomial ideal only: under a
+      form with no zero coefficient, a map with a one-dimensional side has
+      rank one, since every coefficient of ell^i is nonzero and the
+      divisors of a standard monomial are standard; a form ideal can
+      contain ell^i, so there the map is built;
     - composition (``_composed_record``): ell^i from R_j is ell^(i-a)
       after ell^a through R_{j+a}, so its rank is at least r_1 + r_2 -
       HF(j+a) (Sylvester), and a bound that reaches min(HF(j), HF(j+i))
       is the rank; the two records are read from the cache, which the
       SLP's ascending powers fill first.
 
-    Randomized scans and form ideals neither read nor fill the cache and
-    take none of these routes: a randomized record is the best of several
-    trial forms, and a form quotient's entries are reduced modulo its
-    span, not the coefficients of ell^i."""
+    Randomized scans neither read nor fill the cache and take none of
+    these routes: a randomized record is the best of several trial
+    forms."""
     d = I.min_degree
     hf = I.hf
     records: list[PairRecord] = []
     witness = None
     onto_powers: set[int] = set()
     known = None
-    if mode == "exact" and isinstance(I, MonomialIdeal):
+    if mode == "exact":
         known = I._records.setdefault(ell.coefficients, {})
-        nonzero = all(ell.coefficients)
+        nonzero = isinstance(I, MonomialIdeal) and all(ell.coefficients)
     for i, j in pair_list:
         rec = None if known is None else known.get((i, j))
         if rec is None:
@@ -401,8 +401,6 @@ def _scan_pairs(
                 rec = PairRecord(i, j, hj, hji, hji, True)
             elif mode == "randomized":
                 rec = _pair_via_forms(I, forms, i, j)
-            elif known is None:
-                rec = _pair_exact(I, ell, i, j)
             else:
                 rec = (
                     _rank_one_record(nonzero, i, j, hj, hji)

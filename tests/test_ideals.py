@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lefschetz_props import _kernels
-from lefschetz_props.combinatorics import basis_size, monomial_basis
+from lefschetz_props.combinatorics import basis_index, basis_size, monomial_basis
 from lefschetz_props.cli import run
 from lefschetz_props.errors import CapExceededError, NotArtinianError
 from lefschetz_props.harness import random_form_ideal
@@ -16,7 +16,6 @@ from lefschetz_props.ideals import (
     FormIdeal,
     MonomialIdeal,
     SupportIdeal,
-    TERM_ORDERS,
     _build_form_piece,
     default_socle_cap,
     graded_piece,
@@ -154,7 +153,7 @@ def test_monomial_ideal_as_form_ideal():
     bk = MonomialIdeal(3, BK_GENS)
     for k in range(6):
         assert F.hf(k) == bk.hf(k)
-    leads = initial_ideal_degreewise(F, "degrevlex", upto=5)
+    leads = initial_ideal_degreewise(F, upto=5)
     for k in range(3, 6):
         assert set(leads[k]) == set(
             m for i, m in enumerate(monomial_basis(3, k))
@@ -164,10 +163,8 @@ def test_monomial_ideal_as_form_ideal():
 
 def test_initial_ideal_single_binomial():
     F = FormIdeal(3, [{(2, 0, 0): 1, (0, 2, 0): -1}])
-    leads = initial_ideal_degreewise(F, "degrevlex", upto=2)
+    leads = initial_ideal_degreewise(F, upto=2)
     assert leads[2] == ((2, 0, 0),)
-    lex = initial_ideal_degreewise(F, "lex", upto=2)
-    assert lex[2] == ((2, 0, 0),)
 
 
 def test_initial_ideal_preserves_hilbert_function():
@@ -183,7 +180,7 @@ def test_initial_ideal_preserves_hilbert_function():
             gens.append(coeffs)
         F = FormIdeal(3, gens)
         upto = 7
-        leads = initial_ideal_degreewise(F, "degrevlex", upto=upto)
+        leads = initial_ideal_degreewise(F, upto=upto)
         if not any(leads.values()):
             continue
         J = monomial_ideal_from_leads(leads, 3)
@@ -203,22 +200,11 @@ def test_initial_ideal_preserves_hilbert_function_four_variables():
             gens.append(coeffs)
         F = FormIdeal(4, gens)
         upto = 6
-        leads = initial_ideal_degreewise(F, "degrevlex", upto=upto)
+        leads = initial_ideal_degreewise(F, upto=upto)
         if not any(leads.values()):
             continue
         J = monomial_ideal_from_leads(leads, 4)
         assert hilbert_function(F, upto) == hilbert_function(J, upto)
-
-
-def test_hf_is_term_order_independent():
-    F = FormIdeal(3, [
-        {(2, 0, 0): 1, (1, 1, 0): 2},
-        {(0, 2, 0): 1, (0, 1, 1): -1},
-        {(0, 0, 2): 3, (1, 0, 1): 1},
-    ])
-    for k in range(6):
-        counts = {len(F.piece(k, order).standard) for order in TERM_ORDERS}
-        assert counts == {F.hf(k)}
 
 
 def test_graded_piece_form_span_shape():
@@ -238,13 +224,10 @@ def test_generator_normalization_and_equality():
     assert a.min_degree == a.max_degree == 3
 
 
-def oracle_form_piece(I, k, order):
+def oracle_form_piece(I, k):
     """The degree-k span of a form ideal, row reduced by the Fraction twin;
-    columns sorted descending by the term order without the ideals module."""
-    if order == "degrevlex":
-        cols = sorted(monomial_basis(I.n, k), key=lambda m: m[::-1])
-    else:  # lex, and grlex, which agrees with lex within one degree
-        cols = sorted(monomial_basis(I.n, k), reverse=True)
+    columns sorted descending degrevlex without the ideals module."""
+    cols = sorted(monomial_basis(I.n, k), key=lambda m: m[::-1])
     rows = []
     for deg, items in I.generators:
         for m in (monomial_basis(I.n, k - deg) if deg <= k else ()):
@@ -265,15 +248,14 @@ def test_form_piece_matches_fraction_oracle():
                for _, items in ideals[-1].generators for _, c in items)
     for I in ideals:
         top = min(socle_degree(I) + 1, 5)
-        for order in ("degrevlex", "lex", "grlex"):
-            for k in range(top + 1):
-                piece = _build_form_piece(I, k, order)
-                got = (piece.columns, piece.rref_rows, piece.pivots,
-                       piece.leads, piece.standard)
-                want = oracle_form_piece(I, k, order)
-                assert got == want
-                assert [[type(e) for e in r] for r in got[1]] == \
-                    [[type(e) for e in r] for r in want[1]]
+        for k in range(top + 1):
+            piece = _build_form_piece(I, k)
+            got = (piece.columns, piece.rref_rows, piece.pivots,
+                   piece.leads, piece.standard)
+            want = oracle_form_piece(I, k)
+            assert got == want
+            assert [[type(e) for e in r] for r in got[1]] == \
+                [[type(e) for e in r] for r in want[1]]
 
 
 def test_certified_pieces_run_no_elimination(monkeypatch):
@@ -293,20 +275,19 @@ def test_certified_pieces_run_no_elimination(monkeypatch):
             gf2_only.setattr(_kernels, "rank_mod_rows", no_elimination)
             certified = [(cubic, 7), (cubic, 8)]
             for I, k in certified:
-                piece = _build_form_piece(I, k, "degrevlex")
+                piece = _build_form_piece(I, k)
                 assert piece.standard == () and piece.pivots == tuple(range(len(piece.columns)))
         # 18 x 15 and 30 x 21 with GF(2) ranks 12 and 18: the word prime certifies
         word_prime = [(even, 4), (even, 5)]
         for I, k in certified + word_prime:
-            for order in TERM_ORDERS:
-                piece = _build_form_piece(I, k, order)
-                assert (piece.columns, piece.rref_rows, piece.pivots, piece.leads,
-                        piece.standard) == oracle_form_piece(I, k, order)
+            piece = _build_form_piece(I, k)
+            assert (piece.columns, piece.rref_rows, piece.pivots, piece.leads,
+                    piece.standard) == oracle_form_piece(I, k)
         # 30 x 28 of rank 27 is tall but not full, and 9 x 10 is wide: both
         # fall back to the elimination
         for I, k in ((cubic, 6), (even, 3)):
             with pytest.raises(RuntimeError, match="elimination ran"):
-                _build_form_piece(I, k, "degrevlex")
+                _build_form_piece(I, k)
     ran = []
 
     def spy_mod(rows, ncols, *args):
@@ -315,7 +296,7 @@ def test_certified_pieces_run_no_elimination(monkeypatch):
 
     monkeypatch.setattr(_kernels, "rank_mod_rows", spy_mod)
     for I, k in word_prime + [(cubic, 6)]:
-        _build_form_piece(I, k, "degrevlex")
+        _build_form_piece(I, k)
     assert ran == [(18, 15), (30, 21), (30, 28)]
 
 
@@ -339,7 +320,7 @@ def test_reduce_mod_piece_is_the_fraction_reduction_over_a_scale():
                     want = [x - f * y for x, y in zip(want, row)]
                 assert all(want[c] == 0 for c in piece.pivots)
                 assert [Fraction(x, scale) for x in part] == \
-                    [want[piece.col_index[m]] for m in piece.standard]
+                    [want[basis_index(I.n, k)[m]] for m in piece.standard]
                 assert scale > 0 and math.gcd(scale, *part) == 1
                 seen_scales.add(scale)
     assert len(seen_scales) > 1

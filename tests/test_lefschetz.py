@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lefschetz_props import _kernels, _ranks_py, lefschetz
-from lefschetz_props.combinatorics import basis_size, monomial_basis, multinomial
+from lefschetz_props.combinatorics import basis_index, basis_size, monomial_basis, multinomial
 from lefschetz_props.duality import extremal_dual
 from lefschetz_props.errors import NotArtinianError
 from lefschetz_props.exactlinalg import ExactMatrix, rank
@@ -274,6 +274,51 @@ def test_decider_ranks_match_plain_exact_rank(monkeypatch):
     assert zero_rank > 0
 
 
+# Form ideals for the exact scans: the rational-coefficient and cubic ones
+# of the CLI checks, and one whose ideal holds (x1 + x2 + x3)^2, so the map
+# from R_0 by the square of the all-ones form has a one-dimensional source
+# and rank 0.
+EXACT_FORMS = (
+    "x1^2+x2*x3,x2^2-x1*x3,x3^2",
+    "1/2*x1^2+x2*x3,x2^2-3*x1*x3,x3^2",
+    "x1^3+x2^2*x3,x2^3-x1*x3^2,x3^3",
+    "x1^2,x2^2,x3^2,x1*x2+x1*x3+x2*x3",
+)
+
+
+def test_form_ideal_exact_scans_share_the_record_cache(monkeypatch):
+    # exact scans of a form ideal read and fill its record cache and bound
+    # powers by composition like those of a monomial ideal, and every
+    # record equals the plain Bareiss rank of mult_map_matrix; a second
+    # exact check builds no matrix; the rank-one rule decides no form pair,
+    # since ell^i can lie in a form ideal
+    built = spy(monkeypatch, lefschetz, "_build_rows")
+    rank_one = spy(monkeypatch, lefschetz, "_rank_one_record")
+    composed = spy(monkeypatch, lefschetz, "_composed_record")
+    ideals = [parse_inline_ideal(gens) for gens in EXACT_FORMS]
+    rng = random.Random(32)
+    ideals += [random_form_ideal(3, d, rng) for d in (2, 3, 2, 3)]
+    rank_zero_one_dim = 0
+    for I in ideals:
+        reports, memo = scans_against_twin(I, "exact")
+        e = socle_degree(I)
+        ell = LinearForm(tuple(Fraction(t + 1, 2 * t + 3) for t in range(I.n)))
+        for i in range(1, e + 1):
+            for j in range(e - i + 1):
+                want = rank(mult_map_matrix(I, ell, i, j))
+                assert has_maximal_rank(I, ell, i, j)[1] == want, (I, i, j)
+        for rec in memo.values():
+            rank_zero_one_dim += rec.dim_source == 1 and rec.rank == 0 < rec.dim_target
+        assert set(I._records) == {ones_form(I.n).coefficients, ell.coefficients}
+        built.clear()
+        again = check_slp(I, "exact")
+        assert built == [], I
+        assert again.pairs == reports[1].pairs
+    assert rank_zero_one_dim > 0
+    assert rank_one and all(rec is None for rec in rank_one)
+    assert any(rec is not None for rec in composed)
+
+
 def test_onto_propagation_skips_pairs_and_keeps_records(monkeypatch):
     # in exact and randomized mode the scans decide fewer pairs than they
     # list as non-free, and every record still matches the twin
@@ -312,11 +357,12 @@ def test_shortcuts_read_the_records_of_the_full_check(monkeypatch):
     assert shortcuts > 0
 
 
-def test_randomized_scans_and_form_ideals_skip_the_record_cache(monkeypatch):
+def test_randomized_scans_skip_the_record_cache_form_ideals_fill_it(monkeypatch):
     # a randomized record is the best of several trial forms: randomized
-    # scans neither fill nor read a monomial ideal's record cache, and the
-    # matrix-free rules never run on them; a form ideal keeps no records,
-    # and its maps with a one-dimensional side are built, exact or not
+    # scans neither fill nor read an ideal's record cache, and the
+    # matrix-free rules never run on them; an exact scan of a form ideal
+    # fills its record cache, and its maps with a one-dimensional side are
+    # built, exact or not
     via_forms = spy(monkeypatch, lefschetz, "_pair_via_forms")
     exact = spy(monkeypatch, lefschetz, "_pair_exact")
     rank_one = spy(monkeypatch, lefschetz, "_rank_one_record")
@@ -336,12 +382,17 @@ def test_randomized_scans_and_form_ideals_skip_the_record_cache(monkeypatch):
         assert not {id(p) for p in after.pairs} & {id(p) for p in full.pairs}
         assert I._records == held
         via_forms.clear()
-    for mode, spied in (("exact", exact), ("randomized", via_forms)):
+    forms = parse_inline_ideal("x1^2+x2*x3,x2^2-x1*x3,x3^2")
+    for mode, spied in (("randomized", via_forms), ("exact", exact)):
         spied.clear()
-        check_slp(FORMS, mode, seed=9)
+        check_slp(forms, mode, seed=9)
         assert any(min(rec.dim_source, rec.dim_target) == 1 for rec in spied), mode
-    assert rank_one == composed == []
-    assert not hasattr(FORMS, "_records")
+        if mode == "randomized":
+            assert forms._records == {} and rank_one == composed == []
+    assert all(rec is None for rec in rank_one)
+    held = forms._records[ones_form(3).coefficients]
+    assert {(rec.i, rec.j) for rec in exact} <= set(held)
+    assert all(held[rec.i, rec.j] is rec for rec in exact)
 
 
 def policy_calls(monkeypatch):
@@ -549,6 +600,7 @@ def fraction_form_map(I, coefficients, i, j):
     rows of the target piece, and project onto the target standard
     monomials."""
     src, tgt = I.piece(j), I.piece(j + i)
+    tgt_index = basis_index(I.n, j + i)
     power = {}
     for c in monomial_basis(I.n, i):
         w = Fraction(multinomial(i, c))
@@ -559,11 +611,11 @@ def fraction_form_map(I, coefficients, i, j):
     for a in src.standard:
         v = [Fraction(0)] * len(tgt.columns)
         for c, w in power.items():
-            v[tgt.col_index[tuple(x + y for x, y in zip(a, c))]] += w
+            v[tgt_index[tuple(x + y for x, y in zip(a, c))]] += w
         for row, c in zip(tgt.rref_rows, tgt.pivots):
             f = v[c]
             v = [x - f * y for x, y in zip(v, row)]
-        columns.append([v[tgt.col_index[m]] for m in tgt.standard])
+        columns.append([v[tgt_index[m]] for m in tgt.standard])
     return [[col[r] for col in columns] for r in range(len(tgt.standard))]
 
 
