@@ -42,6 +42,7 @@ COMMANDS = [
     ["verify-thm1", "--n", "3", "--d", "5"],
     ["verify-thm2", "--n", "4", "--d", "2"],
     ["verify-thm2", "--n", "3", "--d", "5", "--i", "3"],
+    ["verify-thm2", "--n", "4", "--d", "4", "--i", "1"],
     ["verify-thm37", "--n", "3", "--d", "5", "--i", "2"],
     ["crosscheck", "--n", "3", "--d", "3", "--sample", "all"],
     ["named"],
@@ -54,8 +55,8 @@ COMMANDS = [
     ["slp", "--gens", BK, "--mode", "randomized", "--seed", "9"],
     ["slp", "--gens", FORMS, "--mode", "randomized", "--seed", "9"],
     ["wlp", "--gens", FORMS, "--seed", "9", "--format", "csv"],
-    # the searched witness over several HF levels, and the pool path (split
-    # at popcount 4, partial at the default budgets)
+    # the power-1 campaign, which sweeps and searches Theorem 1's window,
+    # and the pool path (split at popcount 4, partial at the default budgets)
     ["verify-thm2", "--n", "3", "--d", "4", "--i", "1"],
     ["verify-thm1", "--n", "4", "--d", "5", "--threads", "2"],
     # support-ideal campaigns: four variables, no symmetry reduction, a
@@ -94,7 +95,7 @@ COMMANDS = [
     ["crosscheck", "--n", "4", "--d", "3", "--sample", "300", "--seed", "5"],
     ["verify-thm2", "--n", "4", "--d", "3", "--i", "2"],
     # campaigns decided from the one critical map: the power-shortcut decide
-    # over a searched witness window, and 151k four-variable masks
+    # over Theorem 1's window, and 151k four-variable masks
     ["verify-thm2", "--n", "3", "--d", "5", "--i", "1"],
     ["verify-thm1", "--n", "4", "--d", "4"],
     # the orderly below-bound walk stopped by each budget, on the pool path,
@@ -125,8 +126,8 @@ COMMANDS = [
     ["verify-thm2", "--n", "3", "--d", "7", "--i", "2", "--threads", "2"],
     ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2"],
     # the packed canonicity test on the Gosper stream of larger groups: the
-    # searched witness window of 23 permutations, and the SLP bound's
-    # at-bound window under 119
+    # power-1 campaign's at-bound window under 23 permutations, and the SLP
+    # bound's under 119
     ["verify-thm2", "--n", "4", "--d", "3", "--i", "1"],
     ["verify-thm2", "--n", "5", "--d", "2"],
     # the below-bound walk split across forked workers: partial reports
@@ -193,11 +194,25 @@ COMMANDS = [
     ["slp", "--gens", RATIONAL_FORMS, "--mode", "exact", "--method", "full", "--format", "csv"],
     ["slp", "--gens", "x1^2,x2^2,x3^2,x1*x2+x1*x3+x2*x3", "--mode", "exact", "--method",
      "full", "--format", "csv"],
+    # the power-1 campaign stopped by an entry budget inside its sweep
+    ["verify-thm2", "--n", "3", "--d", "5", "--i", "1", "--budget-entries", "3000"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a
 # tuple of the argv above, mapped to the reason.
-DECLARED: dict[tuple[str, ...], str] = {}
+_POWER_ONE = (
+    "the power-1 bound is Theorem 1's, not d+1: expected_bound {} and "
+    "details.matrix_entry_cost move"
+)
+DECLARED: dict[tuple[str, ...], str] = {
+    ("verify-thm2", "--n", "3", "--d", "4", "--i", "1"): _POWER_ONE.format("5 -> 10"),
+    ("verify-thm2", "--n", "3", "--d", "5", "--i", "1"): _POWER_ONE.format("6 -> 12"),
+    ("verify-thm2", "--n", "4", "--d", "3", "--i", "1"): _POWER_ONE.format("4 -> 6"),
+    ("verify-thm2", "--n", "4", "--d", "4", "--i", "1"): _POWER_ONE.format("5 -> 8"),
+    ("verify-thm2", "--n", "3", "--d", "5", "--i", "1", "--budget-entries", "3000"):
+        _POWER_ONE.format("6 -> 12") + ", and so does examined: the sweep stops at "
+        "another mask",
+}
 
 
 def run(checkout: Path, argv: list[str], cwd: str) -> tuple[int, bytes]:

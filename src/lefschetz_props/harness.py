@@ -13,9 +13,9 @@ packed into the lanes of one int, and one subtraction compares them all
 with the mask.  The below-bound window of a campaign starts at the empty
 mask and is walked depth first on the orderly tree (one node per orbit,
 its largest mask, or per subset without symmetry), in preorder, holding
-only the path it is on.  Windows that start higher (the at-bound and
-searched-witness windows, which stop at their first failure) stream the
-smallest mask of each orbit, by popcount, then ascending.  So a sweep
+only the path it is on.  A window that starts higher is the at-bound
+witness search: one popcount, which streams the smallest mask of each
+orbit in ascending order and stops at its first failure.  So a sweep
 records a failure under its orbit's largest mask, a witness search under
 its smallest.
 
@@ -48,9 +48,12 @@ One loop scans every window, mask by mask (``_scan_expected_pass(report,
 spec, check)``): a window from popcount 0 is a sweep that records every
 failure, one from higher a witness search that stops at its first.  Its
 budgets stop it right after the mask that uses one up.  ``verify_thm1``
-and ``verify_thm2`` declare a bound, a check and whether the bound is
-sharp; one driver (``_verify_bound``) sweeps below the bound, then builds
-or searches for the witness with what the sweep left of each budget.
+and ``verify_thm2`` only pick the check.  One driver (``_verify_bound``)
+reads the bound and the witness off the check's critical power i, since
+every campaign bound is sharp: d-i+2 with the extremal dual witness for
+i >= 2, Theorem 1's bound with a witness searched for at it for i = 1.
+It sweeps below the bound, then builds or searches for the witness with
+what the sweep left of each budget.
 
 With more than one thread the sweep's walk is cut into segments, each
 ending with a node of the split popcount and its subtree, dealt round-robin
@@ -646,56 +649,50 @@ def _witness_record(n: int, d: int, I: MonomialIdeal, rep) -> dict:
 
 
 def _verify_bound(
-    campaign: str, params: dict, spec: SearchSpec, bound: int, check: _Check, sharp: bool
+    campaign: str, params: dict, spec: SearchSpec, check: _Check
 ) -> VerificationReport:
-    """A bound's campaign: every ideal with HF(d) below ``bound`` passes the
-    check, and one at the bound fails it.
+    """A bound's campaign: every ideal with HF(d) below the bound passes the
+    check, and one at the bound fails it.  The check's critical power i
+    (``check.power``) sets both.
 
     ``spec`` gives the campaign's (n, d), symmetry, threads and budgets,
     at the HF window [0, 0], and ``params`` the report's parameters past
-    those.  The sweep scans HF 0 .. bound-1.  A shortcut check whose
-    critical power i is at least 2 then builds its witness: the
+    those.  For i >= 2 the bound is d-i+2 and the witness is built: the
     support-complement ideal of the extremal dual element
-    (``extremal_dual``), which must fail at HF exactly the bound.  Any
-    other check searches for the first failure from the bound: at it for a
-    ``sharp`` bound, up to the top for the bound d+1 of the power i = 1,
-    which need not be attained.  The search gets what the sweep left of
-    each budget, so the budgets cover the whole campaign;
-    ``matrix_entry_cost`` is the sweep's."""
+    (``extremal_dual``), which must fail at HF exactly the bound.  For
+    i = 1, ell: R_{d-1} -> R_d fails to be onto exactly when the WLP fails,
+    so the bound is Theorem 1's (``theorem1_bound``) and the witness is
+    searched for at the bound only.  The sweep scans HF 0 .. bound-1.  The
+    search gets what the sweep left of each budget, so the budgets cover
+    the whole campaign; ``matrix_entry_cost`` is the sweep's."""
     t0 = time.perf_counter()
-    n, d = spec.n, spec.d
+    n, d, i = spec.n, spec.d, check.power
+    bound = theorem1_bound(n, d) if i == 1 else d - i + 2
     top = basis_size(n, d) - n
     attainable = bound <= top
     params = {"n": n, "d": d, "symmetry": spec.symmetry, "threads": spec.threads, **params}
     report = VerificationReport(campaign, params, False, expected_bound=bound)
     below = replace(spec, hf_max=min(bound - 1, top))
     cost = _scan_expected_pass(report, below, check)
-    witness_hf = None
-    if check.key != "wlp" and check.power >= 2:
-        f, ideal = extremal_dual(n, d, check.power)
+    attained = False
+    if i >= 2:
+        f, ideal = extremal_dual(n, d, i)
         rep = _run_check(ideal, check)
         witness = _witness_record(n, d, ideal, rep)
         witness["dual_element"] = str(f)
-        witness["achieves_bound"] = not rep.verdict and ideal.hf(d) == bound
+        attained = witness["achieves_bound"] = not rep.verdict and ideal.hf(d) == bound
         report.witnesses.append(witness)
-        if witness["achieves_bound"]:
-            witness_hf = bound
     elif attainable and not report.partial:
         search = replace(
-            below, hf_min=bound, hf_max=bound if sharp else top,
+            below, hf_min=bound, hf_max=bound,
             budget_ideals=spec.budget_ideals - report.examined,
             budget_entries=spec.budget_entries - cost,
         )
         _scan_expected_pass(report, search, check)
-        if report.witnesses:
-            witness_hf = report.witnesses[0]["hf_d"]
+        attained = bool(report.witnesses)
     failing = [w["hf_d"] for w in report.failures]
-    report.min_failing_hf = min(failing, default=witness_hf)
-    report.confirmed = (
-        not failing
-        and not report.partial
-        and (witness_hf is not None or not (sharp and attainable))
-    )
+    report.min_failing_hf = min(failing, default=bound if attained else None)
+    report.confirmed = not failing and not report.partial and (attained or not attainable)
     report.details = {"bound_attainable": attainable, "matrix_entry_cost": cost}
     report.elapsed_seconds = time.perf_counter() - t0
     return report
@@ -712,9 +709,8 @@ def verify_thm1(
 ) -> VerificationReport:
     """Confirm the WLP bound: no failures below it, a witness at it.  The
     budgets cover the whole campaign."""
-    bound = theorem1_bound(n, d)
     spec = SearchSpec(n, d, 0, 0, symmetry, threads, budget_ideals, budget_entries)
-    return _verify_bound("thm1", {}, spec, bound, _mask_decider(n, d, "wlp", None), True)
+    return _verify_bound("thm1", {}, spec, _mask_decider(n, d, "wlp", None))
 
 
 def verify_thm2(
@@ -727,23 +723,18 @@ def verify_thm2(
     budget_ideals: int = DEFAULT_BUDGET_IDEALS,
     budget_entries: int = DEFAULT_BUDGET_ENTRIES,
 ) -> VerificationReport:
-    """Confirm the SLP bound (no i) or the per-power bound d-i+2 (with i).
-
-    Below the bound every ideal must pass; at the bound the witness is the
-    constructed support-complement ideal of the extremal dual element for
-    i >= 2 (and for the SLP case with d >= 3), and is searched for
-    otherwise: at the bound for the SLP with d = 2, and from it upward for
-    i = 1, whose bound need not be attained.  The budgets cover the whole
-    campaign.
-    """
+    """Confirm the SLP bound (no i) or the bound of the power i (with i),
+    each read off its critical power (``_verify_bound``).  The SLP's is
+    d-1, so its bound is ``theorem2_bound(d)``: 3, or Theorem 1's 4 for
+    d = 2.  The budgets cover the whole campaign."""
     if i is None:
-        campaign, params, bound, key = "thm2", {}, theorem2_bound(d), "slp_shortcut"
+        campaign, params, key = "thm2", {}, "slp_shortcut"
     elif 1 <= i <= d - 1:
-        campaign, params, bound, key = "thm2-power", {"i": i}, d - i + 2, "power_shortcut"
+        campaign, params, key = "thm2-power", {"i": i}, "power_shortcut"
     else:
         raise ValueError("power must satisfy 1 <= i <= d-1")
     spec = SearchSpec(n, d, 0, 0, symmetry, threads, budget_ideals, budget_entries)
-    return _verify_bound(campaign, params, spec, bound, _mask_decider(n, d, key, i), i != 1)
+    return _verify_bound(campaign, params, spec, _mask_decider(n, d, key, i))
 
 
 def min_kernel_support(

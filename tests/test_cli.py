@@ -2,10 +2,12 @@
 byte-identical reruns."""
 
 import csv
+import importlib.util
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -473,3 +475,15 @@ def test_entry_point_module_main():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["forces"] is True
+
+
+def test_compare_cli_declares_only_invocations_it_runs():
+    # a declared difference whose argv is mistyped would never be matched,
+    # and a repeated invocation would be compared twice
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compare_cli.py"
+    spec = importlib.util.spec_from_file_location("compare_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    commands = [tuple(argv) for argv in module.COMMANDS]
+    assert len(set(commands)) == len(commands)
+    assert set(module.DECLARED) <= set(commands)

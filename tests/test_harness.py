@@ -457,43 +457,86 @@ def test_verify_thm2_witnesses():
 
 
 def test_verify_thm2_power_remark_strict_for_i_one():
-    # the i = 1 bound d+1 is not attained: observed minimum is strictly above
-    r = verify_thm2(3, 3, 1)
-    assert r.confirmed
-    assert r.expected_bound == 4
-    assert r.min_failing_hf == 6  # the WLP bound, strictly above d+1
-    r = verify_thm2(3, 4, 1)
-    assert r.confirmed
-    assert r.min_failing_hf == 10 > 5
+    # ell: R_{d-1} -> R_d fails to be onto exactly when the WLP fails, so the
+    # bound of the power i = 1 is Theorem 1's, strictly above d+1, and sharp
+    for n, d in ((3, 3), (3, 4)):
+        r = verify_thm2(n, d, 1)
+        assert r.confirmed
+        assert r.expected_bound == theorem1_bound(n, d) > d + 1
+        assert r.min_failing_hf == r.expected_bound
+
+
+def _campaign_key(r):
+    return (
+        r.examined, r.partial, r.confirmed, r.min_failing_hf, r.expected_bound,
+        [(w["generators"], w["hf_d"]) for w in r.witnesses],
+    )
+
+
+@pytest.mark.parametrize(
+    "n, d, budget",
+    [(3, 3, None), (3, 4, None), (3, 5, None), (4, 3, None), (4, 4, None), (5, 3, None),
+     (3, 5, 20000)],
+)
+def test_power_one_campaign_walks_theorem1s_window(n, d, budget):
+    # the power-1 campaign sweeps and searches the masks verify_thm1 does,
+    # in the same order, and finds the same witness, also when an ideal
+    # budget stops it partway
+    budgets = {} if budget is None else {"budget_ideals": budget}
+    power = verify_thm2(n, d, 1, **budgets)
+    wlp = verify_thm1(n, d, **budgets)
+    assert _campaign_key(power) == _campaign_key(wlp)
+    assert power.partial == (budget is not None)
 
 
 def test_a_sharp_bound_searches_its_witness_at_the_bound(monkeypatch):
-    # the SLP bound 4 for d = 2 is sharp, so its witness is searched at HF 4
-    # only: with every popcount-4 mask made to pass, verify_thm2(5, 2) has
-    # no witness and does not confirm, though ideals of HF 5 fail
+    # every bound is sharp, so its witness is searched at HF b only: with
+    # every popcount-b mask made to pass, the campaign has no witness and
+    # does not confirm, though ideals of HF b+1 fail (the SLP bound 4 for
+    # d = 2, and Theorem 1's bound for the power i = 1)
     from lefschetz_props import harness
 
-    assert verify_thm2(5, 2).min_failing_hf == 4
+    cases = [((5, 2), 4), ((3, 4, 1), theorem1_bound(3, 4))]
+    for args, bound in cases:
+        assert verify_thm2(*args).min_failing_hf == bound
     decide = harness._decide_mask
+    passed = {}  # the popcount made to pass
 
     def passing(check, mask, certified):
-        if mask.bit_count() == 4:
-            return check.source * 4
+        if mask.bit_count() == passed["bound"]:
+            return check.source * passed["bound"]
         return decide(check, mask, certified)
 
     monkeypatch.setattr(harness, "_decide_mask", passing)
-    r = verify_thm2(5, 2)
-    assert not r.confirmed and not r.partial and not r.failures and not r.witnesses
-    assert r.min_failing_hf is None
+    for args, bound in cases:
+        passed["bound"] = bound
+        r = verify_thm2(*args)
+        assert not r.confirmed and not r.partial and not r.failures and not r.witnesses
+        assert r.min_failing_hf is None
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3)])
+def test_each_bound_follows_from_the_critical_power(n, d):
+    # the bound is d-i+2 for a critical power i >= 2 and Theorem 1's for
+    # i = 1, and only a constructed witness carries its dual element; the
+    # SLP's critical power is d-1, so its bound is Theorem 2's
+    for i in (None, *range(1, d)):
+        power = d - 1 if i is None else i
+        r = verify_thm2(n, d, i)
+        assert r.confirmed and r.witnesses
+        assert r.expected_bound == (theorem1_bound(n, d) if power == 1 else d - power + 2)
+        if i is None:
+            assert r.expected_bound == theorem2_bound(d)
+        assert all(("dual_element" in w) == (power >= 2) for w in r.witnesses)
 
 
 def test_verify_thm2_vacuous_cases():
-    # (3, 2): bound 4 exceeds the attainable maximum 3, so no SLP failure
-    # exists at all and sharpness is vacuous
-    r = verify_thm2(3, 2)
-    assert r.confirmed and not r.details["bound_attainable"] and not r.witnesses
-    r = verify_thm2(3, 2, 1)
-    assert r.confirmed and r.min_failing_hf is None
+    # (3, 2): the SLP bound and the power-1 bound, both 4, exceed the
+    # attainable maximum 3, so no failure exists at all and sharpness is
+    # vacuous
+    for r in (verify_thm2(3, 2), verify_thm2(3, 2, 1)):
+        assert r.confirmed and not r.details["bound_attainable"] and not r.witnesses
+        assert r.expected_bound == 4 and r.min_failing_hf is None
 
 
 def test_a_failure_below_the_bound_sets_the_minimal_failing_hf(monkeypatch):
