@@ -56,7 +56,8 @@ COMMANDS = [
     ["slp", "--gens", FORMS, "--mode", "randomized", "--seed", "9"],
     ["wlp", "--gens", FORMS, "--seed", "9", "--format", "csv"],
     # the power-1 campaign, which sweeps and searches Theorem 1's window,
-    # and the pool path (split at popcount 4, partial at the default budgets)
+    # and a window partial at the default budgets, whose report --threads 2
+    # leaves unchanged
     ["verify-thm2", "--n", "3", "--d", "4", "--i", "1"],
     ["verify-thm1", "--n", "4", "--d", "5", "--threads", "2"],
     # support-ideal campaigns: four variables, no symmetry reduction, a
@@ -98,8 +99,8 @@ COMMANDS = [
     # over Theorem 1's window, and 151k four-variable masks
     ["verify-thm2", "--n", "3", "--d", "5", "--i", "1"],
     ["verify-thm1", "--n", "4", "--d", "4"],
-    # the orderly below-bound walk stopped by each budget, on the pool path,
-    # and in five variables
+    # the orderly below-bound walk stopped by each budget, with --threads 2
+    # (which changes no byte of the report), and in five variables
     ["verify-thm1", "--n", "3", "--d", "5", "--budget-ideals", "20000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--budget-entries", "1000000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2"],
@@ -118,10 +119,10 @@ COMMANDS = [
     ["hf", "--gens", CUBIC_FORMS, "--upto", "8"],
     ["slp", "--gens", CUBIC_FORMS, "--mode", "randomized", "--seed", "4",
      "--method", "full", "--format", "csv"],
-    # below-bound masks certified by the orderly walk on the other keys and
-    # on the pool path: the power-2 window stopped by an entry budget on
-    # its 173rd of 261 masks, a degree-7 power-2 window of 232k masks split
-    # at popcount 4, and 151k four-variable WLP masks
+    # below-bound masks certified by the orderly walk on the other keys, and
+    # with --threads 2, which changes no byte of the report: the power-2
+    # window stopped by an entry budget on its 173rd of 261 masks, a
+    # degree-7 power-2 window of 232k masks, and 151k four-variable WLP masks
     ["verify-thm2", "--n", "4", "--d", "4", "--i", "2", "--budget-entries", "5000"],
     ["verify-thm2", "--n", "3", "--d", "7", "--i", "2", "--threads", "2"],
     ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2"],
@@ -130,9 +131,9 @@ COMMANDS = [
     # bound's under 119
     ["verify-thm2", "--n", "4", "--d", "3", "--i", "1"],
     ["verify-thm2", "--n", "5", "--d", "2"],
-    # the below-bound walk split across forked workers: partial reports
-    # stopped by each budget, the no-symmetry window, an entry budget on a
-    # power window, and a window partial at the default budgets
+    # --threads 2 changes no byte of the report: partial reports stopped by
+    # each budget, the no-symmetry window, an entry budget on a power
+    # window, and a window partial at the default budgets
     ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2", "--budget-ideals", "20000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--threads", "2", "--budget-entries", "1000000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--no-symmetry", "--threads", "2"],
@@ -140,8 +141,7 @@ COMMANDS = [
      "--threads", "2"],
     ["verify-thm1", "--n", "3", "--d", "6", "--threads", "2"],
     # the entry budget stopping the walk of a no-symmetry window, which
-    # visits every subset, in-process on (3, 4) and split across two workers
-    # on (3, 5)
+    # visits every subset, on (3, 4), and on (3, 5) with --threads 2
     ["verify-thm1", "--n", "3", "--d", "4", "--no-symmetry", "--budget-entries", "50000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--no-symmetry", "--budget-entries", "5000000",
      "--threads", "2"],
@@ -153,17 +153,17 @@ COMMANDS = [
     ["minsupport", "--gens", "x1^4,x2^4,x3^4", "--d", "4", "--i", "1", "--bound", "10"],
     ["minsupport", "--gens", ASYMMETRIC, "--d", "4", "--i", "2", "--bound", "5"],
     ["verify-thm37", "--n", "3", "--d", "7", "--i", "3"],
-    # workers that only walk, every mask decided by the parent: a
-    # four-variable window stopped by an entry budget inside a dealt
-    # segment, and a no-symmetry window stopped by the ideal budget
+    # --threads 2 changes no byte of the report: a four-variable window
+    # stopped by an entry budget, and a no-symmetry window stopped by the
+    # ideal budget
     ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2", "--budget-entries", "10000000"],
     ["verify-thm1", "--n", "3", "--d", "5", "--no-symmetry", "--threads", "2",
      "--budget-ideals", "100000"],
     # a girth (4) below the bound (5): the first dependent row set lowers
     # the bound of the rest of the search
     ["minsupport", "--gens", "x1^4,x2^4,x3^4", "--d", "4", "--i", "2", "--bound", "5"],
-    # a split scan stopped deep inside its workers' streams: 120,000 masks
-    # into the 1,422 segments of (4, 4) split at popcount 4
+    # a (4, 4) walk stopped 120,000 masks in by the ideal budget, with
+    # --threads 2, which changes no byte of the report
     ["verify-thm1", "--n", "4", "--d", "4", "--threads", "2", "--budget-ideals", "120000"],
     # crosschecks below d = 2, where no shortcut gate holds
     ["crosscheck", "--n", "3", "--d", "0"],
@@ -176,8 +176,8 @@ COMMANDS = [
     # tree of the zero ideal's rows
     ["verify-thm37", "--n", "3", "--d", "7", "--i", "1"],
     ["verify-thm37", "--n", "4", "--d", "5", "--i", "1"],
-    # the orderly walk at P = 719 permutations, and the split walk at P = 119
-    # (split at popcount 4, stopped by the ideal budget)
+    # the orderly walk at P = 719 permutations, and at P = 119 stopped by
+    # the ideal budget, with --threads 2, which changes no byte of the report
     ["verify-thm1", "--n", "6", "--d", "3"],
     ["verify-thm1", "--n", "5", "--d", "4", "--threads", "2", "--budget-ideals", "20000"],
     # per-pair ranks decided without a matrix: a map with a one-dimensional
@@ -200,19 +200,7 @@ COMMANDS = [
 
 # Invocations whose output is meant to differ from the other checkout, as a
 # tuple of the argv above, mapped to the reason.
-_POWER_ONE = (
-    "the power-1 bound is Theorem 1's, not d+1: expected_bound {} and "
-    "details.matrix_entry_cost move"
-)
-DECLARED: dict[tuple[str, ...], str] = {
-    ("verify-thm2", "--n", "3", "--d", "4", "--i", "1"): _POWER_ONE.format("5 -> 10"),
-    ("verify-thm2", "--n", "3", "--d", "5", "--i", "1"): _POWER_ONE.format("6 -> 12"),
-    ("verify-thm2", "--n", "4", "--d", "3", "--i", "1"): _POWER_ONE.format("4 -> 6"),
-    ("verify-thm2", "--n", "4", "--d", "4", "--i", "1"): _POWER_ONE.format("5 -> 8"),
-    ("verify-thm2", "--n", "3", "--d", "5", "--i", "1", "--budget-entries", "3000"):
-        _POWER_ONE.format("6 -> 12") + ", and so does examined: the sweep stops at "
-        "another mask",
-}
+DECLARED: dict[tuple[str, ...], str] = {}
 
 
 def run(checkout: Path, argv: list[str], cwd: str) -> tuple[int, bytes]:

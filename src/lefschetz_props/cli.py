@@ -497,7 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--i", type=int)
         p.add_argument("--symmetry", dest="symmetry", action="store_true", default=None)
         p.add_argument("--no-symmetry", dest="symmetry", action="store_false", default=None)
-        p.add_argument("--threads", type=int)
+        p.add_argument(
+            "--threads", type=int,
+            help="accepted and recorded in the report; every campaign runs in one process",
+        )
         p.add_argument("--budget-ideals", dest="budget_ideals", type=int)
         p.add_argument("--budget-entries", dest="budget_entries", type=int)
         p.add_argument("--config", help="campaign config file (key = value lines)")

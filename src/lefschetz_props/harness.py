@@ -53,18 +53,9 @@ reads the bound and the witness off the check's critical power i, since
 every campaign bound is sharp: d-i+2 with the extremal dual witness for
 i >= 2, Theorem 1's bound with a witness searched for at it for i = 1.
 It sweeps below the bound, then builds or searches for the witness with
-what the sweep left of each budget.
-
-With more than one thread the sweep's walk is cut into segments, each
-ending with a node of the split popcount and its subtree, dealt round-robin
-to forked workers: each walks the whole tree less the others' subtrees
-(each orbit maximum has one parent, so they are disjoint) and sends its
-segments back in chunks down a one-way pipe.  Nothing goes back: a worker
-whose pipe is full waits in its send, so it walks ahead of the parent at
-most what its pipe holds.  The parent walks nothing; it decides every mask
-itself, in the order it would without workers.
-Failures are listed by popcount, then mask, so no report depends on the
-number of threads, and no complete one on the scan order.
+what the sweep left of each budget.  Every campaign runs in one process.
+Failures are listed by popcount, then mask, so no complete report depends
+on the scan order.
 
 ``min_kernel_support`` (behind ``verify_thm37``) finds the girth of the
 rows of ell^i: S_{d-i} -> S_d on an ideal's degree-d standard monomials
@@ -74,15 +65,12 @@ dependent.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, cycle, islice, permutations
-from math import comb, factorial
+from itertools import permutations
 from typing import NamedTuple
 
 from ._ranks_py import _packed_rows
@@ -123,10 +111,6 @@ from .reporting import VerificationReport
 DEFAULT_BUDGET_IDEALS = 10**6
 DEFAULT_BUDGET_ENTRIES = 10**8
 DEFAULT_RANK_BUDGET = 10_000_000
-# Orbits per worker at the popcount whose subtrees end a split scan's segments.
-SPLIT_HELD = 512
-# Masks per message from a worker of a split scan.
-SPLIT_CHUNK = 1024
 
 
 def theorem1_bound(n: int, d: int) -> int:
@@ -148,7 +132,11 @@ def theorem2_bound(d: int) -> int:
 
 @dataclass
 class SearchSpec:
-    """Enumeration window over equigenerated artinian (n, d) ideals."""
+    """Enumeration window over equigenerated artinian (n, d) ideals.
+
+    ``threads`` selects nothing: every scan runs in this process.  It is
+    validated and echoed in a campaign report's ``params``, and goes with
+    the ``thm1-3-5-par`` benchmark workload, which passes it."""
 
     n: int
     d: int
@@ -432,155 +420,16 @@ def _decide_mask(check: _Check, mask: int, certified: int) -> int | None:
     return cost
 
 
-def _usable_cpus() -> int | None:
-    """The CPUs this process may run on; None when unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
 def _scan_order(spec: SearchSpec, check: _Check):
     """The masks of the window in the order a scan decides them, each as
     mask << 1 | certified by the check's critical map: the orderly walk's
     orbit maxima in preorder from popcount 0 (a campaign's sweep below its
     bound), and the orbit minima by popcount, then ascending, from higher
-    (``iter_support_masks``; a witness search).  With ``spec.threads`` > 1,
-    the walk is split across that many forked workers, at most one per
-    usable CPU, at the first popcount k >= 1 with at least ``SPLIT_HELD``
-    orbits per worker, if it reaches one.  The walk visits about C(m, k)/n!
-    orbits there with symmetry, C(m, k) without."""
+    (``iter_support_masks``; a witness search)."""
     if spec.hf_min:
         return (mask << 1 for mask in iter_support_masks(spec))
     m, tables = _window_tables(spec)
-    workers = min(spec.threads, _usable_cpus() or 1)
-    if workers > 1:
-        held = SPLIT_HELD * workers * (factorial(spec.n) if spec.symmetry else 1)
-        for split in range(1, spec.hf_max):
-            if comb(m, split) >= held:
-                return _split_walk([
-                    _dealt_subtrees(spec, m, tables, check, split, w, workers)
-                    for w in range(workers)
-                ])
     return _orderly_walk(m, spec.hf_max, tables, check.packed)
-
-
-def _split_walk(streams):
-    """The walk of ``_scan_order`` split across forked workers, one per
-    stream (``_dealt_subtrees``), forked when this walk starts.  Its
-    preorder is cut into segments, and worker w walks every W-th one of the
-    W workers, from the w-th.  The parent walks nothing: it reads segment t
-    from worker t % W, up to the -1 that ends it, for t = 0, 1, ..., until
-    the -2 that ends the walk.  Nothing goes from the parent to a worker: a
-    worker walks ahead of the parent as far as its pipe holds
-    (``_split_worker``).  The parent ends and joins its workers when the
-    scan stops or the walk ends."""
-    crew = []
-    try:
-        crew.extend(_fork_workers(streams))
-        for stream in cycle([chain.from_iterable(_received(*worker)) for worker in crew]):
-            while (x := next(stream)) >= 0:
-                yield x
-            if x == -2:
-                return
-    finally:
-        for process, conn in crew:
-            process.terminate()
-        for process, conn in crew:
-            process.join()
-            conn.close()
-
-
-def _dealt_subtrees(spec, m, tables, check, split, w, workers):
-    """Worker w's part of a split walk (``_split_walk``), as one stream.
-    The walk's preorder is cut into segments, each ending with a node of
-    popcount ``split`` and its subtree, the last one with the walk.  The
-    stream holds every ``workers``-th segment from the w-th, each followed
-    by -1, and ends with -2, which also ends the walk's last segment; the
-    worker skips the subtrees of the other segments.  A mask inside the
-    lemma gate that the walk left uncertified ranks the check's rows that
-    it picks here (``_mask_rows_independent``), so the ranking is split."""
-    source, packed, rows = check.source, check.packed, check.rows
-    walk = _orderly_walk(m, spec.hf_max, tables, packed)
-    t = 0  # the segment the walk is in
-    closing = False  # whether segment t has reached its node of popcount split
-    for x in walk:
-        size = (x >> 1).bit_count()
-        if closing and size <= split:
-            if t % workers == w:
-                yield -1  # the end of a segment
-            t += 1
-        closing = size >= split
-        if t % workers != w:
-            if size == split:
-                walk.send(True)  # another worker's: skip its subtree
-            continue
-        if not x & 1 and size <= source and _mask_rows_independent(
-            packed, rows, x >> 1, source
-        ):
-            x |= 1
-        yield x
-    yield -2  # the end of the stream
-
-
-def _fork_workers(streams: list):
-    """Fork one ``_split_worker`` per stream, yielding each as a (process,
-    connection) pair once it runs, the connection the read end of its
-    one-way pipe.  Workers are forked (pinned, since the default start
-    method on Linux changes in Python 3.14), so they start without
-    re-importing the package, with the walk's tables in memory.  Each
-    worker gets the read ends opened so far, its own among them, to close:
-    then only the parent holds them."""
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    read_ends = []
-    for stream in streams:
-        conn, child_conn = context.Pipe(duplex=False)
-        read_ends.append(conn)
-        process = context.Process(
-            target=_split_worker, args=(child_conn, stream, tuple(read_ends)),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        yield process, conn
-
-
-def _split_worker(conn, stream, read_ends) -> None:
-    """Send a worker's stream (``_dealt_subtrees``) down its pipe in lists
-    of ``SPLIT_CHUNK`` items, after closing the ``read_ends`` it inherited.
-    A send blocks while the pipe is full, so a worker walks past the last
-    chunk the parent read at most the chunks its pipe holds and the one it
-    is sending.  A send fails once the parent is gone, and that ends the
-    worker quietly.  Sends the exception it raised instead, its traceback
-    as a note."""
-    for end in read_ends:
-        end.close()
-    try:
-        while chunk := list(islice(stream, SPLIT_CHUNK)):
-            conn.send(chunk)
-    except BrokenPipeError:
-        pass
-    except Exception as exc:
-        if hasattr(exc, "add_note"):
-            import traceback
-
-            exc.add_note(f"in a campaign worker:\n{traceback.format_exc()}")
-        conn.send(exc)
-
-
-def _received(process, conn):
-    """The chunks a worker sends, in order; raises the exception it sent,
-    or if it died (only the worker holds the write end of its pipe)."""
-    while True:
-        try:
-            chunk = conn.recv()
-        except EOFError:
-            process.join()
-            raise RuntimeError(f"campaign worker exited with code {process.exitcode}") from None
-        if isinstance(chunk, Exception):
-            raise chunk
-        yield chunk
 
 
 def _scan_expected_pass(report, spec: SearchSpec, check: _Check) -> int:
@@ -598,34 +447,32 @@ def _scan_expected_pass(report, spec: SearchSpec, check: _Check) -> int:
     masks left.  A mask the critical map leaves
     undecided (``_decide_mask``) goes through the full check
     (``_run_check``).  Adds the masks examined to ``report.examined`` and
-    sets ``report.partial``.  A split sweep's parent decides every mask in
-    the order it would without workers."""
+    sets ``report.partial``."""
     n, d = spec.n, spec.d
     ideals, entries = spec.budget_ideals, spec.budget_entries
     search = spec.hf_min > 0
     examined = cost = 0
     failures = []
     partial = False
-    with closing(_scan_order(spec, check)) as masks:
-        for x in masks:
-            if examined == ideals:
-                partial = True
-                break
-            mask = x >> 1
-            spent = _decide_mask(check, mask, x & 1)
-            if spent is None:
-                I = ideal_from_mask(n, d, mask)
-                rep = _run_check(I, check)
-                spent = _report_cost(rep)
-                if not rep.verdict:
-                    failures.append((mask, I, rep))
-            examined += 1
-            cost += spent
-            if search and failures:
-                break
-            if cost > entries:
-                partial = True
-                break
+    for x in _scan_order(spec, check):
+        if examined == ideals:
+            partial = True
+            break
+        mask = x >> 1
+        spent = _decide_mask(check, mask, x & 1)
+        if spent is None:
+            I = ideal_from_mask(n, d, mask)
+            rep = _run_check(I, check)
+            spent = _report_cost(rep)
+            if not rep.verdict:
+                failures.append((mask, I, rep))
+        examined += 1
+        cost += spent
+        if search and failures:
+            break
+        if cost > entries:
+            partial = True
+            break
     failures.sort(key=lambda failure: (failure[0].bit_count(), failure[0]))
     records = report.witnesses if search else report.failures
     records.extend(_witness_record(n, d, I, rep) for _, I, rep in failures)
@@ -708,7 +555,8 @@ def verify_thm1(
     budget_entries: int = DEFAULT_BUDGET_ENTRIES,
 ) -> VerificationReport:
     """Confirm the WLP bound: no failures below it, a witness at it.  The
-    budgets cover the whole campaign."""
+    budgets cover the whole campaign.  ``threads`` is only validated and
+    recorded in ``params`` (``SearchSpec``)."""
     spec = SearchSpec(n, d, 0, 0, symmetry, threads, budget_ideals, budget_entries)
     return _verify_bound("thm1", {}, spec, _mask_decider(n, d, "wlp", None))
 
@@ -726,7 +574,8 @@ def verify_thm2(
     """Confirm the SLP bound (no i) or the bound of the power i (with i),
     each read off its critical power (``_verify_bound``).  The SLP's is
     d-1, so its bound is ``theorem2_bound(d)``: 3, or Theorem 1's 4 for
-    d = 2.  The budgets cover the whole campaign."""
+    d = 2.  The budgets cover the whole campaign.  ``threads`` is only
+    validated and recorded in ``params`` (``SearchSpec``)."""
     if i is None:
         campaign, params, key = "thm2", {}, "slp_shortcut"
     elif 1 <= i <= d - 1:

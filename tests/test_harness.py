@@ -3,10 +3,8 @@
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
 from itertools import permutations
@@ -339,38 +337,24 @@ def test_campaign_budget_yields_flagged_partial_report():
     assert r.partial and not r.confirmed
 
 
-def test_entry_budget_bounds_the_ideals_built(forks, monkeypatch):
+def test_entry_budget_bounds_the_ideals_built(monkeypatch):
     # a passing mask builds no ideal, so the decides are counted: a scan
-    # stopped by either budget decides exactly the masks it examined, and
-    # decides them all in the parent, also when workers walk the (3, 5)
-    # window
+    # stopped by either budget decides exactly the masks it examined
     from lefschetz_props import harness
 
     decided = []
     decide = harness._decide_mask
-    parent = os.getpid()
 
     def counting(check, mask, certified):
-        assert os.getpid() == parent, "a campaign worker decided a mask"
         decided.append(mask)
         return decide(check, mask, certified)
 
     monkeypatch.setattr(harness, "_decide_mask", counting)
     for budgets in ({"budget_entries": 10}, {"budget_entries": 10**5}, {"budget_ideals": 100}):
         decided[:] = []
-        r = verify_thm1(3, 4, threads=1, **budgets)
+        r = verify_thm1(3, 4, **budgets)
         assert r.partial and len(decided) == r.examined > 0, budgets
-    assert r.examined == 100 and not forks
-    for threads in (2, 3):
-        for budgets, examined in (
-            ({"budget_entries": 10**6}, 2212), ({"budget_ideals": 5000}, 5000), ({}, None)
-        ):
-            decided[:] = []
-            with _deadline(60):
-                r = verify_thm1(3, 5, threads=threads, **budgets)
-            assert r.partial == bool(budgets) and len(decided) == r.examined, budgets
-            assert examined in (None, r.examined), budgets
-    assert forks == [2] * 3 + [3] * 3
+    assert r.examined == 100
 
 
 def test_ideal_budget_bounds_the_enumeration(monkeypatch):
@@ -407,16 +391,6 @@ def test_budgets_cover_the_witness_search():
         r = verify_thm1(3, 5, **budgets)
         assert r.partial and not r.confirmed and not r.witnesses, budgets
         assert r.examined == examined and r.details["matrix_entry_cost"] == cost, budgets
-
-
-def test_partial_report_independent_of_threads():
-    reports = [
-        verify_thm1(3, 4, threads=t, budget_entries=10).to_dict(include_timing=False)
-        for t in (1, 2)
-    ]
-    for rep in reports:
-        del rep["params"]["threads"]
-    assert reports[0]["partial"] and reports[0] == reports[1]
 
 
 def test_verify_thm1_small():
@@ -965,149 +939,63 @@ def test_classifier_one_directional_soundness():
         assert failing == [wlp_fails, slp_fails], (spec.n, spec.d)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Split every sweep with threads > 1 at popcount 1 and send its masks
-    back in chunks of 100, on three usable CPUs; records the workers forked
-    per scan."""
-    from lefschetz_props import harness
-
-    started = []
-    fork = harness._fork_workers
-
-    def spy(shares):
-        started.append(len(shares))
-        return fork(shares)
-
-    monkeypatch.setattr(harness, "SPLIT_HELD", 0)
-    monkeypatch.setattr(harness, "SPLIT_CHUNK", 100)
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(harness, "_fork_workers", spy)
-    return started
-
-
-def test_pool_workers_capped_at_cpu_count(forks, monkeypatch):
-    from lefschetz_props import harness
-
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    serial = verify_thm1(3, 3, threads=1)
-    capped = verify_thm1(3, 3, threads=64)
-    assert forks == [2]
-    assert capped.confirmed == serial.confirmed
-    assert capped.examined == serial.examined
-    assert capped.min_failing_hf == serial.min_failing_hf
-    # without an affinity mask the CPU count caps the workers
-    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    verify_thm1(3, 3, threads=64)
-    assert forks == [2, 2]
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-    verify_thm1(3, 3, threads=64)
-    assert forks == [2, 2]  # unknown CPU count: no pool
-
-
 def _without_threads(report) -> dict:
     rep = report.to_dict(include_timing=False)
     del rep["params"]["threads"]
     return rep
 
 
-def _assert_split_matches_serial(forks, campaign, *args, **kwargs):
-    serial = _without_threads(campaign(*args, threads=1, **kwargs))
-    for threads in (2, 3):
-        del forks[:]
-        assert _without_threads(campaign(*args, threads=threads, **kwargs)) == serial
-        assert forks == [threads]
-    return serial
+# Runs a campaign with threads=2 and prints whether it imported multiprocessing.
+_THREADS_START_NO_PROCESS = """
+import sys
+from lefschetz_props.harness import verify_thm1
+
+assert verify_thm1(3, 5, threads=2).confirmed
+print("multiprocessing" in sys.modules)
+"""
 
 
-@pytest.mark.parametrize("campaign, args, kwargs", [
-    (verify_thm1, (3, 3), {}),
-    (verify_thm1, (3, 4), {}),
-    (verify_thm1, (4, 3), {}),
-    (verify_thm1, (3, 5), {}),
-    (verify_thm1, (3, 4), {"symmetry": False}),
-    (verify_thm1, (3, 4), {"symmetry": False, "budget_entries": 50000}),
-    (verify_thm2, (4, 4), {}),
-    (verify_thm2, (4, 4, 2), {}),
-    (verify_thm2, (4, 4, 2), {"budget_entries": 5000}),
-    (verify_thm2, (3, 5, 2), {}),
-    (verify_thm1, (5, 3), {}),
-])
-def test_split_scan_reports_match_serial(forks, campaign, args, kwargs):
-    _assert_split_matches_serial(forks, campaign, *args, **kwargs)
+def test_threads_changes_no_report_and_starts_no_process(monkeypatch):
+    # every campaign runs in one process: threads is only validated and
+    # echoed in params, so with os.fork refused the reports for 2 and 3
+    # threads equal the one-thread report, partial ones too, and a fresh
+    # interpreter never imports multiprocessing
+    def refuse():
+        raise AssertionError("a campaign forked")
 
+    monkeypatch.setattr(os, "fork", refuse)
+    for campaign, args, kwargs in (
+        (verify_thm1, (3, 3), {}),
+        (verify_thm1, (3, 4), {}),
+        (verify_thm1, (4, 3), {}),
+        (verify_thm1, (3, 5), {}),
+        (verify_thm1, (3, 4), {"symmetry": False}),
+        (verify_thm1, (3, 4), {"symmetry": False, "budget_entries": 50000}),
+        (verify_thm2, (4, 4), {}),
+        (verify_thm2, (4, 4, 2), {}),
+        (verify_thm2, (4, 4, 2), {"budget_entries": 5000}),
+        (verify_thm2, (3, 5, 2), {}),
+        (verify_thm1, (5, 3), {}),
+        (verify_thm1, (3, 4), {"budget_entries": 10}),
+        (verify_thm1, (3, 5), {"budget_ideals": 20000}),
+        (verify_thm1, (3, 5), {"budget_entries": 10**6}),
+        (verify_thm1, (3, 5), {"symmetry": False, "budget_entries": 50000}),
+    ):
+        serial = _without_threads(campaign(*args, threads=1, **kwargs))
+        assert serial["partial"] == any("budget" in key for key in kwargs), (args, kwargs)
+        for threads in (2, 3):
+            report = campaign(*args, threads=threads, **kwargs)
+            assert report.params["threads"] == threads
+            assert _without_threads(report) == serial, (args, kwargs, threads)
+    import lefschetz_props
 
-@pytest.mark.parametrize("split", [1, 2, 5])
-@pytest.mark.parametrize("workers", [2, 3])
-def test_dealt_segments_merge_into_the_walk(split, workers):
-    # Read in turn, segment t from stream t % W up to its -1, until a -2,
-    # the workers' streams give the walk in preorder, each mask inside the
-    # gate certified or ranked independent exactly when it passes.  The
-    # walk ends on the mask of bit 0, so split at popcount 2 or 5 the nodes
-    # after the last subtree of that popcount make a last segment.
-    from lefschetz_props import harness
-
-    spec = SearchSpec(3, 4, 0, 9, symmetry=False)
-    check = _check(3, 4)
-    m, tables = harness._window_tables(spec)
-    streams = [
-        harness._dealt_subtrees(spec, m, tables, check, split, w, workers)
-        for w in range(workers)
-    ]
-    merged, ends = [], []
-    for t in range(1 << m):
-        for x in streams[t % workers]:
-            if x < 0:
-                break
-            merged.append(x)
-        ends.append(x)
-        if x == -2:
-            break
-    walk = list(harness._orderly_walk(m, spec.hf_max, None, check.packed))
-    assert [x >> 1 for x in merged] == [x >> 1 for x in walk]
-    nodes = sum((x >> 1).bit_count() == split for x in walk)
-    last = (walk[-1] >> 1).bit_count() < split
-    assert walk[-1] >> 1 == 1 and last == (split > 1)
-    assert ends == [-1] * (nodes + last - 1) + [-2]
-    for x in merged:
-        passes = harness._decide_mask(check, x >> 1, 0) is not None
-        inside = (x >> 1).bit_count() <= check.source
-        assert x & 1 == (inside and passes), x >> 1
-    for stream in streams:
-        assert list(stream) in ([-2], [])
-
-
-def test_split_counts_orbits_and_its_parent_walks_nothing(monkeypatch):
-    # On two usable CPUs at the real SPLIT_HELD, a sweep splits at the
-    # first popcount k >= 1 where C(m, k) masks make 512 orbits per worker,
-    # C(m, k) >= 512 * 2 * n!: (3, 5) at k = 5 and (4, 4) at k = 4, while
-    # (5, 3) and (3, 4) reach none below their bound.  A split sweep's
-    # parent makes no walk of its own: the workers' walks run in the
-    # children, which this spy does not see.
-    from lefschetz_props import harness
-
-    forked, walks = [], []
-    fork, walk = harness._fork_workers, harness._orderly_walk
-
-    def forking(streams):
-        forked.append(len(streams))
-        return fork(streams)
-
-    def walking(m, depth, tables, rows):
-        walks.append(depth)
-        return walk(m, depth, tables, rows)
-
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(harness, "_fork_workers", forking)
-    monkeypatch.setattr(harness, "_orderly_walk", walking)
-    for n, d, splits in ((3, 5, True), (4, 4, True), (5, 3, False), (3, 4, False)):
-        serial = _without_threads(verify_thm1(n, d, threads=1))
-        del forked[:], walks[:]
-        with _deadline(60):
-            assert _without_threads(verify_thm1(n, d, threads=2)) == serial
-        assert forked == ([2] if splits else []), (n, d)
-        assert walks == ([] if splits else [theorem1_bound(n, d) - 1]), (n, d)
+    src = Path(lefschetz_props.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADS_START_NO_PROCESS], env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
 
 
 @lru_cache(maxsize=None)
@@ -1124,56 +1012,12 @@ def _thm1_3_5_costs() -> tuple:
     )
 
 
-def _tops(masks) -> list:
-    """The positions in scan order of the masks of popcount at most 1: in a
-    scan split at popcount 1 (the forks fixture), the empty mask and the
-    node of the first segment, then the first mask of each later one."""
-    return [k for k, (size, _) in enumerate(masks) if size <= 1]
-
-
-def test_split_scan_ideal_budget_in_the_top_and_in_a_dealt_subtree(forks):
-    # each of the four popcount-1 nodes makes a segment with its subtree,
-    # the first after the empty mask, and the parent reads each back from
-    # its worker, in chunks of 100
-    masks = _thm1_3_5_costs()
-    tops = _tops(masks)
-    assert tops[:2] == [0, 1] and len(tops) == 5 and tops[2] > 1000
-    # on the first mask of the second segment, on the last mask of the
-    # first, on the last mask of a chunk and the first of the next, and
-    # inside the last segment
-    for budget in (tops[2] + 1, tops[2], tops[1] + 1 + 500, tops[1] + 2 + 500,
-                   len(masks) - 100):
-        rep = _assert_split_matches_serial(forks, verify_thm1, 3, 5, budget_ideals=budget)
-        assert rep["partial"] and rep["examined"] == budget
-
-
-def test_split_scan_entry_budget_across_chunks_subtrees_and_the_top(forks):
-    masks = _thm1_3_5_costs()
-    total = [0]
-    for _, cost in masks:
-        total.append(total[-1] + cost)
-    tops = _tops(masks)
-    # the scan stops right after the mask that goes over the budget, the
-    # over-th one: the last of a chunk, the first of the next, the first
-    # mask of a segment, and the mask after it in its node's subtree
-    for over in (tops[1] + 1 + 300, tops[1] + 2 + 300, tops[3] + 1, tops[3] + 2):
-        rep = _assert_split_matches_serial(
-            forks, verify_thm1, 3, 5, budget_entries=total[over] - 1
-        )
-        assert rep["partial"] and rep["examined"] == over
-        assert rep["details"]["matrix_entry_cost"] == total[over]
-    assert masks[tops[3] + 1][0] == 2
-
-
-def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
+def test_scan_stops_on_the_mask_over_its_entry_budget(monkeypatch):
+    # Going over the budget on a mask stops the scan right after it, with
+    # no later mask decided: the fifth and sixth masks of (3, 5) in
+    # preorder, of popcounts 4 and 5.
     from lefschetz_props import harness
 
-    # At 512 orbits per worker, (3, 5) splits at popcount 5 with two
-    # workers and at 6 with three, below the fifth and sixth masks in
-    # preorder, of popcounts 4 and 5.  A split scan forks when its sweep
-    # starts.  Going over the budget on a mask stops the scan right after
-    # it, with no later mask decided, with or without workers.
-    monkeypatch.setattr(harness, "SPLIT_HELD", 512)
     masks = _thm1_3_5_costs()
     assert [size for size, _ in masks[:6]] == [0, 1, 2, 3, 4, 5]
     decided = []
@@ -1186,25 +1030,20 @@ def test_split_scan_stops_on_the_mask_over_its_entry_budget(forks, monkeypatch):
     monkeypatch.setattr(harness, "_decide_mask", counting)
     for over in (5, 6):
         budget = sum(cost for _, cost in masks[:over]) - 1
-        del decided[:], forks[:]
-        serial = _without_threads(verify_thm1(3, 5, budget_entries=budget))
-        assert serial["partial"] and serial["examined"] == len(decided) == over
-        for threads in (2, 3):
-            del decided[:]
-            split = verify_thm1(3, 5, threads=threads, budget_entries=budget)
-            assert _without_threads(split) == serial and len(decided) == over
-        assert forks == [2, 3]
+        del decided[:]
+        r = verify_thm1(3, 5, budget_entries=budget)
+        assert r.partial and r.examined == len(decided) == over
 
 
-def test_split_scan_reports_every_failure_in_order(forks):
+def test_scan_reports_every_failure_in_order():
     from lefschetz_props import harness
 
     check = _check(4, 3)
     order = [mask for mask, _ in _scan_masks(SearchSpec(4, 3, 0, 16), check)]
     mask_of = {tuple(ideal_from_mask(4, 3, mask).generator_strings()): mask for mask in order}
 
-    def scan(threads, **budgets):
-        spec = SearchSpec(4, 3, 0, 16, threads=threads, **budgets)
+    def scan(**budgets):
+        spec = SearchSpec(4, 3, 0, 16, **budgets)
         report = VerificationReport("thm1", {}, False)
         cost = harness._scan_expected_pass(report, spec, check)
         failures = [(mask_of[tuple(w["generators"])], w) for w in report.failures]
@@ -1217,23 +1056,21 @@ def test_split_scan_reports_every_failure_in_order(forks):
     # an entry budget on its 513th mask; and stopped on a failing mask,
     # whose failure is reported.  Failures are listed by popcount, then
     # mask, whatever the scan order.
-    whole = scan(1)
+    whole = scan()
     assert whole[0] == len(order) == 3044 and len(whole[2]) == 357
     failed = {mask for mask, _ in whole[2]}
     assert [mask for mask, _ in whole[2]] == ordered(failed)
     stop = next(k for k, mask in enumerate(order) if k > 2 * 256 and mask in failed)
     runs = [
         ({}, len(order), False),
-        ({"budget_entries": scan(1, budget_ideals=2 * 256 + 1)[1] - 1}, 2 * 256 + 1, True),
-        ({"budget_entries": scan(1, budget_ideals=stop + 1)[1] - 1}, stop + 1, True),
+        ({"budget_entries": scan(budget_ideals=2 * 256 + 1)[1] - 1}, 2 * 256 + 1, True),
+        ({"budget_entries": scan(budget_ideals=stop + 1)[1] - 1}, stop + 1, True),
     ]
     for budgets, examined, partial in runs:
-        serial = scan(1, **budgets)
-        assert serial[2] and serial == scan(2, **budgets) == scan(3, **budgets)
-        assert serial[0] == examined and serial[3] == partial
-        assert [mask for mask, _ in serial[2]] == ordered(failed & set(order[:examined]))
-    assert order[stop] in {mask for mask, _ in serial[2]}
-    assert forks == [2, 3] * 3
+        run = scan(**budgets)
+        assert run[2] and run[0] == examined and run[3] == partial
+        assert [mask for mask, _ in run[2]] == ordered(failed & set(order[:examined]))
+    assert order[stop] in {mask for mask, _ in run[2]}
 
 
 def test_first_failure_ends_the_scan_on_that_mask():
@@ -1248,8 +1085,8 @@ def test_first_failure_ends_the_scan_on_that_mask():
 
 def test_first_failure_window_tests_no_mask_past_its_witness(monkeypatch):
     # the at-bound window of verify_thm1(3, 5) streams popcount 12 lazily,
-    # also with threads: it tests masks for canonicity in ascending order
-    # and stops at its witness, not after the 18,564 masks of the level
+    # with threads=2 as without: it tests masks for canonicity in ascending
+    # order and stops at its witness, not after the 18,564 masks of the level
     from lefschetz_props import harness
 
     tested, scans = [], []
@@ -1284,234 +1121,6 @@ def test_first_failure_window_tests_no_mask_past_its_witness(monkeypatch):
     assert examined == sum(
         canonical(mask, tables) for mask in level[:level.index(witness) + 1]
     )
-
-
-@contextmanager
-def _deadline(seconds: int):
-    """Turn a hang of the calls inside into a TimeoutError."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _watch_split_pipes(monkeypatch, stall_at, fail_at=None):
-    """Spy on a split scan with two workers: the items each worker walks
-    (counted in the forked worker), the chunks the parent reads from it,
-    its pipe's capacity and the arguments of its stream.  On its
-    ``stall_at``-th decide the parent waits until the workers stop walking
-    and worker 0's pipe holds more than half its capacity.  With
-    ``fail_at``, worker 0 raises once it has walked that many items."""
-    import fcntl
-    import multiprocessing
-    import struct
-    import termios
-    import time
-    from types import SimpleNamespace
-
-    from lefschetz_props import harness
-
-    spy = SimpleNamespace(walked=multiprocessing.RawArray("q", 2), read=[0, 0],
-                          capacity=[], streams=[])
-    deal, received, decide = harness._dealt_subtrees, harness._received, harness._decide_mask
-    pipes, decided = [], []
-
-    def walk(w, stream):
-        for x in stream:
-            if w == 0 and spy.walked[0] == fail_at:
-                raise RuntimeError("boom")
-            spy.walked[w] += 1
-            yield x
-
-    def read(w, chunks):
-        for chunk in chunks:
-            spy.read[w] += 1
-            yield chunk
-
-    def counting_deal(*args):
-        spy.streams.append(args)
-        return walk(args[5], deal(*args))
-
-    def counting_received(process, conn):
-        pipes.append(conn)
-        spy.capacity.append(fcntl.fcntl(conn.fileno(), fcntl.F_GETPIPE_SZ))
-        return read(len(pipes) - 1, received(process, conn))
-
-    def held(conn):
-        return struct.unpack("i", fcntl.ioctl(conn, termios.FIONREAD, bytes(4)))[0]
-
-    def stalling(*args):
-        decided.append(None)
-        if len(decided) == stall_at:
-            before = None
-            while before != spy.walked[:] or held(pipes[0]) <= spy.capacity[0] // 2:
-                before = spy.walked[:]
-                time.sleep(0.25)
-        return decide(*args)
-
-    monkeypatch.setattr(harness, "_dealt_subtrees", counting_deal)
-    monkeypatch.setattr(harness, "_received", counting_received)
-    monkeypatch.setattr(harness, "_decide_mask", stalling)
-    return spy
-
-
-def test_split_workers_walk_at_most_a_pipe_past_a_stop(forks, monkeypatch):
-    # Nothing goes from the parent to a worker; a worker's send blocks
-    # while its pipe is full.  So when a budget stops the scan, each worker
-    # has walked at most the chunks the parent read, the full chunks its
-    # pipe holds, and one more (the one it was sending, or its short last
-    # chunk).  (4, 4) split at popcount 1 deals worker 0 a first segment of
-    # 146,803 masks; the parent stops inside it, after stalling until the
-    # workers stop walking and worker 0's pipe is over half full, so a
-    # worker that buffered its stream without bound would walk all of it.
-    import pickle
-
-    from lefschetz_props import harness
-
-    deal = harness._dealt_subtrees
-    spy = _watch_split_pipes(monkeypatch, stall_at=5000)
-    with _deadline(60):
-        rep = verify_thm1(4, 4, threads=2, budget_ideals=6000)
-    assert rep.partial and rep.examined == 6000 and forks == [2]
-    size = harness.SPLIT_CHUNK
-    for w, args in enumerate(spy.streams):
-        stream = list(deal(*args))
-        chunks = [stream[k:k + size] for k in range(0, len(stream), size)]
-        smallest = min(len(pickle.dumps(chunk)) for chunk in chunks if len(chunk) == size)
-        bound = spy.read[w] + spy.capacity[w] // smallest + 1
-        walked = -(-spy.walked[w] // size)
-        assert spy.read[w] <= walked <= bound, (w, spy.read[w], walked, bound)
-        if not w:
-            assert spy.read[0] > 50 and len(chunks) > 2 * bound
-
-
-def test_split_worker_raising_after_its_pipe_filled_is_reraised(forks, monkeypatch):
-    # worker 0 fills its pipe while the parent stalls, then raises after
-    # 50,000 masks; the parent reads up to there, raises the worker's
-    # exception and leaves no process
-    import multiprocessing
-
-    spy = _watch_split_pipes(monkeypatch, stall_at=5000, fail_at=50_000)
-    with _deadline(60), pytest.raises(RuntimeError, match="boom") as raised:
-        verify_thm1(4, 4, threads=2)
-    assert spy.walked[0] == 50_000
-    assert "in a campaign worker" in "".join(raised.value.__notes__)
-    assert not multiprocessing.active_children()
-
-
-def test_split_scan_leaves_no_process(forks, monkeypatch):
-    import multiprocessing
-
-    from lefschetz_props import harness
-
-    # a finished scan, and one stopped by a budget while the workers walk
-    # past the stop
-    with _deadline(60):
-        assert verify_thm1(3, 4, threads=2).confirmed
-        assert verify_thm1(3, 5, threads=2, budget_entries=10**6).partial
-    assert forks == [2, 2] and not multiprocessing.active_children()
-    parent = os.getpid()
-    walk = harness._orderly_walk
-
-    def boom(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("boom")
-        return walk(*args)
-
-    # a worker's walk raises, or kills the worker
-    monkeypatch.setattr(harness, "_orderly_walk", boom)
-    with _deadline(60), pytest.raises(RuntimeError, match="boom"):
-        verify_thm1(3, 4, threads=2)
-    assert not multiprocessing.active_children()
-
-    def die(*args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return walk(*args)
-
-    monkeypatch.setattr(harness, "_orderly_walk", die)
-    with _deadline(60), pytest.raises(RuntimeError, match="exited with code 3"):
-        verify_thm1(3, 4, threads=2)
-    assert not multiprocessing.active_children()
-    assert forks == [2, 2, 2, 2]
-
-
-# Starts a split scan of verify_thm1(4, 4) with two workers, prints their
-# PIDs once both run, and then stalls before its next decide, so the
-# workers fill their pipes and block in a send.
-_STALLED_SPLIT_SCAN = """
-import time
-from lefschetz_props import harness
-
-harness.SPLIT_HELD = 1
-harness.SPLIT_CHUNK = 100
-harness.os.sched_getaffinity = lambda pid: {0, 1, 2}
-fork, decide = harness._fork_workers, harness._decide_mask
-pids = []
-
-def forked(streams):
-    for process, conn in fork(streams):
-        pids.append(process.pid)
-        yield process, conn
-    print(*pids, flush=True)
-
-def stalled(*args):
-    if len(pids) == 2:
-        time.sleep(300)
-    return decide(*args)
-
-harness._fork_workers = forked
-harness._decide_mask = stalled
-harness.verify_thm1(4, 4, threads=2)
-"""
-
-
-def _running(pid: int) -> bool:
-    """Whether the process exists and has not exited (a zombie has)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rpartition(")")[2].split()[0] != "Z"
-
-
-def test_split_workers_exit_when_their_parent_is_killed():
-    # only the parent holds the read ends of the workers' pipes, so once
-    # it is killed each worker's next send fails and the worker exits
-    import time
-
-    import lefschetz_props
-
-    src = Path(lefschetz_props.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    scan = subprocess.Popen(
-        [sys.executable, "-c", _STALLED_SPLIT_SCAN], env=env,
-        stdout=subprocess.PIPE, text=True,
-    )
-    pids = []
-    try:
-        with _deadline(60):
-            pids = [int(pid) for pid in scan.stdout.readline().split()]
-        assert len(pids) == 2
-        time.sleep(1)
-        scan.kill()
-        scan.wait()
-        gone = time.monotonic() + 5
-        while any(map(_running, pids)) and time.monotonic() < gone:
-            time.sleep(0.05)
-        assert not [pid for pid in pids if _running(pid)]
-    finally:
-        scan.kill()
-        scan.wait()
-        for pid in filter(_running, pids):
-            os.kill(pid, signal.SIGKILL)
-        scan.stdout.close()
 
 
 def test_wiebe_small_sample():
