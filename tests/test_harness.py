@@ -393,6 +393,16 @@ def test_budgets_cover_the_witness_search():
         assert r.examined == examined and r.details["matrix_entry_cost"] == cost, budgets
 
 
+def test_partial_report_independent_of_threads():
+    reports = [
+        verify_thm1(3, 4, threads=t, budget_entries=10).to_dict(include_timing=False)
+        for t in (1, 2)
+    ]
+    for rep in reports:
+        del rep["params"]["threads"]
+    assert reports[0]["partial"] and reports[0] == reports[1]
+
+
 def test_verify_thm1_small():
     r = verify_thm1(3, 3)
     assert r.confirmed and r.expected_bound == 6 and r.min_failing_hf == 6
@@ -945,48 +955,58 @@ def _without_threads(report) -> dict:
     return rep
 
 
+@pytest.fixture
+def no_fork(monkeypatch):
+    # every campaign runs in one process: a fork fails the test
+    def refuse():
+        raise AssertionError("a campaign forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+@pytest.mark.parametrize("campaign, args, kwargs", [
+    (verify_thm1, (3, 3), {}),
+    (verify_thm1, (3, 4), {}),
+    (verify_thm1, (4, 3), {}),
+    (verify_thm1, (3, 5), {}),
+    (verify_thm1, (3, 4), {"symmetry": False}),
+    (verify_thm1, (3, 4), {"symmetry": False, "budget_entries": 50000}),
+    (verify_thm2, (4, 4), {}),
+    (verify_thm2, (4, 4, 2), {}),
+    (verify_thm2, (4, 4, 2), {"budget_entries": 5000}),
+    (verify_thm2, (3, 5, 2), {}),
+    (verify_thm1, (5, 3), {}),
+    (verify_thm1, (3, 5), {"budget_ideals": 20000}),
+    (verify_thm1, (3, 5), {"budget_entries": 10**6}),
+    (verify_thm1, (3, 5), {"symmetry": False, "budget_entries": 50000}),
+])
+def test_split_scan_reports_match_serial(no_fork, campaign, args, kwargs):
+    # threads is only validated and echoed in params: the reports for 2 and
+    # 3 threads equal the one-thread report, partial ones too
+    serial = _without_threads(campaign(*args, threads=1, **kwargs))
+    assert serial["partial"] == any("budget" in key for key in kwargs)
+    for threads in (2, 3):
+        report = campaign(*args, threads=threads, **kwargs)
+        assert report.params["threads"] == threads
+        assert _without_threads(report) == serial, threads
+
+
 # Runs a campaign with threads=2 and prints whether it imported multiprocessing.
 _THREADS_START_NO_PROCESS = """
 import sys
 from lefschetz_props.harness import verify_thm1
 
 assert verify_thm1(3, 5, threads=2).confirmed
+assert verify_thm1(3, 5, threads=2, budget_entries=10**6).partial
 print("multiprocessing" in sys.modules)
 """
 
 
-def test_threads_changes_no_report_and_starts_no_process(monkeypatch):
-    # every campaign runs in one process: threads is only validated and
-    # echoed in params, so with os.fork refused the reports for 2 and 3
-    # threads equal the one-thread report, partial ones too, and a fresh
-    # interpreter never imports multiprocessing
-    def refuse():
-        raise AssertionError("a campaign forked")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    for campaign, args, kwargs in (
-        (verify_thm1, (3, 3), {}),
-        (verify_thm1, (3, 4), {}),
-        (verify_thm1, (4, 3), {}),
-        (verify_thm1, (3, 5), {}),
-        (verify_thm1, (3, 4), {"symmetry": False}),
-        (verify_thm1, (3, 4), {"symmetry": False, "budget_entries": 50000}),
-        (verify_thm2, (4, 4), {}),
-        (verify_thm2, (4, 4, 2), {}),
-        (verify_thm2, (4, 4, 2), {"budget_entries": 5000}),
-        (verify_thm2, (3, 5, 2), {}),
-        (verify_thm1, (5, 3), {}),
-        (verify_thm1, (3, 4), {"budget_entries": 10}),
-        (verify_thm1, (3, 5), {"budget_ideals": 20000}),
-        (verify_thm1, (3, 5), {"budget_entries": 10**6}),
-        (verify_thm1, (3, 5), {"symmetry": False, "budget_entries": 50000}),
-    ):
-        serial = _without_threads(campaign(*args, threads=1, **kwargs))
-        assert serial["partial"] == any("budget" in key for key in kwargs), (args, kwargs)
-        for threads in (2, 3):
-            report = campaign(*args, threads=threads, **kwargs)
-            assert report.params["threads"] == threads
-            assert _without_threads(report) == serial, (args, kwargs, threads)
+def test_split_scan_leaves_no_process(no_fork):
+    # a finished scan and one stopped by a budget fork nothing, and a fresh
+    # interpreter running them never imports multiprocessing
+    assert verify_thm1(3, 4, threads=2).confirmed
+    assert verify_thm1(3, 5, threads=2, budget_entries=10**6).partial
     import lefschetz_props
 
     src = Path(lefschetz_props.__file__).resolve().parent.parent
