@@ -55,6 +55,23 @@ def basis_index(n: int, d: int) -> dict[Monomial, int]:
     return {m: i for i, m in enumerate(monomial_basis(n, d))}
 
 
+@lru_cache(maxsize=None)
+def product_table(n: int, j: int, i: int) -> tuple:
+    """Multiplication of the full ring from degree j to degree j+i by every
+    offset monomial x^c of degree i at once: for each index into
+    monomial_basis(n, j), the pairs (target index into monomial_basis(n, j+i),
+    offset index c into monomial_basis(n, i))."""
+    tgt_index = basis_index(n, j + i)
+    offsets = monomial_basis(n, i)
+    return tuple(
+        tuple(
+            (tgt_index[tuple(x + y for x, y in zip(a, c))], k)
+            for k, c in enumerate(offsets)
+        )
+        for a in monomial_basis(n, j)
+    )
+
+
 def multinomial(i: int, a: Monomial) -> int:
     """i! / (a_1! ... a_n!) for an exponent vector with coordinate sum i."""
     if sum(a) != i:

@@ -4,13 +4,14 @@ Matrices are immutable once built.  Rational matrices are scaled row-wise
 to integers first, which preserves the row space, and all elimination is
 fraction-free on those integer rows.  ``rank`` is plain exact Bareiss
 elimination on Python integers, with no modular certificate, so tests can
-use it as an oracle for the deciders' rank policy.  ``row_reduce`` runs
-fraction-free Gauss-Jordan and normalizes the RREF to rationals once, at the
-end.  Its integer core, ``integer_rref``, also reduces the graded pieces
-of form ideals, which keep the integer rows and never normalize them.
-``rank_mod`` exposes the modular rank: the result is always a lower bound
-for the exact rank, so it can certify maximal rank on its own but anything
-smaller must be confirmed exactly.
+use it as an oracle for the deciders' rank policy.  Row reduction has one
+elimination routine, ``integer_echelon``: fraction-free forward elimination
+to row-echelon form.  ``row_reduce`` runs it, back-substitutes over the
+pivot rows and normalizes the RREF to rationals once, at the end.  The
+graded pieces of form ideals keep the integer echelon rows and never
+back-substitute or normalize them.  ``rank_mod`` exposes the modular rank:
+the result is always a lower bound for the exact rank, so it can certify
+maximal rank on its own but anything smaller must be confirmed exactly.
 
 Pivot policy everywhere: first nonzero entry in column order, rows scanned
 top-down.  This keeps every reduction deterministic and reproducible.
@@ -128,14 +129,16 @@ def rank_mod(M: ExactMatrix, p: int = _kernels.WORD_PRIME) -> int:
     return _kernels.rank_mod_rows(integer_rows(M._data), M.cols, p)
 
 
-def integer_rref(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
-    (strictly increasing) pivot columns.
+def integer_echelon(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
+    """Fraction-free forward elimination on integer rows, in place; returns
+    the (strictly increasing) pivot columns.
 
-    Each elimination replaces a row by ``a*row - b*pivot_row`` with the
-    smallest integer multipliers and divides out its content.  Afterwards
-    the first len(pivots) rows are the reduced rows, each with a positive
-    pivot and zeros in every other pivot column, and the zero rows follow.
+    Each pivot is made positive and eliminated from the rows below it only:
+    such a row becomes ``a*row - b*pivot_row`` with the smallest integer
+    multipliers, computed on the columns past the pivot alone (both rows
+    are zero before it), and its content is divided out.  Afterwards the
+    first len(pivots) rows are in row-echelon form, each with a positive
+    pivot and zeros before it, and the zero rows follow.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -150,37 +153,56 @@ def integer_rref(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
                 break
         if pr < 0:
             continue
+        prow = rows[pr]
         if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
+            rows[r], rows[pr] = prow, rows[r]
         p = prow[c]
-        for rr in range(nrows):
-            f = rows[rr][c]
-            if rr != r and f:
+        if p < 0:
+            prow = rows[r] = [-x for x in prow]
+            p = -p
+        tail = prow[c + 1:]
+        zeros = [0] * (c + 1)
+        for rr in range(r + 1, nrows):
+            row = rows[rr]
+            f = row[c]
+            if f:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(rows[rr], prow)]
-                g = gcd(*row)
-                rows[rr] = [x // g for x in row] if g > 1 else row
+                new = [a * x - b * y for x, y in zip(row[c + 1:], tail)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                rows[rr] = zeros + new
         pivots.append(c)
         r += 1
-    for i, c in enumerate(pivots):
-        if rows[i][c] < 0:
-            rows[i] = [-x for x in rows[i]]
     return tuple(pivots)
 
 
 def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns.
 
-    The rows are scaled to integers and reduced by ``integer_rref``, and
-    every pivot row is divided by its pivot once at the end.  Entries are
-    ints where that division is exact and Fractions otherwise.  The shape is
-    preserved (zero rows sink to the bottom), which makes the reduction
-    idempotent.
+    The rows are scaled to integers and brought to row-echelon form by
+    ``integer_echelon``.  Back-substitution then clears each pivot column
+    above its pivot, last pivot first, with the same fraction-free step,
+    and every pivot row is divided by its pivot once at the end.  Entries
+    are ints where that division is exact and Fractions otherwise.  The
+    shape is preserved (zero rows sink to the bottom), which makes the
+    reduction idempotent.
     """
     data = integer_rows(M._data)
-    pivots = integer_rref(data, M.cols)
+    pivots = integer_echelon(data, M.cols)
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        prow = data[i]
+        p = prow[c]
+        for rr in range(i):
+            f = data[rr][c]
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(data[rr], prow)]
+                g = gcd(*row)
+                data[rr] = [x // g for x in row] if g > 1 else row
     for i, c in enumerate(pivots):
         p = data[i][c]
         data[i] = [x // p if x % p == 0 else Fraction(x, p) for x in data[i]]

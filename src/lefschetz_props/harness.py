@@ -650,7 +650,12 @@ def _kernel_support_search(I, d, i, bound, budget):
         if size == bound:
             continue
         # grow by the free rows of the once-touched column with the fewest, or of any
-        free = [touched_by[c] & ~excluded for c in range(ncols) if (once or twice) >> c & 1]
+        free = []
+        cover = once or twice
+        while cover:
+            low = cover & -cover
+            cover ^= low
+            free.append(touched_by[low.bit_length() - 1] & ~excluded)
         branch = min(free, key=int.bit_count) if once else reduce(int.__or__, free, 0)
         while branch:
             low = branch & -branch

@@ -19,13 +19,15 @@ the pivots of a piece are the degrevlex leading monomials, the one term
 order of this package: a Hilbert function or a rank does not depend on the
 order, and Wiebe's transfer concerns the degrevlex initial ideal.  The whole
 form path runs on integers: each generator is scaled to integer
-coefficients, a piece whose GF(2) or word-prime rank already equals its
-column count is all of S_k and skips the elimination (a modular rank only
-ever certifies full rank), any other piece keeps the integer rows of
-fraction-free Gauss-Jordan, and vectors are reduced modulo a piece
-fraction-free, returning integers over a positive scale.  The normalized
-rational rows are derived only on demand.  Ideals are immutable after
-construction and their caches only grow, so concurrent readers are safe.
+coefficients, each product is read off the shared table
+``product_table``, a piece whose GF(2) rank already equals its column
+count is all of S_k and skips the elimination (a modular rank only ever
+certifies full rank), any other piece keeps the integer rows of
+fraction-free forward elimination in row-echelon form, and vectors are
+reduced modulo a piece fraction-free, returning integers over a positive
+scale.  The reduced rational rows are derived only on demand.  Ideals are
+immutable after construction and their caches only grow, so concurrent
+readers are safe.
 That holds for every ideal's record cache too (``_records``), which
 ``lefschetz._scan_pairs`` fills in exact mode with the exact record of
 each map it decides, per form: a record depends only on the ideal, the
@@ -38,18 +40,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 
-from . import _kernels
+from ._ranks_py import rank_gf2_bits
 from .combinatorics import (
     Monomial,
     basis_index,
     basis_size,
     macaulay_growth,
     monomial_basis,
+    product_table,
 )
 from .errors import CapExceededError, NotArtinianError
-from .exactlinalg import ExactMatrix, integer_rref, row_reduce
+from .exactlinalg import ExactMatrix, integer_echelon, row_reduce
 
 SOCLE_CAP_MARGIN = 8
 
@@ -192,6 +194,13 @@ class MonomialIdeal:
 
 
 def _minimal_subset(mons: set[Monomial]) -> list[Monomial]:
+    # drop first each monomial m with some m / x_t in the set: following
+    # such quotients down ends at a monomial that stays and divides m, so
+    # the minimal set is unchanged
+    mons = [
+        m for m in mons
+        if not any(e and m[:t] + (e - 1,) + m[t + 1:] in mons for t, e in enumerate(m))
+    ]
     by_degree = sorted(mons, key=sum)
     kept: list[Monomial] = []
     for m in by_degree:
@@ -452,14 +461,15 @@ class FormIdeal:
 
 @dataclass(frozen=True)
 class _FormPiece:
-    """Row-reduced degree-k span of a form ideal, kept on integers: the
-    reduced rows of ``integer_rref``, each with a positive pivot and zeros
-    in the other pivot columns, not divided by the pivot.  The columns are
-    monomial_basis(n, k), descending degrevlex, so the pivots are the
-    degrevlex leading monomials and the other columns the standard ones."""
+    """Degree-k span of a form ideal in row-echelon form, kept on integers:
+    the rows of ``integer_echelon``, each with a positive pivot and zeros
+    before it, not back-substituted and not divided by the pivot.  The
+    columns are monomial_basis(n, k), descending degrevlex, so the pivots
+    are the degrevlex leading monomials and the other columns the standard
+    ones."""
 
     columns: tuple[Monomial, ...]      # monomial_basis(n, k)
-    rows: tuple[tuple[int, ...], ...]  # reduced integer rows over the columns
+    rows: tuple[tuple[int, ...], ...]  # integer echelon rows over the columns
     pivots: tuple[int, ...]
     leads: tuple[Monomial, ...]        # pivot monomials = leading monomials
     standard: tuple[Monomial, ...]     # the non-pivot monomials
@@ -467,22 +477,22 @@ class _FormPiece:
 
     @property
     def rref_rows(self) -> tuple[tuple, ...]:
-        """The normalized rows, derived on demand: ``row_reduce`` of rows
-        already reduced only divides each by its pivot, giving ints where
-        that is exact and Fractions otherwise."""
+        """The reduced row echelon form, derived on demand: ``row_reduce``
+        of the echelon rows back-substitutes over them and divides each by
+        its pivot, giving ints where that is exact and Fractions
+        otherwise."""
         rref, _ = row_reduce(ExactMatrix(len(self.rows), len(self.columns), self.rows))
         return tuple(rref.row(i) for i in range(rref.rows))
 
 
 def _build_form_piece(I: FormIdeal, k: int) -> _FormPiece:
     """The degree-k span of the monomial-times-generator products, each
-    generator scaled to integer coefficients once.  Rows are packed mod 2 as
-    they are filled; when there are at least as many rows as columns and
-    the rank policy certifies full column rank
-    (``_kernels.certifies_maximal``), the span is all of S_k and no
-    elimination runs.  Otherwise ``integer_rref`` reduces the rows."""
+    generator scaled to integer coefficients once and each product read off
+    the shared table ``product_table``.  Rows are packed mod 2 as they are
+    filled; when there are at least as many rows as columns and their GF(2)
+    rank is the column count, the span is all of S_k and no elimination
+    runs.  Otherwise ``integer_echelon`` reduces the rows."""
     cols = monomial_basis(I.n, k)
-    col_index = basis_index(I.n, k)
     ncols = len(cols)
     rows: list[list[int]] = []
     parity: list[int] = []
@@ -490,22 +500,23 @@ def _build_form_piece(I: FormIdeal, k: int) -> _FormPiece:
         if deg > k:
             continue
         denom = lcm(*(c.denominator for _, c in items))
-        coeffs = [(mon, c.numerator * (denom // c.denominator)) for mon, c in items]
-        for m in monomial_basis(I.n, k - deg):
+        index = basis_index(I.n, deg)
+        terms = [(index[mon], c.numerator * (denom // c.denominator)) for mon, c in items]
+        for products in product_table(I.n, k - deg, deg):
             row = [0] * ncols
             bits = 0
-            for mon, coeff in coeffs:
-                pos = col_index[tuple(map(add, mon, m))]
+            for c, coeff in terms:
+                pos = products[c][0]
                 row[pos] = coeff
                 if coeff & 1:
                     bits |= 1 << pos
             rows.append(row)
             parity.append(bits)
-    if len(rows) >= ncols and _kernels.certifies_maximal(rows, ncols, parity):
+    if len(rows) >= ncols and rank_gf2_bits(parity) == ncols:
         rows = [[int(c == r) for c in range(ncols)] for r in range(ncols)]
         pivots = tuple(range(ncols))
     else:
-        pivots = integer_rref(rows, ncols)
+        pivots = integer_echelon(rows, ncols)
     pivot_set = set(pivots)
     standard_columns = tuple(c for c in range(ncols) if c not in pivot_set)
     return _FormPiece(
@@ -517,11 +528,14 @@ def _build_form_piece(I: FormIdeal, k: int) -> _FormPiece:
 
 def reduce_mod_piece(piece: _FormPiece, vec: list[int]) -> tuple[list[int], int]:
     """Reduce an integer coefficient vector (in the piece's column order)
-    modulo the span, fraction-free: for each pivot c with f = v[c] != 0 and
-    pivot p, v becomes (p/g)*v - (f/g)*row with g = gcd(p, f).  Returns
-    (part, scale): the reduced vector is part/scale on the standard columns
-    (in the order of ``standard``) and zero elsewhere; scale > 0, and the
-    content common to part and scale is divided out."""
+    modulo the span, fraction-free: for each pivot c in ascending order with
+    f = v[c] != 0 and pivot p, v becomes (p/g)*v - (f/g)*row with
+    g = gcd(p, f).  An echelon row is zero before its pivot, so a later row
+    never refills an earlier pivot column, and the result is zero on every
+    pivot column: the unique normal form, whatever echelon rows span the
+    piece.  Returns (part, scale): the reduced vector is part/scale on the
+    standard columns (in the order of ``standard``) and zero elsewhere;
+    scale > 0, and the content common to part and scale is divided out."""
     v = list(vec)
     scale = 1
     for row, c in zip(piece.rows, piece.pivots):

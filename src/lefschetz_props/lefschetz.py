@@ -1,7 +1,8 @@
 """Multiplication-map matrices and the Lefschetz-property deciders.
 
-Every matrix is read from one cached table of the full ring, ``_columns``,
-which sends a source monomial and an offset exponent c of degree i to the
+Every matrix is read from one cached table of the full ring,
+``combinatorics.product_table`` (form pieces are built from it too), which
+sends a source monomial and an offset exponent c of degree i to the
 target index, together with the coefficients of ell^i over their common
 denominator (``_integer_weights``): a monomial quotient keeps the rows and
 columns of its standard monomials, and a form quotient reduces each column
@@ -68,7 +69,13 @@ from functools import lru_cache
 from math import lcm
 
 from . import _kernels
-from .combinatorics import basis_index, basis_size, monomial_basis, multinomial
+from .combinatorics import (
+    basis_index,
+    basis_size,
+    monomial_basis,
+    multinomial,
+    product_table,
+)
 from .exactlinalg import ExactMatrix
 from ._ranks_py import _packed_rows
 from .ideals import (
@@ -115,23 +122,6 @@ def random_linear_form(n: int, seed: int) -> LinearForm:
     return LinearForm(tuple(rng.randint(1, DEFAULT_COEFF_BOUND) for _ in range(n)))
 
 
-@lru_cache(maxsize=None)
-def _columns(n: int, j: int, i: int) -> tuple:
-    """Multiplication of the full ring from degree j to degree j+i by every
-    offset monomial x^c of degree i at once: for each index into
-    monomial_basis(n, j), the pairs (target index into monomial_basis(n, j+i),
-    offset index c into monomial_basis(n, i))."""
-    tgt_index = basis_index(n, j + i)
-    offsets = monomial_basis(n, i)
-    return tuple(
-        tuple(
-            (tgt_index[tuple(x + y for x, y in zip(a, c))], k)
-            for k, c in enumerate(offsets)
-        )
-        for a in monomial_basis(n, j)
-    )
-
-
 @lru_cache(maxsize=128)
 def _integer_weights(n: int, i: int, coefficients: tuple) -> tuple[tuple[int, ...], int]:
     """Coefficients of the i-th power of the linear form, one per offset of
@@ -162,7 +152,7 @@ def _build_monomial_rows(I: MonomialIdeal, ell: LinearForm, i: int, j: int):
     rowmap = [-1] * basis_size(I.n, j + i)
     for r, gi in enumerate(tgt):
         rowmap[gi] = r
-    cols = _columns(I.n, j, i)
+    cols = product_table(I.n, j, i)
     weights = _integer_weights(I.n, i, tuple(ell.coefficients))[0]
     rows = [[0] * len(src) for _ in tgt]
     parity = []
@@ -206,10 +196,10 @@ def _form_columns(I: FormIdeal, ell: LinearForm, i: int, j: int):
     (``reduce_mod_piece``) and projected onto the standard monomials.
     Returns (columns, scales, nrows): the exact column ci is columns[ci]
     divided by the positive integer scales[ci].  A piece lists its columns
-    in monomial_basis order, so ``_columns`` indexes them directly."""
+    in monomial_basis order, so ``product_table`` indexes them directly."""
     pji = I.piece(j + i)
     src_index = basis_index(I.n, j)
-    cols = _columns(I.n, j, i)
+    cols = product_table(I.n, j, i)
     weights, denom = _integer_weights(I.n, i, tuple(ell.coefficients))
     columns, scales = [], []
     for a in I.piece(j).standard:

@@ -21,6 +21,8 @@ from lefschetz_props.duality import (
 from lefschetz_props.errors import BudgetExceededError
 from lefschetz_props.exactlinalg import ExactMatrix, rank
 from lefschetz_props.harness import (
+    DEFAULT_RANK_BUDGET,
+    _kernel_support_search,
     ideal_from_mask,
     min_kernel_support,
     monomial_complete_intersection,
@@ -185,6 +187,15 @@ def test_theorem1_bound_is_the_complete_intersection_girth(n, d):
     ci = monomial_complete_intersection(n, d)
     assert min_kernel_support(ci, d, 1, bound) == bound
     assert min_kernel_support(ci, d, 1, bound - 1) is None
+
+
+@pytest.mark.parametrize("n, d, reached", [(3, 5, 605), (4, 4, 1798), (5, 3, 1048)])
+def test_complete_intersection_girth_search_reaches_the_same_sets(n, d, reached):
+    # the row sets the stopping-set search reaches at the Theorem 1 bound,
+    # pinned: a change in how a set grows changes the count
+    bound = theorem1_bound(n, d)
+    ci = monomial_complete_intersection(n, d)
+    assert _kernel_support_search(ci, d, 1, bound, DEFAULT_RANK_BUDGET) == (bound, reached)
 
 
 def brute_min_support(I, d, i, bound):

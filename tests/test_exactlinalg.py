@@ -7,6 +7,7 @@ import pytest
 
 from lefschetz_props.exactlinalg import (
     ExactMatrix,
+    integer_echelon,
     kernel_basis,
     rank,
     rank_mod,
@@ -226,6 +227,24 @@ def test_row_reduce_matches_fraction_twin_degenerate():
     assert (R.rows, R.cols, pivots) == (0, 4, ())
     R, pivots = row_reduce(ExactMatrix.zeros(3, 0))
     assert (R.rows, R.cols, pivots) == (3, 0, ())
+
+def test_integer_echelon_is_an_echelon_basis_of_the_row_space():
+    # positive pivots at the fraction twin's pivot columns, zeros before
+    # each pivot and below it, zero rows last, and the same row space
+    rng = random.Random("integer-echelon")
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _random_matrix(rng, "int", nrows, ncols, rng.choice((3, 80)))
+        ech = [list(r) for r in rows]
+        pivots = integer_echelon(ech, ncols)
+        assert pivots == fraction_row_reduce(rows)[1]
+        for i, c in enumerate(pivots):
+            assert ech[i][c] > 0 and not any(ech[i][:c])
+            assert not any(ech[r][c] for r in range(i + 1, nrows))
+        assert not any(x for r in ech[len(pivots):] for x in r)
+        reduced = row_reduce(ExactMatrix.from_rows(rows))[0].to_lists()
+        assert row_reduce(ExactMatrix.from_rows(ech))[0].to_lists() == reduced
+
 
 def test_from_rows_validation():
     with pytest.raises(ValueError):

@@ -67,6 +67,26 @@ def test_minimalize_idempotent():
         assert once.generators == twice.generators
 
 
+def test_minimalize_matches_brute_force():
+    # random sets over several degrees, dense enough that many members
+    # are a variable times another: the generators are exactly the members
+    # no other member divides
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        mons = {
+            tuple(rng.randint(0, 3) for _ in range(n))
+            for _ in range(rng.randint(1, 30))
+        }
+        mons = [m for m in mons if sum(m)] or [(1,) * n]
+        want = {
+            g for g in mons
+            if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in mons)
+        }
+        got = minimalize(mons).generators
+        assert len(got) == len(want) and set(got) == want
+
+
 def test_minimalize_rejects_constants():
     with pytest.raises(ValueError):
         minimalize([(0, 0, 0)])
@@ -246,9 +266,11 @@ def test_form_piece_matches_fraction_oracle():
     ideals.append(parse_inline_ideal("1/2*x1^2+x2*x3,x2^2-3*x1*x3,x3^2"))
     assert any(isinstance(c, Fraction) and c.denominator > 1
                for _, items in ideals[-1].generators for _, c in items)
+    # tall pieces: 30 x 28 of rank 27 in degree 6, full 45 x 36 in degree 7
+    ideals.append(parse_inline_ideal("x1^3+x2^2*x3,x2^3-x1*x3^2,x3^3"))
+    ideals.append(parse_inline_ideal("2*x1^2+x2*x3,x2^2,x3^2"))
     for I in ideals:
-        top = min(socle_degree(I) + 1, 5)
-        for k in range(top + 1):
+        for k in range(socle_degree(I) + 2):
             piece = _build_form_piece(I, k)
             got = (piece.columns, piece.rref_rows, piece.pivots,
                    piece.leads, piece.standard)
@@ -259,35 +281,15 @@ def test_form_piece_matches_fraction_oracle():
 
 
 def test_certified_pieces_run_no_elimination(monkeypatch):
-    # a piece with at least as many rows as columns whose GF(2) or word-prime
-    # rank is the column count is all of S_k and skips the integer
-    # elimination; every other piece runs it
+    # a piece with at least as many rows as columns whose GF(2) rank is the
+    # column count is all of S_k and skips the integer elimination; every
+    # other piece runs the echelon, and no piece ranks mod the word prime
     def no_elimination(rows, ncols):
         raise RuntimeError("integer elimination ran")
 
     cubic = parse_inline_ideal("x1^3+x2^2*x3,x2^3-x1*x3^2,x3^3")
     even = parse_inline_ideal("2*x1^2+x2*x3,x2^2,x3^2")
     real_mod = _kernels.rank_mod_rows
-    with monkeypatch.context() as m:
-        m.setattr("lefschetz_props.ideals.integer_rref", no_elimination)
-        with monkeypatch.context() as gf2_only:
-            # 45 x 36 and 63 x 45: GF(2) alone certifies, no word prime runs
-            gf2_only.setattr(_kernels, "rank_mod_rows", no_elimination)
-            certified = [(cubic, 7), (cubic, 8)]
-            for I, k in certified:
-                piece = _build_form_piece(I, k)
-                assert piece.standard == () and piece.pivots == tuple(range(len(piece.columns)))
-        # 18 x 15 and 30 x 21 with GF(2) ranks 12 and 18: the word prime certifies
-        word_prime = [(even, 4), (even, 5)]
-        for I, k in certified + word_prime:
-            piece = _build_form_piece(I, k)
-            assert (piece.columns, piece.rref_rows, piece.pivots, piece.leads,
-                    piece.standard) == oracle_form_piece(I, k)
-        # 30 x 28 of rank 27 is tall but not full, and 9 x 10 is wide: both
-        # fall back to the elimination
-        for I, k in ((cubic, 6), (even, 3)):
-            with pytest.raises(RuntimeError, match="elimination ran"):
-                _build_form_piece(I, k)
     ran = []
 
     def spy_mod(rows, ncols, *args):
@@ -295,9 +297,25 @@ def test_certified_pieces_run_no_elimination(monkeypatch):
         return real_mod(rows, ncols, *args)
 
     monkeypatch.setattr(_kernels, "rank_mod_rows", spy_mod)
-    for I, k in word_prime + [(cubic, 6)]:
-        _build_form_piece(I, k)
-    assert ran == [(18, 15), (30, 21), (30, 28)]
+    # 45 x 36 and 63 x 45: GF(2) certifies
+    certified = [(cubic, 7), (cubic, 8)]
+    # 18 x 15 and 30 x 21 are full with GF(2) ranks 12 and 18, 30 x 28 of
+    # rank 27 is tall but not full, and 9 x 10 is wide
+    eliminated = [(even, 4), (even, 5), (cubic, 6), (even, 3)]
+    with monkeypatch.context() as m:
+        m.setattr("lefschetz_props.ideals.integer_echelon", no_elimination)
+        for I, k in certified:
+            piece = _build_form_piece(I, k)
+            assert piece.standard == () and piece.pivots == tuple(range(len(piece.columns)))
+        for I, k in eliminated:
+            with pytest.raises(RuntimeError, match="elimination ran"):
+                _build_form_piece(I, k)
+    assert ran == []
+    for I, k in certified + eliminated:
+        piece = _build_form_piece(I, k)
+        assert (piece.columns, piece.rref_rows, piece.pivots, piece.leads,
+                piece.standard) == oracle_form_piece(I, k)
+    assert ran == []
 
 
 def test_reduce_mod_piece_is_the_fraction_reduction_over_a_scale():
