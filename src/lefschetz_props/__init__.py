@@ -18,17 +18,15 @@ from .combinatorics import (
 )
 from .duality import (
     DualElement,
-    InverseSystemPiece,
     contract,
     contraction_matrix,
     dual_ideal_from_support,
     ell_power_contract,
     extremal_dual,
-    inverse_system_piece,
     kernel_witness,
 )
 from .errors import BudgetExceededError, CapExceededError, NotArtinianError
-from .exactlinalg import ExactMatrix, kernel_basis, rank, rank_mod, row_reduce
+from .exactlinalg import ExactMatrix, rank, row_reduce
 from .harness import (
     SearchSpec,
     crosscheck_lemmas,
@@ -46,9 +44,7 @@ from .harness import (
 )
 from .ideals import (
     FormIdeal,
-    GradedPiece,
     MonomialIdeal,
-    graded_piece,
     hilbert_function,
     initial_ideal_degreewise,
     is_artinian,

@@ -4,8 +4,10 @@ The polynomial ring acts on the dual ring by differentiation; contracting by
 a monomial is iterated partial differentiation, and contracting by a power of
 the all-ones linear form ell (the one form the monomial deciders use)
 expands through multinomials.  All coefficients are exact rationals.
-``contraction_matrix`` builds the contraction by ell^i from degree d, which
-is the transpose of multiplication by ell^i into degree d up to invertible
+``contraction_matrix`` builds the contraction by ell^i from degree d on the
+inverse system of a monomial ideal, whose degree-k piece is spanned by the
+dual monomials of the ideal's standard monomials of degree k.  It is the
+transpose of multiplication by ell^i into degree d up to invertible
 factorial scalings; so the smallest support of a dual element it kills is
 the girth of the rows of that multiplication map, which
 ``harness.min_kernel_support`` finds by ranking only the row sets that
@@ -26,7 +28,7 @@ from .combinatorics import (
     multinomial,
 )
 from .exactlinalg import ExactMatrix
-from .ideals import MonomialIdeal, graded_piece
+from .ideals import MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -135,19 +137,6 @@ def ell_power_contract(f: DualElement, i: int) -> DualElement:
     return DualElement(f.n, f.degree - i, out)
 
 
-@dataclass(frozen=True)
-class InverseSystemPiece:
-    """Degree-k dual monomial basis, bijective with the standard monomials."""
-
-    degree: int
-    dual_monomials: tuple[Monomial, ...]
-
-
-def inverse_system_piece(I: MonomialIdeal, k: int) -> InverseSystemPiece:
-    """Dual monomials spanning the degree-k piece of the inverse system."""
-    return InverseSystemPiece(k, graded_piece(I, k).standard_monomials)
-
-
 def dual_ideal_from_support(T, n: int, d: int) -> MonomialIdeal:
     """Monomial ideal whose degree-d generators are the complement of T.
 
@@ -212,8 +201,8 @@ def contraction_matrix(I: MonomialIdeal, i: int, k: int) -> ExactMatrix:
     """
     if i < 0 or k < i:
         raise ValueError("need 0 <= i <= k")
-    cols = inverse_system_piece(I, k).dual_monomials
-    rows = inverse_system_piece(I, k - i).dual_monomials
+    cols = I.standard_monomials(k)
+    rows = I.standard_monomials(k - i)
     row_index = {m: r for r, m in enumerate(rows)}
     data = [[0] * len(cols) for _ in rows]
     for c, mon in enumerate(cols):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: rank, kernel basis, and RREF.
+"""Exact linear algebra over the rationals: rank and RREF.
 
 Matrices are immutable once built.  Rational matrices are scaled row-wise
 to integers first, which preserves the row space, and all elimination is
@@ -9,9 +9,7 @@ elimination routine, ``integer_echelon``: fraction-free forward elimination
 to row-echelon form.  ``row_reduce`` runs it, back-substitutes over the
 pivot rows and normalizes the RREF to rationals once, at the end.  The
 graded pieces of form ideals keep the integer echelon rows and never
-back-substitute or normalize them.  ``rank_mod`` exposes the modular rank:
-the result is always a lower bound for the exact rank, so it can certify
-maximal rank on its own but anything smaller must be confirmed exactly.
+back-substitute or normalize them.
 
 Pivot policy everywhere: first nonzero entry in column order, rows scanned
 top-down.  This keeps every reduction deterministic and reproducible.
@@ -60,9 +58,6 @@ class ExactMatrix:
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self._data[i][j]
-
     def row(self, i: int) -> tuple[Scalar, ...]:
         return tuple(self._data[i])
 
@@ -74,11 +69,6 @@ class ExactMatrix:
             self.cols, self.rows,
             [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
-
-    def matvec(self, v) -> list[Scalar]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum(r[j] * v[j] for j in range(self.cols)) for r in self._data]
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self._data[i][j] for i in range(self.rows))
@@ -120,13 +110,6 @@ def rank(M: ExactMatrix) -> int:
     if M.rows == 0 or M.cols == 0:
         return 0
     return _kernels.rank_int_rows(integer_rows(M._data), M.cols)
-
-
-def rank_mod(M: ExactMatrix, p: int = _kernels.WORD_PRIME) -> int:
-    """Rank of M reduced modulo the prime p (lower bound for rank(M))."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    return _kernels.rank_mod_rows(integer_rows(M._data), M.cols, p)
 
 
 def integer_echelon(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
@@ -207,25 +190,3 @@ def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
         p = data[i][c]
         data[i] = [x // p if x % p == 0 else Fraction(x, p) for x in data[i]]
     return ExactMatrix(M.rows, M.cols, data), pivots
-
-
-def kernel_basis(M: ExactMatrix) -> ExactMatrix:
-    """Right-kernel basis; columns of the result satisfy M @ col = 0.
-
-    Column count equals cols - rank; columns are built from the free columns
-    of the RREF in increasing order, so the basis is deterministic.
-    """
-    R, pivots = row_reduce(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
-    cols = []
-    for f in free:
-        v: list[Scalar] = [0] * M.cols
-        v[f] = 1
-        for r, pc in enumerate(pivots):
-            e = R.entry(r, f)
-            if e:
-                v[pc] = -e
-        cols.append(v)
-    data = [[cols[j][i] for j in range(len(free))] for i in range(M.cols)]
-    return ExactMatrix(M.cols, len(free), data)

@@ -68,7 +68,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations
 from typing import NamedTuple
@@ -231,8 +230,7 @@ def _orderly_walk(m: int, depth: int, tables, rows):
     the children of a node p are its extensions by one bit below its
     lowest set bit whose complement passes ``_is_canonical``.  They are
     walked largest new bit first, each with its subtree, so the walk holds
-    one path: at most m pending siblings per depth.  Sending a value right
-    after a node (``send`` returns None) skips its subtree.
+    one path: at most m pending siblings per depth.
 
     ``rows`` holds one packed GF(2) row per mask bit
     (``lefschetz._support_rows``).  Each node on the path whose rows are
@@ -259,9 +257,7 @@ def _orderly_walk(m: int, depth: int, tables, rows):
         if expand:
             x = ~x
             basis = bases.pop()
-        if (yield x) is not None:
-            yield
-            continue
+        yield x
         if not expand:
             continue
         parent = x >> 1
@@ -847,10 +843,10 @@ def random_form_ideal(n: int, d: int, rng: random.Random) -> FormIdeal:
         s = n + rng.choice((0, 1, 2))
         gens = []
         for _ in range(s):
-            coeffs = {m: Fraction(rng.randint(-3, 3)) for m in basis}
+            coeffs = {m: rng.randint(-3, 3) for m in basis}
             coeffs = {m: c for m, c in coeffs.items() if c}
             if not coeffs:
-                coeffs = {basis[rng.randrange(len(basis))]: Fraction(1)}
+                coeffs = {basis[rng.randrange(len(basis))]: 1}
             gens.append(coeffs)
         I = FormIdeal(n, gens)
         try:

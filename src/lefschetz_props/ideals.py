@@ -561,17 +561,6 @@ def reduce_mod_piece(piece: _FormPiece, vec: list[int]) -> tuple[list[int], int]
 # shared operations
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    """Degree-k data of a quotient: standard monomials, plus span data for
-    form ideals (row-reduced basis of the ideal's degree-k span)."""
-
-    degree: int
-    standard_monomials: tuple[Monomial, ...]
-    span: ExactMatrix | None = None
-    pivot_monomials: tuple[Monomial, ...] = ()
-
-
 def _check_cap(cap: int | None) -> None:
     if cap is not None and cap < 0:
         raise ValueError(f"socle cap must be non-negative, got {cap}")
@@ -615,19 +604,6 @@ def default_socle_cap(I) -> int:
     else:
         dmax = max(deg for deg, _ in I.generators)
     return I.n * (dmax - 1) + SOCLE_CAP_MARGIN
-
-
-def graded_piece(I, k: int) -> GradedPiece:
-    """Standard monomials (and, for form ideals, the reduced span) in degree k."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    if isinstance(I, MonomialIdeal):
-        return GradedPiece(k, I.standard_monomials(k))
-    piece = I.piece(k)
-    span = ExactMatrix(
-        len(piece.rref_rows), len(piece.columns), [list(r) for r in piece.rref_rows]
-    )
-    return GradedPiece(k, piece.standard, span, piece.leads)
 
 
 def hilbert_function(I, upto: int) -> tuple[int, ...]:

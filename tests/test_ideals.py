@@ -18,7 +18,6 @@ from lefschetz_props.ideals import (
     SupportIdeal,
     _build_form_piece,
     default_socle_cap,
-    graded_piece,
     hilbert_function,
     initial_ideal_degreewise,
     is_artinian,
@@ -101,9 +100,9 @@ def test_is_artinian_monomial():
 
 def test_graded_piece_examples():
     bk = MonomialIdeal(3, BK_GENS)
-    assert len(graded_piece(bk, 3).standard_monomials) == 6
-    assert graded_piece(bk, 0).standard_monomials == ((0, 0, 0),)
-    piece4 = graded_piece(bk, 4).standard_monomials
+    assert len(bk.standard_monomials(3)) == 6
+    assert bk.standard_monomials(0) == ((0, 0, 0),)
+    piece4 = bk.standard_monomials(4)
     assert set(piece4) == {(2, 2, 0), (2, 0, 2), (0, 2, 2)}
 
 
@@ -120,7 +119,7 @@ def test_graded_piece_matches_brute_force():
         I = MonomialIdeal(3, gens)
         for k in range(8):
             expected = brute_standard_monomials(3, I.generators, k)
-            assert sorted(graded_piece(I, k).standard_monomials) == sorted(expected)
+            assert sorted(I.standard_monomials(k)) == sorted(expected)
 
 
 def test_hilbert_function_examples():
@@ -229,11 +228,10 @@ def test_initial_ideal_preserves_hilbert_function_four_variables():
 
 def test_graded_piece_form_span_shape():
     F = FormIdeal(3, [{(2, 0, 0): 1, (0, 2, 0): -1}])
-    piece = graded_piece(F, 2)
-    assert piece.span is not None
-    assert piece.span.rows == 1
-    assert piece.pivot_monomials == ((2, 0, 0),)
-    assert len(piece.standard_monomials) == basis_size(3, 2) - 1
+    piece = F.piece(2)
+    assert len(piece.rows) == 1
+    assert piece.leads == ((2, 0, 0),)
+    assert len(piece.standard) == basis_size(3, 2) - 1
 
 
 def test_generator_normalization_and_equality():
