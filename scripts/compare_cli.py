@@ -196,6 +196,9 @@ COMMANDS = [
      "full", "--format", "csv"],
     # the power-1 campaign stopped by an entry budget inside its sweep
     ["verify-thm2", "--n", "3", "--d", "5", "--i", "1", "--budget-entries", "3000"],
+    # every exact rank of the five-variable almost complete intersection,
+    # the largest deficient maps the package ranks (300x285 from degree 8)
+    ["wlp", "--gens", "x1^5,x2^5,x3^5,x4^5,x5^5,x1*x2*x3*x4*x5", "--format", "csv"],
 ]
 
 # Invocations whose output is meant to differ from the other checkout, as a

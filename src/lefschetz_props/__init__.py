@@ -3,7 +3,8 @@ artinian monomial and form ideals, with exhaustive desk-scale verification
 campaigns for the sharp Hilbert-function lower bounds.
 
 Every rank is computed in pure Python by one policy (``_kernels.rank_rows``):
-a GF(2) or word-prime certificate of maximal rank, else exact Bareiss.
+a GF(2) or word-prime certificate of maximal rank, else exact fraction-free
+elimination.
 """
 
 from .classify import forces_slp, forces_wlp, is_o_sequence, t_index

@@ -1,44 +1,69 @@
-"""Rank kernels on integer rows: exact Bareiss, modulo a prime, and over
-GF(2).
+"""Elimination kernels on integer rows: the fraction-free echelon form and
+the exact rank it gives, the rank modulo a prime, and the rank over GF(2).
 
-All three run on Python integers, so they never overflow.  Input rows are
-not mutated.
+All of them run on Python integers, so they never overflow.
+``integer_echelon`` reduces its rows in place; every rank kernel leaves its
+input rows unchanged.
 """
 
 from __future__ import annotations
 
+from math import gcd
 
-def rank_i64(rows, ncols: int) -> int:
-    """Exact rank of an integer matrix via fraction-free elimination."""
+
+def integer_echelon(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
+    """Fraction-free forward elimination on integer rows, in place; returns
+    the (strictly increasing) pivot columns.
+
+    Each pivot is made positive and eliminated from the rows below it only:
+    such a row becomes ``a*row - b*pivot_row`` with the smallest integer
+    multipliers, computed on the columns past the pivot alone (both rows
+    are zero before it), and its content is divided out.  Afterwards the
+    first len(pivots) rows are in row-echelon form, each with a positive
+    pivot and zeros before it, and the zero rows follow.
+    """
     nrows = len(rows)
-    if nrows == 0 or ncols == 0:
-        return 0
-    a = [list(row) for row in rows]
+    pivots: list[int] = []
     r = 0
-    prev = 1
     for c in range(ncols):
         if r == nrows:
             break
         pr = -1
         for rr in range(r, nrows):
-            if a[rr][c]:
+            if rows[rr][c]:
                 pr = rr
                 break
         if pr < 0:
             continue
+        prow = rows[pr]
         if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        pivot_row = a[r]
-        pivot = pivot_row[c]
+            rows[r], rows[pr] = prow, rows[r]
+        p = prow[c]
+        if p < 0:
+            prow = rows[r] = [-x for x in prow]
+            p = -p
+        tail = prow[c + 1:]
+        zeros = [0] * (c + 1)
         for rr in range(r + 1, nrows):
-            row = a[rr]
-            mult = row[c]
-            for cc in range(c + 1, ncols):
-                row[cc] = (pivot * row[cc] - mult * pivot_row[cc]) // prev
-            row[c] = 0
-        prev = pivot
+            row = rows[rr]
+            f = row[c]
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row[c + 1:], tail)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                rows[rr] = zeros + new
+        pivots.append(c)
         r += 1
-    return r
+    return tuple(pivots)
+
+
+def rank_i64(rows, ncols: int) -> int:
+    """Exact rank of an integer matrix: the pivot count of
+    ``integer_echelon`` on a copy of the rows."""
+    return len(integer_echelon([list(r) for r in rows], ncols))
 
 
 def rank_mod(rows, ncols: int, p: int) -> int:

@@ -1,15 +1,14 @@
 """Exact linear algebra over the rationals: rank and RREF.
 
 Matrices are immutable once built.  Rational matrices are scaled row-wise
-to integers first, which preserves the row space, and all elimination is
-fraction-free on those integer rows.  ``rank`` is plain exact Bareiss
-elimination on Python integers, with no modular certificate, so tests can
-use it as an oracle for the deciders' rank policy.  Row reduction has one
-elimination routine, ``integer_echelon``: fraction-free forward elimination
-to row-echelon form.  ``row_reduce`` runs it, back-substitutes over the
-pivot rows and normalizes the RREF to rationals once, at the end.  The
-graded pieces of form ideals keep the integer echelon rows and never
-back-substitute or normalize them.
+to integers first, which preserves the row space.  This module defines no
+elimination of its own: both run the package's one fraction-free forward
+elimination, ``_ranks_py.integer_echelon`` (also importable from here).
+``rank`` is its pivot count, with no modular certificate, so tests can use
+it as an oracle for the deciders' rank policy.  ``row_reduce`` runs it,
+back-substitutes over the pivot rows and normalizes the RREF to rationals
+once, at the end.  The graded pieces of form ideals keep the integer
+echelon rows and never back-substitute or normalize them.
 
 Pivot policy everywhere: first nonzero entry in column order, rows scanned
 top-down.  This keeps every reduction deterministic and reproducible.
@@ -21,6 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _kernels
+from ._ranks_py import integer_echelon
 
 Scalar = int | Fraction
 
@@ -82,9 +82,6 @@ class ExactMatrix:
             for j in range(self.cols)
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(map(tuple, self._data))))
-
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
@@ -106,59 +103,9 @@ def integer_rows(rows) -> list[list[int]]:
 
 
 def rank(M: ExactMatrix) -> int:
-    """Exact rank over the rationals."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
+    """Exact rank over the rationals: the pivot count of
+    ``integer_echelon`` on the integer-scaled rows."""
     return _kernels.rank_int_rows(integer_rows(M._data), M.cols)
-
-
-def integer_echelon(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
-    """Fraction-free forward elimination on integer rows, in place; returns
-    the (strictly increasing) pivot columns.
-
-    Each pivot is made positive and eliminated from the rows below it only:
-    such a row becomes ``a*row - b*pivot_row`` with the smallest integer
-    multipliers, computed on the columns past the pivot alone (both rows
-    are zero before it), and its content is divided out.  Afterwards the
-    first len(pivots) rows are in row-echelon form, each with a positive
-    pivot and zeros before it, and the zero rows follow.
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = -1
-        for rr in range(r, nrows):
-            if rows[rr][c]:
-                pr = rr
-                break
-        if pr < 0:
-            continue
-        prow = rows[pr]
-        if pr != r:
-            rows[r], rows[pr] = prow, rows[r]
-        p = prow[c]
-        if p < 0:
-            prow = rows[r] = [-x for x in prow]
-            p = -p
-        tail = prow[c + 1:]
-        zeros = [0] * (c + 1)
-        for rr in range(r + 1, nrows):
-            row = rows[rr]
-            f = row[c]
-            if f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(row[c + 1:], tail)]
-                g = gcd(*new)
-                if g > 1:
-                    new = [x // g for x in new]
-                rows[rr] = zeros + new
-        pivots.append(c)
-        r += 1
-    return tuple(pivots)
 
 
 def row_reduce(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from ._ranks_py import rank_gf2_bits
+from ._ranks_py import integer_echelon, rank_gf2_bits
 from .combinatorics import (
     Monomial,
     basis_index,
@@ -51,7 +51,7 @@ from .combinatorics import (
     product_table,
 )
 from .errors import CapExceededError, NotArtinianError
-from .exactlinalg import ExactMatrix, integer_echelon, row_reduce
+from .exactlinalg import ExactMatrix, row_reduce
 
 SOCLE_CAP_MARGIN = 8
 

@@ -30,14 +30,7 @@ class PairRecord(NamedTuple):
     maximal: bool
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "dim_source": self.dim_source,
-            "dim_target": self.dim_target,
-            "rank": self.rank,
-            "maximal": self.maximal,
-        }
+        return self._asdict()
 
 
 @dataclass

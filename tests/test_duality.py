@@ -199,7 +199,7 @@ def test_complete_intersection_girth_search_reaches_the_same_sets(n, d, reached)
 
 def brute_min_support(I, d, i, bound):
     """Oracle of min_kernel_support: the smallest size of a dependent set of
-    columns of contraction_matrix, each subset ranked by plain Bareiss."""
+    columns of contraction_matrix, each subset ranked by exactlinalg.rank."""
     C = contraction_matrix(I, i, d)
     columns = [C.column(c) for c in range(C.cols)]
     for size in range(1, bound + 1):

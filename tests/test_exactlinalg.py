@@ -59,12 +59,27 @@ def test_rank_fraction_entries():
 
 def test_rank_oracle_agreement_random():
     rng = random.Random(20240817)
-    equal_mod = 0
-    total_mod = 0
+    cases = []
     for _ in range(500):
         nrows = rng.randint(1, 12)
         ncols = rng.randint(1, 12)
-        rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+        cases.append(([[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)], ncols))
+    # deficient and growth inputs, the kind the rank policy hands to the
+    # exact rank: the singular 25x25 matrix of test_kernels' growth test
+    # (entries up to 99, one row the sum of two others), and even-entry
+    # matrices with a repeated row
+    growth = random.Random(4)
+    square = [[growth.randint(-99, 99) for _ in range(25)] for _ in range(25)]
+    cases.append((square[:24] + [[a + b for a, b in zip(square[0], square[1])]], 25))
+    even = random.Random(6)
+    for _ in range(100):
+        ncols = even.randint(2, 8)
+        rows = [[2 * even.randint(-9, 9) for _ in range(ncols)] for _ in range(even.randint(2, 8))]
+        rows.append(list(rows[0]))
+        cases.append((rows, ncols))
+    equal_mod = 0
+    total_mod = 0
+    for rows, ncols in cases:
         r = rank(ExactMatrix.from_rows(rows))
         assert r == naive_rank(rows)
         for p in BIG_PRIMES:

@@ -2,7 +2,9 @@
 
 Inverse-free elimination mod p is checked against the textbook loop that
 scales by modular inverses (kept here as the slow twin), GF(2) against the
-exact rank it bounds, and the policy against exact Bareiss.
+exact rank it bounds, and the policy against the exact rank
+``rank_i64`` (the pivot count of ``integer_echelon``).  That exact rank is
+checked against rational Gaussian elimination in ``test_exactlinalg``.
 """
 
 import random
@@ -116,7 +118,8 @@ def test_policy_on_huge_entries():
 
 
 def test_policy_on_intermediate_growth():
-    # 25x25 with entries up to 99: Bareiss minors far exceed 64 bits mid-way
+    # 25x25 with entries up to 99: elimination entries far exceed 64 bits
+    # mid-way
     rng = random.Random(4)
     rows = [[rng.randint(-99, 99) for _ in range(25)] for _ in range(25)]
     assert policy(rows, 25) == _ranks_py.rank_i64(rows, 25) == 25
@@ -170,7 +173,7 @@ def test_policy_reaches_the_kernels_through_module_attributes(monkeypatch):
     assert calls == ["rank_mod_rows"]
     assert policy([[2, 4], [1, 2]], 2) == 1
     assert calls == ["rank_mod_rows", "rank_mod_rows", "rank_int_rows"]
-    # the certificate alone never runs Bareiss
+    # the certificate alone never runs the exact rank
     calls.clear()
     assert _kernels.certifies_maximal([[2, 0], [0, 2]], 2, [0, 0])
     assert not _kernels.certifies_maximal([[2, 4], [1, 2]], 2, [0, 1])
@@ -180,8 +183,8 @@ def test_policy_reaches_the_kernels_through_module_attributes(monkeypatch):
 def test_policy_ranks_the_given_parity_and_never_packs(monkeypatch):
     # the policy's GF(2) step ranks the parity its caller packed, rows or
     # columns, once and never packs the rows itself; past that step (a
-    # parity of zeros certifies nothing) the word prime, then Bareiss, give
-    # the exact rank on their own
+    # parity of zeros certifies nothing) the word prime, then the exact
+    # elimination, give the exact rank on their own
     def no_packing(rows):
         raise AssertionError("rows packed by the policy")
 

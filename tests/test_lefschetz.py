@@ -30,6 +30,7 @@ from lefschetz_props.lefschetz import (
 )
 from lefschetz_props.parsing import parse_inline_ideal
 from lefschetz_props.reporting import PairRecord
+from test_exactlinalg import BIG_PRIMES
 
 BK = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
 
@@ -75,14 +76,14 @@ def test_linear_form_takes_only_ints_and_fractions():
 
 def test_fractional_forms_rank_like_plain_bareiss(monkeypatch):
     # a monomial map of a Fraction form is ranked on its rows scaled by the
-    # common denominator of the weights: the decided rank equals plain
-    # Bareiss on the rational matrix, on seeded support ideals and on BK,
-    # deficient maps included, which run Bareiss on the scaled rows
+    # common denominator of the weights: the decided rank equals the plain
+    # exact rank of the rational matrix, on seeded support ideals and on BK,
+    # deficient maps included, which run the exact rank on the scaled rows
     exact = spy(monkeypatch, _kernels, "rank_int_rows")
     forms = [LinearForm((Fraction(1, 2), 2, 3)), LinearForm((Fraction(2, 3), Fraction(-5, 4), 1))]
     rng = random.Random(23)
     ideals = [BK] + [ideal_from_mask(3, 4, rng.getrandbits(12)) for _ in range(30)]
-    bareiss = 0
+    exact_runs = 0
     for I in ideals:
         e = socle_degree(I)
         for ell in forms:
@@ -95,8 +96,8 @@ def test_fractional_forms_rank_like_plain_bareiss(monkeypatch):
                     assert got == (want == min(M.rows, M.cols), want), (I, ell, i, j)
                     if len(exact) > before:
                         assert lefschetz._integer_weights(3, i, ell.coefficients)[1] > 1
-                        bareiss += 1
-    assert bareiss > 0
+                        exact_runs += 1
+    assert exact_runs > 0
 
 
 def test_has_maximal_rank_on_complete_intersections():
@@ -112,6 +113,20 @@ def test_has_maximal_rank_on_complete_intersections():
 def test_has_maximal_rank_brenner_kaid_failure():
     ok, r = has_maximal_rank(BK, None, 1, 2)
     assert not ok and r == 5
+
+
+def test_has_maximal_rank_on_the_five_variable_almost_complete_intersection():
+    # the largest deficient maps the package ranks exactly: x1^5, ..., x5^5,
+    # x1*x2*x3*x4*x5, whose ell-maps from degrees 8 and 9 are 300x285 and
+    # 280x300; neither is certified, and each exact rank equals its rank
+    # modulo two primes above 2^31, which bounds it from below on its own
+    gens = [tuple(5 if t == s else 0 for t in range(5)) for s in range(5)]
+    I = MonomialIdeal(5, gens + [(1,) * 5])
+    for j, want in ((8, 284), (9, 279)):
+        assert has_maximal_rank(I, None, 1, j) == (False, want)
+        M = mult_map_matrix(I, None, 1, j)
+        for p in BIG_PRIMES:
+            assert _ranks_py.rank_mod(M.to_lists(), M.cols, p) == want, (j, p)
 
 
 @pytest.mark.parametrize("check", [has_maximal_rank, mult_map_matrix])
@@ -148,7 +163,7 @@ FORMS = parse_inline_ideal("x1^2+x2*x3,x2^2-x1*x3,x3^2")
 
 def twin_scan(I, pair_list, forms, memo):
     """Slow twin of the deciders' pair scan: every pair is built and ranked
-    by plain Bareiss (exactlinalg.rank), with no free pair, no onto
+    by the plain exact rank (exactlinalg.rank), with no free pair, no onto
     propagation and no modular certificate.  Over several trial forms the
     best rank stands.  ``memo`` shares the records across the scans of one
     ideal."""
@@ -229,7 +244,7 @@ def test_decider_ranks_match_plain_exact_rank(monkeypatch):
     # prime, computed exactly, freed by degree, propagated from an earlier
     # onto map of the same power, read back from the ideal's record cache,
     # given by the rank-one rule or bounded by a composition, equals the
-    # plain Bareiss rank of the twin; each matrix-free route decides pairs
+    # plain exact rank of the twin; each matrix-free route decides pairs
     # in exact mode, none in randomized mode, and the rank-one rule stays
     # off under a form with a zero coefficient
     decided = spy(monkeypatch, lefschetz, "_pair_exact")
@@ -289,7 +304,7 @@ EXACT_FORMS = (
 def test_form_ideal_exact_scans_share_the_record_cache(monkeypatch):
     # exact scans of a form ideal read and fill its record cache and bound
     # powers by composition like those of a monomial ideal, and every
-    # record equals the plain Bareiss rank of mult_map_matrix; a second
+    # record equals the plain exact rank of mult_map_matrix; a second
     # exact check builds no matrix; the rank-one rule decides no form pair,
     # since ell^i can lie in a form ideal
     built = spy(monkeypatch, lefschetz, "_build_rows")
@@ -418,7 +433,7 @@ def policy_calls(monkeypatch):
 def assert_policy_on_built_maps(built, calls):
     """Each built map's own parity list went to GF(2) once, in build order;
     the word prime ran on exactly the rows whose parity rank falls short,
-    and Bareiss on exactly those whose word-prime rank falls short too.
+    and the exact rank on exactly those whose word-prime rank falls short too.
     Calls on anything else (form pieces, the twin's matrices) are left
     out.  Returns the maps that reached the word prime."""
     parities = {id(b[3]) for b in built}
@@ -702,7 +717,7 @@ def _support_rows_independent(n, d, i, mask):
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_support_row_pick_matches_exact_rank_on_every_3_4_mask(i):
     # the byte-table row pick, and the exact fallback behind it, against
-    # plain Bareiss on the same integer rows
+    # the plain exact rank of the same integer rows
     for mask in range(1 << 12):
         assert _support_rows_independent(3, 4, i, mask) == (
             _picked_rows_independent(3, 4, i, mask)
